@@ -22,7 +22,9 @@ from .formulas import (
     alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
     free_names, free_vars, rebuild, sort_of, substitute,
 )
-from .kripke import KripkeInterpretation, evaluate, total_access
+from .kripke import (
+    KripkeInterpretation, box_mask, compile_mask, frames_for, total_access,
+)
 from .macros import expand_derived
 from .signature import LogicTag, Mode, Signature
 
@@ -554,23 +556,7 @@ def _prop_models(logic: LogicTag, max_worlds: int, atoms):
     sig = Signature(Mode.CLASSICAL, logic, {a: PROPOSITION for a in atoms})
     out = []
     for n in range(1, max_worlds + 1):
-        if logic is LogicTag.S5TOTAL:
-            frames = [total_access(n)]
-        elif logic is LogicTag.KB:
-            frames = []
-            pairs = [(w, v) for w in range(n) for v in range(w, n)]
-            for bits in range(1 << len(pairs)):
-                R = set()
-                for k, (w, v) in enumerate(pairs):
-                    if (bits >> k) & 1:
-                        R.add((w, v))
-                        R.add((v, w))
-                frames.append(frozenset(R))
-        else:
-            frames = [frozenset((w, v) for w in range(n) for v in range(n)
-                                if (bits >> (w * n + v)) & 1)
-                      for bits in range(1 << (n * n))]
-        for R in frames:
+        for R in frames_for(logic, n):
             for masks in range(1 << (n * len(atoms))):
                 denot = {}
                 for k, a in enumerate(atoms):
@@ -582,15 +568,7 @@ def _prop_models(logic: LogicTag, max_worlds: int, atoms):
 def _realized_vectors(m: KripkeInterpretation, atoms, depth: int):
     """World-vector closure of the atoms under the connectives, to the given
     depth, with one witness formula per vector."""
-    full = (1 << m.n_worlds) - 1
-
-    def vbox(x: int) -> int:
-        out = 0
-        for w in range(m.n_worlds):
-            if all((x >> v) & 1 for v in m.successors(w)):
-                out |= 1 << w
-        return out
-
+    full = m.all_worlds
     vecs = {}
     for a in atoms:
         f = Exemplify(Const(a, PROPOSITION), ())
@@ -600,7 +578,7 @@ def _realized_vectors(m: KripkeInterpretation, atoms, depth: int):
         new = {}
         items = list(vecs.items())
         for v, wf in list(frontier.items()):
-            for nv, nf in ((full ^ v, Not(wf)), (vbox(v), Box(wf)),
+            for nv, nf in ((full ^ v, Not(wf)), (box_mask(m, v), Box(wf)),
                            ((full if (v >> m.actual) & 1 else 0), Actually(wf))):
                 if nv not in vecs:
                     vecs[nv] = nf
@@ -630,6 +608,7 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
         count = 0
         counterexample = None
         k = len(s.metavars)
+        holds = compile_mask(s.template)
         for m in models:
             vecs = _realized_vectors(m, atoms, generator_depth)
             values = sorted(vecs)
@@ -638,13 +617,11 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
                 tuples = [t + [v] for t in tuples for v in values]
             for tup in tuples:
                 count += 1
-                a = {name: v for name, v in zip(s.metavars, tup)}
-                for w in range(m.n_worlds):
-                    if not evaluate(s.template, m, a, w):
-                        witnesses = tuple(vecs[v] for v in tup)
-                        counterexample = (witnesses, _describe(m), w)
-                        break
-                if counterexample:
+                mask = holds(m, dict(zip(s.metavars, tup)))
+                if mask != m.all_worlds:
+                    witnesses = tuple(vecs[v] for v in tup)
+                    counterexample = (witnesses, _describe(m),
+                                      _first_false_world(mask))
                     break
             if counterexample:
                 break
@@ -654,6 +631,11 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
     rules_ok = _validate_rules(models, atoms)
     return SoundnessReport(layer.name, len(models), findings, rules_ok,
                            time.time() - t0)
+
+
+def _first_false_world(mask: int) -> int:
+    """The lowest clear bit of a world mask."""
+    return (~mask & (mask + 1)).bit_length() - 1
 
 
 def _describe(m: KripkeInterpretation) -> str:
@@ -713,6 +695,7 @@ def _validate_builtins(schemas, layer: Layer):
                 s, {"alpha": x, "beta": y, "phi": Sx, "psi": Sy}, layer.mode))
         for inst in instances:
             fv = sorted(free_names(inst))
+            holds = compile_mask(inst)
             for m in models:
                 assigns = [{}]
                 for name in fv:
@@ -720,11 +703,10 @@ def _validate_builtins(schemas, layer: Layer):
                                for d in range(m.n_individuals)]
                 for a in assigns:
                     count += 1
-                    for w in range(m.n_worlds):
-                        if not evaluate(inst, m, a, w):
-                            counterexample = (inst, _describe(m), w)
-                            break
-                    if counterexample:
+                    mask = holds(m, a)
+                    if mask != m.all_worlds:
+                        counterexample = (inst, _describe(m),
+                                          _first_false_world(mask))
                         break
                 if counterexample:
                     break
@@ -738,13 +720,11 @@ def _validate_rules(models, atoms) -> dict:
     """MP and deduction at a fixed world; necessitation from global truth."""
     mp_ok = nec_ok = ded_ok = True
     for m in models:
-        full = (1 << m.n_worlds) - 1
+        full = m.all_worlds
         vecs = sorted(_realized_vectors(m, atoms, 2))
         for a in vecs:
-            if a == full:
-                if not all(all((a >> v) & 1 for v in m.successors(w))
-                           for w in range(m.n_worlds)):
-                    nec_ok = False
+            if a == full and box_mask(m, a) != full:
+                nec_ok = False
             for b in vecs:
                 for w in range(m.n_worlds):
                     a_w = bool((a >> w) & 1)

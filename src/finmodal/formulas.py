@@ -306,10 +306,6 @@ def subnodes(x: Node):
         yield from subnodes(c)
 
 
-def contains_encode(x: Node) -> bool:
-    return any(isinstance(n, Encode) for n in subnodes(x))
-
-
 # ---------------------------------------------------------------------------
 # Reconstruction helper
 

@@ -1,16 +1,26 @@
-"""Finite Kripke interpretations and world-indexed evaluation.
+"""Finite Kripke interpretations and their two evaluators.
 
 Values are packed into integer bitmasks: a proposition is a mask over
 worlds, a unary relation a mask over (individual, world) pairs with bit
 position d * n_worlds + w. Box quantifies over all worlds under the
 S5 logic tag, mirroring the lifted definition of necessity, and over
 accessibility successors otherwise.
+
+`evaluate` walks the formula at one world and stops at the first subformula
+that settles it. Model search runs it on partially assigned
+interpretations, where the denotation bit an evaluation stops on decides
+which bit a premise instance waits for. `compile_mask` turns a formula into
+closures once; each call returns the mask of all the worlds where the
+formula holds, with Box and Diamond read off the interpretation's cached
+successor masks. It serves complete interpretations: countermodel leaves
+and layer validation.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .formulas import (
     INDIVIDUAL,
@@ -54,6 +64,22 @@ def total_access(n_worlds: int) -> frozenset:
     return frozenset((w, v) for w in range(n_worlds) for v in range(n_worlds))
 
 
+def frames_for(logic: LogicTag, n_worlds: int) -> list:
+    """Every accessibility relation of the frame class, in increasing order
+    of its bits (w * n_worlds + v); model search's canonical order, and so
+    the first model it reports, follows this order."""
+    if logic is LogicTag.S5TOTAL:
+        return [total_access(n_worlds)]
+    pairs = [(w, v) for w in range(n_worlds) for v in range(n_worlds)]
+    out = []
+    for bits in range(1 << len(pairs)):
+        R = frozenset(p for k, p in enumerate(pairs) if (bits >> k) & 1)
+        if logic is LogicTag.KB and any((v, w) not in R for (w, v) in R):
+            continue
+        out.append(R)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class KripkeInterpretation:
     sig: Signature
@@ -80,6 +106,16 @@ class KripkeInterpretation:
             return range(self.n_worlds)
         return [v for v in range(self.n_worlds) if (w, v) in self.access]
 
+    @cached_property
+    def all_worlds(self) -> int:
+        return (1 << self.n_worlds) - 1
+
+    @cached_property
+    def successor_masks(self) -> tuple:
+        """Per world, the mask of the worlds it sees."""
+        return tuple(sum(1 << v for v in self.successors(w))
+                     for w in range(self.n_worlds))
+
     def relation_domain(self):
         space = self.relspace
         if not space:
@@ -91,6 +127,26 @@ class KripkeInterpretation:
 
     def proposition_domain(self):
         return range(1 << self.n_worlds)
+
+
+def box_mask(m: KripkeInterpretation, x: int) -> int:
+    """The worlds all of whose successors lie in x."""
+    out, bit = 0, 1
+    for s in m.successor_masks:
+        if s & x == s:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def diamond_mask(m: KripkeInterpretation, x: int) -> int:
+    """The worlds with a successor in x."""
+    out, bit = 0, 1
+    for s in m.successor_masks:
+        if s & x:
+            out |= bit
+        bit <<= 1
+    return out
 
 
 def frame_check(m: KripkeInterpretation, tag: LogicTag) -> bool:
@@ -210,6 +266,163 @@ def _quantifier_domain(var: Var, m: KripkeInterpretation):
     if var.sort.kind == "rel" and var.sort.arity == 0:
         return m.proposition_domain()
     raise EvalError(f"no quantification domain at sort {var.sort}")
+
+
+# ---------------------------------------------------------------------------
+# World-mask evaluation for complete interpretations
+
+def _raiser(message: str):
+    def fail(m, a):
+        raise EvalError(message)
+    return fail
+
+
+def _compile_term(t: Term):
+    """fn(m, a) giving the value term_value gives."""
+    if isinstance(t, Var):
+        name = t.name
+
+        def var(m, a):
+            try:
+                return a[name]
+            except KeyError:
+                raise EvalError(f"unhoused free variable {name!r}")
+        return var
+    if isinstance(t, Const):
+        name = t.name
+
+        def const(m, a):
+            try:
+                return m.denot[name]
+            except KeyError:
+                raise EvalError(f"uninterpreted constant {name!r}")
+        return const
+    if isinstance(t, MacroTerm):
+        return _compile_term(expand_derived(t))
+    if isinstance(t, Lambda):
+        if len(t.params) == 0:
+            return compile_mask(t.body)
+        if len(t.params) == 1:
+            body, name = compile_mask(t.body), t.params[0].name
+
+            def columns(m, a):
+                inner = dict(a)
+                mask = 0
+                for d in range(m.n_individuals):
+                    inner[name] = d
+                    mask |= body(m, inner) << (d * m.n_worlds)
+                return mask
+            return columns
+        return _raiser("lambda terms of arity >= 2 are not interpreted")
+    if isinstance(t, Description):
+        return _raiser("definite descriptions are not interpreted in classical models")
+    return _raiser(f"cannot evaluate term {t!r}")
+
+
+def compile_mask(f: Formula):
+    """f compiled once into fn(m, a): the mask of the worlds of m where f
+    holds under the assignment a, so bit w of fn(m, a) is
+    evaluate(f, m, a, w).
+
+    Constructs evaluate cannot interpret raise the same EvalError, when fn
+    is called rather than when it is built.
+    """
+    if isinstance(f, Exemplify):
+        rel = _compile_term(f.rel)
+        if not f.args:
+            return lambda m, a: rel(m, a) & m.all_worlds
+        if len(f.args) == 1:
+            arg = _compile_term(f.args[0])
+            return lambda m, a: (rel(m, a) >> (arg(m, a) * m.n_worlds)) & m.all_worlds
+        args = tuple(_compile_term(t) for t in f.args)
+        return lambda m, a: rel(m, a)[tuple(t(m, a) for t in args)] & m.all_worlds
+    if isinstance(f, SOAtom):
+        name, arg = f.op.name, _compile_term(f.arg)
+
+        def so_atom(m, a):
+            table = m.denot.get(name)
+            if table is None:
+                raise EvalError(f"uninterpreted second-order constant {name!r}")
+            v = arg(m, a)
+            try:
+                return table[v] & m.all_worlds
+            except KeyError:
+                # applied to a value outside the interpreted domain: false
+                return 0
+        return so_atom
+    if isinstance(f, PrimitiveEq):
+        left, right = _compile_term(f.left), _compile_term(f.right)
+        return lambda m, a: m.all_worlds if left(m, a) == right(m, a) else 0
+    if isinstance(f, Encode):
+        return _raiser("encoding atoms are not interpreted in classical models")
+    if isinstance(f, Not):
+        body = compile_mask(f.body)
+        return lambda m, a: m.all_worlds ^ body(m, a)
+    if isinstance(f, Implies):
+        left, right = compile_mask(f.left), compile_mask(f.right)
+
+        def implies(m, a):
+            x = left(m, a)
+            return m.all_worlds if not x else (m.all_worlds ^ x) | right(m, a)
+        return implies
+    if isinstance(f, And):
+        left, right = compile_mask(f.left), compile_mask(f.right)
+
+        def conj(m, a):
+            x = left(m, a)
+            return x & right(m, a) if x else 0
+        return conj
+    if isinstance(f, Or):
+        left, right = compile_mask(f.left), compile_mask(f.right)
+
+        def disj(m, a):
+            x = left(m, a)
+            return x if x == m.all_worlds else x | right(m, a)
+        return disj
+    if isinstance(f, Iff):
+        left, right = compile_mask(f.left), compile_mask(f.right)
+        return lambda m, a: m.all_worlds ^ left(m, a) ^ right(m, a)
+    if isinstance(f, Xor):
+        left, right = compile_mask(f.left), compile_mask(f.right)
+        return lambda m, a: left(m, a) ^ right(m, a)
+    if isinstance(f, Box):
+        body = compile_mask(f.body)
+        return lambda m, a: box_mask(m, body(m, a))
+    if isinstance(f, Diamond):
+        body = compile_mask(f.body)
+        return lambda m, a: diamond_mask(m, body(m, a))
+    if isinstance(f, Actually):
+        body = compile_mask(f.body)
+        return lambda m, a: m.all_worlds if (body(m, a) >> m.actual) & 1 else 0
+    if isinstance(f, Forall):
+        var, body = f.var, compile_mask(f.body)
+
+        def forall(m, a):
+            inner = dict(a)
+            out = m.all_worlds
+            for val in _quantifier_domain(var, m):
+                inner[var.name] = val
+                out &= body(m, inner)
+                if not out:
+                    break
+            return out
+        return forall
+    if isinstance(f, Exists):
+        var, body = f.var, compile_mask(f.body)
+
+        def exists(m, a):
+            inner = dict(a)
+            out = 0
+            for val in _quantifier_domain(var, m):
+                inner[var.name] = val
+                out |= body(m, inner)
+                if out == m.all_worlds:
+                    break
+            return out
+        return exists
+    if isinstance(f, MacroFormula):
+        return compile_mask(expand_derived(f))
+    return _raiser(f"cannot evaluate {f!r}")
 
 
 def proposition_of(f: Formula, m: KripkeInterpretation, a: dict) -> tuple:

@@ -17,8 +17,8 @@ from .formulas import (
     INDIVIDUAL, Formula, Forall, Var, beta_normalize, free_vars, subnodes,
 )
 from .kripke import (
-    EvalError, KripkeInterpretation, evaluate, full_relspace, total_access,
-    RELSPACE_LIMIT,
+    EvalError, KripkeInterpretation, compile_mask, evaluate, frames_for,
+    full_relspace, RELSPACE_LIMIT,
 )
 from .macros import expand_derived
 from .signature import LogicTag, Mode, Signature
@@ -96,19 +96,6 @@ def _pair_adjacent_in(rows, relspace) -> list:
             order.append(c)
             seen.add(c)
     return order
-
-
-def frames_for(logic: LogicTag, n_worlds: int) -> list:
-    if logic is LogicTag.S5TOTAL:
-        return [total_access(n_worlds)]
-    pairs = [(w, v) for w in range(n_worlds) for v in range(n_worlds)]
-    out = []
-    for bits in range(1 << len(pairs)):
-        R = frozenset(p for k, p in enumerate(pairs) if (bits >> k) & 1)
-        if logic is LogicTag.KB and any((v, w) not in R for (w, v) in R):
-            continue
-        out.append(R)
-    return out
 
 
 def count_frames(logic: LogicTag, n: int) -> int:
@@ -421,10 +408,10 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     b = b or Bounds()
     if free_vars(conjecture):
         raise EvalError("conjecture must be closed")
-    conj = beta_normalize(expand_derived(conjecture))
+    holds = compile_mask(beta_normalize(expand_derived(conjecture)))
 
     def leaf_ok(m):
-        return any(not evaluate(conj, m, {}, w) for w in range(m.n_worlds))
+        return holds(m, {}) != m.all_worlds
 
     model, _ = _run_search(premises, sig, b, leaf_ok, workers, relvar_domain)
     return model

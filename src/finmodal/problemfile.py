@@ -90,6 +90,10 @@ def parse_problem(text: str) -> Problem:
                          "relspace": "relspace_cap", "nesting": "quantifier_nesting"}
                 if key not in names:
                     raise ProblemFileError(f"unknown bound {key!r}", no)
+                if not (value.isdecimal() and int(value) >= 1):
+                    raise ProblemFileError(
+                        f"bound {key!r} needs a whole number of at least 1, "
+                        f"got {value!r}", no)
                 bounds_kw[names[key]] = int(value)
         elif head == "expect":
             if rest not in _EXPECTATIONS:

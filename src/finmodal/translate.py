@@ -15,7 +15,7 @@ from .formulas import (
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, Not, Var,
     beta_normalize,
 )
-from .kripke import EvalError, KripkeInterpretation, evaluate
+from .kripke import EvalError, KripkeInterpretation, frames_for
 from .macros import expand_derived
 from .signature import LogicTag
 
@@ -288,9 +288,7 @@ def exhaustive_agreement(max_depth: int = 3, max_worlds: int = 3,
     metas = {id(f): standard_translation(f) for f in formulas}
 
     for n_worlds in range(1, max_worlds + 1):
-        frames = [frozenset((w, v) for w in range(n_worlds) for v in range(n_worlds)
-                            if (r >> (w * n_worlds + v)) & 1)
-                  for r in range(1 << (n_worlds * n_worlds))]
+        frames = frames_for(LogicTag.K, n_worlds)
         vals = range(1 << n_worlds)
         models = [(R, pv, qv) for R in frames for pv in vals for qv in vals]
         report.n_models += len(models)

@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import finmodal
 from finmodal.cli import run
 
 
@@ -95,3 +99,19 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     code = run(["sat", str(big)])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["sat", "check"])
+def test_bound_below_one_is_usage_error(tmp_path, command):
+    bad = tmp_path / "w0.problem"
+    bad.write_text("sig classical\nlogic K\nconst p : prop\n"
+                   "bounds worlds=0 individuals=1\nconjecture p -> p\n")
+    src = str(Path(finmodal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "finmodal", command, str(bad)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: line 4:")

@@ -2,14 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmodal.formulas import (
-    INDIVIDUAL, PROPOSITION, REL1,
-    Box, Const, Exemplify, Forall, Iff, Implies, Not, Var,
+    INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation,
+    Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
+    Exists, Forall, Iff, Implies, Lambda, Not, Or, PrimitiveEq, SOAtom, Var,
+    Xor, beta_normalize,
 )
 from finmodal.kripke import (
-    EvalError, KripkeInterpretation, Validity, evaluate, frame_check,
-    full_relspace, is_rigid_value, proposition_of, total_access, validity,
+    EvalError, KripkeInterpretation, Validity, compile_mask, evaluate,
+    frame_check, frames_for, full_relspace, is_rigid_value, proposition_of,
+    total_access, validity,
 )
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula
@@ -200,3 +204,93 @@ def test_rigid_value_counts():
     # at two individuals over two worlds exactly 2^2 values are rigid
     rigid = [v for v in full_relspace(2, 2) if is_rigid_value(v, 2, 2)]
     assert len(rigid) == 4
+
+
+# ---------------------------------------------------------------------------
+# The compiled world-mask evaluator against the per-world one
+
+P = Exemplify(Const("p", PROPOSITION), ())
+Q = Exemplify(Const("q", PROPOSITION), ())
+
+
+@st.composite
+def modal_formulas(draw, depth=4, scope=()):
+    """Closed formulas over p and q; individual variables in scope may be
+    compared with primitive equality."""
+    atoms = [P, Q] + [PrimitiveEq(u, v) for u in scope for v in scope]
+    if depth == 0:
+        return draw(st.sampled_from(atoms))
+    ops = ["atom", "not", "box", "dia", "act", "imp", "and", "or", "iff",
+           "xor", "all", "ex", "lam0"] + (["lam1"] if scope else [])
+    op = draw(st.sampled_from(ops))
+    sub = lambda sc=scope: draw(modal_formulas(depth - 1, sc))
+    if op == "atom":
+        return draw(st.sampled_from(atoms))
+    unary = {"not": Not, "box": Box, "dia": Diamond, "act": Actually}
+    if op in unary:
+        return unary[op](sub())
+    binary = {"imp": Implies, "and": And, "or": Or, "iff": Iff, "xor": Xor}
+    if op in binary:
+        return binary[op](sub(), sub())
+    v = Var(f"x{len(scope)}", INDIVIDUAL)
+    if op in ("all", "ex"):
+        return (Forall if op == "all" else Exists)(v, sub(scope + (v,)))
+    if op == "lam0":
+        return Exemplify(Lambda((), sub()), ())
+    arg = draw(st.sampled_from(scope))
+    return Exemplify(Lambda((v,), sub(scope + (v,))), (arg,))
+
+
+K_MODELS_2 = [
+    KripkeInterpretation(SIG2, n, 2, R, {"p": pv, "q": qv}, actual=act)
+    for n in (1, 2) for R in frames_for(LogicTag.K, n)
+    for pv in range(1 << n) for qv in range(1 << n) for act in range(n)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(modal_formulas())
+def test_compiled_mask_matches_evaluate(f):
+    for g in (f, beta_normalize(expand_derived(f))):
+        holds = compile_mask(g)
+        for m in K_MODELS_2:
+            mask = holds(m, {})
+            assert mask >> m.n_worlds == 0
+            for w in range(m.n_worlds):
+                assert bool((mask >> w) & 1) == evaluate(g, m, {}, w)
+
+
+def test_unsupported_constructs_raise_from_both_evaluators():
+    sig = Signature(Mode.CLASSICAL, LogicTag.K,
+                    {"S": REL1, "c": INDIVIDUAL, "p": PROPOSITION})
+    m = KripkeInterpretation(sig, 2, 1, frozenset({(0, 1)}),
+                             {"S": 0b01, "c": 0, "p": 0b10})
+    x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+    S, c = Const("S", REL1), Const("c", INDIVIDUAL)
+    cases = [
+        Encode(c, S),
+        Exemplify(S, (Description(x, Exemplify(S, (x,))),)),
+        Exemplify(Lambda((x, y), PrimitiveEq(x, y)), (c, c)),
+        Forall(Var("R", Relation(2)), P),
+        Exemplify(S, (x,)),
+        Exemplify(Const("r", PROPOSITION), ()),
+        SOAtom(Const("G", SECOND_ORDER), S),
+    ]
+    for f in cases:
+        holds = compile_mask(f)  # building never raises; calling does
+        with pytest.raises(EvalError) as per_world:
+            evaluate(f, m, {}, 0)
+        with pytest.raises(EvalError) as masked:
+            holds(m, {})
+        assert str(masked.value) == str(per_world.value)
+
+
+def test_out_of_table_second_order_atom_reads_false():
+    sig = Signature(Mode.CLASSICAL, LogicTag.K,
+                    {"G": SECOND_ORDER, "S": REL1})
+    f = SOAtom(Const("G", SECOND_ORDER), Const("S", REL1))
+    m = KripkeInterpretation(sig, 2, 1, frozenset(), {"G": {0: 0b11}, "S": 1})
+    assert compile_mask(f)(m, {}) == 0
+    assert not any(evaluate(f, m, {}, w) for w in range(2))
+    m.denot["S"] = 0
+    assert compile_mask(f)(m, {}) == 0b11
