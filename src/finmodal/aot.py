@@ -25,10 +25,10 @@ from .formulas import (
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
     Exists, Forall, Formula, Iff, Implies, Lambda, MacroFormula, Not, Or,
     PrimitiveEq, SOAtom, Term, Var, Xor,
-    beta_normalize, binder_vars, canonical_key, children, free_names,
-    subnodes,
+    beta_normalize, binder_vars, canonical_key, children, subnodes,
 )
 from .macros import expand_derived
+from .printer import print_formula, print_term
 from .signature import LogicTag, Mode, Signature
 
 
@@ -195,29 +195,75 @@ def _membership_masks(n_values: int) -> list:
 
 
 class _EvalContext:
+    """The state of one top-level call (`denote`, `eval_aot`).
+
+    Besides the sweep counters and the closed-term denotations, it holds
+    the syntax the call works out once: free names per node, encoding
+    usage per (variable, body), the canonical key of each closed term,
+    and the bodies already prefetched. These tables are keyed by id(node) and
+    keep their node, so no id is reused while the context lives; the
+    context is dropped when the call returns."""
+
     def __init__(self, m: AczelModel):
         self.m = m
         self.full_scans = 0
         self.pattern_depth = 0
         self.n_cols = 1 << len(m.relspace1)
+        self.full = (1 << self.n_cols) - 1
         self.membership = _membership_masks(len(m.relspace1))
         self.sigma_class_masks = self._sigma_classes()
-        self.closed_cache: dict = {}
+        self.closed_cache: dict = {}   # canonical key -> denotation
+        self.free: dict = {}           # id(node) -> (node, free vars, names)
+        self.usage: dict = {}          # (x, id(body)) -> (body, usage)
+        self.keys: dict = {}           # id(term) -> (term, key or None)
+        self.prefetched: dict = {}     # id(body) -> body
 
     def _sigma_classes(self) -> dict:
         m = self.m
-        full = (1 << self.n_cols) - 1
         if m.sigma[0] == "constant" or m.n_special == 1:
-            return {0: full}
+            return {0: self.full}
         mem = self.membership[m.sigma[1]]
-        return {0: full ^ mem, 1: mem}
+        return {0: self.full ^ mem, 1: mem}
+
+    def free_names(self, x) -> frozenset:
+        """formulas.free_names(x), built once per node from its children."""
+        hit = self.free.get(id(x))
+        return (hit or self._free_entry(x))[2]
+
+    def _free_entry(self, x):
+        if isinstance(x, Var):
+            entry = (x, frozenset((x,)), frozenset((x.name,)))
+        else:
+            fv = frozenset()
+            for c in children(x):
+                fv |= (self.free.get(id(c)) or self._free_entry(c))[1]
+            bvs = binder_vars(x)
+            if bvs:
+                fv -= frozenset(bvs)
+            entry = (x, fv, frozenset(v.name for v in fv))
+        self.free[id(x)] = entry
+        return entry
+
+    def closed_key(self, t: Term):
+        """The closed-cache key of a Lambda or Description, its canonical
+        key; None when t has a free variable."""
+        hit = self.keys.get(id(t))
+        if hit is None:
+            key = canonical_key(t) if not self.free_names(t) else None
+            hit = self.keys[id(t)] = (t, key)
+        return hit[1]
 
 
-def _encode_usage(x: str, f: Formula):
+def _encode_usage(x: str, f: Formula, ctx: _EvalContext):
     """(needs_full_sweep, closed_relation_terms) for quantified variable x.
 
     A relation term is closed when it mentions no variable bound between
-    the quantifier and the encoding atom."""
+    the quantifier and the encoding atom. Worked out once per (x, f) in
+    a call."""
+    hit = ctx.usage.get((x, id(f)))
+    if hit is not None:
+        return hit[1]
+    free_names = ctx.free_names
     closed: list = []
     state = {"full": False}
 
@@ -250,11 +296,19 @@ def _encode_usage(x: str, f: Formula):
                     state["full"] = True
 
     walk(f, frozenset())
-    return state["full"], closed
+    usage = (state["full"], tuple(closed))
+    ctx.usage[(x, id(f))] = (f, usage)
+    return usage
+
+
+def _budget_error(what: str, node) -> AotBudgetError:
+    """A budget error naming the subformula or term that tripped it."""
+    shown = print_term(node) if isinstance(node, Term) else print_formula(node)
+    return AotBudgetError(f"{what}: {shown}")
 
 
 def _pattern_values(closed_rels, m: AczelModel, a: dict,
-                    ctx: "_EvalContext") -> list:
+                    ctx: "_EvalContext", where) -> list:
     values = []
     for t in closed_rels:
         d = denote_in(t, m, a, ctx)
@@ -264,7 +318,8 @@ def _pattern_values(closed_rels, m: AczelModel, a: dict,
         values.append(m.sigma[1])
     values = sorted(set(values))
     if len(values) > 8:
-        raise AotBudgetError("too many reachable relation values to quotient")
+        raise _budget_error("too many reachable relation values to quotient",
+                            where)
     return values
 
 
@@ -283,13 +338,13 @@ def _pattern_reps(m: AczelModel, values) -> list:
     return reps
 
 
-def _individual_domain(var: Var, body: Formula, m: AczelModel, a: dict,
+def _individual_domain(f: Forall, m: AczelModel, a: dict,
                        ctx: "_EvalContext"):
-    """('reps', list) or ('full', closed-values) for an individual quantifier."""
-    needs_full, closed = _encode_usage(var.name, body)
+    """('reps', list) or ('full', None) for an individual quantifier."""
+    needs_full, closed = _encode_usage(f.var.name, f.body, ctx)
     if needs_full:
         return ("full", None)
-    values = _pattern_values(closed, m, a, ctx)
+    values = _pattern_values(closed, m, a, ctx, f)
     reps = [Ordinary(u) for u in range(m.n_ordinary)]
     reps.extend(_pattern_reps(m, values))
     return ("reps", reps)
@@ -315,9 +370,8 @@ def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
         except KeyError:
             raise AotEvalError(f"uninterpreted constant {t.name!r}")
     if isinstance(t, (Lambda, Description)):
-        key = None
-        if not (free_names(t) - set(m.denot)):
-            key = canonical_key(t)
+        key = ctx.closed_key(t)
+        if key is not None:
             hit = ctx.closed_cache.get(key)
             if hit is not None:
                 return hit
@@ -355,11 +409,11 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
             if _ev(body, m, a2, w, ctx):
                 value |= 1 << (u * m.n_worlds + w)
 
-    needs_full, closed = _encode_usage(x.name, body)
+    needs_full, closed = _encode_usage(x.name, body, ctx)
     if not needs_full:
         # truth depends on the proxy class and the membership pattern only;
         # the matrix factors iff patterns within one class cannot disagree
-        values = _pattern_values(closed, m, a, ctx)
+        values = _pattern_values(closed, m, a, ctx, t)
         for s in range(m.n_special):
             reps = [r for r in _pattern_reps(m, values)
                     if m.sigma_of(r.encoded) == s]
@@ -377,7 +431,7 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
                     value |= 1 << ((m.n_ordinary + s) * m.n_worlds + w)
         return Denotes(value)
 
-    cols = _scan_columns(x, body, m, a, ctx)
+    cols = _scan_columns(t, m, a, ctx)
     for s, cmask in ctx.sigma_class_masks.items():
         rep_col = _first_bit(cmask)
         for w in range(m.n_worlds):
@@ -407,11 +461,11 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
             if len(hits) > 1:
                 return NON_DENOTING
 
-    needs_full, closed = _encode_usage(x.name, body)
+    needs_full, closed = _encode_usage(x.name, body, ctx)
     if not needs_full:
         # any satisfying pattern class contains many abstract objects,
         # so an abstract satisfier already spoils uniqueness
-        values = _pattern_values(closed, m, a, ctx)
+        values = _pattern_values(closed, m, a, ctx, t)
         singleton_classes = len(values) >= len(m.relspace1)
         for rep in _pattern_reps(m, values):
             a2[x.name] = rep
@@ -424,7 +478,7 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
                     return NON_DENOTING
         return Denotes(hits[0]) if len(hits) == 1 else NON_DENOTING
 
-    col = _scan_columns(x, body, m, a, ctx, worlds=(w0,))[w0]
+    col = _scan_columns(t, m, a, ctx, worlds=(w0,))[w0]
     count = col.bit_count()
     if count + len(hits) != 1:
         return NON_DENOTING
@@ -436,25 +490,31 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
 def _prefetch_closed_terms(body: Formula, m: AczelModel, a: dict,
                            ctx: _EvalContext) -> None:
     """Denote (and cache) closed complex subterms before a sweep starts, so
-    their own sweeps run sequentially rather than nested."""
+    their own sweeps run sequentially rather than nested. Each body is
+    prefetched once per call: its closed terms then stay cached."""
+    if id(body) in ctx.prefetched:
+        return
     for n in subnodes(body):
         if isinstance(n, (Lambda, Description)) \
-                and not (free_names(n) - set(m.denot)):
+                and ctx.closed_key(n) is not None:
             denote_in(n, m, a, ctx)
+    ctx.prefetched[id(body)] = body
 
 
-def _scan_columns(x: Var, body: Formula, m: AczelModel, a: dict,
-                  ctx: _EvalContext, worlds=None) -> dict:
-    """body's truth with x bound to every abstract object, one bit per
-    encoded set, per world."""
+def _scan_columns(binder, m: AczelModel, a: dict, ctx: _EvalContext,
+                  worlds=None) -> dict:
+    """The truth of the body of binder (a quantifier, a unary lambda or a
+    description) with its variable bound to every abstract object, one bit
+    per encoded set, per world."""
     if ctx.full_scans >= m.config.full_scan_budget:
-        raise AotBudgetError("nested full sweeps over abstract objects")
+        raise _budget_error("nested full sweeps over abstract objects", binder)
+    x, body = binder_vars(binder)[0].name, binder.body
     _prefetch_closed_terms(body, m, a, ctx)
     ctx.full_scans += 1
     try:
         out = {}
         for w in (worlds if worlds is not None else range(m.n_worlds)):
-            out[w] = _vec(body, x.name, m, dict(a), w, ctx)
+            out[w] = _vec(body, x, m, dict(a), w, ctx)
         return out
     finally:
         ctx.full_scans -= 1
@@ -462,7 +522,8 @@ def _scan_columns(x: Var, body: Formula, m: AczelModel, a: dict,
 
 def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
          ctx: _EvalContext) -> int:
-    full = (1 << ctx.n_cols) - 1
+    full = ctx.full
+    free_names = ctx.free_names
     if x not in free_names(f):
         return full if _ev(f, m, a, w, ctx) else 0
     if isinstance(f, Encode):
@@ -472,18 +533,19 @@ def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
             if isinstance(d, NonDenoting):
                 return 0
             return ctx.membership[d.value]
-        raise AotBudgetError("encoding atom too complex for the column sweep")
+        raise _budget_error("encoding atom too complex for the column sweep",
+                            f)
     if isinstance(f, Exemplify):
         head = denote_in(f.rel, m, a, ctx) if x not in free_names(f.rel) else None
         if head is None:
-            raise AotBudgetError("quantified variable inside a relation term")
+            raise _budget_error("quantified variable inside a relation term", f)
         if isinstance(head, NonDenoting):
             return 0
         if len(f.args) != 1:
-            raise AotBudgetError("column sweep over n-ary exemplification")
+            raise _budget_error("column sweep over n-ary exemplification", f)
         arg = f.args[0]
         if not (isinstance(arg, Var) and arg.name == x):
-            raise AotBudgetError("quantified variable buried in a term")
+            raise _budget_error("quantified variable buried in a term", f)
         out = 0
         for s, cmask in ctx.sigma_class_masks.items():
             u = m.n_ordinary + s
@@ -505,9 +567,10 @@ def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
     if isinstance(f, Forall):
         var = f.var
         if var.sort == INDIVIDUAL:
-            kind, reps = _individual_domain(var, f.body, m, a, ctx)
+            kind, reps = _individual_domain(f, m, a, ctx)
             if kind == "full":
-                raise AotBudgetError("nested full sweeps over abstract objects")
+                raise _budget_error("nested full sweeps over abstract objects",
+                                    f)
             out = full
             for rep in reps:
                 a2 = dict(a)
@@ -526,7 +589,7 @@ def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
             a2[var.name] = val
             out &= _vec(f.body, x, m, a2, w, ctx)
         return out
-    raise AotBudgetError(f"column sweep cannot handle {type(f).__name__}")
+    raise _budget_error(f"column sweep cannot handle {type(f).__name__}", f)
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +650,18 @@ def _ev(f: Formula, m: AczelModel, a: dict, w: int, ctx: _EvalContext) -> bool:
     if isinstance(f, Forall):
         var = f.var
         if var.sort == INDIVIDUAL:
-            kind, reps = _individual_domain(var, f.body, m, a, ctx)
+            kind, reps = _individual_domain(f, m, a, ctx)
             if kind == "full":
                 for u in range(m.n_ordinary):
                     a2 = dict(a)
                     a2[var.name] = Ordinary(u)
                     if not _ev(f.body, m, a2, w, ctx):
                         return False
-                cols = _scan_columns(var, f.body, m, a, ctx, worlds=(w,))
-                return cols[w] == (1 << ctx.n_cols) - 1
+                cols = _scan_columns(f, m, a, ctx, worlds=(w,))
+                return cols[w] == ctx.full
             if ctx.pattern_depth >= m.config.pattern_budget:
-                raise AotBudgetError("individual quantifiers nested too deeply")
+                raise _budget_error("individual quantifiers nested too deeply",
+                                    f)
             ctx.pattern_depth += 1
             try:
                 for rep in reps:
@@ -665,7 +729,6 @@ class MinimalModelReport:
                    + ("yes" if self.historical_distinct else "no"))
         from .abstraction import Accepted
         if isinstance(self.transcript_verdict, Accepted):
-            from .printer import print_formula
             out.append("two-individuals derivation: accepted, conclusion "
                        + print_formula(self.transcript_verdict.conclusion))
         else:
@@ -680,7 +743,6 @@ def _witness_terms(m: AczelModel) -> list:
     the historical six, the two contingency properties, and enough
     conjunctive combinations (with negations) to separate everything."""
     from .parser import parse_term
-    from .printer import print_term
 
     base_texts = [
         "E!",
@@ -721,8 +783,7 @@ def _witness_terms(m: AczelModel) -> list:
                 for t in (conj, negc):
                     d = denote(t, m)
                     if isinstance(d, Denotes) and d.value not in values:
-                        from .printer import print_term as pt
-                        name = pt(t)
+                        name = print_term(t)
                         values[d.value] = name
                         new.append((name, t, d.value))
         pool.extend(new)

@@ -184,6 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "tsv"), default="text")
+
+    def workers(p):
         p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("check", help="load and type-check a problem file")
@@ -195,17 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("script")
     common(p)
+    workers(p)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("sat", help="exhaustive model / countermodel search")
     p.add_argument("problem")
     common(p)
+    workers(p)
     p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("corpus", help="run the argument-variant suites")
     p.add_argument("variant", choices=VARIANT_NAMES + ("all",))
     p.add_argument("--outdir", default=".")
     common(p)
+    workers(p)
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("aot", help="reports over an object-theory model")

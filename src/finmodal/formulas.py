@@ -460,17 +460,19 @@ def beta_step_safe(lam: Lambda) -> bool:
 
 
 def beta_normalize(x: Node) -> Node:
-    y = rebuild_bottom_up(x)
-    return y
+    """Reduce every safe redex, innermost first.
 
-
-def rebuild_bottom_up(x: Node) -> Node:
+    A redex with a definite description among its arguments is kept: the
+    description may fail to denote, and then the application is false
+    while the reduced matrix need not be.
+    """
     if isinstance(x, (Var, Const)):
         return x
-    x = rebuild(x, tuple(rebuild_bottom_up(c) for c in children(x)))
+    x = rebuild(x, tuple(beta_normalize(c) for c in children(x)))
     if isinstance(x, Exemplify) and isinstance(x.rel, Lambda):
         lam = x.rel
-        if len(lam.params) == len(x.args) and beta_step_safe(lam):
+        if len(lam.params) == len(x.args) and beta_step_safe(lam) \
+                and not any(isinstance(t, Description) for t in x.args):
             reduced = substitute_many(lam.body, dict(zip(lam.params, x.args)))
-            return rebuild_bottom_up(reduced)
+            return beta_normalize(reduced)
     return x

@@ -122,6 +122,8 @@ def parse_problem(text: str) -> Problem:
 
 def _parse_sort(text: str):
     parts = text.split()
+    if not parts:
+        raise ValueError("empty sort")
     if parts[0] == "ind":
         return INDIVIDUAL
     if parts[0] == "prop":

@@ -2,18 +2,22 @@ import random
 
 import pytest
 
+from finmodal import aot
 from finmodal.aot import (
     Abstract, AczelConfig, AotBudgetError, AotEvalError, Denotes,
-    NON_DENOTING, NonDenoting, Ordinary, build_aczel, denote, eval_aot,
-    exists_term, identity_holds, minimal_model, minimal_model_report,
-    world_theory_report,
+    NON_DENOTING, NonDenoting, Ordinary, _EvalContext, _encode_usage,
+    build_aczel, denote, eval_aot, exists_term, identity_holds,
+    minimal_model, minimal_model_report, world_theory_report,
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    Box, Const, Encode, Exemplify, Exists, Forall, Iff, Lambda,
-    MacroFormula, Not, Var,
+    Box, Const, Encode, Exemplify, Exists, Forall, Formula, Iff, Lambda,
+    MacroFormula, Not, Term, Var, beta_normalize, free_names, subnodes,
 )
+from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
+from finmodal.printer import print_formula
+from finmodal.problemfile import load_aot_config
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +103,16 @@ class TestEvaluation:
         with pytest.raises(AotBudgetError):
             eval_aot(f, m)
 
+    def test_budget_error_names_the_nested_sweep(self, m):
+        f = parse_formula(
+            "exists x (exists y ((all F (x[F] <-> ~ y[F])) & x[E!]))", m.sig)
+        inner = next(n for n in subnodes(beta_normalize(expand_derived(f)))
+                     if isinstance(n, Forall) and n.var.name == "y")
+        with pytest.raises(AotBudgetError) as err:
+            eval_aot(f, m)
+        assert str(err.value) == ("nested full sweeps over abstract objects: "
+                                  + print_formula(inner))
+
 
 class TestDenotation:
     def test_simple_lambda_denotes(self, m):
@@ -131,6 +145,16 @@ class TestDenotation:
             assert not eval_aot(f, m, None, w)
         g = parse_formula("(the x: A! x)[E!]", m.sig)
         assert not eval_aot(g, m)
+
+    def test_non_denoting_description_has_no_identity_witness(self):
+        # a redex applied to a non-denoting description stays unreduced,
+        # so the identity atoms on it are false, as exists_term says
+        model = build_aczel(load_aot_config("problems/aotmin.model"))
+        t = parse_term("(the x: A! x)", model.sig)
+        assert not exists_term(t, model)
+        for text in ("exists y (y = (the x: A! x))",
+                     "(the x: A! x) = (the x: A! x)"):
+            assert not eval_aot(parse_formula(text, model.sig), model), text
 
     def test_free_logic_instantiation_needs_existence(self, m):
         lam = parse_term("[\\x exists F (x[F] & ~ F x)]", m.sig)
@@ -187,6 +211,53 @@ def MacroTermO():
 
 
 from finmodal.formulas import Description  # noqa: E402
+
+
+class TestCallTables:
+    """The syntax tables one top-level call builds and then drops."""
+
+    def test_free_names_match_formulas(self, m):
+        rng = random.Random(5)
+        for _ in range(200):
+            t = _random_term(rng, m)
+            for root in (t, beta_normalize(expand_derived(t))):
+                ctx = _EvalContext(m)
+                for n in subnodes(root):
+                    assert ctx.free_names(n) == free_names(n), n
+
+    def test_encode_usage_is_worked_out_once(self, m):
+        f = parse_formula("all F (x[F] <-> F = E!)", m.sig)
+        g = beta_normalize(expand_derived(f))
+        ctx = _EvalContext(m)
+        first = _encode_usage("x", g, ctx)
+        assert _encode_usage("x", g, ctx) is first
+        assert first == _encode_usage("x", g, _EvalContext(m))
+
+    def test_no_module_global_keeps_nodes(self, m):
+        rng = random.Random(9)
+        for _ in range(20):
+            t = _random_term(rng, m)
+            denote(t, m)
+            exists_term(t, m)
+        eval_aot(parse_formula("exists x (A! x & all F (x[F] <-> F = E!))",
+                               m.sig), m)
+        for name, value in vars(aot).items():
+            assert not _holds_nodes(value), name
+            assert getattr(value, "cache_info", None) is None, name
+        for n_values, masks in aot._MEMBERSHIP_CACHE.items():
+            assert isinstance(n_values, int)
+            assert all(isinstance(mask, int) for mask in masks)
+
+
+def _holds_nodes(value) -> bool:
+    if isinstance(value, (Term, Formula)):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_nodes(k) or _holds_nodes(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(_holds_nodes(v) for v in value)
+    return False
 
 
 class TestIdentity:
@@ -307,6 +378,17 @@ class TestTwoSpecialUrelements:
         assert m2.rel_bit(d.value, special_in, 0)
         assert not m2.rel_bit(d.value, m2.n_ordinary + 0, 0)
         assert not m2.rel_bit(d.value, 0, 0)
+
+    def test_bound_variable_named_like_a_constant(self):
+        # in [\x k1 x & x[E!]] the bound variable k1 shares a constant's
+        # name; the lambda is still open and follows k1's binding
+        model = build_aczel(AczelConfig(
+            n_ordinary=1, n_special=2, n_worlds=1, sigma=("membership", 0),
+            consts={"k1": ("ordinary", 0), "k2": ("abstract", (0,))}))
+        for name in ("V", "k1"):
+            f = parse_formula(f"all {name}:rel (([\\x {name} x & x[E!]] k2)"
+                              f" <-> ({name} k2 & k2[E!]))", model.sig)
+            assert eval_aot(f, model), name
 
     def test_comprehension_with_two_classes(self, m2):
         f = parse_formula("exists x (A! x & all F (x[F] <-> F = E!))", m2.sig)

@@ -101,17 +101,40 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def run_module(argv):
+    """`python -m finmodal argv` in a fresh interpreter."""
+    src = str(Path(finmodal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "finmodal", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("command", ["sat", "check"])
 def test_bound_below_one_is_usage_error(tmp_path, command):
     bad = tmp_path / "w0.problem"
     bad.write_text("sig classical\nlogic K\nconst p : prop\n"
                    "bounds worlds=0 individuals=1\nconjecture p -> p\n")
-    src = str(Path(finmodal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "finmodal", command, str(bad)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_module([command, str(bad)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: line 4:")
+
+
+def test_empty_sort_is_usage_error(tmp_path):
+    bad = tmp_path / "empty.problem"
+    bad.write_text("sig classical\nlogic K\nconst p :\nconjecture p -> p\n")
+    proc = run_module(["check", str(bad)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: line 3: expected 'const <name> : <sort>'"]
+
+
+@pytest.mark.parametrize("argv", [["check", "problems/s5.problem"],
+                                  ["aot", "minimal"]])
+def test_workers_only_where_a_search_runs(argv, capsys):
+    code = run([*argv, "--workers", "2"])
+    capsys.readouterr()
+    assert code == 2

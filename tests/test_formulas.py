@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    And, Box, Const, Diamond, Encode, Exemplify, Exists, Forall, Implies,
+    And, Box, Const, Description, Diamond, Encode, Exemplify, Exists, Forall, Implies,
     Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, SortError, Var,
     alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
     free_vars, subnodes, substitute,
@@ -110,6 +110,12 @@ class TestBeta:
         inner = Lambda((y,), Fx(y))
         f = Exemplify(inner, (x,))
         assert beta_normalize(Not(f)) == Not(Fx(x))
+
+    def test_redex_on_a_description_kept(self):
+        # the description may fail to denote, which falsifies the application
+        desc = Description(z, Fx(z))
+        f = Exemplify(Lambda((y,), Not(Fx(y))), (desc,))
+        assert beta_normalize(Not(f)) == Not(f)
 
 
 class TestExpandDerived:
