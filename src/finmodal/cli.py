@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run the argument-variant suites")
     p.add_argument("variant", choices=VARIANT_NAMES + ("all",))
     p.add_argument("--outdir", default=".")
-    common(p)
     workers(p)
     p.set_defaults(func=cmd_corpus)
 
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="config file path or 'minimal'")
     p.add_argument("--census", action="store_true")
     p.add_argument("--worlds", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_aot)
     return ap
 

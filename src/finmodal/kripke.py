@@ -1,4 +1,4 @@
-"""Finite Kripke interpretations and their two evaluators.
+"""Finite Kripke interpretations and their three evaluators.
 
 Values are packed into integer bitmasks: a proposition is a mask over
 worlds, a unary relation a mask over (individual, world) pairs with bit
@@ -7,13 +7,16 @@ S5 logic tag, mirroring the lifted definition of necessity, and over
 accessibility successors otherwise.
 
 `evaluate` walks the formula at one world and stops at the first subformula
-that settles it. Model search runs it on partially assigned
+that settles it. It is the reference the other two are tested against, and
+the path for one-off calls. `compile_world` turns a formula into closures
+once; each call makes the same reads as `evaluate`, in the same order, and
+stops at the same point. Model search runs it on partially assigned
 interpretations, where the denotation bit an evaluation stops on decides
-which bit a premise instance waits for. `compile_mask` turns a formula into
-closures once; each call returns the mask of all the worlds where the
-formula holds, with Box and Diamond read off the interpretation's cached
-successor masks. It serves complete interpretations: countermodel leaves
-and layer validation.
+which bit a premise instance waits for. `compile_mask` also compiles once,
+but each call returns the mask of all the worlds where the formula holds,
+with Box and Diamond read off the interpretation's cached successor masks.
+It serves complete interpretations: countermodel leaves and layer
+validation.
 """
 
 from __future__ import annotations
@@ -105,6 +108,11 @@ class KripkeInterpretation:
         if self.logic is LogicTag.S5TOTAL:
             return range(self.n_worlds)
         return [v for v in range(self.n_worlds) if (w, v) in self.access]
+
+    @cached_property
+    def successor_lists(self) -> tuple:
+        """Per world, the tuple of `successors(w)`."""
+        return tuple(tuple(self.successors(w)) for w in range(self.n_worlds))
 
     @cached_property
     def all_worlds(self) -> int:
@@ -239,7 +247,7 @@ def evaluate(f: Formula, m: KripkeInterpretation, a: dict, w: int) -> bool:
     if isinstance(f, Actually):
         return evaluate(f.body, m, a, m.actual)
     if isinstance(f, (Forall, Exists)):
-        dom = _quantifier_domain(f.var, m)
+        dom = _domain_of(f.var)(m)
         inner = dict(a)
         name = f.var.name
         if isinstance(f, Forall):
@@ -258,27 +266,29 @@ def evaluate(f: Formula, m: KripkeInterpretation, a: dict, w: int) -> bool:
     raise EvalError(f"cannot evaluate {f!r}")
 
 
-def _quantifier_domain(var: Var, m: KripkeInterpretation):
+def _domain_of(var: Var):
+    """fn(m): the values var ranges over in m."""
     if var.sort == INDIVIDUAL:
-        return range(m.n_individuals)
+        return lambda m: range(m.n_individuals)
     if var.sort.kind == "rel" and var.sort.arity == 1:
-        return m.relation_domain()
+        return KripkeInterpretation.relation_domain
     if var.sort.kind == "rel" and var.sort.arity == 0:
-        return m.proposition_domain()
-    raise EvalError(f"no quantification domain at sort {var.sort}")
+        return KripkeInterpretation.proposition_domain
+    return _raiser(f"no quantification domain at sort {var.sort}")
 
 
 # ---------------------------------------------------------------------------
-# World-mask evaluation for complete interpretations
+# Compiled evaluation
 
 def _raiser(message: str):
-    def fail(m, a):
+    def fail(*args):
         raise EvalError(message)
     return fail
 
 
-def _compile_term(t: Term):
-    """fn(m, a) giving the value term_value gives."""
+def _compile_term(t: Term, lambda_term):
+    """fn(m, a) giving the value term_value gives; lambda_term compiles the
+    0- and 1-place lambda terms."""
     if isinstance(t, Var):
         name = t.name
 
@@ -298,25 +308,173 @@ def _compile_term(t: Term):
                 raise EvalError(f"uninterpreted constant {name!r}")
         return const
     if isinstance(t, MacroTerm):
-        return _compile_term(expand_derived(t))
+        return _compile_term(expand_derived(t), lambda_term)
     if isinstance(t, Lambda):
-        if len(t.params) == 0:
-            return compile_mask(t.body)
-        if len(t.params) == 1:
-            body, name = compile_mask(t.body), t.params[0].name
-
-            def columns(m, a):
-                inner = dict(a)
-                mask = 0
-                for d in range(m.n_individuals):
-                    inner[name] = d
-                    mask |= body(m, inner) << (d * m.n_worlds)
-                return mask
-            return columns
+        if len(t.params) <= 1:
+            return lambda_term(t)
         return _raiser("lambda terms of arity >= 2 are not interpreted")
     if isinstance(t, Description):
         return _raiser("definite descriptions are not interpreted in classical models")
     return _raiser(f"cannot evaluate term {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# Per-world evaluation in evaluate's order, for partial interpretations
+
+def _world_lambda(t: Lambda):
+    """A lambda term's value: its body evaluated at every world, for each
+    individual when it has a parameter, in term_value's order."""
+    body = compile_world(t.body)
+    if not t.params:
+        def worlds(m, a):
+            mask = 0
+            for w in range(m.n_worlds):
+                if body(m, a, w):
+                    mask |= 1 << w
+            return mask
+        return worlds
+    name = t.params[0].name
+
+    def columns(m, a):
+        inner = dict(a)
+        n_w = m.n_worlds
+        mask = 0
+        for d in range(m.n_individuals):
+            inner[name] = d
+            for w in range(n_w):
+                if body(m, inner, w):
+                    mask |= 1 << (d * n_w + w)
+        return mask
+    return columns
+
+
+def compile_world(f: Formula):
+    """f compiled once into fn(m, a, w) == evaluate(f, m, a, w).
+
+    fn reads the interpretation and the assignment exactly as evaluate does,
+    in the same order, and stops where evaluate stops, so on a partially
+    assigned interpretation it raises at the same missing entry. Constructs
+    evaluate cannot interpret raise the same EvalError, when fn is called
+    rather than when it is built.
+    """
+    if isinstance(f, Exemplify):
+        rel = _compile_term(f.rel, _world_lambda)
+        if not f.args:
+            return lambda m, a, w: bool((rel(m, a) >> w) & 1)
+        if len(f.args) == 1:
+            arg = _compile_term(f.args[0], _world_lambda)
+
+            def unary(m, a, w):
+                v = rel(m, a)
+                return bool((v >> (arg(m, a) * m.n_worlds + w)) & 1)
+            return unary
+        args = tuple(_compile_term(t, _world_lambda) for t in f.args)
+
+        def nary(m, a, w):
+            v = rel(m, a)
+            return bool((v[tuple(t(m, a) for t in args)] >> w) & 1)
+        return nary
+    if isinstance(f, SOAtom):
+        name, arg = f.op.name, _compile_term(f.arg, _world_lambda)
+
+        def so_atom(m, a, w):
+            table = m.denot.get(name)
+            if table is None:
+                raise EvalError(f"uninterpreted second-order constant {name!r}")
+            v = arg(m, a)
+            try:
+                mask = table[v]
+            except KeyError:
+                # applied to a value outside the interpreted domain: false
+                return False
+            return bool((mask >> w) & 1)
+        return so_atom
+    if isinstance(f, PrimitiveEq):
+        left = _compile_term(f.left, _world_lambda)
+        right = _compile_term(f.right, _world_lambda)
+        return lambda m, a, w: left(m, a) == right(m, a)
+    if isinstance(f, Encode):
+        return _raiser("encoding atoms are not interpreted in classical models")
+    if isinstance(f, Not):
+        body = compile_world(f.body)
+        return lambda m, a, w: not body(m, a, w)
+    if isinstance(f, (Implies, And, Or, Iff, Xor)):
+        left, right = compile_world(f.left), compile_world(f.right)
+        if isinstance(f, Implies):
+            return lambda m, a, w: (not left(m, a, w)) or right(m, a, w)
+        if isinstance(f, And):
+            return lambda m, a, w: left(m, a, w) and right(m, a, w)
+        if isinstance(f, Or):
+            return lambda m, a, w: left(m, a, w) or right(m, a, w)
+        if isinstance(f, Iff):
+            return lambda m, a, w: left(m, a, w) == right(m, a, w)
+        return lambda m, a, w: left(m, a, w) != right(m, a, w)
+    if isinstance(f, Box):
+        body = compile_world(f.body)
+
+        def box(m, a, w):
+            for v in m.successor_lists[w]:
+                if not body(m, a, v):
+                    return False
+            return True
+        return box
+    if isinstance(f, Diamond):
+        body = compile_world(f.body)
+
+        def diamond(m, a, w):
+            for v in m.successor_lists[w]:
+                if body(m, a, v):
+                    return True
+            return False
+        return diamond
+    if isinstance(f, Actually):
+        body = compile_world(f.body)
+        return lambda m, a, w: body(m, a, m.actual)
+    if isinstance(f, (Forall, Exists)):
+        domain, name, body = _domain_of(f.var), f.var.name, compile_world(f.body)
+        if isinstance(f, Forall):
+            def forall(m, a, w):
+                dom = domain(m)
+                inner = dict(a)
+                for val in dom:
+                    inner[name] = val
+                    if not body(m, inner, w):
+                        return False
+                return True
+            return forall
+
+        def exists(m, a, w):
+            dom = domain(m)
+            inner = dict(a)
+            for val in dom:
+                inner[name] = val
+                if body(m, inner, w):
+                    return True
+            return False
+        return exists
+    if isinstance(f, MacroFormula):
+        return compile_world(expand_derived(f))
+    return _raiser(f"cannot evaluate {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# World-mask evaluation for complete interpretations
+
+def _mask_lambda(t: Lambda):
+    """A lambda term's value from the masks of its body."""
+    body = compile_mask(t.body)
+    if not t.params:
+        return body
+    name = t.params[0].name
+
+    def columns(m, a):
+        inner = dict(a)
+        mask = 0
+        for d in range(m.n_individuals):
+            inner[name] = d
+            mask |= body(m, inner) << (d * m.n_worlds)
+        return mask
+    return columns
 
 
 def compile_mask(f: Formula):
@@ -328,16 +486,16 @@ def compile_mask(f: Formula):
     is called rather than when it is built.
     """
     if isinstance(f, Exemplify):
-        rel = _compile_term(f.rel)
+        rel = _compile_term(f.rel, _mask_lambda)
         if not f.args:
             return lambda m, a: rel(m, a) & m.all_worlds
         if len(f.args) == 1:
-            arg = _compile_term(f.args[0])
+            arg = _compile_term(f.args[0], _mask_lambda)
             return lambda m, a: (rel(m, a) >> (arg(m, a) * m.n_worlds)) & m.all_worlds
-        args = tuple(_compile_term(t) for t in f.args)
+        args = tuple(_compile_term(t, _mask_lambda) for t in f.args)
         return lambda m, a: rel(m, a)[tuple(t(m, a) for t in args)] & m.all_worlds
     if isinstance(f, SOAtom):
-        name, arg = f.op.name, _compile_term(f.arg)
+        name, arg = f.op.name, _compile_term(f.arg, _mask_lambda)
 
         def so_atom(m, a):
             table = m.denot.get(name)
@@ -351,7 +509,8 @@ def compile_mask(f: Formula):
                 return 0
         return so_atom
     if isinstance(f, PrimitiveEq):
-        left, right = _compile_term(f.left), _compile_term(f.right)
+        left = _compile_term(f.left, _mask_lambda)
+        right = _compile_term(f.right, _mask_lambda)
         return lambda m, a: m.all_worlds if left(m, a) == right(m, a) else 0
     if isinstance(f, Encode):
         return _raiser("encoding atoms are not interpreted in classical models")
@@ -395,26 +554,26 @@ def compile_mask(f: Formula):
         body = compile_mask(f.body)
         return lambda m, a: m.all_worlds if (body(m, a) >> m.actual) & 1 else 0
     if isinstance(f, Forall):
-        var, body = f.var, compile_mask(f.body)
+        domain, name, body = _domain_of(f.var), f.var.name, compile_mask(f.body)
 
         def forall(m, a):
             inner = dict(a)
             out = m.all_worlds
-            for val in _quantifier_domain(var, m):
-                inner[var.name] = val
+            for val in domain(m):
+                inner[name] = val
                 out &= body(m, inner)
                 if not out:
                     break
             return out
         return forall
     if isinstance(f, Exists):
-        var, body = f.var, compile_mask(f.body)
+        domain, name, body = _domain_of(f.var), f.var.name, compile_mask(f.body)
 
         def exists(m, a):
             inner = dict(a)
             out = 0
-            for val in _quantifier_domain(var, m):
-                inner[var.name] = val
+            for val in domain(m):
+                inner[name] = val
                 out |= body(m, inner)
                 if out == m.all_worlds:
                     break

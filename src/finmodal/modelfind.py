@@ -17,7 +17,7 @@ from .formulas import (
     INDIVIDUAL, Formula, Forall, Var, beta_normalize, free_vars, subnodes,
 )
 from .kripke import (
-    EvalError, KripkeInterpretation, compile_mask, evaluate, frames_for,
+    EvalError, KripkeInterpretation, compile_mask, compile_world, frames_for,
     full_relspace, RELSPACE_LIMIT,
 )
 from .macros import expand_derived
@@ -25,7 +25,13 @@ from .signature import LogicTag, Mode, Signature
 
 
 class SearchBoundsError(Exception):
-    """The requested bounds exceed the relation-space cap."""
+    """The requested bounds exceed the relation-space cap or the model
+    budget."""
+
+
+# Most first-order interpretations a search may enumerate (see
+# _check_budget); the shipped problems need at most 33 032.
+MODEL_BUDGET = 1_000_000
 
 
 class _MissingBit(Exception):
@@ -146,20 +152,62 @@ def _denotation_groups(sig: Signature, n_worlds: int, n_individuals: int,
     return groups
 
 
-def count_models(sig: Signature, b: Bounds) -> int:
-    """Closed-form product over independent bit choices."""
-    total = 0
+def _choices(sort, n_worlds: int, n_individuals: int, rows: int) -> int:
+    """How many values _denotation_groups offers a constant of this sort,
+    with rows second-order table rows."""
+    masks = 1 << n_worlds
+    if sort.kind == "so":
+        return masks ** rows
+    if sort.kind == "ind":
+        return n_individuals
+    if sort.arity == 0:
+        return masks
+    if sort.arity == 1:
+        return 1 << (n_individuals * n_worlds)
+    return masks ** (n_individuals ** sort.arity)
+
+
+def _node_counts(logic: LogicTag, sorts, b: Bounds):
+    """(n_worlds, n_individuals, interpretations) per size, canonical order,
+    for constants of the given sorts; each count is a closed-form product
+    over independent bit choices."""
+    need = any(s.kind == "so" for s in sorts)
     for n_w in range(1, b.max_worlds + 1):
         for n_d in range(1, b.max_individuals + 1):
-            need = any(s.kind == "so" for s in sig.consts.values())
             if need and (1 << (n_d * n_w)) > b.relspace_cap:
                 raise SearchBoundsError("bounds exceed the relation-space cap")
-            relspace = full_relspace(n_d, n_w) if n_d * n_w <= RELSPACE_LIMIT else ()
-            per = count_frames(sig.logic, n_w)
-            for (_, kind, _, options) in _denotation_groups(sig, n_w, n_d, relspace):
-                per *= len(options)
-            total += per
-    return total
+            rows = 1 << (n_d * n_w) if n_d * n_w <= RELSPACE_LIMIT else 0
+            per = count_frames(logic, n_w)
+            for s in sorts:
+                per *= _choices(s, n_w, n_d, rows)
+            yield n_w, n_d, per
+
+
+def count_models(sig: Signature, b: Bounds) -> int:
+    """Closed-form number of interpretations within bounds."""
+    return sum(per for _, _, per in
+               _node_counts(sig.logic, tuple(sig.consts.values()), b))
+
+
+def _check_budget(sig: Signature, b: Bounds) -> None:
+    """Raise SearchBoundsError when the bounds admit more than MODEL_BUDGET
+    interpretations of the signature without its second-order constants.
+
+    Second-order tables are left out: the relation-space cap bounds them and
+    the premises prune them, so the corpus problems, with 1.7e10 to 2.7e11
+    interpretations at two worlds and two individuals, still run. The sum
+    stops at the first size that passes the budget, so absurd bounds never
+    build their frame counts' huge integers.
+    """
+    sorts = tuple(s for s in sig.consts.values() if s.kind != "so")
+    total = 0
+    for n_w, n_d, per in _node_counts(sig.logic, sorts, b):
+        total += per
+        if total > MODEL_BUDGET:
+            raise SearchBoundsError(
+                f"{total} interpretations within worlds<={n_w} "
+                f"individuals<={n_d}, more than the search budget of "
+                f"{MODEL_BUDGET}")
 
 
 def _split_instances(f: Formula, domains) -> list:
@@ -185,6 +233,7 @@ def _size_nodes(sig: Signature, b: Bounds, formulas, relvar_domain: str):
     """All (n_worlds, n_individuals, frame, relspace) nodes, canonical order."""
     if sig.mode is not Mode.CLASSICAL:
         raise EvalError("model search covers classical signatures only")
+    _check_budget(sig, b)
     need = _needs_relspace(sig, formulas)
     for n_w in range(1, b.max_worlds + 1):
         for n_d in range(1, b.max_individuals + 1):
@@ -196,14 +245,28 @@ def _size_nodes(sig: Signature, b: Bounds, formulas, relvar_domain: str):
                 yield (n_w, n_d, R, relspace)
 
 
+def _compiled_body(bodies: dict, g: Formula):
+    """compile_world(g), built once per search: bodies maps id(g) to
+    (g, closure), and keeping g keeps its id from being reused. Two
+    workers of one search may both compile g; either closure serves."""
+    hit = bodies.get(id(g))
+    if hit is None:
+        hit = bodies[id(g)] = (g, compile_world(g))
+    return hit[1]
+
+
 def _search_node(node, sig, b, premises_n, leaf_ok, stop_at_first,
-                 relvar_domain="full"):
+                 relvar_domain="full", bodies=None):
     """Depth-first search of one (worlds, individuals, frame) node.
 
     Premise instances wait on the specific denotation bit whose absence
     stopped their evaluation and are re-tried only when that bit is set.
+    bodies caches the compiled instance bodies across the nodes of one
+    search (see _compiled_body); a fresh one is used when it is None.
     Returns (first_model, leaves_before_model, total_leaves_examined).
     """
+    if bodies is None:
+        bodies = {}
     n_w, n_d, R, relspace = node
     denot = _PartialDenot()
     m = KripkeInterpretation(sig, n_w, n_d, R, denot, relspace,
@@ -226,20 +289,21 @@ def _search_node(node, sig, b, premises_n, leaf_ok, stop_at_first,
 
     def try_inst(inst):
         """True, False, or the token of the first missing bit."""
-        g, a = inst
+        holds, a = inst
         try:
             for w in range(n_w):
-                if not evaluate(g, m, a, w):
+                if not holds(m, a, w):
                     return False
             return True
         except _MissingBit as e:
             return e.args[0]
 
     # Seed the waiting map: instances evaluable from the frame alone are
-    # settled immediately.
+    # settled immediately. An instance is (compiled body, assignment).
     waiting0: dict = {}
     for p in premises_n:
-        for inst in _split_instances(p, domains):
+        for g, a in _split_instances(p, domains):
+            inst = (_compiled_body(bodies, g), a)
             r = try_inst(inst)
             if r is False:
                 return None, None, 0
@@ -271,12 +335,7 @@ def _search_node(node, sig, b, premises_n, leaf_ok, stop_at_first,
         # outside the listed relation space, which falsifies its atom.
         for insts in waiting.values():
             for inst in insts:
-                g, a = inst
-                try:
-                    for w in range(n_w):
-                        if not evaluate(g, m, a, w):
-                            return False
-                except _MissingBit:
+                if try_inst(inst) is not True:
                     return False
         return True
 
@@ -346,12 +405,14 @@ def _run_search(premises, sig: Signature, b: Bounds, leaf_ok=None,
     """
     premises_n = [beta_normalize(expand_derived(p)) for p in premises]
     nodes = list(_size_nodes(sig, b, premises, relvar_domain))
+    bodies: dict = {}
 
     def work(chunk):
         total = 0
         for node in chunk:
             found, found_at, examined = _search_node(
-                node, sig, b, premises_n, leaf_ok, True, relvar_domain)
+                node, sig, b, premises_n, leaf_ok, True, relvar_domain,
+                bodies)
             if found is not None:
                 return found, total + found_at
             total += examined

@@ -20,7 +20,7 @@ from .formulas import (
     Formula, MacroFormula, Var,
 )
 from .kripke import (
-    KripkeInterpretation, evaluate, is_rigid_value,
+    KripkeInterpretation, compile_world, evaluate, is_rigid_value,
 )
 from .macros import expand_derived
 from .modelfind import (
@@ -337,18 +337,20 @@ def find_vagueness_witness(b: Bounds | None = None):
 
     b = b or Bounds(max_worlds=2, max_individuals=2)
     ps = variant("anderson")
-    gx = expand_derived(parse_formula("G* x", ps.sig))
+    gx = compile_world(expand_derived(parse_formula("G* x", ps.sig)))
 
     def leaf_ok(m):
         godlike = [d for d in range(m.n_individuals)
-                   if evaluate(gx, m, {"x": d}, m.actual)]
+                   if gx(m, {"x": d}, m.actual)]
         return len(godlike) >= 2
 
     premises_n = [beta_normalize(expand_derived(f)) for f in ps.formulas()]
+    bodies: dict = {}
     for n_w in range(1, b.max_worlds + 1):
         full = (1 << (2 * n_w)) - 1
         node = (n_w, 2, total_access(n_w), (0, full))
-        found, _, _ = _search_node(node, ps.sig, b, premises_n, leaf_ok, True)
+        found, _, _ = _search_node(node, ps.sig, b, premises_n, leaf_ok, True,
+                                   bodies=bodies)
         if found is not None:
             return found
     return None
@@ -392,10 +394,10 @@ def run_variant_suite(name: str, bounds: Bounds | None = None,
 def _godlike_extension_matches(m: KripkeInterpretation, ps: PremiseSet) -> bool:
     """The godlike extension equals the set of individuals in every member
     of the rigidified positivity family."""
-    gx = expand_derived(parse_formula("G x", ps.sig))
+    gx = compile_world(expand_derived(parse_formula("G x", ps.sig)))
     pprime = ultrafilter_report(m, "Pprime").family
     for d in range(m.n_individuals):
         in_all = all((s >> (d * m.n_worlds + m.actual)) & 1 for s in pprime)
-        if evaluate(gx, m, {"x": d}, m.actual) != in_all:
+        if gx(m, {"x": d}, m.actual) != in_all:
             return False
     return True

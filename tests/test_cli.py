@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,12 +102,13 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
 
 
-def run_module(argv):
+def run_module(argv, timeout=60):
     """`python -m finmodal argv` in a fresh interpreter."""
     src = str(Path(finmodal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "finmodal", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("command", ["sat", "check"])
@@ -138,3 +140,32 @@ def test_workers_only_where_a_search_runs(argv, capsys):
     code = run([*argv, "--workers", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["aot", "minimal"], ["corpus", "scott"]])
+def test_format_only_where_a_report_prints(argv, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    code = run([*argv, "--format", "tsv"])
+    capsys.readouterr()
+    assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_first_order_bounds_over_budget_exit_before_search(tmp_path, capsys):
+    # kdia at five worlds: 3.4e10 interpretations, 2^25 frames at five
+    # worlds alone
+    text = Path("problems/kdia.problem").read_text()
+    big = tmp_path / "kdia5.problem"
+    big.write_text(text.replace("bounds worlds=3", "bounds worlds=5"))
+    start = time.perf_counter()
+    code = run(["sat", str(big)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "more than the search budget" in capsys.readouterr().err
+    proc = run_module(["sat", str(big)], timeout=20)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("budget exceeded: ")

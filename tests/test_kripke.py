@@ -11,11 +11,12 @@ from finmodal.formulas import (
     Xor, beta_normalize,
 )
 from finmodal.kripke import (
-    EvalError, KripkeInterpretation, Validity, compile_mask, evaluate,
-    frame_check, frames_for, full_relspace, is_rigid_value, proposition_of,
-    total_access, validity,
+    EvalError, KripkeInterpretation, Validity, compile_mask, compile_world,
+    evaluate, frame_check, frames_for, full_relspace, is_rigid_value,
+    proposition_of, total_access, validity,
 )
 from finmodal.macros import expand_derived
+from finmodal.modelfind import _MissingBit, _PartialDenot, _PartialTable
 from finmodal.parser import parse_formula
 from finmodal.signature import LogicTag, Mode, Signature
 
@@ -283,6 +284,9 @@ def test_unsupported_constructs_raise_from_both_evaluators():
         with pytest.raises(EvalError) as masked:
             holds(m, {})
         assert str(masked.value) == str(per_world.value)
+        with pytest.raises(EvalError) as compiled:
+            compile_world(f)(m, {}, 0)
+        assert str(compiled.value) == str(per_world.value)
 
 
 def test_out_of_table_second_order_atom_reads_false():
@@ -294,3 +298,161 @@ def test_out_of_table_second_order_atom_reads_false():
     assert not any(evaluate(f, m, {}, w) for w in range(2))
     m.denot["S"] = 0
     assert compile_mask(f)(m, {}) == 0b11
+
+
+# ---------------------------------------------------------------------------
+# The compiled per-world evaluator against the reference, on complete and on
+# partially assigned interpretations
+
+G = Const("G", SECOND_ORDER)
+S1 = Const("S", REL1)
+R2 = Const("R", Relation(2))
+C = Const("c", INDIVIDUAL)
+SIG_SO = Signature(Mode.CLASSICAL, LogicTag.K,
+                   {"G": SECOND_ORDER, "S": REL1, "R": Relation(2),
+                    "c": INDIVIDUAL, "p": PROPOSITION})
+
+
+@st.composite
+def so_formulas(draw, depth=3, inds=(), rels=()):
+    """Closed formulas with second-order atoms over relation constants,
+    relation variables and 1-place lambdas, modal operators, and individual
+    and relation quantifiers; rarely an uninterpretable construct."""
+    ind_terms = [C, *inds]
+    rel_terms = [S1, *rels]
+
+    def atom():
+        kind = draw(st.sampled_from(
+            ["prop", "unary", "binary", "eq", "so", "so", "unsupported"]))
+        if kind == "prop":
+            return P
+        if kind == "unary":
+            return Exemplify(draw(st.sampled_from(rel_terms)),
+                             (draw(st.sampled_from(ind_terms)),))
+        if kind == "binary":
+            return Exemplify(R2, (draw(st.sampled_from(ind_terms)),
+                                  draw(st.sampled_from(ind_terms))))
+        if kind == "eq":
+            return PrimitiveEq(draw(st.sampled_from(ind_terms)),
+                               draw(st.sampled_from(ind_terms)))
+        if kind == "so":
+            return SOAtom(G, draw(st.sampled_from(rel_terms)))
+        return draw(st.sampled_from([
+            Encode(C, S1),
+            Exemplify(S1, (Description(Var("z", INDIVIDUAL), P),)),
+        ]))
+
+    if depth == 0:
+        return atom()
+    op = draw(st.sampled_from(
+        ["atom", "not", "box", "dia", "act", "imp", "and", "or", "iff",
+         "xor", "all", "ex", "allrel", "exrel", "lam0", "lam1", "so_lam"]))
+    def sub(inds=inds, rels=rels):
+        return draw(so_formulas(depth - 1, inds, rels))
+
+    if op == "atom":
+        return atom()
+    unary = {"not": Not, "box": Box, "dia": Diamond, "act": Actually}
+    if op in unary:
+        return unary[op](sub())
+    binary = {"imp": Implies, "and": And, "or": Or, "iff": Iff, "xor": Xor}
+    if op in binary:
+        return binary[op](sub(), sub())
+    x = Var(f"x{len(inds)}", INDIVIDUAL)
+    y = Var(f"Y{len(rels)}", REL1)
+    if op in ("all", "ex"):
+        return (Forall if op == "all" else Exists)(x, sub(inds + (x,)))
+    if op in ("allrel", "exrel"):
+        return (Forall if op == "allrel" else Exists)(y, sub(rels=rels + (y,)))
+    if op == "lam0":
+        return Exemplify(Lambda((), sub()), ())
+    if op == "lam1":
+        return Exemplify(Lambda((x,), sub(inds + (x,))),
+                         (draw(st.sampled_from(ind_terms)),))
+    return SOAtom(G, Lambda((x,), sub(inds + (x,))))
+
+
+class _Reads:
+    """A denotation dict that records each read in its log."""
+
+    def __getitem__(self, key):
+        self.log.append((self.label, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.append((self.label, key))
+        return super().get(key, default)
+
+
+class _ReadDict(_Reads, dict):
+    pass
+
+
+class _ReadDenot(_Reads, _PartialDenot):
+    pass
+
+
+class _ReadTable(_Reads, _PartialTable):
+    pass
+
+
+def _random_interpretation(rng, n_worlds, n_individuals, partial, log):
+    """An interpretation of SIG_SO on a random K frame whose denotations
+    record every read in log. Some rows of G are left out; under partial,
+    so are some scalar constants and rows of R, and a missing entry reads as
+    unassigned rather than out of domain."""
+    relspace = full_relspace(n_individuals, n_worlds)
+    access = rng.choice(frames_for(LogicTag.K, n_worlds))
+    denot = _ReadDenot() if partial else _ReadDict()
+    g = _ReadTable("G") if partial else _ReadDict()
+    r = _ReadTable("R") if partial else _ReadDict()
+    for d, label in ((denot, "denot"), (g, "G"), (r, "R")):
+        d.log, d.label = log, label
+    for v in relspace:
+        if rng.random() < (0.6 if partial else 0.9):
+            g[v] = rng.randrange(1 << n_worlds)
+    for ds in itertools.product(range(n_individuals), repeat=2):
+        if not partial or rng.random() < 0.7:
+            r[ds] = rng.randrange(1 << n_worlds)
+    denot["G"], denot["R"] = g, r
+    scalars = {"S": rng.randrange(1 << (n_individuals * n_worlds)),
+               "c": rng.randrange(n_individuals),
+               "p": rng.randrange(1 << n_worlds)}
+    for name, value in scalars.items():
+        if not partial or rng.random() < 0.7:
+            denot[name] = value
+    return KripkeInterpretation(SIG_SO, n_worlds, n_individuals, access,
+                                denot, relspace,
+                                actual=rng.randrange(n_worlds))
+
+
+def _outcome(run, log):
+    """What an evaluation does: its value, the missing bit it stops on, or
+    the message it fails with; and the reads it made on the way."""
+    log.clear()
+    try:
+        result = ("value", run())
+    except _MissingBit as e:
+        result = ("missing", e.args[0])
+    except EvalError as e:
+        result = ("error", str(e))
+    return result, tuple(log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(so_formulas(), st.randoms(use_true_random=False))
+def test_compiled_world_matches_evaluate(f, rng):
+    # the same value, missing bit or error, after the same reads in the
+    # same order
+    log = []
+    for g in (f, beta_normalize(expand_derived(f))):
+        holds = compile_world(g)
+        for n_worlds, n_individuals in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            for partial in (False, True):
+                m = _random_interpretation(rng, n_worlds, n_individuals,
+                                           partial, log)
+                for w in range(n_worlds):
+                    want = _outcome(lambda: evaluate(g, m, {}, w), log)
+                    got = _outcome(lambda: holds(m, {}, w), log)
+                    assert got == want
+

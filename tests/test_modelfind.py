@@ -2,11 +2,15 @@ import itertools
 
 import pytest
 
-from finmodal.formulas import INDIVIDUAL, PROPOSITION, REL1, alpha_equivalent
-from finmodal.kripke import evaluate, frame_check
+from finmodal.formulas import (
+    INDIVIDUAL, PROPOSITION, REL1, alpha_equivalent, beta_normalize,
+)
+from finmodal.kripke import compile_world, evaluate, frame_check
+from finmodal.macros import expand_derived
 from finmodal.modelfind import (
-    Bounds, SearchBoundsError, count_models, decide_sat, enumerate_models,
-    find_countermodel, frame_requirements, minimize_premises,
+    MODEL_BUDGET, Bounds, SearchBoundsError, _search_node, _size_nodes,
+    count_models, decide_sat, enumerate_models, find_countermodel,
+    frame_requirements, minimize_premises,
 )
 from finmodal.parser import parse_formula
 from finmodal.signature import LogicTag, Mode, Signature
@@ -37,6 +41,12 @@ class TestEnumerate:
         ]:
             sig = sig_of(consts, logic)
             b = Bounds(max_worlds=2, max_individuals=2)
+            assert len(list(enumerate_models(sig, b))) == count_models(sig, b)
+
+    def test_binary_and_second_order_counts_match_enumeration(self):
+        from finmodal.formulas import SECOND_ORDER, Relation
+        sig = sig_of({"R": Relation(2), "P": SECOND_ORDER}, LogicTag.KB)
+        for b in (Bounds(2, 1), Bounds(1, 2)):
             assert len(list(enumerate_models(sig, b))) == count_models(sig, b)
 
     def test_stream_restart_is_identical(self):
@@ -226,3 +236,63 @@ class TestExhaustivenessProperty:
                 count_models(sig, b)
 
         check()
+
+
+class TestPruning:
+    @pytest.mark.parametrize("name, nodes, leaves, evaluations", [
+        ("goedel", 36, 0, 9290), ("scott", 4, 6, 663),
+        ("anderson", 4, 18, 20202), ("fitting", 4, 18, 384)])
+    def test_corpus_search_at_two_worlds_two_individuals(
+            self, name, nodes, leaves, evaluations, monkeypatch):
+        # Leaves: the complete interpretations no premise instance rules
+        # out, summed over the nodes of an exhaustive search. Evaluations:
+        # (instance, world) evaluations, which depend on the bit each
+        # instance waits on; the figures are those of the tree-walking
+        # evaluator the compiled instances replaced.
+        from finmodal import modelfind
+        from finmodal.ontoarg import variant
+        calls = [0]
+
+        def counting(g):
+            holds = compile_world(g)
+
+            def counted(m, a, w):
+                calls[0] += 1
+                return holds(m, a, w)
+            return counted
+
+        monkeypatch.setattr(modelfind, "compile_world", counting)
+        ps = variant(name)
+        b = Bounds(2, 2)
+        premises_n = [beta_normalize(expand_derived(p))
+                      for p in ps.formulas()]
+        size_nodes = list(_size_nodes(ps.sig, b, ps.formulas(),
+                                      ps.relvar_domain))
+        assert len(size_nodes) == nodes
+        assert sum(_search_node(node, ps.sig, b, premises_n, None, False,
+                                ps.relvar_domain)[2]
+                   for node in size_nodes) == leaves
+        assert calls[0] == evaluations
+
+
+class TestBudget:
+    def test_shipped_first_order_bounds_within_budget(self):
+        sig = sig_of({"p": PROPOSITION, "q": PROPOSITION}, LogicTag.K)
+        assert count_models(sig, Bounds(3, 1)) == 33032 <= MODEL_BUDGET
+        assert count_models(sig, Bounds(4, 1)) > MODEL_BUDGET
+
+    def test_over_budget_raises_before_any_frame(self):
+        sig = sig_of({"p": PROPOSITION, "q": PROPOSITION}, LogicTag.K)
+        conjecture = parse_formula("p -> p", sig)
+        with pytest.raises(SearchBoundsError, match="search budget"):
+            find_countermodel([], conjecture, sig, Bounds(100000, 1))
+        with pytest.raises(SearchBoundsError, match="search budget"):
+            next(enumerate_models(sig, Bounds(4, 1)))
+
+    def test_second_order_tables_are_left_to_the_cap(self):
+        # the corpus problems admit 1.7e10 to 2.7e11 interpretations, almost
+        # all of them second-order table rows the premises prune
+        from finmodal.ontoarg import variant
+        ps = variant("goedel")
+        assert count_models(ps.sig, Bounds(2, 2)) > MODEL_BUDGET
+        assert not decide_sat(ps.formulas(), ps.sig, Bounds(2, 2)).is_sat
