@@ -8,6 +8,11 @@ generalization, with universal generalization as a rule. Inside a
 deduction block, necessitation and generalization may only cite lines
 that do not depend on an open hypothesis (generalization additionally
 just needs its variable absent from the open hypotheses it depends on).
+
+Every proof line is kept in beta normal form together with its canonical
+key. A line that modus ponens, necessitation or a closed deduction block
+derives is built from the lines it cites: its key is read off or composed
+from theirs, and it is not normalized or keyed again.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from .formulas import (
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, MacroFormula,
     Not, PrimitiveEq, Term, Var,
     alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
-    free_names, free_vars, rebuild, sort_of, substitute,
+    compose_key, free_names, free_vars, key_children, rebuild, sort_of,
+    substitute,
 )
 from .kripke import (
     KripkeInterpretation, box_mask, compile_mask, frames_for, total_access,
@@ -311,6 +317,9 @@ class Layer:
     schemas: dict
 
 
+LAYER_NAMES = ("K", "KB", "S5", "AOT")
+
+
 def make_layer(name: str) -> Layer:
     base = _template_schemas()
     common = {k: base[k] for k in ("pl1", "pl2", "pl3", "ax_K")}
@@ -432,6 +441,10 @@ class ProofState:
     def apply(self, step) -> int:
         """Apply one step; return the new line index or raise ProofStepError."""
         lines, layer = self.lines, self.layer
+        # mp, nec and qed build their line's key from the keys of the lines
+        # they cite, and skip normalizing: a child of a normal line is
+        # normal, and Box or Implies of normal lines creates no redex
+        key = None
         try:
             if isinstance(step, AxStep):
                 s = layer.schemas.get(step.schema)
@@ -449,7 +462,10 @@ class ProofState:
                     raise ProofStepError("mp cites an unavailable line")
                 ante, impl = lines[step.i], lines[step.j]
                 g = impl.formula
-                if not isinstance(g, Implies) or canonical_key(g.left) != ante.key:
+                if not isinstance(g, Implies):
+                    raise ProofStepError("mp-mismatch")
+                left_key, key = key_children(impl.key)
+                if left_key != ante.key:
                     raise ProofStepError("mp-mismatch")
                 f = g.right
                 deps = ante.hyp_deps | impl.hyp_deps
@@ -461,6 +477,7 @@ class ProofState:
                     raise ProofStepError(
                         "nec-inside-deduction: line depends on an open hypothesis")
                 f = Box(src.formula)
+                key = compose_key(f, (src.key,))
                 deps = src.hyp_deps
             elif isinstance(step, GenStep):
                 if not self._visible(step.i):
@@ -487,17 +504,29 @@ class ProofState:
                 if not self._visible(step.i):
                     raise ProofStepError("qed cites an unavailable line")
                 hyp_idx = self.path[-1]
-                src = lines[step.i]
-                f = Implies(lines[hyp_idx].formula, src.formula)
+                hyp, src = lines[hyp_idx], lines[step.i]
+                f = Implies(hyp.formula, src.formula)
+                key = compose_key(f, (hyp.key, src.key))
                 self.path = self.path[:-1]
-                deps = (src.hyp_deps | lines[hyp_idx].hyp_deps) - {hyp_idx}
+                deps = (src.hyp_deps | hyp.hyp_deps) - {hyp_idx}
             else:
                 raise ProofStepError(f"unknown step {step!r}")
         except (SchemaError, SortError, KeyError) as e:
             raise ProofStepError(f"{type(e).__name__}: {e}")
-        nf = beta_normalize(f)
-        lines.append(_Line(nf, canonical_key(nf), deps, self.path))
+        if key is None:
+            f = beta_normalize(f)
+            key = canonical_key(f)
+        lines.append(_Line(f, key, deps, self.path))
         return len(lines) - 1
+
+    def verdict(self):
+        """The verdict on the steps applied so far: the last line, once
+        every deduction block is closed."""
+        if self.path:
+            return Rejected(len(self.lines) - 1, "unclosed deduction block")
+        if not self.lines:
+            return Rejected(0, "empty script")
+        return Accepted(self.lines[-1].formula)
 
 
 def check_proof(script: ProofScript, layer: Layer, premises=()):
@@ -511,11 +540,7 @@ def check_proof(script: ProofScript, layer: Layer, premises=()):
             state.apply(step)
         except ProofStepError as e:
             return Rejected(n, str(e))
-    if state.path:
-        return Rejected(len(script.steps) - 1, "unclosed deduction block")
-    if not state.lines:
-        return Rejected(0, "empty script")
-    return Accepted(state.lines[-1].formula)
+    return state.verdict()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ fail to denote, so such redexes are left in place).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 from typing import Iterable, Union
 
 
@@ -423,8 +424,22 @@ def _ckey(x: Node, env: dict, depth: int):
         depth += len(bvs)
     tag = type(x).__name__
     extra = (x.name,) if isinstance(x, (MacroTerm, MacroFormula)) else ()
+    # compose_key and key_children rely on this layout
     return (tag, *extra, len(binder_vars(x)),
             tuple(_ckey(c, env, depth) for c in children(x)))
+
+
+def compose_key(x: Node, child_keys: tuple):
+    """The canonical key of x, a node that binds no variable, built from the
+    canonical keys of its children (the layout `_ckey` gives such a node)."""
+    extra = (x.name,) if isinstance(x, (MacroTerm, MacroFormula)) else ()
+    return (type(x).__name__, *extra, 0, tuple(child_keys))
+
+
+def key_children(key) -> tuple:
+    """The canonical keys of the children of a node that binds no variable,
+    read off that node's canonical key."""
+    return key[-1]
 
 
 def alpha_equivalent(a: Node, b: Node) -> bool:
@@ -464,11 +479,15 @@ def beta_normalize(x: Node) -> Node:
 
     A redex with a definite description among its arguments is kept: the
     description may fail to denote, and then the application is false
-    while the reduced matrix need not be.
+    while the reduced matrix need not be. A node in which nothing changes
+    is returned as it is, not rebuilt.
     """
     if isinstance(x, (Var, Const)):
         return x
-    x = rebuild(x, tuple(beta_normalize(c) for c in children(x)))
+    old = children(x)
+    new = tuple(map(beta_normalize, old))
+    if any(map(is_not, new, old)):
+        x = rebuild(x, new)
     if isinstance(x, Exemplify) and isinstance(x.rel, Lambda):
         lam = x.rel
         if len(lam.params) == len(x.args) and beta_step_safe(lam) \

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .abstraction import Accepted, check_proof, make_layer
+from .abstraction import Accepted
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER,
     Formula, MacroFormula, Var,
@@ -29,7 +29,7 @@ from .modelfind import (
 )
 from .parser import parse_formula
 from .printer import print_formula
-from .proofs import goedel_refutation_script
+from .proofs import goedel_refutation
 from .reportfmt import relvalue_str, render_model
 from .signature import LogicTag, Mode, Signature
 
@@ -381,8 +381,7 @@ def run_variant_suite(name: str, bounds: Bounds | None = None,
         report.world_constant_models = (
             len(models), all(_all_world_constant(m) for m in models))
     if name == "goedel":
-        script = goedel_refutation_script(premises)
-        report.refutation = check_proof(script, make_layer("K"), premises)
+        report.refutation = goedel_refutation(premises).state.verdict()
     if name == "anderson":
         report.vagueness_witness = find_vagueness_witness()
     if name == "fitting" and analysis_model is not None:

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abstraction import (
-    AxStep, ExpandStep, GenStep, HypStep, MpStep, NecStep, PremiseStep,
-    ProofScript, QedStep,
+    LAYER_NAMES, AxStep, ExpandStep, GenStep, HypStep, MpStep, NecStep,
+    PremiseStep, ProofScript, QedStep,
 )
 from .aot import AczelConfig
 from .formulas import (
@@ -48,10 +48,20 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a byte that is not UTF-8 is an error naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ProblemFileError(
+            f"byte 0x{data[e.start]:02x} in {path} is not UTF-8", line)
+
+
 def load_problem(path: str) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_problem(text)
+    return parse_problem(_read_text(path))
 
 
 def parse_problem(text: str) -> Problem:
@@ -142,8 +152,7 @@ _TERM_KEYS = {"alpha", "beta", "tau"}
 
 
 def load_proof(path: str, sig: Signature):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_proof(fh.read(), sig)
+    return parse_proof(_read_text(path), sig)
 
 
 def parse_proof(text: str, sig: Signature):
@@ -158,7 +167,9 @@ def parse_proof(text: str, sig: Signature):
         head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
         try:
             if head == "layer":
-                layer_name = rest.strip()
+                if rest not in LAYER_NAMES:
+                    raise ProblemFileError(f"unknown layer {rest!r}", no)
+                layer_name = rest
             elif head == "ax":
                 name, _, subst_text = rest.partition("{")
                 subst_text = subst_text.rsplit("}", 1)[0] if "}" in subst_text else ""
@@ -256,8 +267,7 @@ def render_proof(layer_name: str, script: ProofScript) -> str:
 # Aczel-model configuration files
 
 def load_aot_config(path: str) -> AczelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_aot_config(fh.read())
+    return parse_aot_config(_read_text(path))
 
 
 def parse_aot_config(text: str) -> AczelConfig:

@@ -239,7 +239,13 @@ def kdia_script(p_name: str = "p", q_name: str = "q") -> ProofScript:
 # Refutation of the unemended premise set in logic K
 
 def goedel_refutation_script(premises) -> ProofScript:
-    """Derive ~(q -> q) from the five premises of the unemended variant.
+    """The script of `goedel_refutation`."""
+    return goedel_refutation(premises).script()
+
+
+def goedel_refutation(premises) -> ScriptBuilder:
+    """Derive ~(q -> q) from the five premises of the unemended variant;
+    the builder's state holds the checked lines.
 
     Premise order: 1 exclusive polarity, 2 entailment closure, 3 the
     godlike property is positive, 4 positivity is necessary, 5 necessary
@@ -391,7 +397,7 @@ def goedel_refutation_script(premises) -> ProofScript:
     box_dia_u = b.nec(dia_u)                      # [] <> exists x (x=x)
     q_atom = Exemplify(Const("q", PROPOSITION), ())
     b.contradiction_to(Not(Implies(q_atom, q_atom)), box_dia_u, dia_no_u)
-    return b.script()
+    return b
 
 
 # ---------------------------------------------------------------------------

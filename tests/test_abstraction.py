@@ -1,23 +1,30 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmodal.abstraction import (
     Accepted, AxStep, HypStep, Layer, MpStep, NecStep, PremiseStep,
-    ProofScript, QedStep, Rejected, Schema, SoundnessReport, check_proof,
-    make_layer, match_schema, schema_instance, validate_layer,
+    ProofScript, ProofState, QedStep, Rejected, Schema, SoundnessReport,
+    check_proof, make_layer, match_schema, schema_instance, validate_layer,
     _template_schemas,
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    And, Box, Const, Exemplify, Forall, Implies, Not, Var, alpha_equivalent,
-    beta_normalize,
+    And, Box, Const, Exemplify, Forall, Implies, MacroFormula, Not, Var,
+    alpha_equivalent, beta_normalize, canonical_key, compose_key, key_children,
 )
 from finmodal.kripke import Validity, validity
 from finmodal.macros import expand_derived
 from finmodal.modelfind import Bounds, find_countermodel
+from finmodal.ontoarg import variant
 from finmodal.parser import parse_formula
-from finmodal.proofs import ScriptBuilder, kdia_script
+from finmodal.problemfile import parse_problem, parse_proof
+from finmodal.proofs import (
+    ScriptBuilder, derive_kdia, goedel_refutation, goedel_refutation_script,
+    kdia_script,
+)
 from finmodal.signature import LogicTag, Mode, Signature
 
 from conftest import random_formula
@@ -144,6 +151,105 @@ class TestCheckProof:
         m.denot["p"] = 3  # models share nothing with the checker
         second = check_proof(script, make_layer("K"))
         assert first == second
+
+
+# (problem, proof) stems of the shipped proof scripts
+SHIPPED_PROOFS = (("s5", "kdia"), ("goedel", "goedel_refutation"),
+                  ("two_individuals", "two_individuals"))
+
+
+def _shipped(problem_stem, proof_stem):
+    problem = parse_problem(Path(f"problems/{problem_stem}.problem").read_text())
+    text = Path(f"proofs/{proof_stem}.proof").read_text()
+    return problem, text
+
+
+def _check_text(problem, text):
+    layer_name, script = parse_proof(text, problem.sig)
+    return check_proof(script, make_layer(layer_name), tuple(problem.premises))
+
+
+class TestIncrementalLines:
+    """Lines built from the keys of the lines they cite (mp, nec, qed) hold
+    what normalizing and keying them from scratch would give."""
+
+    def _assert_lines_normal_and_keyed(self, state):
+        assert state.lines
+        for n, line in enumerate(state.lines):
+            assert beta_normalize(line.formula) == line.formula, n
+            assert canonical_key(line.formula) == line.key, n
+
+    @pytest.mark.parametrize("stems", SHIPPED_PROOFS,
+                             ids=[p for _, p in SHIPPED_PROOFS])
+    def test_shipped_proof_lines(self, stems):
+        problem, text = _shipped(*stems)
+        layer_name, script = parse_proof(text, problem.sig)
+        state = ProofState(make_layer(layer_name), tuple(problem.premises))
+        for step in script.steps:
+            state.apply(step)
+        assert isinstance(state.verdict(), Accepted)
+        self._assert_lines_normal_and_keyed(state)
+
+    def test_derive_kdia_lines(self):
+        rng = random.Random(7)
+        for _ in range(4):
+            a = random_formula(rng, SIG, 2, quantifiers=False)
+            b = random_formula(rng, SIG, 2, quantifiers=False)
+            builder = ScriptBuilder(make_layer("K"))
+            derive_kdia(builder, a, b)
+            self._assert_lines_normal_and_keyed(builder.state)
+
+    def test_goedel_builder_lines_and_verdict(self):
+        premises = variant("goedel").formulas()
+        builder = goedel_refutation(premises)
+        self._assert_lines_normal_and_keyed(builder.state)
+        verdict = builder.state.verdict()
+        assert isinstance(verdict, Accepted)
+        assert verdict == check_proof(goedel_refutation_script(premises),
+                                      make_layer("K"), premises)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 3), st.integers(0, 3))
+    def test_composed_keys_match_canonical_key(self, seed, da, db):
+        rng = random.Random(seed)
+        sig = Signature(Mode.CLASSICAL, LogicTag.K,
+                        {"p": PROPOSITION, "S": REL1, "c": INDIVIDUAL})
+        a = beta_normalize(random_formula(rng, sig, da))
+        b = beta_normalize(random_formula(rng, sig, db))
+        ka, kb = canonical_key(a), canonical_key(b)
+        c = Const("c", INDIVIDUAL)
+        for f, child_keys in ((Implies(a, b), (ka, kb)), (Box(a), (ka,)),
+                              (Not(a), (ka,)),
+                              (MacroFormula("dn", (c,)), (canonical_key(c),))):
+            assert compose_key(f, child_keys) == canonical_key(f)
+            assert key_children(canonical_key(f)) == child_keys
+
+
+# The last eight `mp` steps of each shipped proof, as 0-based step indices.
+LATE_MP_STEPS = {
+    "kdia": (58, 62, 64, 67, 70, 71, 74, 75),
+    "goedel_refutation": (595, 596, 601, 603, 605, 606, 609, 610),
+    "two_individuals": (76, 80, 82, 85, 88, 89, 92, 93),
+}
+
+
+@pytest.mark.parametrize("stems", SHIPPED_PROOFS,
+                         ids=[p for _, p in SHIPPED_PROOFS])
+def test_swapped_mp_citations_rejected_at_that_step(stems):
+    # `mp i j` becomes `mp j i`: line j would have to be an implication
+    # whose antecedent is line i, which contains line j
+    problem, text = _shipped(*stems)
+    lines = text.splitlines()
+    steps = [k for k, line in enumerate(lines)
+             if line.split("#")[0].strip() and not line.startswith("layer")]
+    mps = [n for n, k in enumerate(steps) if lines[k].startswith("mp ")]
+    assert tuple(mps[-8:]) == LATE_MP_STEPS[stems[1]]
+    for n in mps[-8:]:
+        bad = list(lines)
+        _, i, j = bad[steps[n]].split()
+        bad[steps[n]] = f"mp {j} {i}"
+        verdict = _check_text(problem, "\n".join(bad) + "\n")
+        assert verdict == Rejected(n, "mp-mismatch")
 
 
 class TestValidateLayer:

@@ -169,3 +169,31 @@ def test_first_order_bounds_over_budget_exit_before_search(tmp_path, capsys):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("budget exceeded: ")
+
+
+def test_unknown_layer_is_usage_error(tmp_path):
+    bad = tmp_path / "q.proof"
+    bad.write_text("layer Q\npremise 1\n")
+    proc = run_module(["prove", "problems/s5.problem", str(bad)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: line 1: unknown layer 'Q'"]
+
+
+@pytest.mark.parametrize("command,suffix,text", [
+    ("prove", ".proof", b"layer K\nhyp \xff\n"),
+    ("check", ".problem", b"const p : prop\n\xfe\n"),
+    ("aot", ".model", b"ordinary 1\n\xc3\n"),
+], ids=["proof", "problem", "model"])
+def test_non_utf8_file_is_usage_error(tmp_path, command, suffix, text):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(text)
+    argv = ([command, "problems/s5.problem", str(bad)] if command == "prove"
+            else [command, str(bad)])
+    proc = run_module(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: line 2: byte 0x")
+    assert lines[0].endswith("is not UTF-8")
