@@ -164,11 +164,6 @@ def _shipped(problem_stem, proof_stem):
     return problem, text
 
 
-def _check_text(problem, text):
-    layer_name, script = parse_proof(text, problem.sig)
-    return check_proof(script, make_layer(layer_name), tuple(problem.premises))
-
-
 class TestIncrementalLines:
     """Lines built from the keys of the lines they cite (mp, nec, qed) hold
     what normalizing and keying them from scratch would give."""
@@ -248,7 +243,9 @@ def test_swapped_mp_citations_rejected_at_that_step(stems):
         bad = list(lines)
         _, i, j = bad[steps[n]].split()
         bad[steps[n]] = f"mp {j} {i}"
-        verdict = _check_text(problem, "\n".join(bad) + "\n")
+        layer_name, script = parse_proof("\n".join(bad) + "\n", problem.sig)
+        verdict = check_proof(script, make_layer(layer_name),
+                              tuple(problem.premises))
         assert verdict == Rejected(n, "mp-mismatch")
 
 
