@@ -29,7 +29,8 @@ from .formulas import (
     substitute,
 )
 from .kripke import (
-    KripkeInterpretation, box_mask, compile_mask, frames_for, total_access,
+    ColumnSpace, KripkeInterpretation, column_values, compile_mask,
+    frames_for, product_columns, total_access,
 )
 from .macros import expand_derived
 from .signature import LogicTag, Mode, Signature
@@ -558,21 +559,17 @@ class SoundnessReport:
     layer: str
     n_models: int
     schema_findings: list
-    rules_ok: dict
     seconds: float
 
     @property
     def ok(self) -> bool:
-        return (all(f.counterexample is None for f in self.schema_findings)
-                and all(self.rules_ok.values()))
+        return all(f.counterexample is None for f in self.schema_findings)
 
     def to_text(self) -> str:
         lines = [f"layer {self.layer}: {self.n_models} models"]
         for f in sorted(self.schema_findings, key=lambda x: x.schema):
             status = "ok" if f.counterexample is None else f"FAILS {f.counterexample}"
             lines.append(f"  schema {f.schema}: {f.instances} instances {status}")
-        for r in sorted(self.rules_ok):
-            lines.append(f"  rule {r}: {'ok' if self.rules_ok[r] else 'FAILS'}")
         return "\n".join(lines)
 
 
@@ -603,7 +600,7 @@ def _realized_vectors(m: KripkeInterpretation, atoms, depth: int):
         new = {}
         items = list(vecs.items())
         for v, wf in list(frontier.items()):
-            for nv, nf in ((full ^ v, Not(wf)), (box_mask(m, v), Box(wf)),
+            for nv, nf in ((full ^ v, Not(wf)), (m.box(v), Box(wf)),
                            ((full if (v >> m.actual) & 1 else 0), Actually(wf))):
                 if nv not in vecs:
                     vecs[nv] = nf
@@ -623,38 +620,46 @@ def _realized_vectors(m: KripkeInterpretation, atoms, depth: int):
 
 def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
                    generator_depth: int = 3) -> SoundnessReport:
+    """Every template schema over every model of the layer's frame class,
+    its metavariables ranging over the world vectors the atoms generate
+    there; the builtin schemas over a small first-order setup."""
     t0 = time.time()
     models = _prop_models(layer.logic, max_worlds, atoms)
-    findings = []
     template_schemas = [s for s in layer.schemas.values() if s.kind == "template"]
     builtin_schemas = [s for s in layer.schemas.values() if s.kind != "template"]
-
-    for s in template_schemas:
-        count = 0
-        counterexample = None
-        k = len(s.metavars)
-        holds = compile_mask(s.template)
-        for m in models:
-            vecs = _realized_vectors(m, atoms, generator_depth)
-            values = sorted(vecs)
-            tuples = [[]]
-            for _ in range(k):
-                tuples = [t + [v] for t in tuples for v in values]
-            for tup in tuples:
-                count += 1
-                mask = holds(m, dict(zip(s.metavars, tup)))
-                if mask != m.all_worlds:
-                    witnesses = tuple(vecs[v] for v in tup)
-                    counterexample = (witnesses, _describe(m),
-                                      _first_false_world(mask))
-                    break
-            if counterexample:
-                break
-        findings.append(SchemaFinding(s.name, count, counterexample))
-
+    # per model, one call per template: the metavariable tuples, first
+    # outermost, are the columns of a ColumnSpace over the model's frame,
+    # so the lowest failing bit is the first failing tuple
+    holds = [compile_mask(s.template) for s in template_schemas]
+    counts = [0] * len(template_schemas)
+    counterexamples = [None] * len(template_schemas)
+    for m in models:
+        unfailed = [i for i, ce in enumerate(counterexamples) if ce is None]
+        if not unfailed:
+            break
+        vecs = _realized_vectors(m, atoms, generator_depth)
+        values = sorted(vecs)
+        spaces = {}  # metavariable count -> (space, column words)
+        for i in unfailed:
+            s = template_schemas[i]
+            k = len(s.metavars)
+            if k not in spaces:
+                spaces[k] = (ColumnSpace(m.n_worlds, m.access, len(values) ** k,
+                                         {}, m.actual),
+                             product_columns(values, k, m.n_worlds))
+            space, words = spaces[k]
+            fails = space.all_worlds ^ holds[i](space, dict(zip(s.metavars, words)))
+            if not fails:
+                counts[i] += space.n_columns
+                continue
+            c, w = divmod((fails & -fails).bit_length() - 1, m.n_worlds)
+            counts[i] += c + 1
+            witnesses = tuple(vecs[v] for v in column_values(values, k, c))
+            counterexamples[i] = (witnesses, _describe(m), w)
+    findings = [SchemaFinding(s.name, n, ce) for s, n, ce
+                in zip(template_schemas, counts, counterexamples)]
     findings.extend(_validate_builtins(builtin_schemas, layer))
-    rules_ok = _validate_rules(models, atoms)
-    return SoundnessReport(layer.name, len(models), findings, rules_ok,
+    return SoundnessReport(layer.name, len(models), findings,
                            time.time() - t0)
 
 
@@ -739,24 +744,3 @@ def _validate_builtins(schemas, layer: Layer):
                 break
         out.append(SchemaFinding(s.name, count, counterexample))
     return out
-
-
-def _validate_rules(models, atoms) -> dict:
-    """MP and deduction at a fixed world; necessitation from global truth."""
-    mp_ok = nec_ok = ded_ok = True
-    for m in models:
-        full = m.all_worlds
-        vecs = sorted(_realized_vectors(m, atoms, 2))
-        for a in vecs:
-            if a == full and box_mask(m, a) != full:
-                nec_ok = False
-            for b in vecs:
-                for w in range(m.n_worlds):
-                    a_w = bool((a >> w) & 1)
-                    b_w = bool((b >> w) & 1)
-                    impl_w = (not a_w) or b_w
-                    if a_w and impl_w and not b_w:
-                        mp_ok = False
-                    if ((not a_w) or b_w) and not impl_w:
-                        ded_ok = False
-    return {"mp": mp_ok, "necessitation": nec_ok, "deduction": ded_ok}

@@ -175,8 +175,25 @@ def cmd_aot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, without the usage text."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="finmodal",
         description="finite-semantics workbench for second-order "
                     "quantified modal logic")
@@ -186,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "tsv"), default="text")
 
     def workers(p):
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_worker_count, default=1)
 
     p = sub.add_parser("check", help="load and type-check a problem file")
     p.add_argument("problem")

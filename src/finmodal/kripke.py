@@ -14,9 +14,19 @@ stops at the same point. Model search runs it on partially assigned
 interpretations, where the denotation bit an evaluation stops on decides
 which bit a premise instance waits for. `compile_mask` also compiles once,
 but each call returns the mask of all the worlds where the formula holds,
-with Box and Diamond read off the interpretation's cached successor masks.
-It serves complete interpretations: countermodel leaves and layer
-validation.
+with Box, Diamond and Actually left to the interpretation's `box`,
+`diamond` and `actually`. It serves complete interpretations.
+
+A `ColumnSpace` lets one `compile_mask` call check many complete
+interpretations of one frame at once: C columns, each a valuation of the
+proposition constants or variables, with bit c * n_worlds + w meaning
+"column c at world w". Box at world w is the AND, over the successors v of
+w, of the masks shifted from slot v to slot w; Diamond is the OR; Actually
+spreads each column's bit at the actual world to all its worlds. It
+covers the propositional modal fragment: 0-place atoms, the connectives,
+Box, Diamond and Actually. Premise-free countermodel search puts the
+valuations of a frame in its columns, and layer validation the
+metavariable tuples of a model; `product_columns` lays either out.
 """
 
 from __future__ import annotations
@@ -136,25 +146,108 @@ class KripkeInterpretation:
     def proposition_domain(self):
         return range(1 << self.n_worlds)
 
+    def box(self, x: int) -> int:
+        """The worlds all of whose successors lie in x."""
+        out, bit = 0, 1
+        for s in self.successor_masks:
+            if s & x == s:
+                out |= bit
+            bit <<= 1
+        return out
 
-def box_mask(m: KripkeInterpretation, x: int) -> int:
-    """The worlds all of whose successors lie in x."""
-    out, bit = 0, 1
-    for s in m.successor_masks:
-        if s & x == s:
-            out |= bit
-        bit <<= 1
-    return out
+    def diamond(self, x: int) -> int:
+        """The worlds with a successor in x."""
+        out, bit = 0, 1
+        for s in self.successor_masks:
+            if s & x:
+                out |= bit
+            bit <<= 1
+        return out
+
+    def actually(self, x: int) -> int:
+        """Every world when x holds at the actual world, else none."""
+        return self.all_worlds if (x >> self.actual) & 1 else 0
 
 
-def diamond_mask(m: KripkeInterpretation, x: int) -> int:
-    """The worlds with a successor in x."""
-    out, bit = 0, 1
-    for s in m.successor_masks:
-        if s & x:
-            out |= bit
-        bit <<= 1
-    return out
+def _repunit(period: int, count: int) -> int:
+    """count ones, period bits apart, the first at bit 0."""
+    return ((1 << (period * count)) - 1) // ((1 << period) - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnSpace:
+    """n_columns complete interpretations over one frame, for compile_mask:
+    bit c * n_worlds + w of a mask is column c at world w, and denot maps
+    each proposition constant to its column word."""
+    n_worlds: int
+    access: frozenset
+    n_columns: int
+    denot: dict
+    actual: int = 0
+
+    @cached_property
+    def all_worlds(self) -> int:
+        return (1 << (self.n_columns * self.n_worlds)) - 1
+
+    @cached_property
+    def slots(self) -> tuple:
+        """Per world w, the mask of bit w in every column."""
+        first = _repunit(self.n_worlds, self.n_columns)
+        return tuple(first << w for w in range(self.n_worlds))
+
+    @cached_property
+    def successor_lists(self) -> tuple:
+        n = self.n_worlds
+        return tuple(tuple(v for v in range(n) if (w, v) in self.access)
+                     for w in range(n))
+
+    def box(self, x: int) -> int:
+        slots, out = self.slots, 0
+        for w, succ in enumerate(self.successor_lists):
+            acc = slots[w]
+            for v in succ:
+                acc &= (x & slots[v]) >> v << w
+            out |= acc
+        return out
+
+    def diamond(self, x: int) -> int:
+        slots, out = self.slots, 0
+        for w, succ in enumerate(self.successor_lists):
+            for v in succ:
+                out |= (x & slots[v]) >> v << w
+        return out
+
+    def actually(self, x: int) -> int:
+        return ((x >> self.actual) & self.slots[0]) * ((1 << self.n_worlds) - 1)
+
+
+def product_columns(values, k: int, n_worlds: int) -> list:
+    """Column words of k variables over every k-tuple of the world masks in
+    values, the first variable outermost: in column c, variable j holds
+    values[the j-th of the k base-len(values) digits of c]. Each word
+    repeats one block rather than visiting the columns."""
+    n_v = len(values)
+    if not n_v:
+        return [0] * k
+    words = []
+    for j in range(k):
+        inner = n_v ** (k - 1 - j)  # columns per value
+        width = inner * n_worlds
+        run = _repunit(n_worlds, inner)
+        block = 0
+        for i, v in enumerate(values):
+            block |= v * run << (i * width)
+        words.append(block * _repunit(n_v * width, n_v ** j))
+    return words
+
+
+def column_values(values, k: int, c: int) -> tuple:
+    """The k-tuple of values in column c of product_columns' layout."""
+    out = []
+    for _ in range(k):
+        c, i = divmod(c, len(values))
+        out.append(values[i])
+    return tuple(reversed(out))
 
 
 def frame_check(m: KripkeInterpretation, tag: LogicTag) -> bool:
@@ -480,7 +573,9 @@ def _mask_lambda(t: Lambda):
 def compile_mask(f: Formula):
     """f compiled once into fn(m, a): the mask of the worlds of m where f
     holds under the assignment a, so bit w of fn(m, a) is
-    evaluate(f, m, a, w).
+    evaluate(f, m, a, w). On a ColumnSpace m, for a formula of its
+    fragment, bit c * m.n_worlds + w is that bit in column c, where a maps
+    proposition variables to column words.
 
     Constructs evaluate cannot interpret raise the same EvalError, when fn
     is called rather than when it is built.
@@ -546,13 +641,13 @@ def compile_mask(f: Formula):
         return lambda m, a: left(m, a) ^ right(m, a)
     if isinstance(f, Box):
         body = compile_mask(f.body)
-        return lambda m, a: box_mask(m, body(m, a))
+        return lambda m, a: m.box(body(m, a))
     if isinstance(f, Diamond):
         body = compile_mask(f.body)
-        return lambda m, a: diamond_mask(m, body(m, a))
+        return lambda m, a: m.diamond(body(m, a))
     if isinstance(f, Actually):
         body = compile_mask(f.body)
-        return lambda m, a: m.all_worlds if (body(m, a) >> m.actual) & 1 else 0
+        return lambda m, a: m.actually(body(m, a))
     if isinstance(f, Forall):
         domain, name, body = _domain_of(f.var), f.var.name, compile_mask(f.body)
 

@@ -4,7 +4,10 @@ Interpretations are enumerated in a canonical order: world count, then
 individual count, then accessibility bits, then denotation bits (with the
 rows of a second-order table visited complement-pair-adjacent, so polarity
 constraints prune early). Premises are split into ground instances and
-re-checked as soon as the bits they read are assigned.
+re-checked as soon as the bits they read are assigned. Without premises,
+a conjecture over proposition constants alone is checked one frame at a
+time, all its valuations in one call, and the first failing valuation is
+the same first countermodel.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .formulas import (
-    INDIVIDUAL, Formula, Forall, Var, beta_normalize, free_vars, subnodes,
+    INDIVIDUAL, PROPOSITION, Actually, And, Box, Const, Diamond, Exemplify,
+    Formula, Forall, Iff, Implies, Not, Or, Var, Xor, beta_normalize,
+    free_vars, subnodes,
 )
 from .kripke import (
-    EvalError, KripkeInterpretation, compile_mask, compile_world, frames_for,
-    full_relspace, RELSPACE_LIMIT,
+    ColumnSpace, EvalError, KripkeInterpretation, compile_mask, compile_world,
+    column_values, frames_for, full_relspace, product_columns,
+    RELSPACE_LIMIT,
 )
 from .macros import expand_derived
 from .signature import LogicTag, Mode, Signature
@@ -469,13 +475,66 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     b = b or Bounds()
     if free_vars(conjecture):
         raise EvalError("conjecture must be closed")
-    holds = compile_mask(beta_normalize(expand_derived(conjecture)))
+    conjecture_n = beta_normalize(expand_derived(conjecture))
+    holds = compile_mask(conjecture_n)
+    if not premises and _propositional(sig, conjecture_n):
+        return _packed_countermodel(holds, sig, b, relvar_domain)
 
     def leaf_ok(m):
         return holds(m, {}) != m.all_worlds
 
     model, _ = _run_search(premises, sig, b, leaf_ok, workers, relvar_domain)
     return model
+
+
+_CONNECTIVES = (Not, Implies, And, Or, Iff, Xor, Box, Diamond, Actually)
+
+
+def _propositional(sig: Signature, f: Formula) -> bool:
+    """Whether sig is classical with proposition constants only, and f is
+    built from them by the connectives, Box, Diamond and Actually: the
+    fragment a ColumnSpace evaluates."""
+    if sig.mode is not Mode.CLASSICAL or any(
+            s != PROPOSITION for s in sig.consts.values()):
+        return False
+    for n in subnodes(f):
+        if isinstance(n, Exemplify):
+            if n.args or not isinstance(n.rel, Const) \
+                    or n.rel.name not in sig.consts:
+                return False
+        elif not isinstance(n, (Const,) + _CONNECTIVES):
+            return False
+    return True
+
+
+def _packed_countermodel(holds, sig: Signature, b: Bounds,
+                         relvar_domain: str):
+    """The first countermodel of the tree search without premises, for a
+    conjecture in the ColumnSpace fragment: one compile_mask call per frame.
+
+    A frame's valuations are the columns, in the search's leaf order (the
+    constants sorted by name, the first outermost), so the lowest bit where
+    the conjecture fails is the first failing leaf. Only one individual is
+    tried: nothing reads individuals, so the nodes with more repeat the same
+    interpretations.
+    """
+    _check_budget(sig, b)
+    names = sorted(sig.consts)
+    for n in range(1, b.max_worlds + 1):
+        values = range(1 << n)
+        denot = dict(zip(names, product_columns(values, len(names), n)))
+        n_columns = len(values) ** len(names)
+        relspace = full_relspace(1, n) if n <= RELSPACE_LIMIT else ()
+        for R in frames_for(sig.logic, n):
+            space = ColumnSpace(n, R, n_columns, denot)
+            fails = space.all_worlds ^ holds(space, {})
+            if fails:
+                c = ((fails & -fails).bit_length() - 1) // n
+                leaf = column_values(values, len(names), c)
+                return KripkeInterpretation(
+                    sig, n, 1, R, dict(zip(names, leaf)), relspace,
+                    relvar_domain=relvar_domain)
+    return None
 
 
 def minimize_premises(premises, conjecture: Formula, sig: Signature,

@@ -23,8 +23,8 @@ from .signature import LogicTag, Mode, Signature
 
 
 class ProblemFileError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -49,9 +49,13 @@ def _strip(line: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The file's text; a byte that is not UTF-8 is an error naming its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The file's text; a file that cannot be read is an error naming its
+    path, and a byte that is not UTF-8 one naming its line."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise ProblemFileError(f"cannot read {path}: {e.strerror}")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -90,9 +94,12 @@ def parse_problem(text: str) -> Problem:
         elif head == "const":
             try:
                 name, sort_text = [p.strip() for p in rest.split(":", 1)]
-                consts[name] = _parse_sort(sort_text)
+                sort = _parse_sort(sort_text)
             except ValueError:
                 raise ProblemFileError("expected 'const <name> : <sort>'", no)
+            if name in consts:
+                raise ProblemFileError(f"constant {name!r} is declared twice", no)
+            consts[name] = sort
         elif head == "bounds":
             for item in rest.split():
                 key, _, value = item.partition("=")

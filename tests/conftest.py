@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
@@ -86,3 +87,19 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
     body = random_formula(rng, sig, depth - 1, scope + [v],
                           allow_encode, quantifiers)
     return Forall(v, body)
+
+
+def propositional_formulas(atoms, depth=3):
+    """A Hypothesis strategy: formulas over the proposition constants atoms
+    built with the connectives, Box, Diamond and Actually."""
+    leaves = st.sampled_from(
+        [Exemplify(Const(a, PROPOSITION), ()) for a in atoms])
+    if depth == 0:
+        return leaves
+    sub = propositional_formulas(atoms, depth - 1)
+    unary = st.sampled_from([Not, Box, Diamond, Actually])
+    binary = st.sampled_from([Implies, And, Or, Iff, Xor])
+    return st.one_of(
+        leaves,
+        st.builds(lambda op, f: op(f), unary, sub),
+        st.builds(lambda op, f, g: op(f, g), binary, sub, sub))

@@ -265,6 +265,33 @@ class TestValidateLayer:
         finding = next(f for f in report.schema_findings if f.schema == "bogus")
         assert finding.counterexample is not None
 
+    @pytest.mark.parametrize("name, max_worlds, counts", [
+        ("K", 2, {"pl1": 3648, "pl2": 14208, "pl3": 3648, "ax_K": 3648}),
+        ("S5", 3, {"pl1": 2352, "pl2": 15456, "pl3": 2352, "ax_K": 2352,
+                   "ax_T": 408, "ax_5": 408}),
+    ])
+    def test_template_instance_counts(self, name, max_worlds, counts):
+        # one instance per metavariable tuple of realized vectors per model
+        report = validate_layer(make_layer(name), max_worlds=max_worlds)
+        assert {f.schema: f.instances for f in report.schema_findings
+                if f.schema in counts} == counts
+
+    def test_bogus_schema_first_counterexample(self):
+        # the first failing tuple in (model, tuple) order, and its first
+        # false world
+        bogus = Schema("bogus", "template", Implies(P_meta(), Box(P_meta())),
+                       ("p",))
+        base = make_layer("S5")
+        layer = Layer("bad", base.logic, base.mode,
+                      {**base.schemas, "bogus": bogus})
+        report = validate_layer(layer, max_worlds=2)
+        finding = next(f for f in report.schema_findings if f.schema == "bogus")
+        assert finding.instances == 12
+        assert finding.counterexample == (
+            (P,), "|W|=2 R=[(0, 0), (0, 1), (1, 0), (1, 1)] "
+                  "{'p': '0b1', 'q': '0b0'}", 0)
+        assert "rule" not in report.to_text()
+
     def test_k_schemas_on_kb_frames_still_sound(self):
         base = make_layer("K")
         layer = Layer("K-on-KB", LogicTag.KB, Mode.CLASSICAL, base.schemas)

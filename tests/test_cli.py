@@ -171,6 +171,34 @@ def test_first_order_bounds_over_budget_exit_before_search(tmp_path, capsys):
     assert lines[0].startswith("budget exceeded: ")
 
 
+def _one_line_usage_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_directory_is_usage_error():
+    line = _one_line_usage_error(run_module(["check", "problems"]))
+    assert line.startswith("error: cannot read problems: ")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_workers_below_one_is_usage_error(count):
+    line = _one_line_usage_error(
+        run_module(["sat", "problems/kdia.problem", "--workers", count]))
+    assert line.startswith("finmodal sat: error: argument --workers: ")
+
+
+def test_repeated_const_is_usage_error(tmp_path):
+    bad = tmp_path / "twice.problem"
+    bad.write_text("sig classical\nlogic K\nconst p : prop\n"
+                   "const p : rel 1\nconjecture p -> p\n")
+    line = _one_line_usage_error(run_module(["check", str(bad)]))
+    assert line == "error: line 4: constant 'p' is declared twice"
+
+
 def test_unknown_layer_is_usage_error(tmp_path):
     bad = tmp_path / "q.proof"
     bad.write_text("layer Q\npremise 1\n")

@@ -11,16 +11,16 @@ from finmodal.formulas import (
     Xor, beta_normalize,
 )
 from finmodal.kripke import (
-    EvalError, KripkeInterpretation, Validity, compile_mask, compile_world,
-    evaluate, frame_check, frames_for, full_relspace, is_rigid_value,
-    proposition_of, total_access, validity,
+    ColumnSpace, EvalError, KripkeInterpretation, Validity, compile_mask,
+    compile_world, evaluate, frame_check, frames_for, full_relspace,
+    is_rigid_value, product_columns, proposition_of, total_access, validity,
 )
 from finmodal.macros import expand_derived
 from finmodal.modelfind import _MissingBit, _PartialDenot, _PartialTable
 from finmodal.parser import parse_formula
 from finmodal.signature import LogicTag, Mode, Signature
 
-from conftest import random_formula
+from conftest import propositional_formulas, random_formula
 
 
 SIG2 = Signature(Mode.CLASSICAL, LogicTag.K,
@@ -259,6 +259,32 @@ def test_compiled_mask_matches_evaluate(f):
             assert mask >> m.n_worlds == 0
             for w in range(m.n_worlds):
                 assert bool((mask >> w) & 1) == evaluate(g, m, {}, w)
+
+
+SIG3 = Signature(Mode.CLASSICAL, LogicTag.K,
+                 {"p": PROPOSITION, "q": PROPOSITION, "r": PROPOSITION})
+
+
+@settings(max_examples=80, deadline=None)
+@given(propositional_formulas(("p", "q", "r")), st.integers(1, 3), st.data())
+def test_column_space_matches_each_column(f, n, data):
+    worlds = st.integers(0, n - 1)
+    access = frozenset(data.draw(st.sets(st.tuples(worlds, worlds))))
+    actual = data.draw(worlds)
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                min_size=1, max_size=4))
+    names = ("p", "q", "r")
+    space = ColumnSpace(n, access, len(values) ** 3,
+                        dict(zip(names, product_columns(values, 3, n))),
+                        actual)
+    holds = compile_mask(f)
+    mask = holds(space, {})
+    assert mask >> (space.n_columns * n) == 0
+    # the columns in itertools.product's order: the first name outermost
+    for c, column in enumerate(itertools.product(values, repeat=3)):
+        m = KripkeInterpretation(SIG3, n, 1, access, dict(zip(names, column)),
+                                 actual=actual)
+        assert (mask >> (c * n)) & m.all_worlds == holds(m, {})
 
 
 def test_unsupported_constructs_raise_from_both_evaluators():

@@ -5,15 +5,18 @@ import pytest
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1, alpha_equivalent, beta_normalize,
 )
-from finmodal.kripke import compile_world, evaluate, frame_check
+from finmodal.kripke import compile_mask, compile_world, evaluate, frame_check
 from finmodal.macros import expand_derived
 from finmodal.modelfind import (
-    MODEL_BUDGET, Bounds, SearchBoundsError, _search_node, _size_nodes,
-    count_models, decide_sat, enumerate_models, find_countermodel,
-    frame_requirements, minimize_premises,
+    MODEL_BUDGET, Bounds, SearchBoundsError, _run_search, _search_node,
+    _size_nodes, count_models, decide_sat, enumerate_models,
+    find_countermodel, frame_requirements, minimize_premises,
 )
 from finmodal.parser import parse_formula
+from finmodal.problemfile import load_problem
 from finmodal.signature import LogicTag, Mode, Signature
+
+from conftest import propositional_formulas
 
 
 def sig_of(consts, logic=LogicTag.S5TOTAL):
@@ -108,6 +111,86 @@ class TestCountermodels:
         cm = find_countermodel([], parse_formula("p -> p", sig), sig,
                                Bounds(2, 1))
         assert cm is None
+
+
+def _tree_countermodel(conjecture, sig, b, relvar_domain="full"):
+    """The tree search's first countermodel, leaves tested with compile_mask
+    on each complete interpretation."""
+    holds = compile_mask(beta_normalize(expand_derived(conjecture)))
+    model, _ = _run_search((), sig, b,
+                           lambda m: holds(m, {}) != m.all_worlds,
+                           relvar_domain=relvar_domain)
+    return model
+
+
+def _assert_same_model(got, want):
+    if want is None:
+        assert got is None
+        return
+    for field in ("sig", "n_worlds", "n_individuals", "access", "denot",
+                  "relspace", "actual", "relvar_domain"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+class TestPackedCountermodels:
+    """Without premises, over proposition constants, find_countermodel
+    checks each frame's valuations at once; its model is the tree
+    search's."""
+
+    @pytest.mark.parametrize("stem", ["kdia", "s5"])
+    def test_shipped_premise_free_problems(self, stem):
+        problem = load_problem(f"problems/{stem}.problem")
+        assert not problem.premises
+        for conjecture in (problem.conjectures[0],
+                           parse_formula("<>p -> []q", problem.sig)):
+            _assert_same_model(
+                find_countermodel((), conjecture, problem.sig,
+                                  problem.bounds),
+                _tree_countermodel(conjecture, problem.sig, problem.bounds))
+
+    def test_random_conjectures(self):
+        # random formulas substituted into schema shapes: valid instances
+        # make the search exhaust every frame, invalid ones of the modal
+        # shapes need two or three worlds to fail
+        from hypothesis import given, settings, strategies as st
+        from finmodal.abstraction import _template_schemas, instantiate_template
+        from finmodal.formulas import (
+            And, Actually, Box, Diamond, Exemplify, Iff, Implies, Or, Var,
+            subnodes,
+        )
+
+        p, q, r = (Exemplify(Var(n, PROPOSITION), ()) for n in "pqr")
+        shapes = [s.template for s in _template_schemas().values()] + [
+            p, Implies(Diamond(p), Box(p)), Implies(Box(p), Box(Box(p))),
+            Implies(Diamond(Box(p)), Box(Diamond(p))),
+            Iff(Actually(p), Box(Actually(p))),
+            Implies(And(And(Diamond(p), Diamond(q)), Diamond(r)),
+                    Or(Or(Diamond(And(p, q)), Diamond(And(p, r))),
+                       Diamond(And(q, r))))]
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.sampled_from(shapes),
+               st.lists(propositional_formulas(("p", "q", "r"), 2),
+                        min_size=3, max_size=3),
+               st.sampled_from([LogicTag.K, LogicTag.KB, LogicTag.S5TOTAL]),
+               st.integers(1, 3), st.integers(1, 2),
+               st.sets(st.sampled_from(("p", "q", "r"))),
+               st.sampled_from(["full", "rigid"]))
+        def check(shape, subs, logic, max_w, max_d, extra, relvar_domain):
+            f = instantiate_template(shape, dict(zip("pqr", subs)))
+            names = {n.rel.name for n in subnodes(f)
+                     if isinstance(n, Exemplify)} | extra
+            sig = sig_of({n: PROPOSITION for n in names}, logic)
+            b = Bounds(max_worlds=max_w, max_individuals=max_d)
+            if count_models(sig, b) > 70_000:
+                # three constants over K-frames at three worlds: a valid
+                # conjecture costs the tree search seconds
+                b = Bounds(max_worlds=max_w - 1, max_individuals=max_d)
+            _assert_same_model(
+                find_countermodel((), f, sig, b, relvar_domain=relvar_domain),
+                _tree_countermodel(f, sig, b, relvar_domain))
+
+        check()
 
 
 class TestMinimize:
