@@ -688,10 +688,12 @@ def _validate_builtins(schemas, layer: Layer):
     phis = [Sx, Implies(Sx, p), Box(Sx), Forall(y, Implies(Sy, Sx))]
     models = []
     for n_w in (1, 2):
-        R = total_access(n_w) if layer.logic is LogicTag.S5TOTAL else None
-        frames = [total_access(n_w)] if R else [
-            frozenset(), total_access(n_w),
-            frozenset({(0, min(1, n_w - 1))})]
+        if layer.logic is LogicTag.S5TOTAL:
+            frames = [total_access(n_w)]
+        elif n_w == 1:
+            frames = [frozenset(), total_access(1)]
+        else:
+            frames = [frozenset(), total_access(2), frozenset({(0, 1)})]
         for fr in frames:
             for n_d in (1, 2):
                 for sval in range(1 << (n_d * n_w)):

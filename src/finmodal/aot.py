@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
-    Exists, Forall, Formula, Iff, Implies, Lambda, MacroFormula, Not, Or,
-    PrimitiveEq, SOAtom, Term, Var, Xor,
+    Actually, And, Box, Const, Description, Encode, Exemplify, Forall,
+    Formula, Implies, Lambda, MacroFormula, Not, PrimitiveEq, SOAtom, Term,
+    Var,
     beta_normalize, binder_vars, canonical_key, children, subnodes,
 )
 from .macros import expand_derived
@@ -391,9 +391,7 @@ def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
         if key is not None:
             ctx.closed_cache[key] = d
         return d
-    if isinstance(t, (MacroFormula,)):
-        raise AotEvalError(f"cannot interpret {t!r}")
-    return denote_in(beta_normalize(expand_derived(t)), m, a, ctx)
+    raise AotEvalError(f"cannot interpret {t!r}")
 
 
 def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
@@ -520,6 +518,15 @@ def _scan_columns(binder, m: AczelModel, a: dict, ctx: _EvalContext,
         ctx.full_scans -= 1
 
 
+def _higher_domain(var: Var, m: AczelModel):
+    """The values a relation or proposition variable ranges over."""
+    if var.sort == REL1:
+        return m.relspace1
+    if var.sort.kind == "rel" and var.sort.arity == 0:
+        return m.propspace
+    raise AotEvalError(f"no quantification domain at sort {var.sort}")
+
+
 def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
          ctx: _EvalContext) -> int:
     full = ctx.full
@@ -577,14 +584,8 @@ def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
                 a2[var.name] = rep
                 out &= _vec(f.body, x, m, a2, w, ctx)
             return out
-        if var.sort == REL1:
-            dom = m.relspace1
-        elif var.sort.kind == "rel" and var.sort.arity == 0:
-            dom = m.propspace
-        else:
-            raise AotEvalError(f"no quantification domain at sort {var.sort}")
         out = full
-        for val in dom:
+        for val in _higher_domain(var, m):
             a2 = dict(a)
             a2[var.name] = val
             out &= _vec(f.body, x, m, a2, w, ctx)
@@ -672,20 +673,12 @@ def _ev(f: Formula, m: AczelModel, a: dict, w: int, ctx: _EvalContext) -> bool:
                 return True
             finally:
                 ctx.pattern_depth -= 1
-        if var.sort == REL1:
-            dom = m.relspace1
-        elif var.sort.kind == "rel" and var.sort.arity == 0:
-            dom = m.propspace
-        else:
-            raise AotEvalError(f"no quantification domain at sort {var.sort}")
-        for val in dom:
+        for val in _higher_domain(var, m):
             a2 = dict(a)
             a2[var.name] = val
             if not _ev(f.body, m, a2, w, ctx):
                 return False
         return True
-    if isinstance(f, (And, Or, Iff, Xor, Diamond, Exists, MacroFormula)):
-        return _ev(beta_normalize(expand_derived(f)), m, a, w, ctx)
     raise AotEvalError(f"cannot evaluate {f!r}")
 
 

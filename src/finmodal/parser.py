@@ -20,6 +20,12 @@ from .printer import default_sort
 from .signature import Mode, Signature, check_sorts
 
 
+# Deepest nesting a formula may have. Prefix operators, binders, bracketed
+# groups and the links of ->, &, |, <-> and xor chains each count a level;
+# deeper input is a ParseError, raised before the parser recurses past it.
+MAX_DEPTH = 64
+
+
 class ParseError(Exception):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
@@ -68,11 +74,17 @@ def lex(text: str) -> list:
 
 
 class _Parser:
+    # How tightly each binary connective binds, and the node it builds.
+    BINARY = {"<->": (1, Iff), "xor": (1, Xor), "->": (2, Implies),
+              "|": (3, Or), "&": (4, And)}
+
     def __init__(self, tokens: list, sig: Signature):
         self.toks = tokens
         self.i = 0
         self.sig = sig
         self.scopes: list = []
+        self.depth = 0
+        self.peak = 0
 
     # -- token plumbing
 
@@ -99,6 +111,22 @@ class _Parser:
     def fail(self, msg: str):
         raise ParseError(msg, self.peek().pos)
 
+    def nested(self, parse, *args):
+        """parse(*args) one nesting level deeper."""
+        self.depth += 1
+        if self.depth > self.peak:
+            self.reach(self.depth)
+        out = parse(*args)
+        self.depth -= 1
+        return out
+
+    def reach(self, level: int):
+        """Raise peak, the deepest level the formula nests to, to level,
+        failing past MAX_DEPTH."""
+        if level > MAX_DEPTH:
+            self.fail(f"formula nested deeper than {MAX_DEPTH} levels")
+        self.peak = level
+
     # -- scoping
 
     def lookup(self, name: str):
@@ -109,52 +137,47 @@ class _Parser:
 
     # -- grammar
 
-    def formula(self) -> Formula:
-        left = self.impl()
-        while self.peek().kind in ("<->", "xor"):
-            op = self.next().kind
-            right = self.impl()
-            left = Iff(left, right) if op == "<->" else Xor(left, right)
-        return left
-
-    def impl(self) -> Formula:
-        left = self.orf()
-        if self.accept("->"):
-            return Implies(left, self.impl())
-        return left
-
-    def orf(self) -> Formula:
-        left = self.andf()
-        while self.accept("|"):
-            left = Or(left, self.andf())
-        return left
-
-    def andf(self) -> Formula:
+    def formula(self, floor: int = 0) -> Formula:
+        """Unary formulas joined by the connectives that bind more tightly
+        than floor, by precedence climbing. A connective puts its operands
+        one level deeper, so a chain's depth is checked where it ends; ->
+        chains nest to the right, and their links are counted as parsed."""
+        base, outer = self.depth, self.peak
+        self.peak = base
         left = self.unary()
-        while self.accept("&"):
-            left = And(left, self.unary())
+        height = self.peak - base
+        while True:
+            op = self.peek().kind
+            binds, node = self.BINARY.get(op, (0, None))
+            if binds <= floor:
+                break
+            self.next()
+            self.peak = base
+            if op == "->":
+                right = self.nested(self.formula, binds - 1)
+                height = max(height + 1, self.peak - base)
+            else:
+                right = self.formula(binds)
+                height = max(height, self.peak - base) + 1
+            left = node(left, right)
+        self.peak = outer
+        if base + height > outer:
+            self.reach(base + height)
         return left
 
     def unary(self) -> Formula:
         t = self.peek()
-        if t.kind == "~":
+        if t.kind in ("~", "[]", "<>", "@"):
             self.next()
-            return Not(self.unary())
-        if t.kind == "[]":
-            self.next()
-            return Box(self.unary())
-        if t.kind == "<>":
-            self.next()
-            return Diamond(self.unary())
-        if t.kind == "@":
-            self.next()
-            return Actually(self.unary())
+            body = self.nested(self.unary)
+            return {"~": Not, "[]": Box, "<>": Diamond,
+                    "@": Actually}[t.kind](body)
         if t.kind in ("all", "exists"):
             self.next()
             v = self.binder_decl()
             self.expect("(")
             self.scopes.append({v.name: v})
-            body = self.formula()
+            body = self.nested(self.formula)
             self.scopes.pop()
             self.expect(")")
             return Forall(v, body) if t.kind == "all" else Exists(v, body)
@@ -186,7 +209,7 @@ class _Parser:
                 head = self.primary_term()
                 return self.app_tail(head)
             self.next()
-            f = self.formula()
+            f = self.nested(self.formula)
             self.expect(")")
             return f
         if t.kind in ("name", "[\\"):
@@ -263,7 +286,7 @@ class _Parser:
             v = Var(self.expect("name").text, INDIVIDUAL)
             self.expect(":")
             self.scopes.append({v.name: v})
-            body = self.formula()
+            body = self.nested(self.formula)
             self.scopes.pop()
             self.expect(")")
             return Description(v, body)
@@ -277,7 +300,7 @@ class _Parser:
         while self.accept("\\"):
             params.append(Var(self.expect("name").text, INDIVIDUAL))
         self.scopes.append({p.name: p for p in params})
-        body = self.formula()
+        body = self.nested(self.formula)
         self.scopes.pop()
         self.expect("]")
         return Lambda(tuple(params), body)
@@ -287,7 +310,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "(" and self.peek(1).kind != "the":
             self.next()
-            inner = self.term()
+            inner = self.nested(self.term)
             self.expect(")")
             return inner
         return self.primary_term()

@@ -14,7 +14,7 @@ from .abstraction import (
 )
 from .aot import AczelConfig
 from .formulas import (
-    INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation, Var,
+    INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation, Var, free_names,
 )
 from .modelfind import Bounds
 from .parser import ParseError, parse_formula, parse_term
@@ -104,7 +104,7 @@ def parse_problem(text: str) -> Problem:
             for item in rest.split():
                 key, _, value = item.partition("=")
                 names = {"worlds": "max_worlds", "individuals": "max_individuals",
-                         "relspace": "relspace_cap", "nesting": "quantifier_nesting"}
+                         "relspace": "relspace_cap"}
                 if key not in names:
                     raise ProblemFileError(f"unknown bound {key!r}", no)
                 if not (value.isdecimal() and int(value) >= 1):
@@ -132,6 +132,10 @@ def parse_problem(text: str) -> Problem:
             f = parse_formula(text_f, sig)
         except (ParseError, Exception) as e:
             raise ProblemFileError(str(e), no)
+        names = free_names(f)
+        if names:
+            raise ProblemFileError(
+                f"{kind} has free variables: {', '.join(sorted(names))}", no)
         (premises if kind == "premise" else conjectures).append(f)
     return Problem(sig, premises, conjectures, Bounds(**bounds_kw),
                    expectation, relvar_domain)

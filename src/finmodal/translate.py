@@ -15,7 +15,9 @@ from .formulas import (
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, Not, Var,
     beta_normalize,
 )
-from .kripke import EvalError, KripkeInterpretation, frames_for
+from .kripke import (
+    EvalError, KripkeInterpretation, column_values, frames_for, product_columns,
+)
 from .macros import expand_derived
 from .signature import LogicTag
 
@@ -290,7 +292,10 @@ def exhaustive_agreement(max_depth: int = 3, max_worlds: int = 3,
     for n_worlds in range(1, max_worlds + 1):
         frames = frames_for(LogicTag.K, n_worlds)
         vals = range(1 << n_worlds)
-        models = [(R, pv, qv) for R in frames for pv in vals for qv in vals]
+        n_vals = len(vals) ** len(atoms)
+        # (frame, value of each atom), the first atom outermost
+        models = [(R, *column_values(vals, len(atoms), c))
+                  for R in frames for c in range(n_vals)]
         report.n_models += len(models)
         report.n_pairs += len(models) * len(formulas)
 
@@ -303,22 +308,20 @@ def exhaustive_agreement(max_depth: int = 3, max_worlds: int = 3,
                 mask |= 1 << (mi * n_worlds + w)
             slot.append(mask)
 
-        atom_cols = {a: 0 for a in atoms}
-        for mi, (R, pv, qv) in enumerate(models):
-            per = {"p": pv, "q": qv}
-            for w in range(n_worlds):
-                for a in atoms:
-                    if (per[a] >> w) & 1:
-                        atom_cols[a] |= 1 << (mi * n_worlds + w)
+        # one frame's valuation columns, repeated for every frame
+        per_frame = n_vals * n_worlds
+        repeat = sum(1 << (i * per_frame) for i in range(len(frames)))
+        atom_cols = {a: word * repeat for a, word in zip(
+            atoms, product_columns(vals, len(atoms), n_worlds))}
 
         # edge[w][v]: bit at column (m, w) iff R_m(w, v)
         edge = [[0] * n_worlds for _ in range(n_worlds)]
-        for mi, (R, _, _) in enumerate(models):
+        for mi, (R, *_) in enumerate(models):
             for (w, v) in R:
                 edge[w][v] |= 1 << (mi * n_worlds + w)
         # edge_at[s1][s2]: bit at every column of model m iff R_m(s1, s2)
         edge_at = [[0] * n_worlds for _ in range(n_worlds)]
-        for mi, (R, _, _) in enumerate(models):
+        for mi, (R, *_) in enumerate(models):
             stamp = ((1 << n_worlds) - 1) << (mi * n_worlds)
             for (s1, s2) in R:
                 edge_at[s1][s2] |= stamp

@@ -276,6 +276,18 @@ class TestValidateLayer:
         assert {f.schema: f.instances for f in report.schema_findings
                 if f.schema in counts} == counts
 
+    @pytest.mark.parametrize("name, counts", [
+        ("K", {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472}),
+        ("KB", {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472}),
+        ("S5", {"inst": 1312, "dist": 1472, "vac": 256, "eq_refl": 164}),
+        ("AOT", {"inst": 1312, "dist": 1472, "vac": 256, "eq_sub": 0}),
+    ])
+    def test_builtin_instance_counts(self, name, counts):
+        # one check per (instance, model, assignment), each test frame once
+        report = validate_layer(make_layer(name), max_worlds=1)
+        assert {f.schema: f.instances for f in report.schema_findings
+                if f.schema in counts} == counts
+
     def test_bogus_schema_first_counterexample(self):
         # the first failing tuple in (model, tuple) order, and its first
         # false world

@@ -9,6 +9,7 @@ import pytest
 
 import finmodal
 from finmodal.cli import run
+from finmodal.parser import MAX_DEPTH
 
 
 def run_cli(argv, capsys):
@@ -83,12 +84,13 @@ def test_reports_are_stable_across_runs(capsys):
     assert first == second
 
 
-def test_corpus_single_variant(tmp_path, capsys):
-    code, out = run_cli(["corpus", "scott", "--outdir", str(tmp_path)],
+@pytest.mark.parametrize("name", ["goedel", "scott", "anderson", "fitting"])
+def test_corpus_single_variant(name, tmp_path, capsys):
+    code, out = run_cli(["corpus", name, "--outdir", str(tmp_path)],
                         capsys)
     assert code == 0
-    report = (tmp_path / "scott.report.txt").read_text()
-    golden = open("golden/corpus/scott.report.txt").read()
+    report = (tmp_path / f"{name}.report.txt").read_text()
+    golden = open(f"golden/corpus/{name}.report.txt").read()
     assert report == golden
 
 
@@ -113,15 +115,17 @@ def run_module(argv, timeout=60):
 
 @pytest.mark.parametrize("command", ["sat", "check"])
 def test_bound_below_one_is_usage_error(tmp_path, command):
-    bad = tmp_path / "w0.problem"
-    bad.write_text("sig classical\nlogic K\nconst p : prop\n"
-                   "bounds worlds=0 individuals=1\nconjecture p -> p\n")
-    proc = run_module([command, str(bad)])
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: line 4:")
+    # a value below 1, and a key that names no bound
+    for bounds in ("worlds=0 individuals=1", "nesting=2"):
+        bad = tmp_path / "w0.problem"
+        bad.write_text("sig classical\nlogic K\nconst p : prop\n"
+                       f"bounds {bounds}\nconjecture p -> p\n")
+        proc = run_module([command, str(bad)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: line 4:")
 
 
 def test_empty_sort_is_usage_error(tmp_path):
@@ -184,11 +188,59 @@ def test_directory_is_usage_error():
     assert line.startswith("error: cannot read problems: ")
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_workers_below_one_is_usage_error(count):
-    line = _one_line_usage_error(
-        run_module(["sat", "problems/kdia.problem", "--workers", count]))
-    assert line.startswith("finmodal sat: error: argument --workers: ")
+@pytest.mark.parametrize("argv", [
+    ["sat", "problems/kdia.problem"],
+    ["prove", "problems/s5.problem", "proofs/kdia.proof"],
+    ["corpus", "scott"]], ids=["sat", "prove", "corpus"])
+def test_workers_is_unrecognized(argv):
+    # the search runs in one thread, so no subcommand takes --workers
+    line = _one_line_usage_error(run_module([*argv, "--workers", "2"]))
+    assert "unrecognized arguments" in line
+
+
+@pytest.mark.parametrize("command, lines, error", [
+    ("check", "conjecture p -> F x",
+     "line 4: conjecture has free variables: F, x"),
+    ("sat", "conjecture p -> F x",
+     "line 4: conjecture has free variables: F, x"),
+    ("sat", "expect valid\nconjecture p -> F x",
+     "line 5: conjecture has free variables: F, x"),
+    ("sat", "premise all x (F x) | F y",
+     "line 4: premise has free variables: F, y"),
+], ids=["check", "sat", "sat-expect-valid", "premise"])
+def test_free_variables_are_usage_error(tmp_path, command, lines, error):
+    bad = tmp_path / "free.problem"
+    bad.write_text(f"sig classical\nlogic K\nconst p : prop\n{lines}\n")
+    line = _one_line_usage_error(run_module([command, str(bad)]))
+    assert line == f"error: {error}"
+
+
+def _nested(shape, n):
+    """A formula n levels deep, of one shape."""
+    if shape in ("&", "->"):
+        return f" {shape} ".join(["p"] * (n + 1))
+    if shape == "()":
+        return "(" * n + "p" + ")" * n
+    return shape * n + "p"
+
+
+@pytest.mark.parametrize("shape", ["~", "[]", "<>", "&", "->", "()"])
+def test_nesting_limit(tmp_path, shape):
+    deep = tmp_path / "deep.problem"
+
+    def sat(n):
+        deep.write_text("sig classical\nlogic K\nconst p : prop\n"
+                        "bounds worlds=2 individuals=1\n"
+                        f"premise {_nested(shape, n)}\n")
+        return run_module(["sat", str(deep)])
+
+    proc = sat(MAX_DEPTH)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("verdict: sat")
+    for n in (MAX_DEPTH + 1, 5000):
+        line = _one_line_usage_error(sat(n))
+        assert line.startswith("error: line 5: formula nested deeper than "
+                               f"{MAX_DEPTH} levels")
 
 
 def test_repeated_const_is_usage_error(tmp_path):

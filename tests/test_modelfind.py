@@ -349,10 +349,9 @@ class TestPruning:
         b = Bounds(2, 2)
         premises_n = [beta_normalize(expand_derived(p))
                       for p in ps.formulas()]
-        size_nodes = list(_size_nodes(ps.sig, b, ps.formulas(),
-                                      ps.relvar_domain))
+        size_nodes = list(_size_nodes(ps.sig, b, ps.formulas()))
         assert len(size_nodes) == nodes
-        assert sum(_search_node(node, ps.sig, b, premises_n, None, False,
+        assert sum(_search_node(node, ps.sig, premises_n, None, False,
                                 ps.relvar_domain)[2]
                    for node in size_nodes) == leaves
         assert calls[0] == evaluations

@@ -170,6 +170,14 @@ class TestStandardTranslation:
         assert rep.n_formulas == 182
         assert rep.n_models == 8 + 256
 
+    @pytest.mark.parametrize("atoms, n_models", [
+        (("p",), 68), (("a", "b"), 264), (("p", "q", "r"), 1040)])
+    def test_exhaustive_agreement_any_atoms(self, atoms, n_models):
+        # one valuation column per atom, the first atom outermost
+        rep = exhaustive_agreement(max_depth=2, max_worlds=2, atoms=atoms)
+        assert rep.ok
+        assert rep.n_models == n_models
+
     def test_diamond_goes_through_expansion(self):
         f = parse_formula("<>q", SIG)
         mt = standard_translation(f)
