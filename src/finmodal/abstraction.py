@@ -644,8 +644,8 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
             s = template_schemas[i]
             k = len(s.metavars)
             if k not in spaces:
-                spaces[k] = (ColumnSpace(m.n_worlds, m.access, len(values) ** k,
-                                         {}, m.actual),
+                spaces[k] = (ColumnSpace(m.n_worlds, (m.access,),
+                                         len(values) ** k, {}, m.actual),
                              product_columns(values, k, m.n_worlds))
             space, words = spaces[k]
             fails = space.all_worlds ^ holds[i](space, dict(zip(s.metavars, words)))

@@ -8,25 +8,35 @@ accessibility successors otherwise.
 
 `evaluate` walks the formula at one world and stops at the first subformula
 that settles it. It is the reference the other two are tested against, and
-the path for one-off calls. `compile_world` turns a formula into closures
-once; each call makes the same reads as `evaluate`, in the same order, and
-stops at the same point. Model search runs it on partially assigned
-interpretations, where the denotation bit an evaluation stops on decides
-which bit a premise instance waits for. `compile_mask` also compiles once,
-but each call returns the mask of all the worlds where the formula holds,
-with Box, Diamond and Actually left to the interpretation's `box`,
-`diamond` and `actually`. It serves complete interpretations.
+the path for one-off calls, and it takes the full language, derived
+connectives and macros included. The two compilers take only the primitive
+language, what `beta_normalize(expand_derived(f))` returns: atoms, Not,
+Implies, Box, Actually, Forall and lambda terms. A derived node (And, Or,
+Iff, Xor, Diamond, Exists or a macro) raises EvalError when the compiled
+closure is called.
+
+`compile_world` turns a formula into closures once; each call makes the
+same reads as `evaluate`, in the same order, and stops at the same point.
+Model search runs it on partially assigned interpretations, where the
+denotation bit an evaluation stops on decides which bit a premise instance
+waits for. `compile_mask` also compiles once, but each call returns the
+mask of all the worlds where the formula holds, with Box and Actually left
+to the interpretation's `box` and `actually`. It serves complete
+interpretations.
 
 A `ColumnSpace` lets one `compile_mask` call check many complete
-interpretations of one frame at once: C columns, each a valuation of the
-proposition constants or variables, with bit c * n_worlds + w meaning
-"column c at world w". Box at world w is the AND, over the successors v of
-w, of the masks shifted from slot v to slot w; Diamond is the OR; Actually
-spreads each column's bit at the actual world to all its worlds. It
-covers the propositional modal fragment: 0-place atoms, the connectives,
-Box, Diamond and Actually. Premise-free countermodel search puts the
-valuations of a frame in its columns, and layer validation the
-metavariable tuples of a model; `product_columns` lays either out.
+interpretations at once: C columns, each a valuation of the proposition
+constants or variables, with bit c * n_worlds + w meaning "column c at
+world w". The columns fall into equal consecutive blocks, one per frame,
+and each column is read over its block's frame. Box at world w is the AND,
+over the edges w -> v, of the masks shifted from slot v to slot w, in the
+columns whose frame has that edge; Actually spreads each column's bit at
+the actual world to all its worlds. It covers the propositional modal
+fragment: 0-place atoms, Not, Implies, Box and Actually. Premise-free
+countermodel search gives it one frame and that frame's valuations as
+columns, layer validation one model's frame and its metavariable tuples;
+`product_columns` lays either out. The standard-translation cross-check
+gives it every K frame of a world count, one block each.
 """
 
 from __future__ import annotations
@@ -155,15 +165,6 @@ class KripkeInterpretation:
             bit <<= 1
         return out
 
-    def diamond(self, x: int) -> int:
-        """The worlds with a successor in x."""
-        out, bit = 0, 1
-        for s in self.successor_masks:
-            if s & x:
-                out |= bit
-            bit <<= 1
-        return out
-
     def actually(self, x: int) -> int:
         """Every world when x holds at the actual world, else none."""
         return self.all_worlds if (x >> self.actual) & 1 else 0
@@ -176,11 +177,13 @@ def _repunit(period: int, count: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ColumnSpace:
-    """n_columns complete interpretations over one frame, for compile_mask:
-    bit c * n_worlds + w of a mask is column c at world w, and denot maps
-    each proposition constant to its column word."""
+    """n_columns complete interpretations for compile_mask: bit
+    c * n_worlds + w of a mask is column c at world w, and denot maps each
+    proposition constant to its column word. The columns split into
+    len(frames) equal consecutive blocks, and block i is read over the
+    accessibility relation frames[i]."""
     n_worlds: int
-    access: frozenset
+    frames: tuple
     n_columns: int
     denot: dict
     actual: int = 0
@@ -196,29 +199,33 @@ class ColumnSpace:
         return tuple(first << w for w in range(self.n_worlds))
 
     @cached_property
-    def successor_lists(self) -> tuple:
-        n = self.n_worlds
-        return tuple(tuple(v for v in range(n) if (w, v) in self.access)
-                     for w in range(n))
+    def edges(self) -> tuple:
+        """(w, v, off) for each edge w -> v of some frame: off has every bit
+        set except slot w of the columns whose frame has the edge."""
+        n, per_block = self.n_worlds, self.n_columns // len(self.frames)
+        block = self.slots[0] & ((1 << (per_block * n)) - 1)  # slot 0, block 0
+        on = {}  # edge -> its slot in the blocks whose frame has it
+        for i, R in enumerate(self.frames):
+            first = block << (i * per_block * n)
+            for e in R:
+                on[e] = on.get(e, 0) | first << e[0]
+        return tuple((w, v, self.all_worlds ^ mask)
+                     for (w, v), mask in on.items())
 
     def box(self, x: int) -> int:
-        slots, out = self.slots, 0
-        for w, succ in enumerate(self.successor_lists):
-            acc = slots[w]
-            for v in succ:
-                acc &= (x & slots[v]) >> v << w
-            out |= acc
+        """In each column, the worlds all of whose successors in the
+        column's frame lie in x."""
+        slots, out = self.slots, self.all_worlds
+        for w, v, off in self.edges:
+            out &= ((x & slots[v]) >> v << w) | off
         return out
 
-    def diamond(self, x: int) -> int:
-        slots, out = self.slots, 0
-        for w, succ in enumerate(self.successor_lists):
-            for v in succ:
-                out |= (x & slots[v]) >> v << w
-        return out
+    def spread(self, x: int, s: int) -> int:
+        """Each column's bit at world s, copied to all of its worlds."""
+        return ((x >> s) & self.slots[0]) * ((1 << self.n_worlds) - 1)
 
     def actually(self, x: int) -> int:
-        return ((x >> self.actual) & self.slots[0]) * ((1 << self.n_worlds) - 1)
+        return self.spread(x, self.actual)
 
 
 def product_columns(values, k: int, n_worlds: int) -> list:
@@ -400,8 +407,6 @@ def _compile_term(t: Term, lambda_term):
             except KeyError:
                 raise EvalError(f"uninterpreted constant {name!r}")
         return const
-    if isinstance(t, MacroTerm):
-        return _compile_term(expand_derived(t), lambda_term)
     if isinstance(t, Lambda):
         if len(t.params) <= 1:
             return lambda_term(t)
@@ -442,13 +447,14 @@ def _world_lambda(t: Lambda):
 
 
 def compile_world(f: Formula):
-    """f compiled once into fn(m, a, w) == evaluate(f, m, a, w).
+    """f, in the primitive language, compiled once into
+    fn(m, a, w) == evaluate(f, m, a, w).
 
     fn reads the interpretation and the assignment exactly as evaluate does,
     in the same order, and stops where evaluate stops, so on a partially
     assigned interpretation it raises at the same missing entry. Constructs
-    evaluate cannot interpret raise the same EvalError, when fn is called
-    rather than when it is built.
+    evaluate cannot interpret raise the same EvalError, and derived ones an
+    EvalError naming them, when fn is called rather than when it is built.
     """
     if isinstance(f, Exemplify):
         rel = _compile_term(f.rel, _world_lambda)
@@ -491,17 +497,9 @@ def compile_world(f: Formula):
     if isinstance(f, Not):
         body = compile_world(f.body)
         return lambda m, a, w: not body(m, a, w)
-    if isinstance(f, (Implies, And, Or, Iff, Xor)):
+    if isinstance(f, Implies):
         left, right = compile_world(f.left), compile_world(f.right)
-        if isinstance(f, Implies):
-            return lambda m, a, w: (not left(m, a, w)) or right(m, a, w)
-        if isinstance(f, And):
-            return lambda m, a, w: left(m, a, w) and right(m, a, w)
-        if isinstance(f, Or):
-            return lambda m, a, w: left(m, a, w) or right(m, a, w)
-        if isinstance(f, Iff):
-            return lambda m, a, w: left(m, a, w) == right(m, a, w)
-        return lambda m, a, w: left(m, a, w) != right(m, a, w)
+        return lambda m, a, w: (not left(m, a, w)) or right(m, a, w)
     if isinstance(f, Box):
         body = compile_world(f.body)
 
@@ -511,42 +509,21 @@ def compile_world(f: Formula):
                     return False
             return True
         return box
-    if isinstance(f, Diamond):
-        body = compile_world(f.body)
-
-        def diamond(m, a, w):
-            for v in m.successor_lists[w]:
-                if body(m, a, v):
-                    return True
-            return False
-        return diamond
     if isinstance(f, Actually):
         body = compile_world(f.body)
         return lambda m, a, w: body(m, a, m.actual)
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, Forall):
         domain, name, body = _domain_of(f.var), f.var.name, compile_world(f.body)
-        if isinstance(f, Forall):
-            def forall(m, a, w):
-                dom = domain(m)
-                inner = dict(a)
-                for val in dom:
-                    inner[name] = val
-                    if not body(m, inner, w):
-                        return False
-                return True
-            return forall
 
-        def exists(m, a, w):
+        def forall(m, a, w):
             dom = domain(m)
             inner = dict(a)
             for val in dom:
                 inner[name] = val
-                if body(m, inner, w):
-                    return True
-            return False
-        return exists
-    if isinstance(f, MacroFormula):
-        return compile_world(expand_derived(f))
+                if not body(m, inner, w):
+                    return False
+            return True
+        return forall
     return _raiser(f"cannot evaluate {f!r}")
 
 
@@ -571,14 +548,15 @@ def _mask_lambda(t: Lambda):
 
 
 def compile_mask(f: Formula):
-    """f compiled once into fn(m, a): the mask of the worlds of m where f
-    holds under the assignment a, so bit w of fn(m, a) is
-    evaluate(f, m, a, w). On a ColumnSpace m, for a formula of its
-    fragment, bit c * m.n_worlds + w is that bit in column c, where a maps
-    proposition variables to column words.
+    """f, in the primitive language, compiled once into fn(m, a): the
+    mask of the worlds of m where f holds under the assignment a, so bit w
+    of fn(m, a) is evaluate(f, m, a, w). On a ColumnSpace m, for a formula
+    of its fragment, bit c * m.n_worlds + w is that bit in column c, where
+    a maps proposition variables to column words.
 
-    Constructs evaluate cannot interpret raise the same EvalError, when fn
-    is called rather than when it is built.
+    Constructs evaluate cannot interpret raise the same EvalError, and
+    derived ones an EvalError naming them, when fn is called rather than
+    when it is built.
     """
     if isinstance(f, Exemplify):
         rel = _compile_term(f.rel, _mask_lambda)
@@ -619,32 +597,9 @@ def compile_mask(f: Formula):
             x = left(m, a)
             return m.all_worlds if not x else (m.all_worlds ^ x) | right(m, a)
         return implies
-    if isinstance(f, And):
-        left, right = compile_mask(f.left), compile_mask(f.right)
-
-        def conj(m, a):
-            x = left(m, a)
-            return x & right(m, a) if x else 0
-        return conj
-    if isinstance(f, Or):
-        left, right = compile_mask(f.left), compile_mask(f.right)
-
-        def disj(m, a):
-            x = left(m, a)
-            return x if x == m.all_worlds else x | right(m, a)
-        return disj
-    if isinstance(f, Iff):
-        left, right = compile_mask(f.left), compile_mask(f.right)
-        return lambda m, a: m.all_worlds ^ left(m, a) ^ right(m, a)
-    if isinstance(f, Xor):
-        left, right = compile_mask(f.left), compile_mask(f.right)
-        return lambda m, a: left(m, a) ^ right(m, a)
     if isinstance(f, Box):
         body = compile_mask(f.body)
         return lambda m, a: m.box(body(m, a))
-    if isinstance(f, Diamond):
-        body = compile_mask(f.body)
-        return lambda m, a: m.diamond(body(m, a))
     if isinstance(f, Actually):
         body = compile_mask(f.body)
         return lambda m, a: m.actually(body(m, a))
@@ -661,21 +616,6 @@ def compile_mask(f: Formula):
                     break
             return out
         return forall
-    if isinstance(f, Exists):
-        domain, name, body = _domain_of(f.var), f.var.name, compile_mask(f.body)
-
-        def exists(m, a):
-            inner = dict(a)
-            out = 0
-            for val in domain(m):
-                inner[name] = val
-                out |= body(m, inner)
-                if out == m.all_worlds:
-                    break
-            return out
-        return exists
-    if isinstance(f, MacroFormula):
-        return compile_mask(expand_derived(f))
     return _raiser(f"cannot evaluate {f!r}")
 
 

@@ -16,9 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .formulas import (
-    INDIVIDUAL, PROPOSITION, Actually, And, Box, Const, Diamond, Exemplify,
-    Formula, Forall, Iff, Implies, Not, Or, Var, Xor, beta_normalize,
-    free_vars, subnodes,
+    INDIVIDUAL, PROPOSITION, Actually, Box, Const, Exemplify, Formula,
+    Forall, Implies, Not, Var, beta_normalize, free_vars, subnodes,
 )
 from .kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, compile_mask, compile_world,
@@ -467,13 +466,13 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     return model
 
 
-_CONNECTIVES = (Not, Implies, And, Or, Iff, Xor, Box, Diamond, Actually)
+_CONNECTIVES = (Not, Implies, Box, Actually)
 
 
 def _propositional(sig: Signature, f: Formula) -> bool:
     """Whether sig is classical with proposition constants only, and f is
-    built from them by the connectives, Box, Diamond and Actually: the
-    fragment a ColumnSpace evaluates."""
+    built from them by Not, Implies, Box and Actually: the fragment a
+    ColumnSpace evaluates."""
     if sig.mode is not Mode.CLASSICAL or any(
             s != PROPOSITION for s in sig.consts.values()):
         return False
@@ -506,7 +505,7 @@ def _packed_countermodel(holds, sig: Signature, b: Bounds,
         n_columns = len(values) ** len(names)
         relspace = full_relspace(1, n) if n <= RELSPACE_LIMIT else ()
         for R in frames_for(sig.logic, n):
-            space = ColumnSpace(n, R, n_columns, denot)
+            space = ColumnSpace(n, (R,), n_columns, denot)
             fails = space.all_worlds ^ holds(space, {})
             if fails:
                 c = ((fails & -fails).bit_length() - 1) // n

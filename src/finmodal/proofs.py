@@ -187,20 +187,6 @@ class ScriptBuilder:
         na = self.reductio(Not(a), derive)        # ~~a
         return self.mp(na, self.dne(a))
 
-    def and_elim_r(self, i: int) -> int:
-        """~(a -> ~b)  gives  b."""
-        impl = self.formula(i).body
-        a, nb = impl.left, impl.right
-        b = nb.body
-
-        def derive(bb, h):
-            x = bb.ax("pl1", p=Not(b), q=a)
-            m = bb.mp(h, x)                       # a -> ~b
-            return m, i
-
-        nb2 = self.reductio(Not(b), derive)       # ~~b
-        return self.mp(nb2, self.dne(b))
-
 
 # ---------------------------------------------------------------------------
 # The K-diamond lemma

@@ -16,7 +16,8 @@ from .formulas import (
     beta_normalize,
 )
 from .kripke import (
-    EvalError, KripkeInterpretation, column_values, frames_for, product_columns,
+    ColumnSpace, EvalError, KripkeInterpretation, column_values, compile_mask,
+    frames_for, product_columns,
 )
 from .macros import expand_derived
 from .signature import LogicTag
@@ -243,10 +244,11 @@ def export_first_order(schema: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Exhaustive agreement between evaluation and the translation
 #
-# Both sides are computed over packed bit columns (one bit per model/world
-# pair) so the full space of K models with up to three worlds stays cheap.
-# The recursion shapes differ: evaluation gathers over accessibility
-# successors, while the meta side expands its explicit world quantifiers.
+# Both sides are computed over one ColumnSpace per world count, a column
+# per (K frame, valuation), so the full space of K models with up to three
+# worlds stays cheap. The evaluation side is compile_mask itself, which
+# gathers over each column's edges; the meta side expands its explicit
+# world quantifiers over the space's slots.
 
 @dataclass
 class AgreementReport:
@@ -287,120 +289,68 @@ def exhaustive_agreement(max_depth: int = 3, max_worlds: int = 3,
     report = AgreementReport()
     formulas = generate_formulas(atoms, max_depth)
     report.n_formulas = len(formulas)
-    metas = {id(f): standard_translation(f) for f in formulas}
 
+    spaces = []
     for n_worlds in range(1, max_worlds + 1):
-        frames = frames_for(LogicTag.K, n_worlds)
+        frames = tuple(frames_for(LogicTag.K, n_worlds))
         vals = range(1 << n_worlds)
         n_vals = len(vals) ** len(atoms)
-        # (frame, value of each atom), the first atom outermost
-        models = [(R, *column_values(vals, len(atoms), c))
-                  for R in frames for c in range(n_vals)]
-        report.n_models += len(models)
-        report.n_pairs += len(models) * len(formulas)
-
-        n_cols = len(models) * n_worlds
-        full = (1 << n_cols) - 1
-        slot = []
-        for w in range(n_worlds):
-            mask = 0
-            for mi in range(len(models)):
-                mask |= 1 << (mi * n_worlds + w)
-            slot.append(mask)
-
-        # one frame's valuation columns, repeated for every frame
+        # one frame's valuation columns, the first atom outermost, repeated
+        # for every frame
         per_frame = n_vals * n_worlds
         repeat = sum(1 << (i * per_frame) for i in range(len(frames)))
-        atom_cols = {a: word * repeat for a, word in zip(
+        denot = {a: word * repeat for a, word in zip(
             atoms, product_columns(vals, len(atoms), n_worlds))}
+        space = ColumnSpace(n_worlds, frames, len(frames) * n_vals, denot)
+        spaces.append(space)
+        report.n_models += space.n_columns
+        report.n_pairs += space.n_columns * len(formulas)
 
-        # edge[w][v]: bit at column (m, w) iff R_m(w, v)
-        edge = [[0] * n_worlds for _ in range(n_worlds)]
-        for mi, (R, *_) in enumerate(models):
-            for (w, v) in R:
-                edge[w][v] |= 1 << (mi * n_worlds + w)
-        # edge_at[s1][s2]: bit at every column of model m iff R_m(s1, s2)
-        edge_at = [[0] * n_worlds for _ in range(n_worlds)]
-        for mi, (R, *_) in enumerate(models):
-            stamp = ((1 << n_worlds) - 1) << (mi * n_worlds)
-            for (s1, s2) in R:
-                edge_at[s1][s2] |= stamp
-
-        def spread_slot(x: int, s: int) -> int:
-            base = (x & slot[s]) >> s
-            out = 0
-            for w in range(n_worlds):
-                out |= base << w
-            return out
-
-        memo: dict = {}
-
-        def evec(f: Formula) -> int:
-            key = id(f)
-            if key in memo:
-                return memo[key]
-            if isinstance(f, Exemplify):
-                r = atom_cols[f.rel.name]
-            elif isinstance(f, Not):
-                r = full ^ evec(f.body)
-            elif isinstance(f, Implies):
-                r = (full ^ evec(f.left)) | evec(f.right)
-            elif isinstance(f, Actually):
-                r = spread_slot(evec(f.body), 0)
-            elif isinstance(f, Box):
-                b = evec(f.body)
-                r = 0
-                for w in range(n_worlds):
-                    acc = slot[w]
-                    for v in range(n_worlds):
-                        bv = (b & slot[v]) >> v << w
-                        acc &= (full ^ edge[w][v]) | bv
-                    r |= acc & slot[w]
-            else:
-                raise TranslationError(type(f).__name__)
-            memo[key] = r
-            return r
-
-        def mvec(n, env) -> int:
-            # env maps world variables to a slot index, or to None for the
-            # column's own world position.
-            if isinstance(n, MAtom):
-                s = 0 if n.world == ACTUAL else env[n.world]
-                base = atom_cols[n.pred]
-                return base if s is None else spread_slot(base, s)
-            if isinstance(n, MAccess):
-                s1 = 0 if n.w == ACTUAL else env[n.w]
-                s2 = 0 if n.v == ACTUAL else env[n.v]
-                if s1 is None:
-                    return _edge_own(s2)
-                if s2 is None:
-                    raise TranslationError("unexpected access shape")
-                return edge_at[s1][s2]
-            if isinstance(n, MNot):
-                return full ^ mvec(n.body, env)
-            if isinstance(n, MImplies):
-                return (full ^ mvec(n.left, env)) | mvec(n.right, env)
-            if isinstance(n, MForallWorld):
-                out = full
-                for s in range(n_worlds):
-                    out &= mvec(n.body, {**env, n.var: s})
-                return out
-            raise TranslationError(type(n).__name__)
-
-        def _edge_own(s2: int) -> int:
-            out = 0
-            for w in range(n_worlds):
-                out |= edge[w][s2]
-            return out
-
-        for f in formulas:
-            ev = evec(f)
-            mv = mvec(metas[id(f)].body, {metas[id(f)].world: None})
+    for f in formulas:
+        holds = compile_mask(f)
+        meta = standard_translation(f)
+        for space in spaces:
+            ev = holds(space, {})
+            mv = mvec(space, meta.body, {meta.world: None})
             if ev != mv:
                 diff = ev ^ mv
-                pos = (diff & -diff).bit_length() - 1
-                mi, w = divmod(pos, n_worlds)
-                report.mismatches.append((f, n_worlds, models[mi], w))
+                c, w = divmod((diff & -diff).bit_length() - 1, space.n_worlds)
+                i, c = divmod(c, space.n_columns // len(space.frames))
+                vals = range(1 << space.n_worlds)
+                model = (space.frames[i], *column_values(vals, len(atoms), c))
+                report.mismatches.append((f, space.n_worlds, model, w))
                 if len(report.mismatches) > 5:
                     return report
     return report
+
+
+def mvec(space: ColumnSpace, n, env) -> int:
+    """The translation's meta-language term over the columns of space.
+    env maps world variables to a slot index, or to None for the column's
+    own world."""
+    if isinstance(n, MAtom):
+        s = space.actual if n.world == ACTUAL else env[n.world]
+        base = space.denot[n.pred]
+        return base if s is None else space.spread(base, s)
+    if isinstance(n, MAccess):
+        s1 = space.actual if n.w == ACTUAL else env[n.w]
+        s2 = space.actual if n.v == ACTUAL else env[n.v]
+        if s2 is None:
+            raise TranslationError("unexpected access shape")
+        # per w, slot w of the columns whose frame has w -> s2
+        edge = {w: space.all_worlds ^ off
+                for w, v, off in space.edges if v == s2}
+        if s1 is None:
+            return sum(edge.values())
+        return space.spread(edge.get(s1, 0), s1)
+    if isinstance(n, MNot):
+        return space.all_worlds ^ mvec(space, n.body, env)
+    if isinstance(n, MImplies):
+        return (space.all_worlds ^ mvec(space, n.left, env)) \
+            | mvec(space, n.right, env)
+    if isinstance(n, MForallWorld):
+        out = space.all_worlds
+        for s in range(space.n_worlds):
+            out &= mvec(space, n.body, {**env, n.var: s})
+        return out
+    raise TranslationError(type(n).__name__)

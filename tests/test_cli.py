@@ -138,14 +138,6 @@ def test_empty_sort_is_usage_error(tmp_path):
         "error: line 3: expected 'const <name> : <sort>'"]
 
 
-@pytest.mark.parametrize("argv", [["check", "problems/s5.problem"],
-                                  ["aot", "minimal"]])
-def test_workers_only_where_a_search_runs(argv, capsys):
-    code = run([*argv, "--workers", "2"])
-    capsys.readouterr()
-    assert code == 2
-
-
 @pytest.mark.parametrize("argv", [["aot", "minimal"], ["corpus", "scott"]])
 def test_format_only_where_a_report_prints(argv, tmp_path, monkeypatch,
                                            capsys):
@@ -191,7 +183,9 @@ def test_directory_is_usage_error():
 @pytest.mark.parametrize("argv", [
     ["sat", "problems/kdia.problem"],
     ["prove", "problems/s5.problem", "proofs/kdia.proof"],
-    ["corpus", "scott"]], ids=["sat", "prove", "corpus"])
+    ["corpus", "scott"],
+    ["check", "problems/s5.problem"],
+    ["aot", "minimal"]], ids=["sat", "prove", "corpus", "check", "aot"])
 def test_workers_is_unrecognized(argv):
     # the search runs in one thread, so no subcommand takes --workers
     line = _one_line_usage_error(run_module([*argv, "--workers", "2"]))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation,
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
-    Exists, Forall, Iff, Implies, Lambda, Not, Or, PrimitiveEq, SOAtom, Var,
-    Xor, beta_normalize,
+    Exists, Forall, Iff, Implies, Lambda, MacroFormula, Not, Or, PrimitiveEq,
+    SOAtom, Var, Xor, beta_normalize,
 )
 from finmodal.kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, Validity, compile_mask,
@@ -252,13 +252,13 @@ K_MODELS_2 = [
 @settings(max_examples=60, deadline=None)
 @given(modal_formulas())
 def test_compiled_mask_matches_evaluate(f):
-    for g in (f, beta_normalize(expand_derived(f))):
-        holds = compile_mask(g)
-        for m in K_MODELS_2:
-            mask = holds(m, {})
-            assert mask >> m.n_worlds == 0
-            for w in range(m.n_worlds):
-                assert bool((mask >> w) & 1) == evaluate(g, m, {}, w)
+    g = beta_normalize(expand_derived(f))
+    holds = compile_mask(g)
+    for m in K_MODELS_2:
+        mask = holds(m, {})
+        assert mask >> m.n_worlds == 0
+        for w in range(m.n_worlds):
+            assert bool((mask >> w) & 1) == evaluate(g, m, {}, w)
 
 
 SIG3 = Signature(Mode.CLASSICAL, LogicTag.K,
@@ -268,23 +268,46 @@ SIG3 = Signature(Mode.CLASSICAL, LogicTag.K,
 @settings(max_examples=80, deadline=None)
 @given(propositional_formulas(("p", "q", "r")), st.integers(1, 3), st.data())
 def test_column_space_matches_each_column(f, n, data):
+    # one block of columns per frame, each block the same valuations
     worlds = st.integers(0, n - 1)
-    access = frozenset(data.draw(st.sets(st.tuples(worlds, worlds))))
+    frames = data.draw(st.lists(
+        st.frozensets(st.tuples(worlds, worlds)), min_size=1, max_size=3))
     actual = data.draw(worlds)
     values = data.draw(st.lists(st.integers(0, (1 << n) - 1),
                                 min_size=1, max_size=4))
     names = ("p", "q", "r")
-    space = ColumnSpace(n, access, len(values) ** 3,
-                        dict(zip(names, product_columns(values, 3, n))),
+    per_frame = len(values) ** 3
+    repeat = sum(1 << (i * per_frame * n) for i in range(len(frames)))
+    space = ColumnSpace(n, tuple(frames), len(frames) * per_frame,
+                        {a: word * repeat for a, word in
+                         zip(names, product_columns(values, 3, n))},
                         actual)
-    holds = compile_mask(f)
+    holds = compile_mask(beta_normalize(expand_derived(f)))
     mask = holds(space, {})
     assert mask >> (space.n_columns * n) == 0
     # the columns in itertools.product's order: the first name outermost
-    for c, column in enumerate(itertools.product(values, repeat=3)):
+    columns = itertools.product(frames, itertools.product(values, repeat=3))
+    for c, (access, column) in enumerate(columns):
         m = KripkeInterpretation(SIG3, n, 1, access, dict(zip(names, column)),
                                  actual=actual)
         assert (mask >> (c * n)) & m.all_worlds == holds(m, {})
+
+
+def test_compilers_reject_derived_constructs():
+    # the compilers take only beta_normalize(expand_derived(f))
+    m = KripkeInterpretation(SIG2, 2, 1, frozenset({(0, 1)}),
+                             {"p": 0b01, "q": 0b10})
+    p, q = (Exemplify(Const(a, PROPOSITION), ()) for a in ("p", "q"))
+    x = Var("x", INDIVIDUAL)
+    for f, name in [(And(p, q), "And"), (Diamond(p), "Diamond"),
+                    (Exists(x, p), "Exists"),
+                    (MacroFormula("dn", (Const("p", PROPOSITION),)),
+                     "MacroFormula")]:
+        holds = compile_mask(f)  # building never raises; calling does
+        with pytest.raises(EvalError, match=f"cannot evaluate {name}"):
+            holds(m, {})
+        with pytest.raises(EvalError, match=f"cannot evaluate {name}"):
+            compile_world(f)(m, {}, 0)
 
 
 def test_unsupported_constructs_raise_from_both_evaluators():
@@ -471,14 +494,14 @@ def test_compiled_world_matches_evaluate(f, rng):
     # the same value, missing bit or error, after the same reads in the
     # same order
     log = []
-    for g in (f, beta_normalize(expand_derived(f))):
-        holds = compile_world(g)
-        for n_worlds, n_individuals in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            for partial in (False, True):
-                m = _random_interpretation(rng, n_worlds, n_individuals,
-                                           partial, log)
-                for w in range(n_worlds):
-                    want = _outcome(lambda: evaluate(g, m, {}, w), log)
-                    got = _outcome(lambda: holds(m, {}, w), log)
-                    assert got == want
+    g = beta_normalize(expand_derived(f))
+    holds = compile_world(g)
+    for n_worlds, n_individuals in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for partial in (False, True):
+            m = _random_interpretation(rng, n_worlds, n_individuals,
+                                       partial, log)
+            for w in range(n_worlds):
+                want = _outcome(lambda: evaluate(g, m, {}, w), log)
+                got = _outcome(lambda: holds(m, {}, w), log)
+                assert got == want
 
