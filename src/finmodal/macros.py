@@ -7,6 +7,8 @@ Applied lambdas are left unreduced; beta_normalize handles those.
 
 from __future__ import annotations
 
+from operator import is_not
+
 from .formulas import (
     INDIVIDUAL, REL1, SECOND_ORDER, SortError,
     And, Box, Const, Diamond, Encode, Exemplify, Exists, Forall, Formula,
@@ -164,11 +166,15 @@ def expand_derived(x: Node) -> Node:
     """Rewrite derived connectives and named macros into primitives.
 
     Terminating (the macro table is acyclic) and idempotent; applied
-    lambdas are kept as written.
+    lambdas are kept as written. A primitive node in which nothing
+    changes is returned as it is, not rebuilt.
     """
     if isinstance(x, Var) or isinstance(x, Const):
         return x
-    x = rebuild(x, tuple(expand_derived(c) for c in children(x)))
+    old = children(x)
+    new = tuple(map(expand_derived, old))
+    if any(map(is_not, new, old)):
+        x = rebuild(x, new)
     if isinstance(x, Diamond):
         return Not(Box(Not(x.body)))
     if isinstance(x, Exists):
@@ -177,10 +183,10 @@ def expand_derived(x: Node) -> Node:
         return Not(Implies(x.left, Not(x.right)))
     if isinstance(x, Or):
         return Implies(Not(x.left), x.right)
-    if isinstance(x, Iff):
-        return expand_derived(And(Implies(x.left, x.right), Implies(x.right, x.left)))
-    if isinstance(x, Xor):
-        return expand_derived(Not(Iff(x.left, x.right)))
+    if isinstance(x, (Iff, Xor)):
+        l, r = x.left, x.right
+        iff = Not(Implies(Implies(l, r), Not(Implies(r, l))))
+        return iff if isinstance(x, Iff) else Not(iff)
     if isinstance(x, MacroTerm):
         return expand_derived(_expand_macro_term(x))
     if isinstance(x, MacroFormula):

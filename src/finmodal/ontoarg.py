@@ -1,6 +1,8 @@
 """The ontological-argument corpus: premise sets for the four variants,
 essence and rigidity machinery, ultrafilter analysis, and the per-variant
-verification suite.
+verification suite. A variant's signature, premises, quantifier reading and
+bounds come from `problems/<name>.problem`; its main theorem, the collapse
+formula and its notes are kept here.
 
 The unemended and emended premise sets share the entailment-closure and
 necessity axioms; they differ in the polarity axiom (exclusive, biconditional,
@@ -13,27 +15,30 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .abstraction import Accepted
 from .formulas import (
-    INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER,
-    Formula, MacroFormula, Var,
+    INDIVIDUAL, REL1, Formula, MacroFormula, Var, beta_normalize,
 )
 from .kripke import (
     KripkeInterpretation, compile_world, evaluate, is_rigid_value,
+    total_access,
 )
 from .macros import expand_derived
 from .modelfind import (
     Bounds, SatResult, decide_sat, find_countermodel, frame_requirements,
-    _run_search,
+    _freeze, _run_search, _search_node,
 )
 from .parser import parse_formula
 from .printer import print_formula
+from .problemfile import load_problem
 from .proofs import goedel_refutation
 from .reportfmt import relvalue_str, render_model
-from .signature import LogicTag, Mode, Signature
+from .signature import LogicTag, Signature
 
 VARIANT_NAMES = ("goedel", "scott", "anderson", "fitting")
+PROBLEMS_DIR = Path(__file__).resolve().parents[2] / "problems"
 
 
 class EssenceKind(enum.Enum):
@@ -49,49 +54,13 @@ class PremiseSet:
     premises: tuple  # ((label, Formula), ...)
     main_theorem: Formula
     collapse: Formula
+    bounds: Bounds
     relvar_domain: str = "full"
     notes: tuple = ()
 
     def formulas(self) -> tuple:
         return tuple(f for _, f in self.premises)
 
-
-def corpus_signature(logic: LogicTag) -> Signature:
-    return Signature(Mode.CLASSICAL, logic,
-                     {"P": SECOND_ORDER, "q": PROPOSITION})
-
-
-_VARIANT_AXIOMS = {
-    "goedel": (
-        ("A1", "all Y ((P Y) xor (P (neg Y)))"),
-        ("A2", "all Y (all Z (((P Y) & ent Y Z) -> P Z))"),
-        ("A3", "P G"),
-        ("A4", "all Y ((P Y) -> [](P Y))"),
-        ("A5", "P NE_g"),
-    ),
-    "scott": (
-        ("A1", "all Y ((P (neg Y)) <-> ~(P Y))"),
-        ("A2", "all Y (all Z (((P Y) & ent Y Z) -> P Z))"),
-        ("A3", "P G"),
-        ("A4", "all Y ((P Y) -> [](P Y))"),
-        ("A5", "P NE_s"),
-    ),
-    "anderson": (
-        ("A1", "all Y ((P Y) -> ~(P (neg Y)))"),
-        ("A2", "all Y (all Z (((P Y) & ent Y Z) -> P Z))"),
-        ("A3", "P G*"),
-        ("A4", "all Y ((P Y) -> [](P Y))"),
-        ("A5", "P NE_a"),
-    ),
-}
-_VARIANT_AXIOMS["fitting"] = _VARIANT_AXIOMS["scott"]
-
-_VARIANT_LOGIC = {
-    "goedel": LogicTag.K,
-    "scott": LogicTag.S5TOTAL,
-    "anderson": LogicTag.S5TOTAL,
-    "fitting": LogicTag.S5TOTAL,
-}
 
 _VARIANT_MAIN = {
     "goedel": "[] exists x (G x)",
@@ -100,24 +69,25 @@ _VARIANT_MAIN = {
     "fitting": "[] exists x (G x)",
 }
 
+_VARIANT_NOTES = {
+    "fitting": ("composition: the emended premises with relation quantifiers "
+                "restricted to rigid properties and positivity read on "
+                "rigidified extensions",),
+}
+
 
 def variant(name: str) -> PremiseSet:
+    """The variant's premise set, read from `problems/<name>.problem`."""
     if name not in VARIANT_NAMES:
         raise ValueError(f"unknown variant {name!r}")
-    sig = corpus_signature(_VARIANT_LOGIC[name])
-    premises = tuple(
-        (label, parse_formula(text, sig))
-        for label, text in _VARIANT_AXIOMS[name])
-    main = parse_formula(_VARIANT_MAIN[name], sig)
-    collapse = parse_formula("q -> []q", sig)
-    notes = ()
-    relvar = "full"
-    if name == "fitting":
-        relvar = "rigid"
-        notes = ("composition: the emended premises with relation quantifiers "
-                 "restricted to rigid properties and positivity read on "
-                 "rigidified extensions",)
-    return PremiseSet(name, sig, premises, main, collapse, relvar, notes)
+    problem = load_problem(str(PROBLEMS_DIR / f"{name}.problem"))
+    sig = problem.sig
+    premises = tuple((f"A{i}", f)
+                     for i, f in enumerate(problem.premises, start=1))
+    return PremiseSet(name, sig, premises,
+                      parse_formula(_VARIANT_MAIN[name], sig),
+                      parse_formula("q -> []q", sig), problem.bounds,
+                      problem.relvar_domain, _VARIANT_NOTES.get(name, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +281,16 @@ def _all_world_constant(m: KripkeInterpretation) -> bool:
     return True
 
 
-def _satisfying_models(ps: PremiseSet, b: Bounds, limit: int = 100000) -> list:
+def _satisfying_models(ps: PremiseSet, b: Bounds) -> list:
     """Every premise model within bounds, canonical order."""
     found = []
 
     def leaf_ok(m):
-        from .modelfind import _freeze
         found.append(_freeze(m))
         return False  # keep searching
 
     _run_search(ps.formulas(), ps.sig, b, leaf_ok,
                 relvar_domain=ps.relvar_domain)
-    if len(found) > limit:
-        raise RuntimeError("too many models to audit")
     return found
 
 
@@ -331,12 +298,8 @@ def find_vagueness_witness(b: Bounds | None = None):
     """A bounded model of the one-directional variant with two distinct
     godlike individuals, searched over a listed two-element relation space
     (the full space separates any two individuals by a rigid property)."""
-    from .formulas import beta_normalize
-    from .kripke import total_access
-    from .modelfind import _search_node
-
-    b = b or Bounds(max_worlds=2, max_individuals=2)
     ps = variant("anderson")
+    b = b or ps.bounds
     gx = compile_world(expand_derived(parse_formula("G* x", ps.sig)))
 
     def leaf_ok(m):
@@ -360,8 +323,8 @@ def run_variant_suite(name: str, bounds: Bounds | None = None,
                       workers: int = 1) -> VariantReport:
     """workers is ignored, as search runs in one thread; it stays so that
     criterion 12 can still compare worker counts."""
-    b = bounds or Bounds(max_worlds=2, max_individuals=2)
     ps = variant(name)
+    b = bounds or ps.bounds
     premises = ps.formulas()
     sat = decide_sat(premises, ps.sig, b, relvar_domain=ps.relvar_domain)
     frame_verdicts = frame_requirements(

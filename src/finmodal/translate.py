@@ -262,14 +262,14 @@ class AgreementReport:
         return not self.mismatches
 
 
-def generate_formulas(atoms, depth: int, unary=(Not, Box, Actually)) -> list:
+def generate_formulas(atoms, depth: int) -> list:
     from .formulas import Exemplify, PROPOSITION
     level = [Exemplify(Const(a, PROPOSITION), ()) for a in atoms]
     seen = set(level)
     for _ in range(depth):
         new = []
         for f in level:
-            for U in unary:
+            for U in (Not, Box, Actually):
                 g = U(f)
                 if g not in seen:
                     seen.add(g)

@@ -149,6 +149,18 @@ class TestExpandDerived:
                 assert not isinstance(n, (Diamond, Exists, And, Or, Iff, Xor,
                                           MacroFormula, MacroTerm))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 4))
+    def test_expanded_formula_is_returned_as_it_is(self, seed, depth):
+        from finmodal.formulas import SECOND_ORDER
+        from finmodal.signature import LogicTag, Mode, Signature
+        sig = Signature(Mode.CLASSICAL, LogicTag.K, {
+            "p": PROPOSITION, "S": REL1, "c": INDIVIDUAL, "P": SECOND_ORDER})
+        f = random_formula(random.Random(seed), sig, depth)
+        # a macro term brings lambdas and second-order atoms in
+        g = expand_derived(And(f, parse_formula("P NE_a", sig)))
+        assert expand_derived(g) is g
+
     def test_entailment(self, classical_sig):
         f = parse_formula("ent S S", classical_sig)
         g = expand_derived(f)

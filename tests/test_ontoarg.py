@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+import finmodal.ontoarg as oa
+from finmodal.cli import run
 from finmodal.formulas import (
     And, Iff, Implies, Not, PROPOSITION, REL1, SECOND_ORDER, Xor, subnodes,
 )
@@ -17,6 +19,7 @@ from finmodal.ontoarg import (
     variant,
 )
 from finmodal.parser import parse_formula
+from finmodal.problemfile import load_problem
 from finmodal.signature import LogicTag, Mode, Signature
 
 
@@ -52,10 +55,6 @@ class TestVariants:
         assert ess.body.left.rel == Var("Y", REL1)
 
     def test_goedel_polarity_uses_exclusive_or(self):
-        label, text = None, None
-        import finmodal.ontoarg as oa
-        label, text = oa._VARIANT_AXIOMS["goedel"][0]
-        assert "xor" in text
         f = dict(variant("goedel").premises)["A1"]
         assert any(isinstance(n, Xor) for n in subnodes(f))
 
@@ -63,6 +62,30 @@ class TestVariants:
         f = dict(variant("anderson").premises)["A1"]
         assert not any(isinstance(n, (Iff, Xor)) for n in subnodes(f))
         assert any(isinstance(n, Implies) for n in subnodes(f))
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_variant_is_read_from_its_problem_file(self, name, monkeypatch,
+                                                   tmp_path):
+        problem = load_problem(f"problems/{name}.problem")
+        monkeypatch.chdir(tmp_path)
+        ps = variant(name)
+        assert [label for label, _ in ps.premises] == [
+            f"A{i}" for i in range(1, len(problem.premises) + 1)]
+        assert ps.formulas() == tuple(problem.premises)
+        assert ps.sig == problem.sig
+        assert ps.relvar_domain == problem.relvar_domain
+        assert ps.bounds == problem.bounds
+
+    def test_missing_problems_directory_is_usage_error(self, monkeypatch,
+                                                       tmp_path, capsys):
+        monkeypatch.setattr(oa, "PROBLEMS_DIR", tmp_path / "problems")
+        code = run(["corpus", "goedel", "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot read ")
 
     def test_fitting_is_rigidly_quantified_scott(self):
         fs = variant("fitting")

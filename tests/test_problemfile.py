@@ -1,10 +1,8 @@
 import pytest
 
 from finmodal.abstraction import Accepted, check_proof, make_layer
-from finmodal.formulas import alpha_equivalent
 from finmodal.kripke import frame_check
 from finmodal.modelfind import enumerate_models
-from finmodal.ontoarg import variant
 from finmodal.problemfile import (
     ProblemFileError, load_problem, load_proof, parse_problem, parse_proof,
     parse_aot_config, render_proof,
@@ -19,17 +17,6 @@ def test_minimal_file_gets_default_bounds():
     assert problem.bounds.max_individuals == 2
     assert len(problem.premises) == 1
     assert problem.expectation is None
-
-
-def test_corpus_files_match_builtin_variants():
-    for name in ("goedel", "scott", "anderson", "fitting"):
-        problem = load_problem(f"problems/{name}.problem")
-        ps = variant(name)
-        assert problem.sig.logic == ps.sig.logic
-        assert problem.relvar_domain == ps.relvar_domain
-        assert len(problem.premises) == len(ps.premises)
-        for got, (_, want) in zip(problem.premises, ps.premises):
-            assert alpha_equivalent(got, want)
 
 
 def test_kb_logic_sets_symmetric_frames():
