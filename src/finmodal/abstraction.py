@@ -25,12 +25,12 @@ from .formulas import (
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, MacroFormula,
     Not, PrimitiveEq, Term, Var,
     alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
-    compose_key, free_names, free_vars, key_children, rebuild, sort_of,
-    substitute,
+    compose_key, free_names, free_vars, key_children, rebuild, rename_binder,
+    sort_of, substitute,
 )
 from .kripke import (
-    ColumnSpace, KripkeInterpretation, column_values, compile_mask,
-    frames_for, product_columns, total_access,
+    ColumnSpace, KripkeInterpretation, compile_mask, frames_for, lowest_bit,
+    total_access,
 )
 from .macros import expand_derived
 from .signature import LogicTag, Mode, Signature
@@ -114,7 +114,6 @@ def instantiate_template(template: Formula, mapping: dict) -> Formula:
                     nv = mapping[bv.name]
                     if not isinstance(nv, Var):
                         raise SchemaError("binder metavariable needs a variable value")
-                    from .formulas import rename_binder
                     new = rename_binder(new, bv, nv)
             return rebuild(new, tuple(go(c) for c in children(new)))
         return rebuild(x, tuple(go(c) for c in children(x)))
@@ -573,20 +572,6 @@ class SoundnessReport:
         return "\n".join(lines)
 
 
-def _prop_models(logic: LogicTag, max_worlds: int, atoms):
-    """All interpretations of the frame class over the given atoms."""
-    sig = Signature(Mode.CLASSICAL, logic, {a: PROPOSITION for a in atoms})
-    out = []
-    for n in range(1, max_worlds + 1):
-        for R in frames_for(logic, n):
-            for masks in range(1 << (n * len(atoms))):
-                denot = {}
-                for k, a in enumerate(atoms):
-                    denot[a] = (masks >> (k * n)) & ((1 << n) - 1)
-                out.append(KripkeInterpretation(sig, n, 1, R, denot))
-    return out
-
-
 def _realized_vectors(m: KripkeInterpretation, atoms, depth: int):
     """World-vector closure of the atoms under the connectives, to the given
     depth, with one witness formula per vector."""
@@ -601,7 +586,7 @@ def _realized_vectors(m: KripkeInterpretation, atoms, depth: int):
         items = list(vecs.items())
         for v, wf in list(frontier.items()):
             for nv, nf in ((full ^ v, Not(wf)), (m.box(v), Box(wf)),
-                           ((full if (v >> m.actual) & 1 else 0), Actually(wf))):
+                           (m.actually(v), Actually(wf))):
                 if nv not in vecs:
                     vecs[nv] = nf
                     new[nv] = nf
@@ -624,12 +609,21 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
     its metavariables ranging over the world vectors the atoms generate
     there; the builtin schemas over a small first-order setup."""
     t0 = time.time()
-    models = _prop_models(layer.logic, max_worlds, atoms)
+    # the models, per world count the columns of a space over the frame
+    # class, the last atom outermost
+    sig = Signature(Mode.CLASSICAL, layer.logic, dict.fromkeys(atoms, PROPOSITION))
+    names = tuple(reversed(atoms))
+    model_spaces = [ColumnSpace.product(n, frames_for(layer.logic, n), names,
+                                        range(1 << n))
+                    for n in range(1, max_worlds + 1)]
+    models = (KripkeInterpretation(sig, ms.n_worlds, 1, R, dict(zip(names, v)))
+              for ms in model_spaces
+              for R, v in map(ms.column, range(ms.n_columns)))
     template_schemas = [s for s in layer.schemas.values() if s.kind == "template"]
     builtin_schemas = [s for s in layer.schemas.values() if s.kind != "template"]
     # per model, one call per template: the metavariable tuples, first
-    # outermost, are the columns of a ColumnSpace over the model's frame,
-    # so the lowest failing bit is the first failing tuple
+    # outermost, are the columns of a space over the model's frame, so the
+    # lowest failing bit is the first failing tuple
     holds = [compile_mask(s.template) for s in template_schemas]
     counts = [0] * len(template_schemas)
     counterexamples = [None] * len(template_schemas)
@@ -639,33 +633,29 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
             break
         vecs = _realized_vectors(m, atoms, generator_depth)
         values = sorted(vecs)
-        spaces = {}  # metavariable count -> (space, column words)
+        spaces = {}  # metavariable count -> space
         for i in unfailed:
             s = template_schemas[i]
             k = len(s.metavars)
             if k not in spaces:
-                spaces[k] = (ColumnSpace(m.n_worlds, (m.access,),
-                                         len(values) ** k, {}, m.actual),
-                             product_columns(values, k, m.n_worlds))
-            space, words = spaces[k]
-            fails = space.all_worlds ^ holds[i](space, dict(zip(s.metavars, words)))
+                spaces[k] = ColumnSpace.product(m.n_worlds, m.frames, range(k),
+                                                values, m.actual)
+            space = spaces[k]
+            fails = space.all_worlds ^ holds[i](
+                space, dict(zip(s.metavars, space.denot.values())))
             if not fails:
                 counts[i] += space.n_columns
                 continue
-            c, w = divmod((fails & -fails).bit_length() - 1, m.n_worlds)
+            c, w = divmod(lowest_bit(fails), m.n_worlds)
             counts[i] += c + 1
-            witnesses = tuple(vecs[v] for v in column_values(values, k, c))
+            witnesses = tuple(vecs[v] for v in space.column(c)[1])
             counterexamples[i] = (witnesses, _describe(m), w)
     findings = [SchemaFinding(s.name, n, ce) for s, n, ce
                 in zip(template_schemas, counts, counterexamples)]
     findings.extend(_validate_builtins(builtin_schemas, layer))
-    return SoundnessReport(layer.name, len(models), findings,
+    return SoundnessReport(layer.name,
+                           sum(ms.n_columns for ms in model_spaces), findings,
                            time.time() - t0)
-
-
-def _first_false_world(mask: int) -> int:
-    """The lowest clear bit of a world mask."""
-    return (~mask & (mask + 1)).bit_length() - 1
 
 
 def _describe(m: KripkeInterpretation) -> str:
@@ -738,7 +728,7 @@ def _validate_builtins(schemas, layer: Layer):
                     mask = holds(m, a)
                     if mask != m.all_worlds:
                         counterexample = (inst, _describe(m),
-                                          _first_false_world(mask))
+                                          lowest_bit(m.all_worlds ^ mask))
                         break
                 if counterexample:
                     break

@@ -24,19 +24,25 @@ mask of all the worlds where the formula holds, with Box and Actually left
 to the interpretation's `box` and `actually`. It serves complete
 interpretations.
 
+`box`, `actually` and `spread` have one implementation each, over columns:
+bit c * n_worlds + w of a mask means "column c at world w". The columns
+fall into equal consecutive blocks, one per frame, and each column is read
+over its block's frame. `spread(x, v)` copies each column's bit at world v
+to all of its worlds. Box is a spread per predecessor: for each world v, it
+ANDs `spread(x, v)` into slot w of the columns whose frame has w -> v,
+the mask `into[v]`. Actually is the spread of the actual world. A complete
+`KripkeInterpretation` is the one-column space over its own frame.
+
 A `ColumnSpace` lets one `compile_mask` call check many complete
-interpretations at once: C columns, each a valuation of the proposition
-constants or variables, with bit c * n_worlds + w meaning "column c at
-world w". The columns fall into equal consecutive blocks, one per frame,
-and each column is read over its block's frame. Box at world w is the AND,
-over the edges w -> v, of the masks shifted from slot v to slot w, in the
-columns whose frame has that edge; Actually spreads each column's bit at
-the actual world to all its worlds. It covers the propositional modal
-fragment: 0-place atoms, Not, Implies, Box and Actually. Premise-free
-countermodel search gives it one frame and that frame's valuations as
-columns, layer validation one model's frame and its metavariable tuples;
-`product_columns` lays either out. The standard-translation cross-check
-gives it every K frame of a world count, one block each.
+interpretations at once, each column a valuation of the proposition
+constants or variables. It covers the propositional modal fragment: 0-place
+atoms, Not, Implies, Box and Actually. `ColumnSpace.product` lays out every
+tuple of given world masks for given names, repeated in each frame's block,
+and `column(c)` reads column c's frame and values back. Premise-free
+countermodel search and layer validation give it every frame of a class at
+one world count, with every valuation; layer validation also gives one
+model's frame its metavariable tuples. The standard-translation cross-check
+gives it every K frame of a world count.
 """
 
 from __future__ import annotations
@@ -103,8 +109,69 @@ def frames_for(logic: LogicTag, n_worlds: int) -> list:
     return out
 
 
+def _repunit(period: int, count: int) -> int:
+    """count ones, period bits apart, the first at bit 0."""
+    return ((1 << (period * count)) - 1) // ((1 << period) - 1)
+
+
+def lowest_bit(x: int) -> int:
+    """The position of the lowest set bit of x > 0."""
+    return (x & -x).bit_length() - 1
+
+
+class _Columns:
+    """Box, Actually and spread over n_columns columns of n_worlds bits:
+    bit c * n_worlds + w of a mask is column c at world w. The columns split
+    into len(frames) equal consecutive blocks, and block i is read over the
+    accessibility relation frames[i]. Subclasses give n_worlds, n_columns,
+    frames and actual."""
+
+    @cached_property
+    def all_worlds(self) -> int:
+        return (1 << (self.n_columns * self.n_worlds)) - 1
+
+    @cached_property
+    def slots(self) -> tuple:
+        """Per world w, the mask of bit w in every column."""
+        first = _repunit(self.n_worlds, self.n_columns)
+        return tuple(first << w for w in range(self.n_worlds))
+
+    @cached_property
+    def into(self) -> tuple:
+        """Per world v, the mask of slot w in the columns whose frame has
+        w -> v, over every w."""
+        n, per_block = self.n_worlds, self.n_columns // len(self.frames)
+        block = self.slots[0] & ((1 << (per_block * n)) - 1)  # slot 0, block 0
+        out = [0] * n
+        for i, R in enumerate(self.frames):
+            first = block << (i * per_block * n)
+            for w, v in R:
+                out[v] |= first << w
+        return tuple(out)
+
+    def spread(self, x: int, s: int) -> int:
+        """Each column's bit at world s, copied to all of its worlds."""
+        return ((x >> s) & self.slots[0]) * ((1 << self.n_worlds) - 1)
+
+    def box(self, x: int) -> int:
+        """In each column, the worlds all of whose successors in the
+        column's frame lie in x: each world v's bit, spread to the column,
+        is ANDed into v's predecessors."""
+        full = out = self.all_worlds
+        for v, into in enumerate(self.into):
+            out &= self.spread(x, v) | (full ^ into)
+        return out
+
+    def actually(self, x: int) -> int:
+        """In each column, every world when x holds at the actual world,
+        else none."""
+        return self.spread(x, self.actual)
+
+
 @dataclass(frozen=True, eq=False)
-class KripkeInterpretation:
+class KripkeInterpretation(_Columns):
+    """A complete or partial interpretation. As a complete one it is a
+    one-column space over its own frame, for compile_mask."""
     sig: Signature
     n_worlds: int
     n_individuals: int
@@ -113,12 +180,17 @@ class KripkeInterpretation:
     relspace: tuple = ()
     actual: int = 0
     relvar_domain: str = "full"  # 'full' | 'rigid'
+    n_columns = 1
 
     def __post_init__(self):
         if self.n_worlds < 1 or self.n_individuals < 1:
             raise EvalError("worlds and individuals must be non-empty")
         if self.sig.logic is LogicTag.S5TOTAL and self.access != total_access(self.n_worlds):
             raise EvalError("S5 interpretations carry the total accessibility relation")
+
+    @property
+    def frames(self) -> tuple:
+        return (self.access,)
 
     @property
     def logic(self) -> LogicTag:
@@ -134,16 +206,6 @@ class KripkeInterpretation:
         """Per world, the tuple of `successors(w)`."""
         return tuple(tuple(self.successors(w)) for w in range(self.n_worlds))
 
-    @cached_property
-    def all_worlds(self) -> int:
-        return (1 << self.n_worlds) - 1
-
-    @cached_property
-    def successor_masks(self) -> tuple:
-        """Per world, the mask of the worlds it sees."""
-        return tuple(sum(1 << v for v in self.successors(w))
-                     for w in range(self.n_worlds))
-
     def relation_domain(self):
         space = self.relspace
         if not space:
@@ -156,105 +218,48 @@ class KripkeInterpretation:
     def proposition_domain(self):
         return range(1 << self.n_worlds)
 
-    def box(self, x: int) -> int:
-        """The worlds all of whose successors lie in x."""
-        out, bit = 0, 1
-        for s in self.successor_masks:
-            if s & x == s:
-                out |= bit
-            bit <<= 1
-        return out
-
-    def actually(self, x: int) -> int:
-        """Every world when x holds at the actual world, else none."""
-        return self.all_worlds if (x >> self.actual) & 1 else 0
-
-
-def _repunit(period: int, count: int) -> int:
-    """count ones, period bits apart, the first at bit 0."""
-    return ((1 << (period * count)) - 1) // ((1 << period) - 1)
-
 
 @dataclass(frozen=True, eq=False)
-class ColumnSpace:
-    """n_columns complete interpretations for compile_mask: bit
-    c * n_worlds + w of a mask is column c at world w, and denot maps each
-    proposition constant to its column word. The columns split into
-    len(frames) equal consecutive blocks, and block i is read over the
-    accessibility relation frames[i]."""
+class ColumnSpace(_Columns):
+    """n_columns complete interpretations for compile_mask, in len(frames)
+    blocks; denot maps each proposition constant to its column word."""
     n_worlds: int
     frames: tuple
     n_columns: int
     denot: dict
     actual: int = 0
 
-    @cached_property
-    def all_worlds(self) -> int:
-        return (1 << (self.n_columns * self.n_worlds)) - 1
+    @classmethod
+    def product(cls, n_worlds: int, frames, names, values,
+                actual: int = 0) -> ColumnSpace:
+        """Every tuple of the world masks in values for names, the first
+        name outermost, in each frame's block: in column c of a block, name
+        j holds values[the j-th of the len(names) base-len(values) digits
+        of c]. Each word repeats one run rather than visiting the columns."""
+        frames, values = tuple(frames), tuple(values)
+        n_v, k = len(values), len(names)
+        per_block = n_v ** k
+        denot = dict.fromkeys(names, 0)
+        if per_block:
+            blocks = _repunit(per_block * n_worlds, len(frames))
+            for j, name in enumerate(names):
+                inner = n_v ** (k - 1 - j)  # columns per value
+                width = inner * n_worlds
+                run = _repunit(n_worlds, inner)
+                word = 0
+                for i, v in enumerate(values):
+                    word |= v * run << (i * width)
+                denot[name] = word * _repunit(n_v * width, n_v ** j) * blocks
+        return cls(n_worlds, frames, len(frames) * per_block, denot, actual)
 
-    @cached_property
-    def slots(self) -> tuple:
-        """Per world w, the mask of bit w in every column."""
-        first = _repunit(self.n_worlds, self.n_columns)
-        return tuple(first << w for w in range(self.n_worlds))
-
-    @cached_property
-    def edges(self) -> tuple:
-        """(w, v, off) for each edge w -> v of some frame: off has every bit
-        set except slot w of the columns whose frame has the edge."""
-        n, per_block = self.n_worlds, self.n_columns // len(self.frames)
-        block = self.slots[0] & ((1 << (per_block * n)) - 1)  # slot 0, block 0
-        on = {}  # edge -> its slot in the blocks whose frame has it
-        for i, R in enumerate(self.frames):
-            first = block << (i * per_block * n)
-            for e in R:
-                on[e] = on.get(e, 0) | first << e[0]
-        return tuple((w, v, self.all_worlds ^ mask)
-                     for (w, v), mask in on.items())
-
-    def box(self, x: int) -> int:
-        """In each column, the worlds all of whose successors in the
-        column's frame lie in x."""
-        slots, out = self.slots, self.all_worlds
-        for w, v, off in self.edges:
-            out &= ((x & slots[v]) >> v << w) | off
-        return out
-
-    def spread(self, x: int, s: int) -> int:
-        """Each column's bit at world s, copied to all of its worlds."""
-        return ((x >> s) & self.slots[0]) * ((1 << self.n_worlds) - 1)
-
-    def actually(self, x: int) -> int:
-        return self.spread(x, self.actual)
-
-
-def product_columns(values, k: int, n_worlds: int) -> list:
-    """Column words of k variables over every k-tuple of the world masks in
-    values, the first variable outermost: in column c, variable j holds
-    values[the j-th of the k base-len(values) digits of c]. Each word
-    repeats one block rather than visiting the columns."""
-    n_v = len(values)
-    if not n_v:
-        return [0] * k
-    words = []
-    for j in range(k):
-        inner = n_v ** (k - 1 - j)  # columns per value
-        width = inner * n_worlds
-        run = _repunit(n_worlds, inner)
-        block = 0
-        for i, v in enumerate(values):
-            block |= v * run << (i * width)
-        words.append(block * _repunit(n_v * width, n_v ** j))
-    return words
-
-
-def column_values(values, k: int, c: int) -> tuple:
-    """The k-tuple of values in column c of product_columns' layout."""
-    out = []
-    for _ in range(k):
-        c, i = divmod(c, len(values))
-        out.append(values[i])
-    return tuple(reversed(out))
+    def column(self, c: int) -> tuple:
+        """(frame, values): column c's accessibility relation, and the
+        value of each word of denot in column c, in denot's order."""
+        n = self.n_worlds
+        frame = self.frames[c // (self.n_columns // len(self.frames))]
+        mask = (1 << n) - 1
+        return frame, tuple((word >> (c * n)) & mask
+                            for word in self.denot.values())
 
 
 def frame_check(m: KripkeInterpretation, tag: LogicTag) -> bool:

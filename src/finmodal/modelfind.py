@@ -21,8 +21,7 @@ from .formulas import (
 )
 from .kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, compile_mask, compile_world,
-    column_values, frames_for, full_relspace, product_columns,
-    RELSPACE_LIMIT,
+    frames_for, full_relspace, is_rigid_value, lowest_bit, RELSPACE_LIMIT,
 )
 from .macros import expand_derived
 from .signature import LogicTag, Mode, Signature
@@ -129,7 +128,6 @@ def _denotation_groups(sig: Signature, n_worlds: int, n_individuals: int,
                        relspace, relvar_domain: str = "full") -> list:
     """Ordered bit groups: (const, kind, key, options). Under the rigid
     reading second-order tables carry rows for rigid values only."""
-    from .kripke import is_rigid_value
     groups = []
     wmasks = range(1 << n_worlds)
     rows = relspace
@@ -489,30 +487,28 @@ def _propositional(sig: Signature, f: Formula) -> bool:
 def _packed_countermodel(holds, sig: Signature, b: Bounds,
                          relvar_domain: str):
     """The first countermodel of the tree search without premises, for a
-    conjecture in the ColumnSpace fragment: one compile_mask call per frame.
+    conjecture in the ColumnSpace fragment: one compile_mask call per world
+    count.
 
-    A frame's valuations are the columns, in the search's leaf order (the
-    constants sorted by name, the first outermost), so the lowest bit where
-    the conjecture fails is the first failing leaf. Only one individual is
+    The columns are every frame of the class with its valuations, in the
+    search's leaf order (frames in frames_for's order, then the constants
+    sorted by name, the first outermost), so the lowest bit where the
+    conjecture fails is the first failing leaf. Only one individual is
     tried: nothing reads individuals, so the nodes with more repeat the same
     interpretations.
     """
     _check_budget(sig, b)
     names = sorted(sig.consts)
     for n in range(1, b.max_worlds + 1):
-        values = range(1 << n)
-        denot = dict(zip(names, product_columns(values, len(names), n)))
-        n_columns = len(values) ** len(names)
-        relspace = full_relspace(1, n) if n <= RELSPACE_LIMIT else ()
-        for R in frames_for(sig.logic, n):
-            space = ColumnSpace(n, (R,), n_columns, denot)
-            fails = space.all_worlds ^ holds(space, {})
-            if fails:
-                c = ((fails & -fails).bit_length() - 1) // n
-                leaf = column_values(values, len(names), c)
-                return KripkeInterpretation(
-                    sig, n, 1, R, dict(zip(names, leaf)), relspace,
-                    relvar_domain=relvar_domain)
+        space = ColumnSpace.product(n, frames_for(sig.logic, n), names,
+                                    range(1 << n))
+        fails = space.all_worlds ^ holds(space, {})
+        if fails:
+            R, leaf = space.column(lowest_bit(fails) // n)
+            relspace = full_relspace(1, n) if n <= RELSPACE_LIMIT else ()
+            return KripkeInterpretation(
+                sig, n, 1, R, dict(zip(names, leaf)), relspace,
+                relvar_domain=relvar_domain)
     return None
 
 

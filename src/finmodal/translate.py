@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .formulas import (
-    INDIVIDUAL,
+    INDIVIDUAL, PROPOSITION,
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, Not, Var,
     beta_normalize,
 )
 from .kripke import (
-    ColumnSpace, EvalError, KripkeInterpretation, column_values, compile_mask,
-    frames_for, product_columns,
+    ColumnSpace, EvalError, KripkeInterpretation, compile_mask, frames_for,
+    lowest_bit,
 )
 from .macros import expand_derived
 from .signature import LogicTag
@@ -246,9 +246,10 @@ def export_first_order(schema: Formula) -> str:
 #
 # Both sides are computed over one ColumnSpace per world count, a column
 # per (K frame, valuation), so the full space of K models with up to three
-# worlds stays cheap. The evaluation side is compile_mask itself, which
-# gathers over each column's edges; the meta side expands its explicit
-# world quantifiers over the space's slots.
+# worlds stays cheap. The evaluation side is compile_mask itself, whose Box
+# spreads each world's bit to its predecessors; the meta side expands its
+# explicit world quantifiers over the space's slots, and reads R w v off
+# the same predecessor masks.
 
 @dataclass
 class AgreementReport:
@@ -263,7 +264,6 @@ class AgreementReport:
 
 
 def generate_formulas(atoms, depth: int) -> list:
-    from .formulas import Exemplify, PROPOSITION
     level = [Exemplify(Const(a, PROPOSITION), ()) for a in atoms]
     seen = set(level)
     for _ in range(depth):
@@ -290,21 +290,11 @@ def exhaustive_agreement(max_depth: int = 3, max_worlds: int = 3,
     formulas = generate_formulas(atoms, max_depth)
     report.n_formulas = len(formulas)
 
-    spaces = []
-    for n_worlds in range(1, max_worlds + 1):
-        frames = tuple(frames_for(LogicTag.K, n_worlds))
-        vals = range(1 << n_worlds)
-        n_vals = len(vals) ** len(atoms)
-        # one frame's valuation columns, the first atom outermost, repeated
-        # for every frame
-        per_frame = n_vals * n_worlds
-        repeat = sum(1 << (i * per_frame) for i in range(len(frames)))
-        denot = {a: word * repeat for a, word in zip(
-            atoms, product_columns(vals, len(atoms), n_worlds))}
-        space = ColumnSpace(n_worlds, frames, len(frames) * n_vals, denot)
-        spaces.append(space)
-        report.n_models += space.n_columns
-        report.n_pairs += space.n_columns * len(formulas)
+    spaces = [ColumnSpace.product(n, frames_for(LogicTag.K, n), atoms,
+                                  range(1 << n))
+              for n in range(1, max_worlds + 1)]
+    report.n_models = sum(space.n_columns for space in spaces)
+    report.n_pairs = report.n_models * len(formulas)
 
     for f in formulas:
         holds = compile_mask(f)
@@ -313,12 +303,9 @@ def exhaustive_agreement(max_depth: int = 3, max_worlds: int = 3,
             ev = holds(space, {})
             mv = mvec(space, meta.body, {meta.world: None})
             if ev != mv:
-                diff = ev ^ mv
-                c, w = divmod((diff & -diff).bit_length() - 1, space.n_worlds)
-                i, c = divmod(c, space.n_columns // len(space.frames))
-                vals = range(1 << space.n_worlds)
-                model = (space.frames[i], *column_values(vals, len(atoms), c))
-                report.mismatches.append((f, space.n_worlds, model, w))
+                c, w = divmod(lowest_bit(ev ^ mv), space.n_worlds)
+                frame, values = space.column(c)
+                report.mismatches.append((f, space.n_worlds, (frame, *values), w))
                 if len(report.mismatches) > 5:
                     return report
     return report
@@ -337,12 +324,8 @@ def mvec(space: ColumnSpace, n, env) -> int:
         s2 = space.actual if n.v == ACTUAL else env[n.v]
         if s2 is None:
             raise TranslationError("unexpected access shape")
-        # per w, slot w of the columns whose frame has w -> s2
-        edge = {w: space.all_worlds ^ off
-                for w, v, off in space.edges if v == s2}
-        if s1 is None:
-            return sum(edge.values())
-        return space.spread(edge.get(s1, 0), s1)
+        into = space.into[s2]
+        return into if s1 is None else space.spread(into, s1)
     if isinstance(n, MNot):
         return space.all_worlds ^ mvec(space, n.body, env)
     if isinstance(n, MImplies):

@@ -269,12 +269,16 @@ class TestValidateLayer:
         ("K", 2, {"pl1": 3648, "pl2": 14208, "pl3": 3648, "ax_K": 3648}),
         ("S5", 3, {"pl1": 2352, "pl2": 15456, "pl3": 2352, "ax_K": 2352,
                    "ax_T": 408, "ax_5": 408}),
+        ("KB", 2, {"pl1": 1792, "pl2": 6912, "pl3": 1792, "ax_K": 1792,
+                   "ax_B": 480}),
     ])
     def test_template_instance_counts(self, name, max_worlds, counts):
         # one instance per metavariable tuple of realized vectors per model
         report = validate_layer(make_layer(name), max_worlds=max_worlds)
         assert {f.schema: f.instances for f in report.schema_findings
                 if f.schema in counts} == counts
+        # every valuation of the two atoms on every frame of the class
+        assert report.n_models == {"K": 264, "KB": 136, "S5": 84}[name]
 
     @pytest.mark.parametrize("name, counts", [
         ("K", {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472}),
@@ -290,19 +294,29 @@ class TestValidateLayer:
 
     def test_bogus_schema_first_counterexample(self):
         # the first failing tuple in (model, tuple) order, and its first
-        # false world
+        # false world; models go by world count, then frame, then valuation
+        # with the last atom outermost
         bogus = Schema("bogus", "template", Implies(P_meta(), Box(P_meta())),
                        ("p",))
-        base = make_layer("S5")
-        layer = Layer("bad", base.logic, base.mode,
-                      {**base.schemas, "bogus": bogus})
-        report = validate_layer(layer, max_worlds=2)
-        finding = next(f for f in report.schema_findings if f.schema == "bogus")
-        assert finding.instances == 12
-        assert finding.counterexample == (
-            (P,), "|W|=2 R=[(0, 0), (0, 1), (1, 0), (1, 1)] "
-                  "{'p': '0b1', 'q': '0b0'}", 0)
-        assert "rule" not in report.to_text()
+        cases = {
+            "S5": (12, (P,), "|W|=2 R=[(0, 0), (0, 1), (1, 0), (1, 1)] "
+                             "{'p': '0b1', 'q': '0b0'}"),
+            # the first valuation over the third frame at two worlds: the 8
+            # models at one world and the 32 over the first two frames come
+            # before it
+            "K": (138, (Not(Box(P)),), "|W|=2 R=[(0, 1)] "
+                                       "{'p': '0b0', 'q': '0b0'}"),
+        }
+        for name, (instances, witnesses, model) in cases.items():
+            base = make_layer(name)
+            layer = Layer("bad", base.logic, base.mode,
+                          {**base.schemas, "bogus": bogus})
+            report = validate_layer(layer, max_worlds=2)
+            finding = next(f for f in report.schema_findings
+                           if f.schema == "bogus")
+            assert finding.instances == instances
+            assert finding.counterexample == (witnesses, model, 0)
+            assert "rule" not in report.to_text()
 
     def test_k_schemas_on_kb_frames_still_sound(self):
         base = make_layer("K")

@@ -1,18 +1,21 @@
+import dataclasses
 import itertools
 import random
 import re
 
 import pytest
 
+from finmodal import translate
 from finmodal.formulas import (
-    INDIVIDUAL, PROPOSITION, REL1, Const, Exemplify, free_vars,
+    INDIVIDUAL, PROPOSITION, REL1, Box, Const, Exemplify, Not, free_vars,
 )
 from finmodal.kripke import KripkeInterpretation, evaluate, total_access
 from finmodal.parser import parse_formula
 from finmodal.signature import LogicTag, Mode, Signature
 from finmodal.translate import (
-    TranslationError, exhaustive_agreement, export_first_order,
-    meta_evaluate, standard_translation,
+    MForallInd, MForallWorld, MImplies, MNot, MetaTerm, TranslationError,
+    exhaustive_agreement, export_first_order, meta_evaluate,
+    standard_translation,
 )
 
 from conftest import random_formula
@@ -177,6 +180,39 @@ class TestStandardTranslation:
         rep = exhaustive_agreement(max_depth=2, max_worlds=2, atoms=atoms)
         assert rep.ok
         assert rep.n_models == n_models
+
+    def test_exhaustive_agreement_reports_first_mismatches(self, monkeypatch):
+        # a translation whose first Box has lost its accessibility guard
+        def unguard(n):
+            if isinstance(n, MForallWorld):
+                return MForallWorld(n.var, n.body.right), True
+            if isinstance(n, (MNot, MForallInd)):
+                body, done = unguard(n.body)
+                return dataclasses.replace(n, body=body), done
+            if isinstance(n, MImplies):
+                left, done = unguard(n.left)
+                if done:
+                    return MImplies(left, n.right), True
+                right, done = unguard(n.right)
+                return MImplies(n.left, right), done
+            return n, False
+
+        def unguarded(f):
+            mt = standard_translation(f)
+            return MetaTerm(mt.world, unguard(mt.body)[0])
+
+        monkeypatch.setattr(translate, "standard_translation", unguarded)
+        rep = exhaustive_agreement(max_depth=2, max_worlds=2)
+        p, q = (Exemplify(Const(a, PROPOSITION), ()) for a in ("p", "q"))
+        # (formula, worlds, (frame, p, q), world), at most six of them
+        assert rep.mismatches == [
+            (Box(p), 1, (frozenset(), 0, 0), 0),
+            (Box(p), 2, (frozenset(), 0, 0), 0),
+            (Box(q), 1, (frozenset(), 0, 0), 0),
+            (Box(q), 2, (frozenset(), 0, 0), 0),
+            (Box(Not(p)), 1, (frozenset(), 1, 0), 0),
+            (Box(Not(p)), 2, (frozenset(), 1, 0), 0),
+        ]
 
     def test_diamond_goes_through_expansion(self):
         f = parse_formula("<>q", SIG)
