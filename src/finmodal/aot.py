@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .abstraction import Accepted, check_proof, make_layer
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Description, Encode, Exemplify, Forall,
@@ -28,7 +29,9 @@ from .formulas import (
     beta_normalize, binder_vars, canonical_key, children, subnodes,
 )
 from .macros import expand_derived
+from .parser import parse_term
 from .printer import print_formula, print_term
+from .proofs import two_individuals_premises, two_individuals_script
 from .signature import LogicTag, Mode, Signature
 
 
@@ -63,6 +66,8 @@ class NonDenoting:
 NON_DENOTING = NonDenoting()
 
 MAX_URELEMENT_BITS = 4  # |U| * |W| cap keeps the relation space at <= 16
+FULL_SCAN_BUDGET = 1    # full sweeps over abstract objects that may nest
+PATTERN_BUDGET = 2      # individual quantifiers that may nest on a quotient
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,6 @@ class AczelConfig:
     sigma: tuple = ("constant",)   # or ("membership", relation-value)
     e_bang: int | None = None      # relation value for concreteness
     consts: dict = field(default_factory=dict)
-    full_scan_budget: int = 1
-    pattern_budget: int = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,7 +507,7 @@ def _scan_columns(binder, m: AczelModel, a: dict, ctx: _EvalContext,
     """The truth of the body of binder (a quantifier, a unary lambda or a
     description) with its variable bound to every abstract object, one bit
     per encoded set, per world."""
-    if ctx.full_scans >= m.config.full_scan_budget:
+    if ctx.full_scans >= FULL_SCAN_BUDGET:
         raise _budget_error("nested full sweeps over abstract objects", binder)
     x, body = binder_vars(binder)[0].name, binder.body
     _prefetch_closed_terms(body, m, a, ctx)
@@ -660,7 +663,7 @@ def _ev(f: Formula, m: AczelModel, a: dict, w: int, ctx: _EvalContext) -> bool:
                         return False
                 cols = _scan_columns(f, m, a, ctx, worlds=(w,))
                 return cols[w] == ctx.full
-            if ctx.pattern_depth >= m.config.pattern_budget:
+            if ctx.pattern_depth >= PATTERN_BUDGET:
                 raise _budget_error("individual quantifiers nested too deeply",
                                     f)
             ctx.pattern_depth += 1
@@ -720,7 +723,6 @@ class MinimalModelReport:
         out.append(f"pairwise distinguishing witnesses: {len(self.pair_witnesses)}")
         out.append("historical six pairwise distinct: "
                    + ("yes" if self.historical_distinct else "no"))
-        from .abstraction import Accepted
         if isinstance(self.transcript_verdict, Accepted):
             out.append("two-individuals derivation: accepted, conclusion "
                        + print_formula(self.transcript_verdict.conclusion))
@@ -735,8 +737,6 @@ def _witness_terms(m: AczelModel) -> list:
     """Named relation terms whose values populate the relation space:
     the historical six, the two contingency properties, and enough
     conjunctive combinations (with negations) to separate everything."""
-    from .parser import parse_term
-
     base_texts = [
         "E!",
         "[\\x ~E! x]",
@@ -757,7 +757,6 @@ def _witness_terms(m: AczelModel) -> list:
             pool.append((text, t, d.value))
 
     def apply_term(t, x):
-        from .formulas import Exemplify
         return Exemplify(t, (x,))
 
     target = len(m.relspace1)
@@ -797,8 +796,6 @@ def minimal_model_report(m: AczelModel) -> MinimalModelReport:
     historical = [v for _, v in witnesses[:6]]
     historical_distinct = len(set(historical)) == len(historical)
 
-    from .abstraction import check_proof, make_layer
-    from .proofs import two_individuals_premises, two_individuals_script
     verdict = check_proof(two_individuals_script(), make_layer("AOT"),
                           two_individuals_premises())
     semantics = {}
@@ -806,7 +803,6 @@ def minimal_model_report(m: AczelModel) -> MinimalModelReport:
         prem = two_individuals_premises()
         semantics["premises true at the actual world"] = all(
             eval_aot(p, m) for p in prem)
-        from .parser import parse_term
         k1 = m.denot["k1"]
         k2 = m.denot["k2"]
         semantics["conclusion true (the two are not identical)"] = \

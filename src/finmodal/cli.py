@@ -15,7 +15,7 @@ from .aot import (
     AotBudgetError, AotEvalError, build_aczel, minimal_model,
     minimal_model_report, world_theory_report,
 )
-from .formulas import alpha_equivalent
+from .formulas import alpha_equivalent, beta_normalize
 from .kripke import EvalError
 from .macros import expand_derived
 from .modelfind import (
@@ -28,6 +28,7 @@ from .problemfile import (
     ProblemFileError, load_aot_config, load_problem, load_proof,
 )
 from .reportfmt import render_model
+from .signature import Mode
 
 USAGE_ERROR = 2
 BUDGET_ERROR = 3
@@ -90,8 +91,6 @@ def cmd_prove(args) -> int:
     rep.add("conclusion", print_formula(verdict.conclusion))
     code = 0
     if problem.conjectures:
-        from .formulas import beta_normalize
-        from .signature import Mode
         want = beta_normalize(expand_derived(problem.conjectures[0]))
         got = beta_normalize(expand_derived(verdict.conclusion))
         matches = alpha_equivalent(want, got)

@@ -4,10 +4,15 @@ Interpretations are enumerated in a canonical order: world count, then
 individual count, then accessibility bits, then denotation bits (with the
 rows of a second-order table visited complement-pair-adjacent, so polarity
 constraints prune early). Premises are split into ground instances and
-re-checked as soon as the bits they read are assigned. Without premises,
-a conjecture over proposition constants alone is checked one frame at a
-time, all its valuations in one call, and the first failing valuation is
-the same first countermodel. The search runs in one thread.
+re-checked as soon as the bits they read are assigned. `leaves` yields
+every complete interpretation the pruned search reaches, with whether the
+premises hold in it; `_run_search` takes the first that passes, and callers
+that want every premise model filter the same stream. A relation space is
+listed in full up to RELSPACE_LIMIT bits; bounds that need a larger one
+raise SearchBoundsError before any node is searched. Without premises, a
+conjecture over proposition constants alone is checked one world count at
+a time, every frame and valuation in one call, and the first failing
+valuation is the same first countermodel. The search runs in one thread.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .signature import LogicTag, Mode, Signature
 
 
 class SearchBoundsError(Exception):
-    """The requested bounds exceed the relation-space cap or the model
+    """The requested bounds exceed the relation-space limit or the model
     budget."""
 
 
@@ -70,10 +75,9 @@ class _PartialTable(dict):
 class Bounds:
     max_worlds: int = 3
     max_individuals: int = 2
-    relspace_cap: int = 16
 
     def __post_init__(self):
-        if min(self.max_worlds, self.max_individuals, self.relspace_cap) < 1:
+        if min(self.max_worlds, self.max_individuals) < 1:
             raise ValueError("bounds must be at least 1")
 
 
@@ -113,11 +117,13 @@ def count_frames(logic: LogicTag, n: int) -> int:
     return 1 << (n * n)
 
 
-def _needs_relspace(sig: Signature, formulas) -> bool:
+def _needs_relspace(sig: Signature, premises_n) -> bool:
+    """Whether the search needs the full relation space: a second-order
+    constant, or a relation quantifier in the normalized premises."""
     if any(s.kind == "so" for s in sig.consts.values()):
         return True
-    for f in formulas:
-        for n in subnodes(beta_normalize(expand_derived(f))):
+    for f in premises_n:
+        for n in subnodes(f):
             if isinstance(n, (Forall,)) and n.var.sort.kind == "rel" \
                     and n.var.sort.arity == 1:
                 return True
@@ -167,6 +173,13 @@ def _choices(sort, n_worlds: int, n_individuals: int, rows: int) -> int:
     return masks ** (n_individuals ** sort.arity)
 
 
+def _check_relspace(n_worlds: int, n_individuals: int) -> None:
+    if n_individuals * n_worlds > RELSPACE_LIMIT:
+        raise SearchBoundsError(
+            f"worlds={n_worlds} individuals={n_individuals} need a relation "
+            f"space past the limit of {RELSPACE_LIMIT} bits")
+
+
 def _node_counts(logic: LogicTag, sorts, b: Bounds):
     """(n_worlds, n_individuals, interpretations) per size, canonical order,
     for constants of the given sorts; each count is a closed-form product
@@ -174,9 +187,10 @@ def _node_counts(logic: LogicTag, sorts, b: Bounds):
     need = any(s.kind == "so" for s in sorts)
     for n_w in range(1, b.max_worlds + 1):
         for n_d in range(1, b.max_individuals + 1):
-            if need and (1 << (n_d * n_w)) > b.relspace_cap:
-                raise SearchBoundsError("bounds exceed the relation-space cap")
-            rows = 1 << (n_d * n_w) if n_d * n_w <= RELSPACE_LIMIT else 0
+            rows = 0
+            if need:
+                _check_relspace(n_w, n_d)
+                rows = 1 << (n_d * n_w)
             per = count_frames(logic, n_w)
             for s in sorts:
                 per *= _choices(s, n_w, n_d, rows)
@@ -193,7 +207,7 @@ def _check_budget(sig: Signature, b: Bounds) -> None:
     """Raise SearchBoundsError when the bounds admit more than MODEL_BUDGET
     interpretations of the signature without its second-order constants.
 
-    Second-order tables are left out: the relation-space cap bounds them and
+    Second-order tables are left out: RELSPACE_LIMIT bounds them and
     the premises prune them, so the corpus problems, with 1.7e10 to 2.7e11
     interpretations at two worlds and two individuals, still run. The sum
     stops at the first size that passes the budget, so absurd bounds never
@@ -229,16 +243,17 @@ def _split_instances(f: Formula, domains) -> list:
     return out
 
 
-def _size_nodes(sig: Signature, b: Bounds, formulas):
-    """All (n_worlds, n_individuals, frame, relspace) nodes, canonical order."""
+def _size_nodes(sig: Signature, b: Bounds, premises_n):
+    """All (n_worlds, n_individuals, frame, relspace) nodes, canonical order,
+    for the normalized premises."""
     if sig.mode is not Mode.CLASSICAL:
         raise EvalError("model search covers classical signatures only")
     _check_budget(sig, b)
-    need = _needs_relspace(sig, formulas)
+    need = _needs_relspace(sig, premises_n)
     for n_w in range(1, b.max_worlds + 1):
         for n_d in range(1, b.max_individuals + 1):
-            if need and (1 << (n_d * n_w)) > b.relspace_cap:
-                raise SearchBoundsError("bounds exceed the relation-space cap")
+            if need:
+                _check_relspace(n_w, n_d)
             relspace = (full_relspace(n_d, n_w)
                         if n_d * n_w <= RELSPACE_LIMIT else ())
             for R in frames_for(sig.logic, n_w):
@@ -254,18 +269,17 @@ def _compiled_body(bodies: dict, g: Formula):
     return hit[1]
 
 
-def _search_node(node, sig, premises_n, leaf_ok, stop_at_first,
-                 relvar_domain="full", bodies=None):
-    """Depth-first search of one (worlds, individuals, frame) node.
+def _search_node(node, sig, premises_n, relvar_domain, bodies):
+    """Depth-first search of one (worlds, individuals, frame) node: yields
+    (m, ok) at every complete interpretation it reaches, in canonical order.
 
+    m is the live interpretation, valid only until the generator resumes
+    (_freeze keeps it); ok says whether every premise instance holds in it.
     Premise instances wait on the specific denotation bit whose absence
     stopped their evaluation and are re-tried only when that bit is set.
     bodies caches the compiled instance bodies across the nodes of one
-    search (see _compiled_body); a fresh one is used when it is None.
-    Returns (first_model, leaves_before_model, total_leaves_examined).
+    search (see _compiled_body).
     """
-    if bodies is None:
-        bodies = {}
     n_w, n_d, R, relspace = node
     denot = _PartialDenot()
     m = KripkeInterpretation(sig, n_w, n_d, R, denot, relspace,
@@ -305,14 +319,10 @@ def _search_node(node, sig, premises_n, leaf_ok, stop_at_first,
             inst = (_compiled_body(bodies, g), a)
             r = try_inst(inst)
             if r is False:
-                return None, None, 0
+                return
             if r is not True:
                 waiting0.setdefault(r, []).append(inst)
     waiting0 = {k: tuple(v) for k, v in waiting0.items()}
-
-    examined = 0
-    found = None
-    found_at = None
 
     def assign(group, value):
         name, kind, key, _ = group
@@ -339,21 +349,12 @@ def _search_node(node, sig, premises_n, leaf_ok, stop_at_first,
         return True
 
     def rec(gi, waiting):
-        nonlocal examined, found, found_at
-        if found is not None and stop_at_first:
-            return
         if gi == len(groups):
-            examined += 1
             for t in tables.values():
                 t.complete = True
-            try:
-                if leaf_check(waiting) and (leaf_ok is None or leaf_ok(m)):
-                    if found is None:
-                        found = _freeze(m)
-                        found_at = examined - 1
-            finally:
-                for t in tables.values():
-                    t.complete = False
+            yield m, leaf_check(waiting)
+            for t in tables.values():
+                t.complete = False
             return
         group = groups[gi]
         for value in group[3]:
@@ -376,13 +377,10 @@ def _search_node(node, sig, premises_n, leaf_ok, stop_at_first,
                         nxt[t] = nxt.get(t, ()) + tuple(insts)
                 else:
                     nxt = waiting
-                rec(gi + 1, nxt)
+                yield from rec(gi + 1, nxt)
             unassign(group)
-            if found is not None and stop_at_first:
-                return
 
-    rec(0, waiting0)
-    return found, found_at, examined
+    yield from rec(0, waiting0)
 
 
 def _freeze(m: KripkeInterpretation) -> KripkeInterpretation:
@@ -393,25 +391,34 @@ def _freeze(m: KripkeInterpretation) -> KripkeInterpretation:
                                 denot, m.relspace, m.actual, m.relvar_domain)
 
 
-def _run_search(premises, sig: Signature, b: Bounds, leaf_ok=None,
-                relvar_domain: str = "full"):
-    """Canonically-first satisfying model and the number of complete
-    interpretations examined before it (all of them when none is found).
+def leaves(premises, sig: Signature, b: Bounds,
+           relvar_domain: str = "full", nodes=None):
+    """(m, ok) for every complete interpretation the search reaches within
+    bounds, node by node in canonical order (see _search_node); nodes
+    replaces the size nodes when given.
 
     The node list is built in full first, so bounds past the relation-space
-    cap raise SearchBoundsError before any node is searched.
+    limit raise SearchBoundsError before any node is searched.
     """
     premises_n = [beta_normalize(expand_derived(p)) for p in premises]
-    nodes = list(_size_nodes(sig, b, premises))
+    if nodes is None:
+        nodes = list(_size_nodes(sig, b, premises_n))
     bodies: dict = {}
-    total = 0
     for node in nodes:
-        found, found_at, examined = _search_node(
-            node, sig, premises_n, leaf_ok, True, relvar_domain, bodies)
-        if found is not None:
-            return found, total + found_at
-        total += examined
-    return None, total
+        yield from _search_node(node, sig, premises_n, relvar_domain, bodies)
+
+
+def _run_search(premises, sig: Signature, b: Bounds, leaf_ok=None,
+                relvar_domain: str = "full"):
+    """Canonically-first premise model passing leaf_ok, and the number of
+    complete interpretations examined before it (all of them when none is
+    found)."""
+    examined = 0
+    for m, ok in leaves(premises, sig, b, relvar_domain):
+        if ok and (leaf_ok is None or leaf_ok(m)):
+            return _freeze(m), examined
+        examined += 1
+    return None, examined
 
 
 def enumerate_models(sig: Signature, b: Bounds):

@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .abstraction import Accepted
-from .formulas import (
-    INDIVIDUAL, REL1, Formula, MacroFormula, Var, beta_normalize,
-)
+from .formulas import INDIVIDUAL, REL1, Formula, MacroFormula, Var
 from .kripke import (
     KripkeInterpretation, compile_world, evaluate, is_rigid_value,
     total_access,
@@ -28,7 +26,7 @@ from .kripke import (
 from .macros import expand_derived
 from .modelfind import (
     Bounds, SatResult, decide_sat, find_countermodel, frame_requirements,
-    _freeze, _run_search, _search_node,
+    leaves, _freeze,
 )
 from .parser import parse_formula
 from .printer import print_formula
@@ -283,15 +281,8 @@ def _all_world_constant(m: KripkeInterpretation) -> bool:
 
 def _satisfying_models(ps: PremiseSet, b: Bounds) -> list:
     """Every premise model within bounds, canonical order."""
-    found = []
-
-    def leaf_ok(m):
-        found.append(_freeze(m))
-        return False  # keep searching
-
-    _run_search(ps.formulas(), ps.sig, b, leaf_ok,
-                relvar_domain=ps.relvar_domain)
-    return found
+    return [_freeze(m) for m, ok in leaves(ps.formulas(), ps.sig, b,
+                                           ps.relvar_domain) if ok]
 
 
 def find_vagueness_witness(b: Bounds | None = None):
@@ -301,21 +292,12 @@ def find_vagueness_witness(b: Bounds | None = None):
     ps = variant("anderson")
     b = b or ps.bounds
     gx = compile_world(expand_derived(parse_formula("G* x", ps.sig)))
-
-    def leaf_ok(m):
-        godlike = [d for d in range(m.n_individuals)
-                   if gx(m, {"x": d}, m.actual)]
-        return len(godlike) >= 2
-
-    premises_n = [beta_normalize(expand_derived(f)) for f in ps.formulas()]
-    bodies: dict = {}
-    for n_w in range(1, b.max_worlds + 1):
-        full = (1 << (2 * n_w)) - 1
-        node = (n_w, 2, total_access(n_w), (0, full))
-        found, _, _ = _search_node(node, ps.sig, premises_n, leaf_ok, True,
-                                   bodies=bodies)
-        if found is not None:
-            return found
+    nodes = [(n_w, 2, total_access(n_w), (0, (1 << (2 * n_w)) - 1))
+             for n_w in range(1, b.max_worlds + 1)]
+    for m, ok in leaves(ps.formulas(), ps.sig, b, nodes=nodes):
+        if ok and sum(1 for d in range(m.n_individuals)
+                      if gx(m, {"x": d}, m.actual)) >= 2:
+            return _freeze(m)
     return None
 
 

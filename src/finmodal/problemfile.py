@@ -103,8 +103,7 @@ def parse_problem(text: str) -> Problem:
         elif head == "bounds":
             for item in rest.split():
                 key, _, value = item.partition("=")
-                names = {"worlds": "max_worlds", "individuals": "max_individuals",
-                         "relspace": "relspace_cap"}
+                names = {"worlds": "max_worlds", "individuals": "max_individuals"}
                 if key not in names:
                     raise ProblemFileError(f"unknown bound {key!r}", no)
                 if not (value.isdecimal() and int(value) >= 1):

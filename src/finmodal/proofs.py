@@ -20,10 +20,10 @@ from .abstraction import (
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Diamond, Exemplify, Forall, Formula, Implies,
-    Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, Term, Var,
+    Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, SOAtom, Term, Var,
     beta_normalize, canonical_key,
 )
-from .macros import expand_derived
+from .macros import P_CONST, expand_derived
 
 
 def normal(x):
@@ -237,9 +237,6 @@ def goedel_refutation(premises) -> ScriptBuilder:
     godlike property is positive, 4 positivity is necessary, 5 necessary
     existence is positive. Only 1, 2, and 5 are needed.
     """
-    from .formulas import SOAtom
-    from .macros import P_CONST
-
     b = ScriptBuilder(make_layer("K"), premises)
     xv, yv = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
     Yv, Zv = Var("Y", REL1), Var("Z", REL1)

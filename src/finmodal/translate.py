@@ -140,10 +140,8 @@ def standard_translation(f: Formula) -> MetaTerm:
     return MetaTerm(top, tr(f, top, {}))
 
 
-def meta_evaluate(mt: MetaTerm, m: KripkeInterpretation, w: int,
-                  assignment: dict | None = None) -> bool:
+def meta_evaluate(mt: MetaTerm, m: KripkeInterpretation, w: int) -> bool:
     """Evaluate the world-explicit translation directly over m."""
-    base = dict(assignment or {})
 
     def ev(n, env) -> bool:
         if isinstance(n, MAtom):
@@ -155,8 +153,6 @@ def meta_evaluate(mt: MetaTerm, m: KripkeInterpretation, w: int,
             for name in n.args:
                 if name in env:
                     args.append(env[name])
-                elif name in base:
-                    args.append(base[name])
                 elif name in m.denot:
                     args.append(m.denot[name])
                 else:
@@ -264,24 +260,20 @@ class AgreementReport:
 
 
 def generate_formulas(atoms, depth: int) -> list:
-    level = [Exemplify(Const(a, PROPOSITION), ()) for a in atoms]
-    seen = set(level)
+    """Every formula up to depth built from the atoms by Not, Box, Actually
+    and Implies, each once. A level adds the unary forms of the last level's
+    formulas and the implications with an operand from the last level: the
+    rest were added before."""
+    formulas = [Exemplify(Const(a, PROPOSITION), ()) for a in atoms]
+    last = 0  # formulas[last:] is the last level
     for _ in range(depth):
-        new = []
-        for f in level:
-            for U in (Not, Box, Actually):
-                g = U(f)
-                if g not in seen:
-                    seen.add(g)
-                    new.append(g)
-        for a in level:
-            for b in level:
-                g = Implies(a, b)
-                if g not in seen:
-                    seen.add(g)
-                    new.append(g)
-        level = level + new
-    return level
+        fresh = formulas[last:]
+        new = [U(f) for f in fresh for U in (Not, Box, Actually)]
+        new += [Implies(a, b) for i, a in enumerate(formulas)
+                for b in (formulas if i >= last else fresh)]
+        last = len(formulas)
+        formulas += new
+    return formulas
 
 
 def exhaustive_agreement(max_depth: int = 3, max_worlds: int = 3,

@@ -95,13 +95,21 @@ def test_corpus_single_variant(name, tmp_path, capsys):
 
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):
-    # a second-order constant over bounds whose relation space passes the cap
-    big = tmp_path / "big.problem"
-    big.write_text("const P : so\nbounds worlds=3 individuals=2\n"
-                   "premise all Y (P Y -> P Y)\n")
-    code = run(["sat", str(big)])
-    capsys.readouterr()
-    assert code == 3
+    # a second-order constant over bounds whose relation space passes the
+    # limit; the second problem is satisfiable, but only past it
+    five = ("exists a (exists b (exists c (exists d (exists e (~a = b & "
+            "~a = c & ~a = d & ~a = e & ~b = c & ~b = d & ~b = e & ~c = d & "
+            "~c = e & ~d = e)))))")
+    for text in ("const P : so\nbounds worlds=3 individuals=2\n"
+                 "premise all Y (P Y -> P Y)\n",
+                 "const P : so\nbounds worlds=1 individuals=5\n"
+                 f"premise P [\\x x = x]\npremise {five}\n"):
+        big = tmp_path / "big.problem"
+        big.write_text(text)
+        code = run(["sat", str(big)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("budget exceeded: ")
 
 
 def run_module(argv, timeout=60):
@@ -115,8 +123,8 @@ def run_module(argv, timeout=60):
 
 @pytest.mark.parametrize("command", ["sat", "check"])
 def test_bound_below_one_is_usage_error(tmp_path, command):
-    # a value below 1, and a key that names no bound
-    for bounds in ("worlds=0 individuals=1", "nesting=2"):
+    # a value below 1, and keys that name no bound
+    for bounds in ("worlds=0 individuals=1", "nesting=2", "relspace=64"):
         bad = tmp_path / "w0.problem"
         bad.write_text("sig classical\nlogic K\nconst p : prop\n"
                        f"bounds {bounds}\nconjecture p -> p\n")

@@ -349,11 +349,11 @@ class TestPruning:
         b = Bounds(2, 2)
         premises_n = [beta_normalize(expand_derived(p))
                       for p in ps.formulas()]
-        size_nodes = list(_size_nodes(ps.sig, b, ps.formulas()))
+        size_nodes = list(_size_nodes(ps.sig, b, premises_n))
         assert len(size_nodes) == nodes
-        assert sum(_search_node(node, ps.sig, premises_n, None, False,
-                                ps.relvar_domain)[2]
-                   for node in size_nodes) == leaves
+        assert sum(1 for node in size_nodes
+                   for _ in _search_node(node, ps.sig, premises_n,
+                                         ps.relvar_domain, {})) == leaves
         assert calls[0] == evaluations
 
 
