@@ -21,10 +21,10 @@ import time
 from dataclasses import dataclass
 
 from .formulas import (
-    INDIVIDUAL, PROPOSITION, REL1, Sort, SortError,
+    INDIVIDUAL, PROPOSITION, REL1, SortError,
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, MacroFormula,
     Not, PrimitiveEq, Term, Var,
-    alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
+    beta_normalize, binder_vars, canonical_key, children,
     compose_key, free_names, free_vars, key_children, rebuild, rename_binder,
     sort_of, substitute,
 )
@@ -188,122 +188,6 @@ def schema_instance(s: Schema, subst: dict, mode: Mode = Mode.CLASSICAL) -> Form
               else PrimitiveEq(alpha, beta))
         return Implies(eq, Implies(phi, psi))
     raise SchemaError(f"unknown schema kind {s.kind}")
-
-
-def match_schema(s: Schema, f: Formula):
-    """Most general substitution making s's instance alpha-equal to f, if any."""
-    if s.kind == "template":
-        bind: dict = {}
-
-        def go(t, g) -> bool:
-            if isinstance(t, Exemplify) and isinstance(t.rel, Var) and not t.args \
-                    and t.rel.sort == PROPOSITION:
-                name = t.rel.name
-                if name in bind:
-                    return alpha_equivalent(bind[name], g)
-                if not isinstance(g, Formula):
-                    return False
-                bind[name] = g
-                return True
-            if isinstance(t, Var):
-                if t.name in bind:
-                    return alpha_equivalent(bind[t.name], g)
-                if not isinstance(g, Term):
-                    return False
-                bind[t.name] = g
-                return True
-            if type(t) is not type(g):
-                return False
-            ct, cg = children(t), children(g)
-            if len(ct) != len(cg):
-                return False
-            return all(go(a, b) for a, b in zip(ct, cg))
-
-        return bind if go(s.template, f) else None
-
-    if s.kind == "inst":
-        if not isinstance(f, Implies) or not isinstance(f.left, Forall):
-            return None
-        alpha, body, rhs = f.left.var, f.left.body, f.right
-        tau = _find_instantiation(alpha, body, rhs)
-        if tau is None:
-            return None
-        return {"alpha": alpha, "phi": body, "tau": tau}
-    if s.kind == "vac":
-        if (isinstance(f, Implies) and isinstance(f.right, Forall)
-                and alpha_equivalent(f.left, f.right.body)
-                and f.right.var.name not in free_names(f.left)):
-            return {"alpha": f.right.var, "phi": f.left}
-        return None
-    if s.kind == "dist":
-        if (isinstance(f, Implies) and isinstance(f.left, Forall)
-                and isinstance(f.left.body, Implies)
-                and isinstance(f.right, Implies)
-                and isinstance(f.right.left, Forall)
-                and isinstance(f.right.right, Forall)):
-            a = f.left.var
-            phi, psi = f.left.body.left, f.left.body.right
-            if (f.right.left.var == a and f.right.right.var == a
-                    and alpha_equivalent(f.right.left.body, phi)
-                    and alpha_equivalent(f.right.right.body, psi)):
-                return {"alpha": a, "phi": phi, "psi": psi}
-        return None
-    if s.kind == "eq_refl":
-        if isinstance(f, PrimitiveEq) and alpha_equivalent(f.left, f.right):
-            return {"tau": f.left}
-        return None
-    if s.kind == "eq_sub":
-        if (isinstance(f, Implies) and isinstance(f.right, Implies)
-                and isinstance(f.left, (PrimitiveEq, MacroFormula))):
-            if isinstance(f.left, MacroFormula) and f.left.name != "id":
-                return None
-            a, b = (f.left.left, f.left.right) if isinstance(f.left, PrimitiveEq) \
-                else f.left.args
-            if _replaces_some(f.right.left, f.right.right, a, b):
-                return {"alpha": a, "beta": b,
-                        "phi": f.right.left, "psi": f.right.right}
-        return None
-    return None
-
-
-def _find_instantiation(v: Var, body: Formula, rhs: Formula):
-    found: list = []
-
-    def go(b, r, env) -> bool:
-        if isinstance(b, Var):
-            if b == v and v.name not in env:
-                if not isinstance(r, Term):
-                    return False
-                if found and canonical_key(found[0]) != canonical_key(r):
-                    return False
-                if not found:
-                    found.append(r)
-                return True
-            if b.name in env:
-                return isinstance(r, Var) and r.name == env[b.name] and r.sort == b.sort
-            return isinstance(r, Var) and r.name == b.name and r.sort == b.sort
-        if type(b) is not type(r):
-            return False
-        if isinstance(b, Const):
-            return b == r
-        bb, br = binder_vars(b), binder_vars(r)
-        if len(bb) != len(br):
-            return False
-        inner = dict(env)
-        for x, y in zip(bb, br):
-            if x.sort != y.sort:
-                return False
-            inner[x.name] = y.name
-        cb, cr = children(b), children(r)
-        if len(cb) != len(cr):
-            return False
-        if isinstance(b, MacroFormula) and b.name != r.name:
-            return False
-        return all(go(c, d, inner) for c, d in zip(cb, cr))
-
-    if not go(body, rhs, {}):
-        return None
-    return found[0] if found else v
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .formulas import (
     Var,
     beta_normalize, binder_vars, canonical_key, children, subnodes,
 )
+from .kripke import lowest_bit
 from .macros import expand_derived
 from .parser import parse_term
 from .printer import print_formula, print_term
@@ -83,7 +84,6 @@ class AczelConfig:
 
 @dataclass(frozen=True, eq=False)
 class AczelModel:
-    config: AczelConfig
     n_ordinary: int
     n_special: int
     n_worlds: int
@@ -125,6 +125,15 @@ def build_aczel(config: AczelConfig) -> AczelModel:
             f"{MAX_URELEMENT_BITS}")
     relspace1 = tuple(range(1 << (n_u * config.n_worlds)))
     propspace = tuple(range(1 << config.n_worlds))
+
+    def in_range(value, bound: int, what: str):
+        if not 0 <= value < bound:
+            raise AotEvalError(f"{what} {value} is not in 0..{bound - 1}")
+        return value
+
+    in_range(config.actual, config.n_worlds, "actual world")
+    if config.sigma[0] == "membership":
+        in_range(config.sigma[1], len(relspace1), "sigma membership value")
     e_bang = config.e_bang
     if e_bang is None:
         # concreteness holds of the first ordinary urelement at the first
@@ -133,6 +142,7 @@ def build_aczel(config: AczelConfig) -> AczelModel:
         if config.n_worlds > 1:
             w1 = 1 if config.actual != 1 else 0
             e_bang = 1 << (0 * config.n_worlds + w1)
+    in_range(e_bang, len(relspace1), "concreteness value")
     for s in range(config.n_special):
         u = config.n_ordinary + s
         for w in range(config.n_worlds):
@@ -143,34 +153,36 @@ def build_aczel(config: AczelConfig) -> AczelModel:
     for name, spec in config.consts.items():
         kind = spec[0]
         if kind == "ordinary":
-            denot[name] = Ordinary(spec[1])
+            denot[name] = Ordinary(in_range(spec[1], config.n_ordinary,
+                                            f"{name}: ordinary urelement"))
             consts[name] = INDIVIDUAL
         elif kind == "abstract":
             mask = 0
             for v in spec[1]:
-                mask |= 1 << v
+                mask |= 1 << in_range(v, len(relspace1),
+                                      f"{name}: relation value")
             denot[name] = Abstract(mask)
             consts[name] = INDIVIDUAL
         elif kind == "prop":
-            denot[name] = spec[1]
+            denot[name] = in_range(spec[1], len(propspace),
+                                   f"{name}: proposition value")
             consts[name] = PROPOSITION
         elif kind == "rel":
-            denot[name] = spec[1]
+            denot[name] = in_range(spec[1], len(relspace1),
+                                   f"{name}: relation value")
             consts[name] = REL1
         else:
             raise AotEvalError(f"unknown constant spec {spec!r}")
     sig = Signature(Mode.AOT, LogicTag.S5TOTAL, consts)
-    return AczelModel(config, config.n_ordinary, config.n_special,
+    return AczelModel(config.n_ordinary, config.n_special,
                       config.n_worlds, config.actual, relspace1, propspace,
                       config.sigma, denot, sig)
 
 
-def minimal_model(extra_consts: dict | None = None,
-                  sigma: tuple = ("constant",)) -> AczelModel:
+def minimal_model(sigma: tuple = ("constant",)) -> AczelModel:
     """One ordinary and one special urelement over two worlds; k1 names the
     ordinary object and k2 the abstract object encoding nothing."""
     consts = {"k1": ("ordinary", 0), "k2": ("abstract", ())}
-    consts.update(extra_consts or {})
     return build_aczel(AczelConfig(consts=consts, sigma=sigma))
 
 
@@ -434,7 +446,7 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
 
     cols = _scan_columns(t, m, a, ctx)
     for s, cmask in ctx.sigma_class_masks.items():
-        rep_col = _first_bit(cmask)
+        rep_col = lowest_bit(cmask)
         for w in range(m.n_worlds):
             got = cols[w] & cmask
             if got != 0 and got != cmask:
@@ -442,10 +454,6 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
             if (cols[w] >> rep_col) & 1:
                 value |= 1 << ((m.n_ordinary + s) * m.n_worlds + w)
     return Denotes(value)
-
-
-def _first_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def _denote_description(t: Description, m: AczelModel, a: dict,
@@ -485,7 +493,7 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
         return NON_DENOTING
     if hits:
         return Denotes(hits[0])
-    return Denotes(Abstract(_first_bit(col)))
+    return Denotes(Abstract(lowest_bit(col)))
 
 
 def _prefetch_closed_terms(body: Formula, m: AczelModel, a: dict,
@@ -791,7 +799,7 @@ def minimal_model_report(m: AczelModel) -> MinimalModelReport:
         for j in range(i + 1, len(witnesses)):
             diff = witnesses[i][1] ^ witnesses[j][1]
             if diff:
-                bit = _first_bit(diff)
+                bit = lowest_bit(diff)
                 pair_witnesses[(i, j)] = (bit // m.n_worlds, bit % m.n_worlds)
     historical = [v for _, v in witnesses[:6]]
     historical_distinct = len(set(historical)) == len(historical)

@@ -132,8 +132,10 @@ def _needs_relspace(sig: Signature, premises_n) -> bool:
 
 def _denotation_groups(sig: Signature, n_worlds: int, n_individuals: int,
                        relspace, relvar_domain: str = "full") -> list:
-    """Ordered bit groups: (const, kind, key, options). Under the rigid
-    reading second-order tables carry rows for rigid values only."""
+    """Ordered bit groups: (const, key, options). key is None for a scalar
+    denotation and the row of a table otherwise; (const, key) is the
+    _MissingBit token of the group's bit. Under the rigid reading
+    second-order tables carry rows for rigid values only."""
     groups = []
     wmasks = range(1 << n_worlds)
     rows = relspace
@@ -144,17 +146,16 @@ def _denotation_groups(sig: Signature, n_worlds: int, n_individuals: int,
         sort = sig.consts[name]
         if sort.kind == "so":
             for v in _pair_adjacent_in(rows, relspace):
-                groups.append((name, "so", v, wmasks))
+                groups.append((name, v, wmasks))
         elif sort.kind == "ind":
-            groups.append((name, "ind", None, range(n_individuals)))
+            groups.append((name, None, range(n_individuals)))
         elif sort.arity == 0:
-            groups.append((name, "prop", None, wmasks))
+            groups.append((name, None, wmasks))
         elif sort.arity == 1:
-            groups.append((name, "rel1", None,
-                           range(1 << (n_individuals * n_worlds))))
+            groups.append((name, None, range(1 << (n_individuals * n_worlds))))
         else:
             for ds in itertools.product(range(n_individuals), repeat=sort.arity):
-                groups.append((name, "reln", ds, wmasks))
+                groups.append((name, ds, wmasks))
     return groups
 
 
@@ -324,21 +325,6 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
                 waiting0.setdefault(r, []).append(inst)
     waiting0 = {k: tuple(v) for k, v in waiting0.items()}
 
-    def assign(group, value):
-        name, kind, key, _ = group
-        if kind in ("so", "reln"):
-            tables[name][key] = value
-            return (name, key)
-        denot[name] = value
-        return (name, None)
-
-    def unassign(group):
-        name, kind, key, _ = group
-        if kind in ("so", "reln"):
-            del tables[name][key]
-        else:
-            del denot[name]
-
     def leaf_check(waiting) -> bool:
         # All groups are assigned; anything still waiting reads a value
         # outside the listed relation space, which falsifies its atom.
@@ -356,9 +342,11 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
             for t in tables.values():
                 t.complete = False
             return
-        group = groups[gi]
-        for value in group[3]:
-            token = assign(group, value)
+        name, key, options = groups[gi]
+        token = (name, key)
+        target, slot = (denot, name) if key is None else (tables[name], key)
+        for value in options:
+            target[slot] = value
             woken = waiting.get(token, ())
             ok = True
             moved: dict = {}
@@ -378,7 +366,7 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
                 else:
                     nxt = waiting
                 yield from rec(gi + 1, nxt)
-            unassign(group)
+        del target[slot]
 
     yield from rec(0, waiting0)
 
@@ -429,14 +417,14 @@ def enumerate_models(sig: Signature, b: Bounds):
 
         def build(choice):
             denot = {}
-            for (name, kind, key, _), value in zip(groups, choice):
-                if kind in ("so", "reln"):
-                    denot.setdefault(name, {})[key] = value
-                else:
+            for (name, key, _), value in zip(groups, choice):
+                if key is None:
                     denot[name] = value
+                else:
+                    denot.setdefault(name, {})[key] = value
             return KripkeInterpretation(sig, n_w, n_d, R, denot, relspace)
 
-        for choice in itertools.product(*(g[3] for g in groups)):
+        for choice in itertools.product(*(g[2] for g in groups)):
             yield build(choice)
 
 

@@ -99,10 +99,6 @@ def essence_holds(kind: EssenceKind, rel_value: int, individual: int,
     return evaluate(f, m, {"Y": rel_value, "x": individual}, w)
 
 
-def is_rigid(rel_value: int, m: KripkeInterpretation) -> bool:
-    return is_rigid_value(rel_value, m.n_individuals, m.n_worlds)
-
-
 # ---------------------------------------------------------------------------
 # Ultrafilter analysis
 
@@ -173,9 +169,11 @@ def ultrafilter_report(m: KripkeInterpretation, selector: str) -> UltrafilterRep
                              m.relspace, top)
     if selector == "Pprime":
         if m.relvar_domain == "rigid":
-            positives = [v for v in positives if is_rigid(v, m)]
+            positives = [v for v in positives
+                         if is_rigid_value(v, m.n_individuals, m.n_worlds)]
         family = {_rigidify(v, m) for v in positives}
-        lattice = [v for v in m.relspace if is_rigid(v, m)]
+        lattice = [v for v in m.relspace
+                   if is_rigid_value(v, m.n_individuals, m.n_worlds)]
         return _check_family("Pprime", "rigid properties", family, lattice, top)
     raise ValueError(f"unknown selector {selector!r}")
 

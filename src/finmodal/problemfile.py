@@ -6,7 +6,7 @@ quantifiers, expect. Declarations come before the first formula line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abstraction import (
     LAYER_NAMES, AxStep, ExpandStep, GenStep, HypStep, MpStep, NecStep,
@@ -141,18 +141,16 @@ def parse_problem(text: str) -> Problem:
 
 
 def _parse_sort(text: str):
+    """The sort a declaration names: one word, or `rel` and a decimal arity;
+    anything else is a ValueError."""
     parts = text.split()
-    if not parts:
-        raise ValueError("empty sort")
-    if parts[0] == "ind":
-        return INDIVIDUAL
-    if parts[0] == "prop":
-        return PROPOSITION
-    if parts[0] == "so":
-        return SECOND_ORDER
-    if parts[0] == "rel":
-        return Relation(int(parts[1])) if len(parts) > 1 else REL1
-    raise ValueError(text)
+    sorts = {"ind": INDIVIDUAL, "prop": PROPOSITION, "so": SECOND_ORDER,
+             "rel": REL1}
+    if len(parts) == 1 and parts[0] in sorts:
+        return sorts[parts[0]]
+    if len(parts) == 2 and parts[0] == "rel" and parts[1].isdecimal():
+        return Relation(int(parts[1]))
+    raise ValueError(f"bad sort {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,7 @@ def parse_aot_config(text: str) -> AczelConfig:
             elif head == "concrete":
                 u = int(parts[1].lstrip("u"))
                 w = int(parts[2].lstrip("w"))
-                concrete_bits.append((u, w))
+                concrete_bits.append((no, u, w))
             elif head == "const":
                 name, kind = parts[1], parts[2]
                 if kind == "ordinary":
@@ -329,9 +327,16 @@ def parse_aot_config(text: str) -> AczelConfig:
         except Exception as e:
             raise ProblemFileError(str(e), no)
     if concrete_bits:
-        n_worlds = kw.get("n_worlds", 2)
+        defaults = AczelConfig()
+        n_worlds = kw.get("n_worlds", defaults.n_worlds)
+        n_u = (kw.get("n_ordinary", defaults.n_ordinary)
+               + kw.get("n_special", defaults.n_special))
         e_bang = 0
-        for (u, w) in concrete_bits:
+        for (no, u, w) in concrete_bits:
+            if not (0 <= u < n_u and 0 <= w < n_worlds):
+                raise ProblemFileError(
+                    f"no urelement u{u} at world w{w}: the model has "
+                    f"{n_u} urelements and {n_worlds} worlds", no)
             e_bang |= 1 << (u * n_worlds + w)
         kw["e_bang"] = e_bang
     return AczelConfig(**kw)

@@ -213,10 +213,10 @@ def derive_kdia(b: ScriptBuilder, p: Formula, q: Formula) -> int:
     return b.qed(q1)
 
 
-def kdia_script(p_name: str = "p", q_name: str = "q") -> ProofScript:
+def kdia_script() -> ProofScript:
     b = ScriptBuilder(make_layer("K"))
-    p = Exemplify(Const(p_name, PROPOSITION), ())
-    q = Exemplify(Const(q_name, PROPOSITION), ())
+    p = Exemplify(Const("p", PROPOSITION), ())
+    q = Exemplify(Const("q", PROPOSITION), ())
     derive_kdia(b, p, q)
     return b.script()
 

@@ -191,33 +191,15 @@ def export_first_order(schema: Formula) -> str:
     with sortal predicates Proposition/Point, a distinguished point W, and
     a truth predicate True(x,y)."""
     schema = beta_normalize(expand_derived(schema))
-    atoms: list = []
-
-    def scan(g: Formula):
-        if isinstance(g, Exemplify):
-            if g.args or not isinstance(g.rel, (Const, Var)):
-                raise TranslationError("export covers propositional schemas only")
-            if g.rel.name not in atoms:
-                atoms.append(g.rel.name)
-            return
-        if isinstance(g, Not):
-            scan(g.body)
-            return
-        if isinstance(g, Implies):
-            scan(g.left)
-            scan(g.right)
-            return
-        if isinstance(g, Box):
-            scan(g.body)
-            return
-        raise TranslationError(f"export does not cover {type(g).__name__}")
-
-    scan(schema)
-    names = {a: ("x" if i == 0 else f"x{i}") for i, a in enumerate(atoms)}
+    names: dict = {}   # atom -> x, x1, ... in order of first occurrence
     point_names = ["y", "z", "u"]
 
     def tr(g: Formula, point: str, depth: int) -> str:
         if isinstance(g, Exemplify):
+            if g.args or not isinstance(g.rel, (Const, Var)):
+                raise TranslationError("export covers propositional schemas only")
+            if g.rel.name not in names:
+                names[g.rel.name] = f"x{len(names)}" if names else "x"
             return f"True({names[g.rel.name]},{point})"
         if isinstance(g, Not):
             return f"-({tr(g.body, point, depth)})"
@@ -232,8 +214,8 @@ def export_first_order(schema: Formula) -> str:
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     out = body
-    for a in reversed(atoms):
-        out = f"all {names[a]} (Proposition({names[a]}) -> ({out}))"
+    for x in reversed(names.values()):
+        out = f"all {x} (Proposition({x}) -> ({out}))"
     return out
 
 

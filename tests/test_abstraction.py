@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from finmodal.abstraction import (
     Accepted, AxStep, HypStep, Layer, MpStep, NecStep, PremiseStep,
     ProofScript, ProofState, QedStep, Rejected, Schema, SoundnessReport,
-    check_proof, make_layer, match_schema, schema_instance, validate_layer,
-    _template_schemas,
+    check_proof, make_layer, validate_layer,
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
@@ -33,45 +32,6 @@ SIG = Signature(Mode.CLASSICAL, LogicTag.K,
                 {"p": PROPOSITION, "q": PROPOSITION})
 P = Exemplify(Const("p", PROPOSITION), ())
 Q = Exemplify(Const("q", PROPOSITION), ())
-
-
-class TestMatchSchema:
-    def test_t_axiom_positive(self):
-        s = _template_schemas()["ax_T"]
-        found = match_schema(s, parse_formula("[](p & q) -> (p & q)", SIG))
-        assert found is not None
-        assert alpha_equivalent(found["p"], parse_formula("p & q", SIG))
-
-    def test_t_axiom_negative(self):
-        s = _template_schemas()["ax_T"]
-        assert match_schema(s, parse_formula("[]p -> q", SIG)) is None
-
-    def test_apply_then_match_round_trip(self):
-        rng = random.Random(41)
-        schemas = _template_schemas()
-        for name in ("pl1", "pl2", "pl3", "ax_K", "ax_T", "ax_5"):
-            s = schemas[name]
-            for _ in range(20):
-                subst = {mv: random_formula(rng, SIG, 2, quantifiers=False)
-                         for mv in s.metavars}
-                inst = schema_instance(s, subst)
-                found = match_schema(s, inst)
-                assert found is not None
-                again = schema_instance(s, found)
-                assert alpha_equivalent(again, inst)
-
-    def test_instantiation_schema_match(self):
-        layer = make_layer("K")
-        s = layer.schemas["inst"]
-        x = Var("x", INDIVIDUAL)
-        sig = Signature(Mode.CLASSICAL, LogicTag.K,
-                        {"S": REL1, "c": INDIVIDUAL})
-        body = parse_formula("S x -> []S x", sig)
-        inst = schema_instance(s, {"alpha": x, "phi": body,
-                                   "tau": Const("c", INDIVIDUAL)})
-        found = match_schema(s, inst)
-        assert found is not None
-        assert found["tau"] == Const("c", INDIVIDUAL)
 
 
 class TestCheckProof:

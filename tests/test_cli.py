@@ -137,13 +137,38 @@ def test_bound_below_one_is_usage_error(tmp_path, command):
 
 
 def test_empty_sort_is_usage_error(tmp_path):
-    bad = tmp_path / "empty.problem"
-    bad.write_text("sig classical\nlogic K\nconst p :\nconjecture p -> p\n")
-    proc = run_module(["check", str(bad)])
+    # an empty sort, a negative arity, and words after the sort
+    bad = tmp_path / "bad.problem"
+    for decl, command in [("const p :", "check"), ("const p : rel -1", "check"),
+                          ("const p : rel -1", "sat"),
+                          ("const p : prop extra", "check"),
+                          ("const R : rel 0 1", "sat")]:
+        name = decl.split()[1]
+        bad.write_text(f"sig classical\nlogic K\n{decl}\n"
+                       f"conjecture {name} -> {name}\n")
+        proc = run_module([command, str(bad)])
+        assert proc.returncode == 2, decl
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: line 3: expected 'const <name> : <sort>'"], decl
+
+
+@pytest.mark.parametrize("text", [
+    "worlds 1\nordinary 1\nspecial 2\nsigma membership 99\n",
+    "ordinary 1\nconst k ordinary 5\n",
+    "worlds 2\nactual 7\n",
+    "const k abstract 99\n",
+    "const p prop 0x99\n",
+    "concrete u0 w5\n",
+], ids=["sigma", "ordinary", "actual", "abstract", "prop", "concrete"])
+def test_out_of_range_model_value_is_usage_error(tmp_path, text):
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    proc = run_module(["aot", str(path), "--census"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [
-        "error: line 3: expected 'const <name> : <sort>'"]
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [["aot", "minimal"], ["corpus", "scott"]])

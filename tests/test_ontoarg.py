@@ -15,7 +15,7 @@ from finmodal.macros import expand_derived
 from finmodal.modelfind import Bounds, decide_sat
 from finmodal.ontoarg import (
     EssenceKind, PremiseSet, UltrafilterReport, VARIANT_NAMES, essence_holds,
-    find_vagueness_witness, is_rigid, run_variant_suite, ultrafilter_report,
+    find_vagueness_witness, run_variant_suite, ultrafilter_report,
     variant,
 )
 from finmodal.parser import parse_formula
@@ -115,17 +115,19 @@ class TestEssence:
 class TestRigidity:
     def test_constant_extension(self):
         m = small_model()
-        assert is_rigid(0b0000, m)
-        assert is_rigid(0b1111, m)
-        assert not is_rigid(0b0001, m)
+        assert is_rigid_value(0b0000, m.n_individuals, m.n_worlds)
+        assert is_rigid_value(0b1111, m.n_individuals, m.n_worlds)
+        assert not is_rigid_value(0b0001, m.n_individuals, m.n_worlds)
 
     def test_rigid_count_is_two_to_the_individuals(self):
         m = small_model()
-        assert sum(1 for v in m.relspace if is_rigid(v, m)) == 4
+        assert sum(1 for v in m.relspace
+                   if is_rigid_value(v, m.n_individuals, m.n_worlds)) == 4
 
     def test_rigid_family_closed_under_complement_and_meet(self):
         m = small_model()
-        rigid = [v for v in m.relspace if is_rigid(v, m)]
+        rigid = [v for v in m.relspace
+                 if is_rigid_value(v, m.n_individuals, m.n_worlds)]
         full = len(m.relspace) - 1
         for a in rigid:
             assert (full ^ a) in rigid
