@@ -9,10 +9,11 @@ deduction block, necessitation and generalization may only cite lines
 that do not depend on an open hypothesis (generalization additionally
 just needs its variable absent from the open hypotheses it depends on).
 
-Every proof line is kept in beta normal form together with its canonical
-key. A line that modus ponens, necessitation or a closed deduction block
-derives is built from the lines it cites: its key is read off or composed
-from theirs, and it is not normalized or keyed again.
+Every proof line is kept in beta normal form. Nodes store their
+normal-form flag and their canonical key (see `formulas`), so a line that
+modus ponens, necessitation or a closed deduction block builds from the
+lines it cites is normalized in constant time, and its key, once modus
+ponens compares it, is built from the keys stored on its parts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .formulas import (
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, MacroFormula,
     Not, PrimitiveEq, Term, Var,
     beta_normalize, binder_vars, canonical_key, children,
-    compose_key, free_names, free_vars, key_children, rebuild, rename_binder,
+    free_names, free_vars, rebuild, rename_binder,
     sort_of, substitute,
 )
 from .kripke import (
@@ -291,7 +292,6 @@ class Rejected:
 @dataclass
 class _Line:
     formula: Formula
-    key: object
     hyp_deps: frozenset
     path: tuple  # open hypothesis line indices at creation
 
@@ -325,10 +325,6 @@ class ProofState:
     def apply(self, step) -> int:
         """Apply one step; return the new line index or raise ProofStepError."""
         lines, layer = self.lines, self.layer
-        # mp, nec and qed build their line's key from the keys of the lines
-        # they cite, and skip normalizing: a child of a normal line is
-        # normal, and Box or Implies of normal lines creates no redex
-        key = None
         try:
             if isinstance(step, AxStep):
                 s = layer.schemas.get(step.schema)
@@ -346,10 +342,8 @@ class ProofState:
                     raise ProofStepError("mp cites an unavailable line")
                 ante, impl = lines[step.i], lines[step.j]
                 g = impl.formula
-                if not isinstance(g, Implies):
-                    raise ProofStepError("mp-mismatch")
-                left_key, key = key_children(impl.key)
-                if left_key != ante.key:
+                if not isinstance(g, Implies) \
+                        or canonical_key(g.left) != canonical_key(ante.formula):
                     raise ProofStepError("mp-mismatch")
                 f = g.right
                 deps = ante.hyp_deps | impl.hyp_deps
@@ -361,7 +355,6 @@ class ProofState:
                     raise ProofStepError(
                         "nec-inside-deduction: line depends on an open hypothesis")
                 f = Box(src.formula)
-                key = compose_key(f, (src.key,))
                 deps = src.hyp_deps
             elif isinstance(step, GenStep):
                 if not self._visible(step.i):
@@ -390,17 +383,13 @@ class ProofState:
                 hyp_idx = self.path[-1]
                 hyp, src = lines[hyp_idx], lines[step.i]
                 f = Implies(hyp.formula, src.formula)
-                key = compose_key(f, (hyp.key, src.key))
                 self.path = self.path[:-1]
                 deps = (src.hyp_deps | hyp.hyp_deps) - {hyp_idx}
             else:
                 raise ProofStepError(f"unknown step {step!r}")
         except (SchemaError, SortError, KeyError) as e:
             raise ProofStepError(f"{type(e).__name__}: {e}")
-        if key is None:
-            f = beta_normalize(f)
-            key = canonical_key(f)
-        lines.append(_Line(f, key, deps, self.path))
+        lines.append(_Line(beta_normalize(f), deps, self.path))
         return len(lines) - 1
 
     def verdict(self):

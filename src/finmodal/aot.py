@@ -26,7 +26,8 @@ from .formulas import (
     Actually, And, Box, Const, Description, Encode, Exemplify, Forall,
     Formula, Implies, Lambda, MacroFormula, Not, PrimitiveEq, SOAtom, Term,
     Var,
-    beta_normalize, binder_vars, canonical_key, children, subnodes,
+    beta_normalize, binder_vars, canonical_key, children, free_names,
+    subnodes,
 )
 from .kripke import lowest_bit
 from .macros import expand_derived
@@ -212,12 +213,13 @@ def _membership_masks(n_values: int) -> list:
 class _EvalContext:
     """The state of one top-level call (`denote`, `eval_aot`).
 
-    Besides the sweep counters and the closed-term denotations, it holds
-    the syntax the call works out once: free names per node, encoding
-    usage per (variable, body), the canonical key of each closed term,
-    and the bodies already prefetched. These tables are keyed by id(node) and
-    keep their node, so no id is reused while the context lives; the
-    context is dropped when the call returns."""
+    Besides the sweep counters and the closed-term denotations, keyed by
+    canonical key, it holds what the call works out once about its input:
+    encoding usage per (variable, body) and the bodies already prefetched.
+    These two tables are keyed by id(node) and keep their node, so no id is
+    reused while the context lives; the context is dropped when the call
+    returns. Free names and keys are stored on the nodes (see
+    `formulas`)."""
 
     def __init__(self, m: AczelModel):
         self.m = m
@@ -228,9 +230,7 @@ class _EvalContext:
         self.membership = _membership_masks(len(m.relspace1))
         self.sigma_class_masks = self._sigma_classes()
         self.closed_cache: dict = {}   # canonical key -> denotation
-        self.free: dict = {}           # id(node) -> (node, free vars, names)
         self.usage: dict = {}          # (x, id(body)) -> (body, usage)
-        self.keys: dict = {}           # id(term) -> (term, key or None)
         self.prefetched: dict = {}     # id(body) -> body
 
     def _sigma_classes(self) -> dict:
@@ -239,34 +239,6 @@ class _EvalContext:
             return {0: self.full}
         mem = self.membership[m.sigma[1]]
         return {0: self.full ^ mem, 1: mem}
-
-    def free_names(self, x) -> frozenset:
-        """formulas.free_names(x), built once per node from its children."""
-        hit = self.free.get(id(x))
-        return (hit or self._free_entry(x))[2]
-
-    def _free_entry(self, x):
-        if isinstance(x, Var):
-            entry = (x, frozenset((x,)), frozenset((x.name,)))
-        else:
-            fv = frozenset()
-            for c in children(x):
-                fv |= (self.free.get(id(c)) or self._free_entry(c))[1]
-            bvs = binder_vars(x)
-            if bvs:
-                fv -= frozenset(bvs)
-            entry = (x, fv, frozenset(v.name for v in fv))
-        self.free[id(x)] = entry
-        return entry
-
-    def closed_key(self, t: Term):
-        """The closed-cache key of a Lambda or Description, its canonical
-        key; None when t has a free variable."""
-        hit = self.keys.get(id(t))
-        if hit is None:
-            key = canonical_key(t) if not self.free_names(t) else None
-            hit = self.keys[id(t)] = (t, key)
-        return hit[1]
 
 
 def _encode_usage(x: str, f: Formula, ctx: _EvalContext):
@@ -278,7 +250,6 @@ def _encode_usage(x: str, f: Formula, ctx: _EvalContext):
     hit = ctx.usage.get((x, id(f)))
     if hit is not None:
         return hit[1]
-    free_names = ctx.free_names
     closed: list = []
     state = {"full": False}
 
@@ -385,7 +356,7 @@ def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
         except KeyError:
             raise AotEvalError(f"uninterpreted constant {t.name!r}")
     if isinstance(t, (Lambda, Description)):
-        key = ctx.closed_key(t)
+        key = canonical_key(t) if not free_names(t) else None
         if key is not None:
             hit = ctx.closed_cache.get(key)
             if hit is not None:
@@ -504,8 +475,7 @@ def _prefetch_closed_terms(body: Formula, m: AczelModel, a: dict,
     if id(body) in ctx.prefetched:
         return
     for n in subnodes(body):
-        if isinstance(n, (Lambda, Description)) \
-                and ctx.closed_key(n) is not None:
+        if isinstance(n, (Lambda, Description)) and not free_names(n):
             denote_in(n, m, a, ctx)
     ctx.prefetched[id(body)] = body
 
@@ -541,7 +511,6 @@ def _higher_domain(var: Var, m: AczelModel):
 def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
          ctx: _EvalContext) -> int:
     full = ctx.full
-    free_names = ctx.free_names
     if x not in free_names(f):
         return full if _ev(f, m, a, w, ctx) else 0
     if isinstance(f, Encode):

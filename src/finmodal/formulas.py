@@ -57,23 +57,32 @@ REL1 = Relation(1)
 # ---------------------------------------------------------------------------
 # Terms
 
+# What a node stores about itself the first time it is asked: its free
+# variables and names, its canonical key at top level, and flags saying that
+# beta_normalize and macros.expand_derived return it unchanged. These depend
+# only on the node's structure, and they are not dataclass fields, so
+# __init__, __eq__, __hash__ and repr never see them.
+_FACTS = ("_free_vars", "_free_names", "_key", "_normal", "_primitive")
+_EMPTY = frozenset()
+
+
 class Term:
-    __slots__ = ()
+    __slots__ = _FACTS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lambda(Term):
     params: tuple  # tuple[Var, ...], all individual-sorted, distinct
     body: "Formula"
@@ -87,7 +96,7 @@ class Lambda(Term):
                 raise SortError("lambda binds a non-individual variable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Description(Term):
     var: Var
     body: "Formula"
@@ -97,7 +106,7 @@ class Description(Term):
             raise SortError("description binds a non-individual variable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroTerm(Term):
     name: str
     args: tuple = ()
@@ -146,55 +155,55 @@ def sort_of(t: Term) -> Sort:
 # Formulas
 
 class Formula:
-    __slots__ = ()
+    __slots__ = _FACTS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exemplify(Formula):
     rel: Term
     args: tuple = ()  # tuple[Term, ...] of individuals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Encode(Formula):
     obj: Term
     rel: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SOAtom(Formula):
     op: Term  # second-order constant
     arg: Term  # unary-relation term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimitiveEq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Actually(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     var: Var
     body: Formula
@@ -202,42 +211,42 @@ class Forall(Formula):
 
 # Derived connectives; expand_derived maps them to the primitives above.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diamond(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     var: Var
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Xor(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroFormula(Formula):
     name: str
     args: tuple = ()
@@ -288,17 +297,32 @@ def binder_vars(x: Node) -> tuple:
 
 
 def free_vars(x: Node) -> frozenset:
-    bound = binder_vars(x)
-    out = set()
-    for c in children(x):
-        out |= free_vars(c)
+    """The free variables of x, stored on x (a Var excepted, whose set would
+    hold the Var itself). A set equal to a child's is that child's set."""
     if isinstance(x, Var):
-        out.add(x)
-    return frozenset(out) - frozenset(bound)
+        return frozenset((x,))
+    fv = getattr(x, "_free_vars", None)
+    if fv is None:
+        fv = _EMPTY
+        for c in children(x):
+            sub = free_vars(c)
+            if not sub <= fv:
+                fv = fv | sub if fv else sub
+        bvs = binder_vars(x)
+        if bvs and not fv.isdisjoint(bvs):
+            fv = fv.difference(bvs)
+        object.__setattr__(x, "_free_vars", fv)
+    return fv
 
 
 def free_names(x: Node) -> frozenset:
-    return frozenset(v.name for v in free_vars(x))
+    """The names of x's free variables, stored on x."""
+    names = getattr(x, "_free_names", None)
+    if names is None:
+        fv = free_vars(x)
+        names = frozenset(v.name for v in fv) if fv else _EMPTY
+        object.__setattr__(x, "_free_names", names)
+    return names
 
 
 def subnodes(x: Node):
@@ -405,8 +429,14 @@ def _subst(x: Node, mapping: dict) -> Node:
 # Alpha-equivalence via de Bruijn canonicalization
 
 def canonical_key(x: Node):
-    """A hashable key invariant under renaming of bound variables."""
-    return _ckey(x, {}, 0)
+    """A hashable key invariant under renaming of bound variables, stored
+    on x. Only keys at top level are stored: under a binder a key depends
+    on the binder's depth."""
+    key = getattr(x, "_key", None)
+    if key is None:
+        key = _ckey(x, {}, 0)
+        object.__setattr__(x, "_key", key)
+    return key
 
 
 def _ckey(x: Node, env: dict, depth: int):
@@ -424,22 +454,11 @@ def _ckey(x: Node, env: dict, depth: int):
         depth += len(bvs)
     tag = type(x).__name__
     extra = (x.name,) if isinstance(x, (MacroTerm, MacroFormula)) else ()
-    # compose_key and key_children rely on this layout
-    return (tag, *extra, len(binder_vars(x)),
-            tuple(_ckey(c, env, depth) for c in children(x)))
-
-
-def compose_key(x: Node, child_keys: tuple):
-    """The canonical key of x, a node that binds no variable, built from the
-    canonical keys of its children (the layout `_ckey` gives such a node)."""
-    extra = (x.name,) if isinstance(x, (MacroTerm, MacroFormula)) else ()
-    return (type(x).__name__, *extra, 0, tuple(child_keys))
-
-
-def key_children(key) -> tuple:
-    """The canonical keys of the children of a node that binds no variable,
-    read off that node's canonical key."""
-    return key[-1]
+    if env:
+        kids = tuple(_ckey(c, env, depth) for c in children(x))
+    else:
+        kids = tuple(map(canonical_key, children(x)))
+    return (tag, *extra, len(bvs), kids)
 
 
 def alpha_equivalent(a: Node, b: Node) -> bool:
@@ -480,9 +499,10 @@ def beta_normalize(x: Node) -> Node:
     A redex with a definite description among its arguments is kept: the
     description may fail to denote, and then the application is false
     while the reduced matrix need not be. A node in which nothing changes
-    is returned as it is, not rebuilt.
+    is returned as it is, not rebuilt. What it returns is flagged normal,
+    so normalizing it again returns at once.
     """
-    if isinstance(x, (Var, Const)):
+    if isinstance(x, (Var, Const)) or getattr(x, "_normal", False):
         return x
     old = children(x)
     new = tuple(map(beta_normalize, old))
@@ -494,4 +514,5 @@ def beta_normalize(x: Node) -> Node:
                 and not any(isinstance(t, Description) for t in x.args):
             reduced = substitute_many(lam.body, dict(zip(lam.params, x.args)))
             return beta_normalize(reduced)
+    object.__setattr__(x, "_normal", True)
     return x

@@ -206,14 +206,18 @@ class KripkeInterpretation(_Columns):
         """Per world, the tuple of `successors(w)`."""
         return tuple(tuple(self.successors(w)) for w in range(self.n_worlds))
 
+    @cached_property
+    def rigid_relations(self) -> tuple:
+        """The rigid values of relspace, in its order."""
+        return tuple(v for v in self.relspace
+                     if is_rigid_value(v, self.n_individuals, self.n_worlds))
+
     def relation_domain(self):
-        space = self.relspace
-        if not space:
+        if not self.relspace:
             raise EvalError("relation quantifier needs a relation space")
         if self.relvar_domain == "rigid":
-            return [v for v in space
-                    if is_rigid_value(v, self.n_individuals, self.n_worlds)]
-        return space
+            return self.rigid_relations
+        return self.relspace
 
     def proposition_domain(self):
         return range(1 << self.n_worlds)

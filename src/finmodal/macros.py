@@ -167,28 +167,30 @@ def expand_derived(x: Node) -> Node:
 
     Terminating (the macro table is acyclic) and idempotent; applied
     lambdas are kept as written. A primitive node in which nothing
-    changes is returned as it is, not rebuilt.
+    changes is returned as it is, not rebuilt. What it returns is flagged
+    primitive, so expanding it again returns at once.
     """
-    if isinstance(x, Var) or isinstance(x, Const):
+    if isinstance(x, (Var, Const)) or getattr(x, "_primitive", False):
         return x
     old = children(x)
     new = tuple(map(expand_derived, old))
     if any(map(is_not, new, old)):
         x = rebuild(x, new)
     if isinstance(x, Diamond):
-        return Not(Box(Not(x.body)))
-    if isinstance(x, Exists):
-        return Not(Forall(x.var, Not(x.body)))
-    if isinstance(x, And):
-        return Not(Implies(x.left, Not(x.right)))
-    if isinstance(x, Or):
-        return Implies(Not(x.left), x.right)
-    if isinstance(x, (Iff, Xor)):
+        x = Not(Box(Not(x.body)))
+    elif isinstance(x, Exists):
+        x = Not(Forall(x.var, Not(x.body)))
+    elif isinstance(x, And):
+        x = Not(Implies(x.left, Not(x.right)))
+    elif isinstance(x, Or):
+        x = Implies(Not(x.left), x.right)
+    elif isinstance(x, (Iff, Xor)):
         l, r = x.left, x.right
         iff = Not(Implies(Implies(l, r), Not(Implies(r, l))))
-        return iff if isinstance(x, Iff) else Not(iff)
-    if isinstance(x, MacroTerm):
-        return expand_derived(_expand_macro_term(x))
-    if isinstance(x, MacroFormula):
-        return expand_derived(_expand_macro_formula(x))
+        x = iff if isinstance(x, Iff) else Not(iff)
+    elif isinstance(x, MacroTerm):
+        x = expand_derived(_expand_macro_term(x))
+    elif isinstance(x, MacroFormula):
+        x = expand_derived(_expand_macro_formula(x))
+    object.__setattr__(x, "_primitive", True)
     return x

@@ -18,6 +18,7 @@ valuation is the same first countermodel. The search runs in one thread.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .formulas import (
@@ -26,7 +27,7 @@ from .formulas import (
 )
 from .kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, compile_mask, compile_world,
-    frames_for, full_relspace, is_rigid_value, lowest_bit, RELSPACE_LIMIT,
+    frames_for, full_relspace, lowest_bit, RELSPACE_LIMIT,
 )
 from .macros import expand_derived
 from .signature import LogicTag, Mode, Signature
@@ -130,22 +131,19 @@ def _needs_relspace(sig: Signature, premises_n) -> bool:
     return False
 
 
-def _denotation_groups(sig: Signature, n_worlds: int, n_individuals: int,
-                       relspace, relvar_domain: str = "full") -> list:
-    """Ordered bit groups: (const, key, options). key is None for a scalar
-    denotation and the row of a table otherwise; (const, key) is the
-    _MissingBit token of the group's bit. Under the rigid reading
-    second-order tables carry rows for rigid values only."""
+def _denotation_groups(m: KripkeInterpretation) -> list:
+    """Ordered bit groups of m's constants: (const, key, options). key is
+    None for a scalar denotation and the row of a table otherwise;
+    (const, key) is the _MissingBit token of the group's bit. Under the
+    rigid reading second-order tables carry rows for rigid values only."""
     groups = []
+    n_worlds, n_individuals = m.n_worlds, m.n_individuals
     wmasks = range(1 << n_worlds)
-    rows = relspace
-    if relvar_domain == "rigid":
-        rows = tuple(v for v in relspace
-                     if is_rigid_value(v, n_individuals, n_worlds))
-    for name in sorted(sig.consts):
-        sort = sig.consts[name]
+    rows = m.rigid_relations if m.relvar_domain == "rigid" else m.relspace
+    for name in sorted(m.sig.consts):
+        sort = m.sig.consts[name]
         if sort.kind == "so":
-            for v in _pair_adjacent_in(rows, relspace):
+            for v in _pair_adjacent_in(rows, m.relspace):
                 groups.append((name, v, wmasks))
         elif sort.kind == "ind":
             groups.append((name, None, range(n_individuals)))
@@ -159,19 +157,21 @@ def _denotation_groups(sig: Signature, n_worlds: int, n_individuals: int,
     return groups
 
 
-def _choices(sort, n_worlds: int, n_individuals: int, rows: int) -> int:
-    """How many values _denotation_groups offers a constant of this sort,
-    with rows second-order table rows."""
+def _choices(sort, n_worlds: int, n_individuals: int, rows: int):
+    """The option counts of the bit groups _denotation_groups gives a
+    constant of this sort, with rows second-order table rows, one group
+    at a time, without building their product."""
     masks = 1 << n_worlds
     if sort.kind == "so":
-        return masks ** rows
+        return itertools.repeat(masks, rows)
     if sort.kind == "ind":
-        return n_individuals
+        return (n_individuals,)
     if sort.arity == 0:
-        return masks
+        return (masks,)
     if sort.arity == 1:
-        return 1 << (n_individuals * n_worlds)
-    return masks ** (n_individuals ** sort.arity)
+        return (1 << (n_individuals * n_worlds),)
+    return (masks for _ in itertools.product(range(n_individuals),
+                                             repeat=sort.arity))
 
 
 def _check_relspace(n_worlds: int, n_individuals: int) -> None:
@@ -182,9 +182,10 @@ def _check_relspace(n_worlds: int, n_individuals: int) -> None:
 
 
 def _node_counts(logic: LogicTag, sorts, b: Bounds):
-    """(n_worlds, n_individuals, interpretations) per size, canonical order,
-    for constants of the given sorts; each count is a closed-form product
-    over independent bit choices."""
+    """(n_worlds, n_individuals, factors) per size, canonical order, for
+    constants of the given sorts: factors iterates the frame count and the
+    option count of each bit group, and their product is the number of
+    interpretations."""
     need = any(s.kind == "so" for s in sorts)
     for n_w in range(1, b.max_worlds + 1):
         for n_d in range(1, b.max_individuals + 1):
@@ -192,15 +193,14 @@ def _node_counts(logic: LogicTag, sorts, b: Bounds):
             if need:
                 _check_relspace(n_w, n_d)
                 rows = 1 << (n_d * n_w)
-            per = count_frames(logic, n_w)
-            for s in sorts:
-                per *= _choices(s, n_w, n_d, rows)
-            yield n_w, n_d, per
+            yield n_w, n_d, itertools.chain(
+                (count_frames(logic, n_w),),
+                *(_choices(s, n_w, n_d, rows) for s in sorts))
 
 
 def count_models(sig: Signature, b: Bounds) -> int:
-    """Closed-form number of interpretations within bounds."""
-    return sum(per for _, _, per in
+    """Number of interpretations within bounds."""
+    return sum(math.prod(factors) for _, _, factors in
                _node_counts(sig.logic, tuple(sig.consts.values()), b))
 
 
@@ -210,19 +210,22 @@ def _check_budget(sig: Signature, b: Bounds) -> None:
 
     Second-order tables are left out: RELSPACE_LIMIT bounds them and
     the premises prune them, so the corpus problems, with 1.7e10 to 2.7e11
-    interpretations at two worlds and two individuals, still run. The sum
-    stops at the first size that passes the budget, so absurd bounds never
-    build their frame counts' huge integers.
+    interpretations at two worlds and two individuals, still run. The count
+    stops at the first factor that takes it past the budget, so absurd
+    bounds or arities never build a huge integer.
     """
     sorts = tuple(s for s in sig.consts.values() if s.kind != "so")
     total = 0
-    for n_w, n_d, per in _node_counts(sig.logic, sorts, b):
+    for n_w, n_d, factors in _node_counts(sig.logic, sorts, b):
+        per = 1
+        for factor in factors:
+            per *= factor
+            if total + per > MODEL_BUDGET:
+                raise SearchBoundsError(
+                    f"more than the search budget of {MODEL_BUDGET} "
+                    f"interpretations within worlds<={n_w} "
+                    f"individuals<={n_d}")
         total += per
-        if total > MODEL_BUDGET:
-            raise SearchBoundsError(
-                f"{total} interpretations within worlds<={n_w} "
-                f"individuals<={n_d}, more than the search budget of "
-                f"{MODEL_BUDGET}")
 
 
 def _split_instances(f: Formula, domains) -> list:
@@ -285,7 +288,7 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
     denot = _PartialDenot()
     m = KripkeInterpretation(sig, n_w, n_d, R, denot, relspace,
                              relvar_domain=relvar_domain)
-    groups = _denotation_groups(sig, n_w, n_d, relspace, relvar_domain)
+    groups = _denotation_groups(m)
 
     def domains(var: Var):
         if var.sort == INDIVIDUAL:
@@ -413,7 +416,8 @@ def enumerate_models(sig: Signature, b: Bounds):
     """All interpretations within bounds, canonical deterministic order."""
     for node in _size_nodes(sig, b, ()):
         n_w, n_d, R, relspace = node
-        groups = _denotation_groups(sig, n_w, n_d, relspace)
+        groups = _denotation_groups(
+            KripkeInterpretation(sig, n_w, n_d, R, {}, relspace))
 
         def build(choice):
             denot = {}

@@ -168,12 +168,10 @@ def ultrafilter_report(m: KripkeInterpretation, selector: str) -> UltrafilterRep
         return _check_family("P", "intensional properties", positives,
                              m.relspace, top)
     if selector == "Pprime":
+        lattice = m.rigid_relations
         if m.relvar_domain == "rigid":
-            positives = [v for v in positives
-                         if is_rigid_value(v, m.n_individuals, m.n_worlds)]
+            positives = [v for v in positives if v in lattice]
         family = {_rigidify(v, m) for v in positives}
-        lattice = [v for v in m.relspace
-                   if is_rigid_value(v, m.n_individuals, m.n_worlds)]
         return _check_family("Pprime", "rigid properties", family, lattice, top)
     raise ValueError(f"unknown selector {selector!r}")
 

@@ -226,7 +226,7 @@ class _Parser:
         self.fail(f"unexpected token {t.text!r}")
 
     def app_tail(self, head: Term) -> Formula:
-        sort = self.head_sort(head)
+        sort = sort_of(head)
         if sort.kind == "so":
             return SOAtom(head, self.arg_term())
         if sort.kind == "rel":
@@ -250,13 +250,6 @@ class _Parser:
         if self.sig.mode is Mode.AOT:
             return MacroFormula("id", (left, right))
         return PrimitiveEq(left, right)
-
-    def head_sort(self, t: Term) -> Sort:
-        if isinstance(t, Var):
-            return t.sort
-        if isinstance(t, Const):
-            return t.sort
-        return sort_of(t)
 
     def resolve_name(self, tok: Token) -> Term:
         v = self.lookup(tok.text)

@@ -1,12 +1,14 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import strategies as st
 
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    Actually, And, Box, Const, Diamond, Encode, Exemplify, Exists, Forall,
-    Iff, Implies, Not, Or, Var, Xor,
+    Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
+    Exists, Forall, Formula, Iff, Implies, Lambda, MacroFormula, MacroTerm,
+    Not, Or, Term, Var, Xor,
 )
 from finmodal.signature import LogicTag, Mode, Signature
 
@@ -25,9 +27,22 @@ def aot_sig():
     })
 
 
+def fresh(x):
+    """x rebuilt bottom-up from new objects, binder variables included, so
+    nothing is stored on it yet."""
+    if isinstance(x, tuple):
+        return tuple(map(fresh, x))
+    if isinstance(x, (Term, Formula)):
+        return type(x)(*(fresh(getattr(x, f.name)) for f in fields(x)))
+    return x
+
+
 def random_formula(rng: random.Random, sig: Signature, depth: int,
-                   scope=None, allow_encode=False, quantifiers=True):
-    """A well-sorted random formula over the signature's constants."""
+                   scope=None, allow_encode=False, quantifiers=True,
+                   terms=False):
+    """A well-sorted random formula over the signature's constants. With
+    terms, atoms may also apply lambdas and term macros, hold definite
+    descriptions, or be formula macros."""
     scope = list(scope or [])
     prop_consts = [n for n, s in sig.consts.items()
                    if s.kind == "rel" and s.arity == 0]
@@ -38,6 +53,28 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
                  if s.kind == "rel" and s.arity == 1]
     rel_terms += [v for v in scope if v.sort == REL1]
 
+    def inner(d, scope):
+        return random_formula(rng, sig, d, scope, allow_encode, quantifiers,
+                              terms)
+
+    def ind_term():
+        if terms and depth > 0 and rng.random() < 0.25:
+            v = Var(f"x{len(scope)}", INDIVIDUAL)
+            return Description(v, inner(depth - 1, scope + [v]))
+        return rng.choice(ind_terms)
+
+    def rel_term():
+        if terms and rng.random() < 0.4:
+            kind = rng.choice(["lam", "neg", "O!"] if depth > 0
+                              else ["neg", "O!"])
+            if kind == "lam":
+                v = Var(f"x{len(scope)}", INDIVIDUAL)
+                return Lambda((v,), inner(depth - 1, scope + [v]))
+            if kind == "neg":
+                return MacroTerm("neg", (rng.choice(rel_terms),))
+            return MacroTerm("O!")
+        return rng.choice(rel_terms)
+
     def atom():
         choices = []
         if prop_consts:
@@ -46,12 +83,21 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
             choices.append("exem")
             if allow_encode:
                 choices.append("encode")
+            if terms:
+                choices += ["dn", "id", "ent"]
         kind = rng.choice(choices)
         if kind == "p":
             return Exemplify(Const(rng.choice(prop_consts), PROPOSITION), ())
         if kind == "encode":
-            return Encode(rng.choice(ind_terms), rng.choice(rel_terms))
-        return Exemplify(rng.choice(rel_terms), (rng.choice(ind_terms),))
+            return Encode(ind_term(), rel_term())
+        if kind == "dn":
+            return MacroFormula("dn", (rng.choice([ind_term, rel_term])(),))
+        if kind == "id":
+            term = rng.choice([ind_term, rel_term])
+            return MacroFormula("id", (term(), term()))
+        if kind == "ent":
+            return MacroFormula("ent", (rel_term(), rel_term()))
+        return Exemplify(rel_term(), (ind_term(),))
 
     if depth == 0:
         return atom()
@@ -61,9 +107,10 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
         ops += ["all_i", "ex_i"]
     if quantifiers and (rel_terms or prop_consts):
         ops += ["all_r"]
+    if terms:
+        ops += ["atom"] * 3  # so that lambdas and descriptions nest
     op = rng.choice(ops)
-    sub = lambda: random_formula(rng, sig, depth - 1, scope, allow_encode,
-                                 quantifiers)
+    sub = lambda: inner(depth - 1, scope)
     if op == "atom":
         return atom()
     if op == "not":
@@ -80,13 +127,10 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
         return cls(sub(), sub())
     if op in ("all_i", "ex_i"):
         v = Var(f"x{len(scope)}", INDIVIDUAL)
-        body = random_formula(rng, sig, depth - 1, scope + [v],
-                              allow_encode, quantifiers)
+        body = inner(depth - 1, scope + [v])
         return (Forall if op == "all_i" else Exists)(v, body)
     v = Var(f"Y{len(scope)}", REL1)
-    body = random_formula(rng, sig, depth - 1, scope + [v],
-                          allow_encode, quantifiers)
-    return Forall(v, body)
+    return Forall(v, inner(depth - 1, scope + [v]))
 
 
 def propositional_formulas(atoms, depth=3):

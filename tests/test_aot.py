@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 
-from finmodal import aot
+import finmodal
+from finmodal import aot, macros
+from finmodal.abstraction import Accepted, check_proof, make_layer
 from finmodal.aot import (
     Abstract, AczelConfig, AotBudgetError, AotEvalError, Denotes,
     NON_DENOTING, NonDenoting, Ordinary, _EvalContext, _encode_usage,
@@ -17,7 +22,10 @@ from finmodal.formulas import (
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
 from finmodal.printer import print_formula
-from finmodal.problemfile import load_aot_config
+from finmodal.ontoarg import run_variant_suite
+from finmodal.problemfile import load_aot_config, load_problem, parse_proof
+
+from conftest import fresh
 
 
 @pytest.fixture(scope="module")
@@ -214,16 +222,18 @@ from finmodal.formulas import Description  # noqa: E402
 
 
 class TestCallTables:
-    """The syntax tables one top-level call builds and then drops."""
+    """What one top-level call works out about its input: the tables it
+    builds and drops, and the free names stored on the nodes."""
 
     def test_free_names_match_formulas(self, m):
+        # the root is asked first, so each subnode answers from what the
+        # root's walk stored on it; a fresh copy has nothing stored
         rng = random.Random(5)
         for _ in range(200):
             t = _random_term(rng, m)
             for root in (t, beta_normalize(expand_derived(t))):
-                ctx = _EvalContext(m)
                 for n in subnodes(root):
-                    assert ctx.free_names(n) == free_names(n), n
+                    assert free_names(n) == free_names(fresh(n)), n
 
     def test_encode_usage_is_worked_out_once(self, m):
         f = parse_formula("all F (x[F] <-> F = E!)", m.sig)
@@ -234,6 +244,9 @@ class TestCallTables:
         assert first == _encode_usage("x", g, _EvalContext(m))
 
     def test_no_module_global_keeps_nodes(self, m):
+        # after AOT calls, a corpus suite, a proof check and a parse, no
+        # module of finmodal holds a node in a global, apart from the bare
+        # constants P_CONST and E_CONST outside aot
         rng = random.Random(9)
         for _ in range(20):
             t = _random_term(rng, m)
@@ -241,9 +254,20 @@ class TestCallTables:
             exists_term(t, m)
         eval_aot(parse_formula("exists x (A! x & all F (x[F] <-> F = E!))",
                                m.sig), m)
-        for name, value in vars(aot).items():
-            assert not _holds_nodes(value), name
-            assert getattr(value, "cache_info", None) is None, name
+        run_variant_suite("scott")
+        problem = load_problem("problems/s5.problem")
+        layer, script = parse_proof(Path("proofs/kdia.proof").read_text(),
+                                    problem.sig)
+        assert isinstance(check_proof(script, make_layer(layer)), Accepted)
+        bare = (macros.P_CONST, macros.E_CONST)
+        for info in pkgutil.iter_modules(finmodal.__path__):
+            module = importlib.import_module(f"finmodal.{info.name}")
+            for name, value in vars(module).items():
+                where = f"{info.name}.{name}"
+                assert getattr(value, "cache_info", None) is None, where
+                if module is not aot and any(value is c for c in bare):
+                    continue
+                assert not _holds_nodes(value), where
         for n_values, masks in aot._MEMBERSHIP_CACHE.items():
             assert isinstance(n_values, int)
             assert all(isinstance(mask, int) for mask in masks)

@@ -1,5 +1,6 @@
 import io
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -96,29 +97,44 @@ def test_corpus_single_variant(name, tmp_path, capsys):
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):
     # a second-order constant over bounds whose relation space passes the
-    # limit; the second problem is satisfiable, but only past it
+    # limit; the second problem is satisfiable, but only past it; the third
+    # has 2^16386 interpretations at two individuals, a count too long to
+    # print
     five = ("exists a (exists b (exists c (exists d (exists e (~a = b & "
             "~a = c & ~a = d & ~a = e & ~b = c & ~b = d & ~b = e & ~c = d & "
             "~c = e & ~d = e)))))")
     for text in ("const P : so\nbounds worlds=3 individuals=2\n"
                  "premise all Y (P Y -> P Y)\n",
                  "const P : so\nbounds worlds=1 individuals=5\n"
-                 f"premise P [\\x x = x]\npremise {five}\n"):
+                 f"premise P [\\x x = x]\npremise {five}\n",
+                 "const R : rel 14\nbounds worlds=1 individuals=2\n"):
         big = tmp_path / "big.problem"
         big.write_text(text)
         code = run(["sat", str(big)])
         err = capsys.readouterr().err.splitlines()
         assert code == 3
         assert len(err) == 1 and err[0].startswith("budget exceeded: ")
+    # 2^(2^100000) interpretations: the budget check must not build the count
+    big.write_text("const R : rel 100000\nbounds worlds=1 individuals=2\n")
+    proc = run_module(["sat", str(big)], timeout=60)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: ")
 
 
 def run_module(argv, timeout=60):
-    """`python -m finmodal argv` in a fresh interpreter."""
+    """`python -m finmodal argv` in a fresh interpreter. Its address space
+    is capped at 2 GiB, so a runaway computation fails with a MemoryError
+    rather than taking the machine's memory."""
     src = str(Path(finmodal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "finmodal", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, preexec_fn=_cap_address_space)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 @pytest.mark.parametrize("command", ["sat", "check"])

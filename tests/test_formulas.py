@@ -8,13 +8,13 @@ from finmodal.formulas import (
     And, Box, Const, Description, Diamond, Encode, Exemplify, Exists, Forall, Implies,
     Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, SortError, Var,
     alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
-    free_vars, subnodes, substitute,
+    free_names, free_vars, subnodes, substitute,
 )
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
 from finmodal.printer import print_formula
 
-from conftest import random_formula
+from conftest import fresh, random_formula
 
 
 x, y, z = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL), Var("z", INDIVIDUAL)
@@ -199,3 +199,30 @@ class TestRoundTrip:
         g = parse_formula(print_formula(f), sig2)
         h = parse_formula(print_formula(g), sig2)
         assert alpha_equivalent(g, h)
+
+
+class TestStoredFacts:
+    FACTS = (free_vars, free_names, canonical_key, expand_derived,
+             beta_normalize)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 4), st.booleans())
+    def test_match_a_fresh_copy(self, seed, depth, encode):
+        # every subnode is asked every fact first, in a random order, so
+        # the root's answers are built from what its subnodes stored
+        from finmodal.signature import LogicTag, Mode, Signature
+        sig = Signature(Mode.CLASSICAL, LogicTag.K, {
+            "p": PROPOSITION, "S": REL1, "c": INDIVIDUAL})
+        rng = random.Random(seed)
+        root = random_formula(rng, sig, depth, allow_encode=encode,
+                              terms=True)
+        asks = [(fact, n) for n in subnodes(root) for fact in self.FACTS]
+        rng.shuffle(asks)
+        for fact, n in asks:
+            fact(n)
+        copy = fresh(root)
+        for fact in self.FACTS:
+            assert fact(root) == fact(copy), fact.__name__
+        for fact in (expand_derived, beta_normalize):
+            normal = fact(root)
+            assert fact(normal) is normal, fact.__name__
