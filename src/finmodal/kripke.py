@@ -34,15 +34,20 @@ the mask `into[v]`. Actually is the spread of the actual world. A complete
 `KripkeInterpretation` is the one-column space over its own frame.
 
 A `ColumnSpace` lets one `compile_mask` call check many complete
-interpretations at once, each column a valuation of the proposition
-constants or variables. It covers the propositional modal fragment: 0-place
-atoms, Not, Implies, Box and Actually. `ColumnSpace.product` lays out every
-tuple of given world masks for given names, repeated in each frame's block,
-and `column(c)` reads column c's frame and values back. Premise-free
-countermodel search and layer validation give it every frame of a class at
-one world count, with every valuation; layer validation also gives one
-model's frame its metavariable tuples. The standard-translation cross-check
-gives it every K frame of a world count.
+interpretations at once, each column a valuation of the constants and
+variables. It covers 0-place atoms, Not, Implies, Box and Actually, and
+unary relations over its `n_individuals` individuals, Forall over them and
+equality between them. A formula's mask has `width` = n_columns * n_worlds
+bits, and a unary relation's word has one such mask per individual, d's at
+bit d * width (an interpretation's width is n_worlds); an individual
+variable names one individual in every column. `ColumnSpace.product` lays
+out every tuple of given world masks for given names, repeated in each
+frame's block, and `column(c)` reads column c's frame and values back.
+Premise-free countermodel search and layer validation give it every frame
+of a class at one world count, with every valuation; layer validation also
+gives one model's frame its metavariable tuples, and each of its builtin
+schemas' test frames and domain sizes every valuation. The
+standard-translation cross-check gives it every K frame of a world count.
 """
 
 from __future__ import annotations
@@ -123,12 +128,16 @@ class _Columns:
     """Box, Actually and spread over n_columns columns of n_worlds bits:
     bit c * n_worlds + w of a mask is column c at world w. The columns split
     into len(frames) equal consecutive blocks, and block i is read over the
-    accessibility relation frames[i]. Subclasses give n_worlds, n_columns,
-    frames and actual."""
+    accessibility relation frames[i]. A formula's mask has width bits.
+    Subclasses give n_worlds, n_columns, frames and actual."""
+
+    @cached_property
+    def width(self) -> int:
+        return self.n_columns * self.n_worlds
 
     @cached_property
     def all_worlds(self) -> int:
-        return (1 << (self.n_columns * self.n_worlds)) - 1
+        return (1 << self.width) - 1
 
     @cached_property
     def slots(self) -> tuple:
@@ -226,12 +235,15 @@ class KripkeInterpretation(_Columns):
 @dataclass(frozen=True, eq=False)
 class ColumnSpace(_Columns):
     """n_columns complete interpretations for compile_mask, in len(frames)
-    blocks; denot maps each proposition constant to its column word."""
+    blocks; denot maps each proposition constant to its column word, and
+    each unary relation constant to one column word per individual, d's at
+    bit d * width."""
     n_worlds: int
     frames: tuple
     n_columns: int
     denot: dict
     actual: int = 0
+    n_individuals: int = 1
 
     @classmethod
     def product(cls, n_worlds: int, frames, names, values,
@@ -258,7 +270,8 @@ class ColumnSpace(_Columns):
 
     def column(self, c: int) -> tuple:
         """(frame, values): column c's accessibility relation, and the
-        value of each word of denot in column c, in denot's order."""
+        value in column c of each word of denot (of individual 0's block,
+        for a relation), in denot's order."""
         n = self.n_worlds
         frame = self.frames[c // (self.n_columns // len(self.frames))]
         mask = (1 << n) - 1
@@ -551,7 +564,7 @@ def _mask_lambda(t: Lambda):
         mask = 0
         for d in range(m.n_individuals):
             inner[name] = d
-            mask |= body(m, inner) << (d * m.n_worlds)
+            mask |= body(m, inner) << (d * m.width)
         return mask
     return columns
 
@@ -561,7 +574,8 @@ def compile_mask(f: Formula):
     mask of the worlds of m where f holds under the assignment a, so bit w
     of fn(m, a) is evaluate(f, m, a, w). On a ColumnSpace m, for a formula
     of its fragment, bit c * m.n_worlds + w is that bit in column c, where
-    a maps proposition variables to column words.
+    a maps proposition variables to column words and individual variables
+    to individuals.
 
     Constructs evaluate cannot interpret raise the same EvalError, and
     derived ones an EvalError naming them, when fn is called rather than
@@ -573,7 +587,7 @@ def compile_mask(f: Formula):
             return lambda m, a: rel(m, a) & m.all_worlds
         if len(f.args) == 1:
             arg = _compile_term(f.args[0], _mask_lambda)
-            return lambda m, a: (rel(m, a) >> (arg(m, a) * m.n_worlds)) & m.all_worlds
+            return lambda m, a: (rel(m, a) >> (arg(m, a) * m.width)) & m.all_worlds
         args = tuple(_compile_term(t, _mask_lambda) for t in f.args)
         return lambda m, a: rel(m, a)[tuple(t(m, a) for t in args)] & m.all_worlds
     if isinstance(f, SOAtom):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .formulas import (
     INDIVIDUAL, PROPOSITION, Actually, Box, Const, Exemplify, Formula,
-    Forall, Implies, Not, Var, beta_normalize, free_vars, subnodes,
+    Forall, Implies, Not, Var, beta_normalize, children, free_vars, subnodes,
 )
 from .kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, compile_mask, compile_world,
@@ -41,6 +41,11 @@ class SearchBoundsError(Exception):
 # Most first-order interpretations a search may enumerate (see
 # _check_budget); the shipped problems need at most 33 032.
 MODEL_BUDGET = 1_000_000
+
+# Most nodes a premise or conjecture may expand to, counted as a tree (see
+# _primitive); the shipped problems and corpus variants need at most 56,
+# the tests 131.
+EXPANSION_BUDGET = 10_000
 
 
 class _MissingBit(Exception):
@@ -228,6 +233,25 @@ def _check_budget(sig: Signature, b: Bounds) -> None:
         total += per
 
 
+def _primitive(f: Formula) -> Formula:
+    """beta_normalize(expand_derived(f)), once the expansion is known to
+    have at most EXPANSION_BUDGET nodes as a tree: expand_derived shares
+    the two sides of each <-> or xor, but compiling walks them apart."""
+    g = expand_derived(f)
+    sizes = {}  # id -> tree size; g keeps each counted node alive
+
+    def size(x) -> int:
+        n = sizes.get(id(x))
+        if n is None:
+            n = sizes[id(x)] = 1 + sum(map(size, children(x)))
+        return n
+    if size(g) > EXPANSION_BUDGET:
+        raise SearchBoundsError(
+            f"a premise or conjecture expands to {size(g)} nodes, past the "
+            f"budget of {EXPANSION_BUDGET}")
+    return beta_normalize(g)
+
+
 def _split_instances(f: Formula, domains) -> list:
     """Split a leading universal prefix into ground instances."""
     out = []
@@ -391,7 +415,7 @@ def leaves(premises, sig: Signature, b: Bounds,
     The node list is built in full first, so bounds past the relation-space
     limit raise SearchBoundsError before any node is searched.
     """
-    premises_n = [beta_normalize(expand_derived(p)) for p in premises]
+    premises_n = list(map(_primitive, premises))
     if nodes is None:
         nodes = list(_size_nodes(sig, b, premises_n))
     bodies: dict = {}
@@ -451,7 +475,7 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     b = b or Bounds()
     if free_vars(conjecture):
         raise EvalError("conjecture must be closed")
-    conjecture_n = beta_normalize(expand_derived(conjecture))
+    conjecture_n = _primitive(conjecture)
     holds = compile_mask(conjecture_n)
     if not premises and _propositional(sig, conjecture_n):
         return _packed_countermodel(holds, sig, b, relvar_domain)

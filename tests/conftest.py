@@ -8,7 +8,7 @@ from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
     Exists, Forall, Formula, Iff, Implies, Lambda, MacroFormula, MacroTerm,
-    Not, Or, Term, Var, Xor,
+    Not, Or, PrimitiveEq, Term, Var, Xor,
 )
 from finmodal.signature import LogicTag, Mode, Signature
 
@@ -39,10 +39,11 @@ def fresh(x):
 
 def random_formula(rng: random.Random, sig: Signature, depth: int,
                    scope=None, allow_encode=False, quantifiers=True,
-                   terms=False):
+                   terms=False, first_order=False):
     """A well-sorted random formula over the signature's constants. With
     terms, atoms may also apply lambdas and term macros, hold definite
-    descriptions, or be formula macros."""
+    descriptions, or be formula macros. With first_order, quantifiers range
+    over individuals only, and atoms may be equalities of individuals."""
     scope = list(scope or [])
     prop_consts = [n for n, s in sig.consts.items()
                    if s.kind == "rel" and s.arity == 0]
@@ -55,7 +56,7 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
 
     def inner(d, scope):
         return random_formula(rng, sig, d, scope, allow_encode, quantifiers,
-                              terms)
+                              terms, first_order)
 
     def ind_term():
         if terms and depth > 0 and rng.random() < 0.25:
@@ -85,6 +86,8 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
                 choices.append("encode")
             if terms:
                 choices += ["dn", "id", "ent"]
+        if first_order and ind_terms:
+            choices.append("eq")
         kind = rng.choice(choices)
         if kind == "p":
             return Exemplify(Const(rng.choice(prop_consts), PROPOSITION), ())
@@ -97,6 +100,8 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
             return MacroFormula("id", (term(), term()))
         if kind == "ent":
             return MacroFormula("ent", (rel_term(), rel_term()))
+        if kind == "eq":
+            return PrimitiveEq(ind_term(), ind_term())
         return Exemplify(rel_term(), (ind_term(),))
 
     if depth == 0:
@@ -105,7 +110,7 @@ def random_formula(rng: random.Random, sig: Signature, depth: int,
            "atom"]
     if quantifiers and ind_terms:
         ops += ["all_i", "ex_i"]
-    if quantifiers and (rel_terms or prop_consts):
+    if quantifiers and (rel_terms or prop_consts) and not first_order:
         ops += ["all_r"]
     if terms:
         ops += ["atom"] * 3  # so that lambdas and descriptions nest

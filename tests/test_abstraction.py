@@ -9,8 +9,8 @@ from finmodal.abstraction import (
     check_proof, make_layer, validate_layer,
 )
 from finmodal.formulas import (
-    PROPOSITION,
-    And, Box, Const, Exemplify, Forall, Implies, Not, Var,
+    INDIVIDUAL, PROPOSITION, REL1,
+    Actually, And, Box, Const, Exemplify, Forall, Implies, Not, Var,
     alpha_equivalent, beta_normalize, canonical_key,
 )
 from finmodal.kripke import Validity, validity
@@ -263,6 +263,43 @@ class TestValidateLayer:
             assert finding.instances == instances
             assert finding.counterexample == (witnesses, model, 0)
             assert "rule" not in report.to_text()
+
+    def test_bogus_builtin_first_counterexample(self, monkeypatch):
+        # builtin models go by world count, frame, domain size, then S's
+        # value, then p's, and within a model by assignment, the first free
+        # variable outermost; the count runs to the first failing pair
+        from finmodal import abstraction
+        x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+        Sx, Sy = (Exemplify(Const("S", REL1), (v,)) for v in (x, y))
+        total2 = "R=[(0, 0), (0, 1), (1, 0), (1, 1)]"
+        cases = [
+            # K: every model at one world, and the 144 over the empty frame
+            # at two, pass; the fifth over the total frame fails
+            ("vac", Implies(Sx, Box(Sx)), {
+                "K": (189, f"|W|=2 {total2} {{'S': '0b1', 'p': '0b0'}}", 0),
+                "S5": (25, f"|W|=2 {total2} {{'S': '0b1', 'p': '0b0'}}", 0)}),
+            # two individuals, S = 0b01, first failing assignment x=0, y=1
+            ("inst", Implies(Sx, Sy), {
+                "K": (14, "|W|=1 R=[] {'S': '0b1', 'p': '0b0'}", 0),
+                "S5": (14, "|W|=1 R=[(0, 0)] {'S': '0b1', 'p': '0b0'}", 0)}),
+            # fails only away from the actual world
+            ("eq_refl", Implies(Actually(Sx), Sx), {
+                "K": (45, "|W|=2 R=[] {'S': '0b1', 'p': '0b0'}", 1),
+                "S5": (25, f"|W|=2 {total2} {{'S': '0b1', 'p': '0b0'}}", 1)}),
+        ]
+        real = abstraction.schema_instance
+        for kind, bad, want in cases:
+            monkeypatch.setattr(
+                abstraction, "schema_instance",
+                lambda s, subst, mode=Mode.CLASSICAL, kind=kind, bad=bad:
+                bad if s.kind == kind else real(s, subst, mode))
+            for name, (instances, model, world) in want.items():
+                report = validate_layer(make_layer(name), max_worlds=1)
+                failed = [f for f in report.schema_findings
+                          if f.counterexample is not None]
+                assert [(f.schema, f.instances, f.counterexample)
+                        for f in failed] == [(kind, instances,
+                                              (bad, model, world))]
 
     def test_k_schemas_on_kb_frames_still_sound(self):
         base = make_layer("K")

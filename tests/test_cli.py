@@ -216,6 +216,26 @@ def test_first_order_bounds_over_budget_exit_before_search(tmp_path, capsys):
     assert lines[0].startswith("budget exceeded: ")
 
 
+@pytest.mark.parametrize("operands, code, out", [
+    (10, 0, "verdict: valid"),  # 5 623 nodes expanded
+    (16, 3, ""),  # 360 439 nodes: each <-> doubles both sides
+])
+def test_iff_chain_expansion_budget(tmp_path, capsys, operands, code, out):
+    chain = " <-> ".join(["p"] * operands)
+    problem = tmp_path / "chain.problem"
+    problem.write_text("sig classical\nlogic K\nconst p : prop\n"
+                       "bounds worlds=1 individuals=1\n"
+                       f"conjecture {chain}\nexpect valid\n")
+    start = time.perf_counter()
+    assert run(["sat", str(problem)]) == code
+    assert time.perf_counter() - start < 1.0
+    got = capsys.readouterr()
+    assert got.out.strip() == out
+    if code == 3:
+        lines = got.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("budget exceeded: ")
+
+
 def _one_line_usage_error(proc):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -8,7 +8,7 @@ from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation,
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
     Exists, Forall, Iff, Implies, Lambda, MacroFormula, Not, Or, PrimitiveEq,
-    SOAtom, Var, Xor, beta_normalize,
+    SOAtom, Var, Xor, beta_normalize, free_names,
 )
 from finmodal.kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, Validity, compile_mask,
@@ -291,6 +291,49 @@ def test_column_space_matches_each_column(f, n, data):
                                  actual=actual)
         for w in range(n):
             assert bool((mask >> (c * n + w)) & 1) == evaluate(g, m, {}, w)
+
+
+SIG_SP = Signature(Mode.CLASSICAL, LogicTag.K, {"S": REL1, "p": PROPOSITION})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 2), st.integers(1, 2),
+       st.data())
+def test_first_order_column_space_matches_each_column(rng, n, n_d, data):
+    # S's word holds one block of width bits per individual; each column,
+    # under every assignment of the free individual variables, is checked
+    # world by world against evaluate on that column's own interpretation
+    x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+    f = random_formula(rng, SIG_SP, 3, scope=[x, y], first_order=True)
+    g = beta_normalize(expand_derived(f))
+    worlds = st.integers(0, n - 1)
+    frames = data.draw(st.lists(
+        st.frozensets(st.tuples(worlds, worlds)), min_size=1, max_size=3))
+    actual = data.draw(worlds)
+    valuations = data.draw(st.lists(
+        st.tuples(st.integers(0, (1 << (n_d * n)) - 1),
+                  st.integers(0, (1 << n) - 1)), min_size=1, max_size=4))
+    columns = list(itertools.product(frames, valuations))
+    width, one = len(columns) * n, (1 << n) - 1
+    S = p = 0
+    for c, (_, (sval, pval)) in enumerate(columns):
+        p |= pval << (c * n)
+        for d in range(n_d):
+            S |= ((sval >> (d * n)) & one) << (d * width + c * n)
+    space = ColumnSpace(n, tuple(frames), len(columns), {"S": S, "p": p},
+                        actual, n_individuals=n_d)
+    assert space.width == width
+    holds = compile_mask(g)
+    fv = sorted(free_names(g))
+    for ds in itertools.product(range(n_d), repeat=len(fv)):
+        a = dict(zip(fv, ds))
+        mask = holds(space, a)
+        assert mask >> width == 0
+        for c, (access, (sval, pval)) in enumerate(columns):
+            m = KripkeInterpretation(SIG_SP, n, n_d, access,
+                                     {"S": sval, "p": pval}, actual=actual)
+            for w in range(n):
+                assert bool((mask >> (c * n + w)) & 1) == evaluate(g, m, a, w)
 
 
 def test_compilers_reject_derived_constructs():
