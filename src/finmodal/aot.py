@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 from .abstraction import Accepted, check_proof, make_layer
 from .formulas import (
-    INDIVIDUAL, PROPOSITION, REL1,
+    EXPANSION_BUDGET, INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Description, Encode, Exemplify, Forall,
     Formula, Implies, Lambda, MacroFormula, Not, PrimitiveEq, SOAtom, Term,
     Var,
     beta_normalize, binder_vars, canonical_key, children, free_names,
-    subnodes,
+    subnodes, tree_size,
 )
 from .kripke import lowest_bit
 from .macros import expand_derived
@@ -339,9 +339,20 @@ def _individual_domain(f: Forall, m: AczelModel, a: dict,
 # ---------------------------------------------------------------------------
 # Denotation
 
+def _primitive(x):
+    """beta_normalize(expand_derived(x)), once the expansion is known to
+    have at most EXPANSION_BUDGET nodes as a tree: expand_derived shares
+    the two sides of each <-> or xor, but evaluation walks them apart."""
+    g = expand_derived(x)
+    if tree_size(g) > EXPANSION_BUDGET:
+        raise _budget_error(f"expands to {tree_size(g)} nodes, past the "
+                            f"budget of {EXPANSION_BUDGET}", x)
+    return beta_normalize(g)
+
+
 def denote(t: Term, m: AczelModel, a: dict | None = None):
     ctx = _EvalContext(m)
-    return denote_in(beta_normalize(expand_derived(t)), m, dict(a or {}), ctx)
+    return denote_in(_primitive(t), m, dict(a or {}), ctx)
 
 
 def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
@@ -579,9 +590,10 @@ def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
 def eval_aot(f: Formula, m: AczelModel, a: dict | None = None,
              w: int | None = None) -> bool:
     """Truth at a world (the actual world by default). Derived forms are
-    expanded and safe redexes reduced before evaluation."""
+    expanded and safe redexes reduced before evaluation; an expansion past
+    EXPANSION_BUDGET nodes raises AotBudgetError first."""
     ctx = _EvalContext(m)
-    g = beta_normalize(expand_derived(f))
+    g = _primitive(f)
     return _ev(g, m, dict(a or {}), m.actual if w is None else w, ctx)
 
 

@@ -58,11 +58,12 @@ REL1 = Relation(1)
 # Terms
 
 # What a node stores about itself the first time it is asked: its free
-# variables and names, its canonical key at top level, and flags saying that
-# beta_normalize and macros.expand_derived return it unchanged. These depend
-# only on the node's structure, and they are not dataclass fields, so
-# __init__, __eq__, __hash__ and repr never see them.
-_FACTS = ("_free_vars", "_free_names", "_key", "_normal", "_primitive")
+# variables and names, its canonical key at top level, its size as a tree,
+# and flags saying that beta_normalize and macros.expand_derived return it
+# unchanged. These depend only on the node's structure, and they are not
+# dataclass fields, so __init__, __eq__, __hash__ and repr never see them.
+_FACTS = ("_free_vars", "_free_names", "_key", "_size", "_normal",
+          "_primitive")
 _EMPTY = frozenset()
 
 
@@ -260,29 +261,31 @@ BINDERS = (Forall, Exists)
 
 
 def children(x: Node):
-    """Immediate term/formula children, for generic traversals."""
+    """Immediate term/formula children, for generic traversals. The node
+    kinds are tested most common first: connectives, as expand_derived
+    leaves them, then atoms and leaves."""
+    if isinstance(x, UNARY):
+        return (x.body,)
+    if isinstance(x, BINARY):
+        return (x.left, x.right)
     if isinstance(x, (Var, Const)):
         return ()
+    if isinstance(x, Exemplify):
+        return (x.rel, *x.args)
+    if isinstance(x, BINDERS):
+        return (x.body,)
     if isinstance(x, Lambda):
         return (x.body,)
     if isinstance(x, Description):
         return (x.body,)
     if isinstance(x, MacroTerm):
         return x.args
-    if isinstance(x, Exemplify):
-        return (x.rel, *x.args)
     if isinstance(x, Encode):
         return (x.obj, x.rel)
     if isinstance(x, SOAtom):
         return (x.op, x.arg)
     if isinstance(x, PrimitiveEq):
         return (x.left, x.right)
-    if isinstance(x, UNARY):
-        return (x.body,)
-    if isinstance(x, BINARY):
-        return (x.left, x.right)
-    if isinstance(x, BINDERS):
-        return (x.body,)
     if isinstance(x, MacroFormula):
         return x.args
     raise TypeError(f"not an AST node: {x!r}")
@@ -323,6 +326,23 @@ def free_names(x: Node) -> frozenset:
         names = frozenset(v.name for v in fv) if fv else _EMPTY
         object.__setattr__(x, "_free_names", names)
     return names
+
+
+# Most nodes a formula handed to model search or AOT evaluation may expand
+# to, counted as a tree (see tree_size); the shipped problems and corpus
+# variants need at most 56, the object-theory benchmark's jobs 939.
+EXPANSION_BUDGET = 10_000
+
+
+def tree_size(x: Node) -> int:
+    """The number of nodes of x counted as a tree, stored on x. A child
+    shared by two parents counts twice, as every walk visits it twice;
+    macros.expand_derived shares the two sides of each <-> and xor."""
+    n = getattr(x, "_size", None)
+    if n is None:
+        n = 1 + sum(map(tree_size, children(x)))
+        object.__setattr__(x, "_size", n)
+    return n
 
 
 def subnodes(x: Node):

@@ -7,9 +7,13 @@ constraints prune early). Premises are split into ground instances and
 re-checked as soon as the bits they read are assigned. `leaves` yields
 every complete interpretation the pruned search reaches, with whether the
 premises hold in it; `_run_search` takes the first that passes, and callers
-that want every premise model filter the same stream. A relation space is
-listed in full up to RELSPACE_LIMIT bits; bounds that need a larger one
-raise SearchBoundsError before any node is searched. Without premises, a
+that want every premise model filter the same stream. The stream is read
+through a LeafTable, which keeps each node's leaves for its premise set:
+searches that share one (a corpus suite's consistency, K, KB and S5, and
+collapse searches) search each node once, and each still walks its own
+frame order with its own leaf test. A relation space is listed in full
+up to RELSPACE_LIMIT bits; bounds that need a larger one raise
+SearchBoundsError before any node is searched. Without premises, a
 conjecture over proposition constants alone is checked one world count at
 a time, every frame and valuation in one call, and the first failing
 valuation is the same first countermodel. The search runs in one thread.
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .formulas import (
-    INDIVIDUAL, PROPOSITION, Actually, Box, Const, Exemplify, Formula,
-    Forall, Implies, Not, Var, beta_normalize, children, free_vars, subnodes,
+    EXPANSION_BUDGET, INDIVIDUAL, PROPOSITION, Actually, Box, Const,
+    Exemplify, Formula, Forall, Implies, Not, Var, beta_normalize, free_vars,
+    subnodes, tree_size,
 )
 from .kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, compile_mask, compile_world,
@@ -41,11 +46,6 @@ class SearchBoundsError(Exception):
 # Most first-order interpretations a search may enumerate (see
 # _check_budget); the shipped problems need at most 33 032.
 MODEL_BUDGET = 1_000_000
-
-# Most nodes a premise or conjecture may expand to, counted as a tree (see
-# _primitive); the shipped problems and corpus variants need at most 56,
-# the tests 131.
-EXPANSION_BUDGET = 10_000
 
 
 class _MissingBit(Exception):
@@ -238,17 +238,10 @@ def _primitive(f: Formula) -> Formula:
     have at most EXPANSION_BUDGET nodes as a tree: expand_derived shares
     the two sides of each <-> or xor, but compiling walks them apart."""
     g = expand_derived(f)
-    sizes = {}  # id -> tree size; g keeps each counted node alive
-
-    def size(x) -> int:
-        n = sizes.get(id(x))
-        if n is None:
-            n = sizes[id(x)] = 1 + sum(map(size, children(x)))
-        return n
-    if size(g) > EXPANSION_BUDGET:
+    if tree_size(g) > EXPANSION_BUDGET:
         raise SearchBoundsError(
-            f"a premise or conjecture expands to {size(g)} nodes, past the "
-            f"budget of {EXPANSION_BUDGET}")
+            f"a premise or conjecture expands to {tree_size(g)} nodes, past "
+            f"the budget of {EXPANSION_BUDGET}")
     return beta_normalize(g)
 
 
@@ -406,32 +399,95 @@ def _freeze(m: KripkeInterpretation) -> KripkeInterpretation:
                                 denot, m.relspace, m.actual, m.relvar_domain)
 
 
+class LeafTable:
+    """The leaves of one premise set's search nodes, shared by every search
+    over that premise set and quantifier reading, so each node is searched
+    once however many searches reach it.
+
+    It holds the normalized premises, the compiled instance bodies (see
+    _compiled_body), and per (n_worlds, n_individuals, frame, relspace) node
+    the leaves found so far, as (frozen model, True) or (None, False), with
+    the node's _search_node generator while it is unfinished. It fills
+    lazily: a search that stops partway through a node leaves its generator
+    suspended, and the next search over the node replays the stored leaves
+    and then resumes it.
+
+    A node's leaves do not depend on the logic tag: premise evaluation
+    reads the frame only, through successor_lists and box, and successors
+    on an S5 interpretation is range(n_worlds), which equals the total
+    access relation S5 interpretations carry. So a node reached under K, KB
+    and S5 is one entry, and a replayed model is given the signature of
+    the search that reads it. The frozen models are shared and read only.
+    """
+
+    def __init__(self, premises, relvar_domain: str = "full"):
+        self.premises = tuple(premises)
+        self.relvar_domain = relvar_domain
+        self.premises_n = list(map(_primitive, self.premises))
+        self.bodies: dict = {}
+        self._nodes: dict = {}   # node -> [leaves so far, generator | None]
+
+    def node_leaves(self, node, sig: Signature):
+        """(m, ok) for every complete interpretation of the node, in
+        _search_node's order; m is a frozen model carrying sig when ok,
+        else None."""
+        entry = self._nodes.get(node)
+        if entry is None:
+            entry = self._nodes[node] = [[], _search_node(
+                node, sig, self.premises_n, self.relvar_domain, self.bodies)]
+        found, i = entry[0], 0
+        while True:
+            while i < len(found):
+                m, ok = found[i]
+                i += 1
+                if ok and m.sig != sig:
+                    m = replace(m, sig=sig)
+                yield m, ok
+            if entry[1] is None:
+                return
+            try:
+                m, ok = next(entry[1])
+            except StopIteration:
+                entry[1] = None
+                return
+            found.append((_freeze(m), True) if ok else (None, False))
+
+
 def leaves(premises, sig: Signature, b: Bounds,
-           relvar_domain: str = "full", nodes=None):
+           relvar_domain: str = "full", nodes=None, table=None):
     """(m, ok) for every complete interpretation the search reaches within
-    bounds, node by node in canonical order (see _search_node); nodes
-    replaces the size nodes when given.
+    bounds, node by node in canonical order (see _search_node); m is a
+    frozen premise model when ok, else None. nodes replaces the size nodes
+    when given.
+
+    The leaves are read through table, a LeafTable for these premises and
+    relvar_domain (else ValueError), or a fresh one when none is given;
+    searches that share a table search each node once.
 
     The node list is built in full first, so bounds past the relation-space
     limit raise SearchBoundsError before any node is searched.
     """
-    premises_n = list(map(_primitive, premises))
+    if table is None:
+        table = LeafTable(premises, relvar_domain)
+    elif tuple(premises) != table.premises \
+            or relvar_domain != table.relvar_domain:
+        raise ValueError("the leaf table was built for other premises or "
+                         "another quantifier reading")
     if nodes is None:
-        nodes = list(_size_nodes(sig, b, premises_n))
-    bodies: dict = {}
+        nodes = list(_size_nodes(sig, b, table.premises_n))
     for node in nodes:
-        yield from _search_node(node, sig, premises_n, relvar_domain, bodies)
+        yield from table.node_leaves(node, sig)
 
 
 def _run_search(premises, sig: Signature, b: Bounds, leaf_ok=None,
-                relvar_domain: str = "full"):
+                relvar_domain: str = "full", table=None):
     """Canonically-first premise model passing leaf_ok, and the number of
     complete interpretations examined before it (all of them when none is
     found)."""
     examined = 0
-    for m, ok in leaves(premises, sig, b, relvar_domain):
+    for m, ok in leaves(premises, sig, b, relvar_domain, table=table):
         if ok and (leaf_ok is None or leaf_ok(m)):
-            return _freeze(m), examined
+            return m, examined
         examined += 1
     return None, examined
 
@@ -457,21 +513,26 @@ def enumerate_models(sig: Signature, b: Bounds):
 
 
 def decide_sat(premises, sig: Signature, b: Bounds | None = None,
-               workers: int = 1, relvar_domain: str = "full") -> SatResult:
+               workers: int = 1, relvar_domain: str = "full",
+               table: LeafTable | None = None) -> SatResult:
     """First satisfying model in canonical order, else exhaustion evidence.
+    table is the premise set's LeafTable, when searches share one.
     workers is ignored, as search runs in one thread; it stays so that
     criterion 12 can still compare worker counts."""
     b = b or Bounds()
     for p in premises:
         if free_vars(p):
             raise EvalError("premises must be closed")
-    model, examined = _run_search(premises, sig, b, None, relvar_domain)
+    model, examined = _run_search(premises, sig, b, None, relvar_domain,
+                                  table)
     return SatResult(model, b, examined)
 
 
 def find_countermodel(premises, conjecture: Formula, sig: Signature,
-                      b: Bounds | None = None, relvar_domain: str = "full"):
-    """A premise model falsifying the conjecture at some world, if any."""
+                      b: Bounds | None = None, relvar_domain: str = "full",
+                      table: LeafTable | None = None):
+    """A premise model falsifying the conjecture at some world, if any.
+    table is the premise set's LeafTable, when searches share one."""
     b = b or Bounds()
     if free_vars(conjecture):
         raise EvalError("conjecture must be closed")
@@ -483,7 +544,7 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     def leaf_ok(m):
         return holds(m, {}) != m.all_worlds
 
-    model, _ = _run_search(premises, sig, b, leaf_ok, relvar_domain)
+    model, _ = _run_search(premises, sig, b, leaf_ok, relvar_domain, table)
     return model
 
 
@@ -567,13 +628,22 @@ def minimize_premises(premises, conjecture: Formula, sig: Signature,
 
 def frame_requirements(premises, conjecture: Formula, sig: Signature,
                        logics, b: Bounds | None = None,
-                       relvar_domain: str = "full") -> dict:
+                       relvar_domain: str = "full",
+                       table: LeafTable | None = None) -> dict:
     """Per-logic verdict: (True, None) when no bounded countermodel exists,
-    else (False, countermodel)."""
+    else (False, countermodel).
+
+    The searches share table, or one LeafTable built here, so a node that
+    several frame classes reach (every S5 frame is a KB frame, and every
+    KB frame a K frame) is searched once. Each class still walks its own
+    frames in order, so its first countermodel is the one a search of its
+    own finds."""
     b = b or Bounds()
+    if table is None:
+        table = LeafTable(premises, relvar_domain)
     out = {}
     for tag in logics:
         cm = find_countermodel(premises, conjecture, sig.with_logic(tag), b,
-                               relvar_domain=relvar_domain)
+                               relvar_domain=relvar_domain, table=table)
         out[tag] = (cm is None, cm)
     return out

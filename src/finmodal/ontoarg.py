@@ -25,8 +25,8 @@ from .kripke import (
 )
 from .macros import expand_derived
 from .modelfind import (
-    Bounds, SatResult, decide_sat, find_countermodel, frame_requirements,
-    leaves, _freeze,
+    Bounds, LeafTable, SatResult, decide_sat, find_countermodel,
+    frame_requirements, leaves,
 )
 from .parser import parse_formula
 from .printer import print_formula
@@ -275,10 +275,12 @@ def _all_world_constant(m: KripkeInterpretation) -> bool:
     return True
 
 
-def _satisfying_models(ps: PremiseSet, b: Bounds) -> list:
-    """Every premise model within bounds, canonical order."""
-    return [_freeze(m) for m, ok in leaves(ps.formulas(), ps.sig, b,
-                                           ps.relvar_domain) if ok]
+def _satisfying_models(ps: PremiseSet, b: Bounds,
+                       table: LeafTable | None = None) -> list:
+    """Every premise model within bounds, canonical order, read through
+    table when given."""
+    return [m for m, ok in leaves(ps.formulas(), ps.sig, b,
+                                  ps.relvar_domain, table=table) if ok]
 
 
 def find_vagueness_witness(b: Bounds | None = None):
@@ -293,23 +295,34 @@ def find_vagueness_witness(b: Bounds | None = None):
     for m, ok in leaves(ps.formulas(), ps.sig, b, nodes=nodes):
         if ok and sum(1 for d in range(m.n_individuals)
                       if gx(m, {"x": d}, m.actual)) >= 2:
-            return _freeze(m)
+            return m
     return None
 
 
 def run_variant_suite(name: str, bounds: Bounds | None = None,
                       workers: int = 1) -> VariantReport:
-    """workers is ignored, as search runs in one thread; it stays so that
-    criterion 12 can still compare worker counts."""
+    """The variant's report: consistency, the main theorem under K, KB and
+    S5, modal collapse, and the variant's own checks.
+
+    Every search over the variant's premises reads one LeafTable, so each
+    search node is searched once per suite, and the table is dropped when
+    the suite returns. Each search keeps its own frame order and leaf
+    test, so its verdict, first model and examined count are those of a
+    search of its own. workers is ignored, as search runs in one thread;
+    it stays so that criterion 12 can still compare worker counts."""
     ps = variant(name)
     b = bounds or ps.bounds
     premises = ps.formulas()
-    sat = decide_sat(premises, ps.sig, b, relvar_domain=ps.relvar_domain)
+    table = LeafTable(premises, ps.relvar_domain)
+    sat = decide_sat(premises, ps.sig, b, relvar_domain=ps.relvar_domain,
+                     table=table)
     frame_verdicts = frame_requirements(
         premises, ps.main_theorem, ps.sig,
-        (LogicTag.K, LogicTag.KB, LogicTag.S5TOTAL), b, ps.relvar_domain)
+        (LogicTag.K, LogicTag.KB, LogicTag.S5TOTAL), b, ps.relvar_domain,
+        table)
     collapse_cm = find_countermodel(premises, ps.collapse, ps.sig, b,
-                                    relvar_domain=ps.relvar_domain)
+                                    relvar_domain=ps.relvar_domain,
+                                    table=table)
     analysis_model = collapse_cm if collapse_cm is not None else sat.model
     ultrafilters = {}
     if analysis_model is not None:
@@ -320,7 +333,7 @@ def run_variant_suite(name: str, bounds: Bounds | None = None,
     report = VariantReport(name, b, sat, frame_verdicts, collapse_cm,
                            ultrafilters, analysis_model, notes=ps.notes)
     if name == "scott":
-        models = _satisfying_models(ps, b)
+        models = _satisfying_models(ps, b, table)
         report.world_constant_models = (
             len(models), all(_all_world_constant(m) for m in models))
     if name == "goedel":

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,25 @@ class TestEvaluation:
             eval_aot(f, m)
         assert str(err.value) == ("nested full sweeps over abstract objects: "
                                   + print_formula(inner))
+
+    @pytest.mark.parametrize("operands", [16, 24])
+    def test_iff_chain_past_the_expansion_budget_raises_at_once(self, m,
+                                                                operands):
+        # expand_derived shares the two sides of each <->, so the chain is
+        # small, but it expands to 557 043 nodes as a tree at 16 operands,
+        # which evaluation would walk
+        chain = parse_formula(" <-> ".join(["~E! k1"] * operands), m.sig)
+        term = Lambda((), chain)
+        for call in (lambda: eval_aot(chain, m), lambda: denote(term, m),
+                     lambda: exists_term(term, m)):
+            start = time.perf_counter()
+            with pytest.raises(AotBudgetError, match="expands to"):
+                call()
+            assert time.perf_counter() - start < 0.1
+
+    def test_iff_chain_within_the_expansion_budget_answers(self, m):
+        chain = parse_formula(" <-> ".join(["~E! k1"] * 10), m.sig)
+        assert eval_aot(chain, m)
 
 
 class TestDenotation:

@@ -41,3 +41,19 @@ def test_benchmark_names_exist_in_finmodal():
         except ImportError:
             missing.append(f"{module_name}.{name}")
     assert not missing
+
+
+def test_run_search_returns_model_and_examined_count():
+    # the tracer's `_examined` hook adds result[1] of each _run_search call
+    # to modelfind.examined
+    from finmodal.formulas import PROPOSITION
+    from finmodal.modelfind import Bounds, _run_search
+    from finmodal.parser import parse_formula
+    from finmodal.signature import LogicTag, Mode, Signature
+    sig = Signature(Mode.CLASSICAL, LogicTag.K, {"p": PROPOSITION})
+    for premise, found in (("p", True), ("p & ~p", False)):
+        result = _run_search([parse_formula(premise, sig)], sig, Bounds(1, 1))
+        assert isinstance(result, tuple) and len(result) == 2
+        model, examined = result
+        assert (model is not None) == found
+        assert type(examined) is int

@@ -8,7 +8,7 @@ from finmodal.formulas import (
     And, Box, Const, Description, Diamond, Encode, Exemplify, Exists, Forall, Implies,
     Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, SortError, Var,
     alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
-    free_names, free_vars, subnodes, substitute,
+    free_names, free_vars, subnodes, substitute, tree_size,
 )
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
@@ -202,7 +202,7 @@ class TestRoundTrip:
 
 
 class TestStoredFacts:
-    FACTS = (free_vars, free_names, canonical_key, expand_derived,
+    FACTS = (free_vars, free_names, canonical_key, tree_size, expand_derived,
              beta_normalize)
 
     @settings(max_examples=150, deadline=None)
@@ -223,6 +223,7 @@ class TestStoredFacts:
         copy = fresh(root)
         for fact in self.FACTS:
             assert fact(root) == fact(copy), fact.__name__
+        assert tree_size(root) == sum(1 for _ in subnodes(root))
         for fact in (expand_derived, beta_normalize):
             normal = fact(root)
             assert fact(normal) is normal, fact.__name__

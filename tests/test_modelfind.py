@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,15 +9,15 @@ from finmodal.formulas import (
 from finmodal.kripke import compile_mask, compile_world, evaluate, frame_check
 from finmodal.macros import expand_derived
 from finmodal.modelfind import (
-    MODEL_BUDGET, Bounds, SearchBoundsError, _run_search, _search_node,
-    _size_nodes, count_models, decide_sat, enumerate_models,
+    MODEL_BUDGET, Bounds, LeafTable, SearchBoundsError, _freeze, _run_search,
+    _search_node, _size_nodes, count_models, decide_sat, enumerate_models,
     find_countermodel, frame_requirements, minimize_premises,
 )
 from finmodal.parser import parse_formula
 from finmodal.problemfile import load_problem
 from finmodal.signature import LogicTag, Mode, Signature
 
-from conftest import propositional_formulas
+from conftest import propositional_formulas, random_formula
 
 
 def sig_of(consts, logic=LogicTag.S5TOTAL):
@@ -355,6 +356,73 @@ class TestPruning:
                    for _ in _search_node(node, ps.sig, premises_n,
                                          ps.relvar_domain, {})) == leaves
         assert calls[0] == evaluations
+
+
+class TestLeafTable:
+    TAGS = (LogicTag.K, LogicTag.KB, LogicTag.S5TOTAL)
+
+    @pytest.mark.parametrize("name", ["goedel", "scott", "anderson",
+                                      "fitting"])
+    def test_total_access_leaves_do_not_depend_on_the_logic_tag(self, name):
+        # what lets one table serve the K, KB and S5 searches: on a node
+        # all three classes reach, _search_node lists the same leaves
+        from finmodal.ontoarg import variant
+        ps = variant(name)
+        premises_n = [beta_normalize(expand_derived(p))
+                      for p in ps.formulas()]
+        nodes = list(_size_nodes(ps.sig.with_logic(LogicTag.S5TOTAL),
+                                 ps.bounds, premises_n))
+        for node in nodes:
+            listed = [[(ok, _freeze(m).denot) for m, ok in _search_node(
+                node, ps.sig.with_logic(tag), premises_n, ps.relvar_domain,
+                {})] for tag in self.TAGS]
+            assert listed[0] == listed[1] == listed[2], node
+
+    def test_table_refuses_other_premises(self):
+        sig = sig_of({"p": PROPOSITION, "q": PROPOSITION}, LogicTag.K)
+        premises = [parse_formula("p -> []q", sig)]
+        table = LeafTable(premises)
+        decide_sat(premises, sig, Bounds(2, 1), table=table)
+        with pytest.raises(ValueError):
+            decide_sat([parse_formula("q", sig)], sig, Bounds(2, 1),
+                       table=table)
+        with pytest.raises(ValueError):
+            decide_sat(premises, sig, Bounds(2, 1), relvar_domain="rigid",
+                       table=table)
+
+    def test_shared_table_matches_fresh_calls_on_random_premises(self):
+        from hypothesis import given, settings, strategies as st
+        from finmodal.formulas import Forall, Var
+
+        sig = sig_of({"p": PROPOSITION, "q": PROPOSITION, "S": REL1},
+                     LogicTag.K)
+        x = Var("x0", INDIVIDUAL)
+        b = Bounds(2, 1)
+
+        def premise(rng):
+            if rng.random() < 0.5:
+                return random_formula(rng, sig, rng.randint(0, 2))
+            return Forall(x, random_formula(rng, sig, rng.randint(0, 2), [x]))
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(0, 2**30), st.integers(1, 3))
+        def check(seed, n_premises):
+            rng = random.Random(seed)
+            premises = [premise(rng) for _ in range(n_premises)]
+            conjecture = premise(rng)
+            table = LeafTable(premises)
+            shared = decide_sat(premises, sig, b, table=table)
+            fresh = decide_sat(premises, sig, b)
+            assert shared.examined == fresh.examined
+            _assert_same_model(shared.model, fresh.model)
+            for tag in self.TAGS:
+                tagged = sig.with_logic(tag)
+                _assert_same_model(
+                    find_countermodel(premises, conjecture, tagged, b,
+                                      table=table),
+                    find_countermodel(premises, conjecture, tagged, b))
+
+        check()
 
 
 class TestBudget:

@@ -12,7 +12,9 @@ from finmodal.kripke import (
     total_access,
 )
 from finmodal.macros import expand_derived
-from finmodal.modelfind import Bounds, decide_sat
+from finmodal.modelfind import (
+    Bounds, LeafTable, decide_sat, find_countermodel, frame_requirements,
+)
 from finmodal.ontoarg import (
     EssenceKind, PremiseSet, UltrafilterReport, VARIANT_NAMES, essence_holds,
     find_vagueness_witness, run_variant_suite, ultrafilter_report,
@@ -203,6 +205,54 @@ class TestSuites:
         godlike = [d for d in range(m.n_individuals)
                    if evaluate(gx, m, {"x": d}, m.actual)]
         assert len(godlike) >= 2
+
+
+def _assert_same_model(got, want):
+    if want is None:
+        assert got is None
+        return
+    for field in ("n_worlds", "n_individuals", "access", "denot", "relspace",
+                  "actual", "relvar_domain"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.sig.logic is want.sig.logic
+
+
+class TestSharedLeafTable:
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_suite_searches_match_fresh_calls(self, name):
+        # the searches of run_variant_suite, in its order, over one table,
+        # against each search run on its own
+        ps = variant(name)
+        premises, b, reading = ps.formulas(), ps.bounds, ps.relvar_domain
+        tags = (LogicTag.K, LogicTag.KB, LogicTag.S5TOTAL)
+        table = LeafTable(premises, reading)
+        sat = decide_sat(premises, ps.sig, b, relvar_domain=reading,
+                         table=table)
+        verdicts = frame_requirements(premises, ps.main_theorem, ps.sig,
+                                      tags, b, reading, table)
+        collapse = find_countermodel(premises, ps.collapse, ps.sig, b,
+                                     relvar_domain=reading, table=table)
+        models = oa._satisfying_models(ps, b, table)
+        if name in ("scott", "anderson"):
+            # the K search stopped partway through its countermodel's node
+            assert not verdicts[LogicTag.K][0]
+            assert any(gen is not None for _, gen in table._nodes.values())
+
+        want = decide_sat(premises, ps.sig, b, relvar_domain=reading)
+        assert sat.examined == want.examined
+        _assert_same_model(sat.model, want.model)
+        for tag in tags:
+            cm = find_countermodel(premises, ps.main_theorem,
+                                   ps.sig.with_logic(tag), b,
+                                   relvar_domain=reading)
+            assert verdicts[tag][0] == (cm is None)
+            _assert_same_model(verdicts[tag][1], cm)
+        _assert_same_model(collapse, find_countermodel(
+            premises, ps.collapse, ps.sig, b, relvar_domain=reading))
+        want_models = oa._satisfying_models(ps, b)
+        assert len(models) == len(want_models)
+        for got, m in zip(models, want_models):
+            _assert_same_model(got, m)
 
 
 class TestEssenceEntailment:
