@@ -60,7 +60,8 @@ from .formulas import (
     INDIVIDUAL,
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
     Exists, Forall, Formula, Iff, Implies, Lambda, MacroFormula, MacroTerm,
-    Not, Or, PrimitiveEq, SOAtom, Term, Var, Xor, free_vars,
+    Not, Or, PrimitiveEq, SOAtom, Term, Var, Xor, free_names, free_vars,
+    subnodes,
 )
 from .macros import expand_derived
 from .signature import LogicTag, Signature
@@ -214,6 +215,12 @@ class KripkeInterpretation(_Columns):
     def successor_lists(self) -> tuple:
         """Per world, the tuple of `successors(w)`."""
         return tuple(tuple(self.successors(w)) for w in range(self.n_worlds))
+
+    @cached_property
+    def lambda_values(self) -> dict:
+        """compile_world's values of lambdas that read no denotation, by
+        compiled lambda and the values of its free variables."""
+        return {}
 
     @cached_property
     def rigid_relations(self) -> tuple:
@@ -443,29 +450,50 @@ def _compile_term(t: Term, lambda_term):
 
 def _world_lambda(t: Lambda):
     """A lambda term's value: its body evaluated at every world, for each
-    individual when it has a parameter, in term_value's order."""
+    individual when it has a parameter, in term_value's order.
+
+    A lambda that reads no denotation (no constant and no second-order
+    atom among its subnodes) has a value fixed by the interpretation's
+    frame and sizes and by its free variables' values, so it is worked
+    out once per interpretation and assignment of those variables and
+    kept in the interpretation's `lambda_values`."""
     body = compile_world(t.body)
     if not t.params:
-        def worlds(m, a):
+        def value(m, a):
             mask = 0
             for w in range(m.n_worlds):
                 if body(m, a, w):
                     mask |= 1 << w
             return mask
-        return worlds
-    name = t.params[0].name
+    else:
+        name = t.params[0].name
 
-    def columns(m, a):
-        inner = dict(a)
-        n_w = m.n_worlds
-        mask = 0
-        for d in range(m.n_individuals):
-            inner[name] = d
-            for w in range(n_w):
-                if body(m, inner, w):
-                    mask |= 1 << (d * n_w + w)
-        return mask
-    return columns
+        def value(m, a):
+            inner = dict(a)
+            n_w = m.n_worlds
+            mask = 0
+            for d in range(m.n_individuals):
+                inner[name] = d
+                for w in range(n_w):
+                    if body(m, inner, w):
+                        mask |= 1 << (d * n_w + w)
+            return mask
+    if any(isinstance(n, (Const, SOAtom)) for n in subnodes(t)):
+        return value
+    token = object()   # this closure's part of the key
+    names = tuple(sorted(free_names(t)))
+
+    def memo(m, a):
+        try:
+            key = (token, *[a[n] for n in names])
+        except KeyError:
+            return value(m, a)  # raises for the unassigned variable
+        values = m.lambda_values
+        v = values.get(key)
+        if v is None:
+            v = values[key] = value(m, a)
+        return v
+    return memo
 
 
 def compile_world(f: Formula):
@@ -477,6 +505,14 @@ def compile_world(f: Formula):
     assigned interpretation it raises at the same missing entry. Constructs
     evaluate cannot interpret raise the same EvalError, and derived ones an
     EvalError naming them, when fn is called rather than when it is built.
+
+    A 0- or 1-place lambda term with no constant and no second-order atom
+    among its subnodes reads no denotation, so its value is kept in
+    m.lambda_values, keyed by the compiled lambda and its free variables'
+    values, and later calls on m read it back: m's frame, sizes, relation
+    space and actual world are fixed, and a search that fills in m's
+    denotation between calls cannot change it. Skipping the body skips
+    no denotation read, so the read order above still holds.
     """
     if isinstance(f, Exemplify):
         rel = _compile_term(f.rel, _world_lambda)

@@ -106,6 +106,8 @@ def parse_problem(text: str) -> Problem:
                 names = {"worlds": "max_worlds", "individuals": "max_individuals"}
                 if key not in names:
                     raise ProblemFileError(f"unknown bound {key!r}", no)
+                if names[key] in bounds_kw:
+                    raise ProblemFileError(f"bound {key!r} is given twice", no)
                 if not (value.isdecimal() and int(value) >= 1):
                     raise ProblemFileError(
                         f"bound {key!r} needs a whole number of at least 1, "
@@ -158,13 +160,36 @@ def _parse_sort(text: str):
 
 _TERM_KEYS = {"alpha", "beta", "tau"}
 
+# What follows the head of each step that cites lines; every word but a
+# variable is a whole number.
+_STEP_FORMS = {"mp": ("<i>", "<j>"), "nec": ("<i>",),
+               "gen": ("<i>", "<variable>"), "expand": ("<i>",),
+               "premise": ("<k>",), "qed": ("<i>",)}
+
 
 def load_proof(path: str, sig: Signature):
     return parse_proof(_read_text(path), sig)
 
 
 def parse_proof(text: str, sig: Signature):
-    """(layer name, ProofScript)"""
+    """(layer name, ProofScript).
+
+    Each distinct formula or term text is parsed once per call: equal
+    texts, on `hyp` and `gen` lines or as substitution values, give one
+    shared node, so the facts a node stores (free names, canonical key,
+    normal-form flags) are worked out once for the whole script. Only
+    successful parses are kept, so a bad text raises on the first line
+    that has it, and nothing outlives the call.
+    """
+    parsed: dict = {}   # ("term" | "formula", text) -> node
+
+    def parse(kind: str, text: str):
+        node = parsed.get((kind, text))
+        if node is None:
+            parse_fn = parse_term if kind == "term" else parse_formula
+            node = parsed[kind, text] = parse_fn(text, sig)
+        return node
+
     layer_name = None
     steps: list = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -175,33 +200,43 @@ def parse_proof(text: str, sig: Signature):
         head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
         try:
             if head == "layer":
+                if layer_name is not None:
+                    raise ProblemFileError("'layer' is given twice", no)
                 if rest not in LAYER_NAMES:
                     raise ProblemFileError(f"unknown layer {rest!r}", no)
                 layer_name = rest
             elif head == "ax":
-                name, _, subst_text = rest.partition("{")
-                subst_text = subst_text.rsplit("}", 1)[0] if "}" in subst_text else ""
+                name, brace, subst_text = rest.partition("{")
+                if brace:
+                    subst_text, closing, tail = subst_text.rpartition("}")
+                    if not closing:
+                        raise ProblemFileError(
+                            "the substitution has no closing '}'", no)
+                    if tail.strip():
+                        raise ProblemFileError(
+                            f"unexpected {tail.strip()!r} after the "
+                            "substitution", no)
                 steps.append(AxStep(name.strip(),
-                                    _parse_subst(subst_text, sig)))
+                                    _parse_subst(subst_text, parse)))
             elif head == "mp":
-                i, j = rest.split()
-                steps.append(MpStep(int(i) - 1, int(j) - 1))
+                i, j = _step_args(head, rest)
+                steps.append(MpStep(i - 1, j - 1))
             elif head == "nec":
-                steps.append(NecStep(int(rest) - 1))
+                steps.append(NecStep(_step_args(head, rest)[0] - 1))
             elif head == "gen":
-                i, var_name = rest.split()
-                t = parse_term(var_name, sig)
+                i, var_name = _step_args(head, rest)
+                t = parse("term", var_name)
                 if not isinstance(t, Var):
                     raise ProblemFileError("gen needs a variable", no)
-                steps.append(GenStep(int(i) - 1, t))
+                steps.append(GenStep(i - 1, t))
             elif head == "expand":
-                steps.append(ExpandStep(int(rest) - 1))
+                steps.append(ExpandStep(_step_args(head, rest)[0] - 1))
             elif head == "premise":
-                steps.append(PremiseStep(int(rest)))
+                steps.append(PremiseStep(_step_args(head, rest)[0]))
             elif head == "hyp":
-                steps.append(HypStep(parse_formula(rest, sig)))
+                steps.append(HypStep(parse("formula", rest)))
             elif head == "qed":
-                steps.append(QedStep(int(rest) - 1))
+                steps.append(QedStep(_step_args(head, rest)[0] - 1))
             else:
                 raise ProblemFileError(f"unknown step {head!r}", no)
         except ProblemFileError:
@@ -213,7 +248,23 @@ def parse_proof(text: str, sig: Signature):
     return layer_name, ProofScript(tuple(steps))
 
 
-def _parse_subst(text: str, sig: Signature) -> dict:
+def _step_args(head: str, rest: str) -> list:
+    """The words after a citing step's head, whole numbers as ints; the
+    wrong number of words, or a citation that is not a whole number, is a
+    ValueError showing the step's form."""
+    form = _STEP_FORMS[head]
+    words = rest.split()
+    if len(words) != len(form) or not all(
+            w.isdecimal() for w, slot in zip(words, form)
+            if slot != "<variable>"):
+        raise ValueError(f"expected '{head} {' '.join(form)}'")
+    return [w if slot == "<variable>" else int(w)
+            for w, slot in zip(words, form)]
+
+
+def _parse_subst(text: str, parse) -> dict:
+    """The `name: value` items of an ax line's substitution, split at
+    top-level commas; parse(kind, text) parses one value."""
     out: dict = {}
     depth = 0
     item = ""
@@ -233,11 +284,10 @@ def _parse_subst(text: str, sig: Signature) -> dict:
     for piece in items:
         name, _, value = piece.partition(":")
         name = name.strip()
-        value = value.strip()
-        if name in _TERM_KEYS:
-            out[name] = parse_term(value, sig)
-        else:
-            out[name] = parse_formula(value, sig)
+        if name in out:
+            raise ValueError(f"metavariable {name!r} is given twice")
+        out[name] = parse("term" if name in _TERM_KEYS else "formula",
+                          value.strip())
     return out
 
 

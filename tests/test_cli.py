@@ -340,3 +340,30 @@ def test_non_utf8_file_is_usage_error(tmp_path, command, suffix, text):
     assert len(lines) == 1
     assert lines[0].startswith("error: line 2: byte 0x")
     assert lines[0].endswith("is not UTF-8")
+
+
+@pytest.mark.parametrize("line,error", [
+    ("ax pl1 {p: p, q: q", "the substitution has no closing '}'"),
+    ("ax pl1 {p: p, p: q, q: q}", "metavariable 'p' is given twice"),
+    ("layer KB", "'layer' is given twice"),
+    ("mp 1", "expected 'mp <i> <j>'"),
+], ids=["unclosed", "repeated-metavariable", "second-layer", "mp-arity"])
+def test_malformed_proof_line_is_usage_error(tmp_path, line, error):
+    bad = tmp_path / "bad.proof"
+    bad.write_text(f"layer K\n{line}\nqed 1\n")
+    line = _one_line_usage_error(
+        run_module(["prove", "problems/s5.problem", str(bad)]))
+    assert line == f"error: line 2: {error}"
+
+
+@pytest.mark.parametrize("bounds", [
+    "bounds worlds=2 worlds=3\n",
+    "bounds worlds=2 individuals=1\nbounds worlds=3\n",
+], ids=["one-line", "two-lines"])
+def test_repeated_bound_key_is_usage_error(tmp_path, bounds):
+    bad = tmp_path / "twice.problem"
+    bad.write_text("sig classical\nlogic K\nconst p : prop\n"
+                   f"{bounds}conjecture p -> p\n")
+    line = _one_line_usage_error(run_module(["check", str(bad)]))
+    no = 3 + bounds.count("\n")
+    assert line == f"error: line {no}: bound 'worlds' is given twice"

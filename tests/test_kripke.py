@@ -548,3 +548,97 @@ def test_compiled_world_matches_evaluate(f, rng):
                 got = _outcome(lambda: holds(m, {}, w), log)
                 assert got == want
 
+
+
+def _redenote(rng, m):
+    """Set or clear one denotation entry of a partial interpretation from
+    _random_interpretation in place, as model search does between calls."""
+    n_w, n_d = m.n_worlds, m.n_individuals
+    which = rng.choice(["p", "c", "S", "G", "R"])
+    if which == "G":
+        target, key = m.denot["G"], rng.choice(m.relspace)
+    elif which == "R":
+        target, key = m.denot["R"], (rng.randrange(n_d), rng.randrange(n_d))
+    else:
+        target, key = m.denot, which
+    if key in target and rng.random() < 0.5:
+        del target[key]
+    else:
+        target[key] = rng.randrange(
+            n_d if which == "c" else 1 << (n_d * n_w if which == "S" else n_w))
+
+
+@st.composite
+def constant_free_lambdas(draw):
+    """G applied to a lambda whose body reads no denotation, only the
+    variables Y and y bound outside it, under quantifiers over both."""
+    x, y, Y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL), Var("Y", REL1)
+    body = draw(st.recursive(
+        st.sampled_from([Exemplify(Y, (x,)), Exemplify(Y, (y,)),
+                         PrimitiveEq(x, y)]),
+        lambda sub: st.one_of(st.builds(Not, sub), st.builds(Box, sub),
+                              st.builds(Actually, sub),
+                              st.builds(Implies, sub, sub)),
+        max_leaves=4))
+    inner = SOAtom(G, Lambda((x,), body))
+    quantifier = draw(st.sampled_from([Forall, Exists]))
+    rest = draw(so_formulas(1, (y,), (Y,)))
+    return Forall(Y, quantifier(y, Implies(inner, rest)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(so_formulas(), constant_free_lambdas()),
+       st.randoms(use_true_random=False))
+def test_compiled_world_follows_denotation_changes(f, rng):
+    # one closure called again and again on one partial interpretation
+    # whose denotation changes between the calls: the lambda values it
+    # keeps on the interpretation never stand in for a changed denotation
+    log = []
+    g = beta_normalize(expand_derived(f))
+    holds = compile_world(g)
+    for n_worlds, n_individuals in ((2, 1), (1, 2), (2, 2)):
+        m = _random_interpretation(rng, n_worlds, n_individuals, True, log)
+        for _ in range(5):
+            for w in range(n_worlds):
+                want = _outcome(lambda: evaluate(g, m, {}, w), log)
+                got = _outcome(lambda: holds(m, {}, w), log)
+                assert got == want
+            _redenote(rng, m)
+
+
+X = Var("x", INDIVIDUAL)
+
+
+def test_constant_free_lambda_value_is_kept_per_interpretation():
+    # G applied to "x has a successor world", a lambda that reads no
+    # denotation: two interpretations that differ only in frame each get
+    # their own value, through one closure
+    g = beta_normalize(expand_derived(
+        SOAtom(G, Lambda((X,), Diamond(PrimitiveEq(X, X))))))
+    holds = compile_world(g)
+    table = {0b00: 0b01, 0b11: 0b10, 0b01: 0b00, 0b10: 0b11}
+    for access, lam_value in ((frozenset(), 0b00),
+                              (total_access(2), 0b11),
+                              (frozenset({(1, 0)}), 0b10)):
+        m = KripkeInterpretation(SIG_SO, 2, 1, access, {"G": table},
+                                 full_relspace(1, 2))
+        for w in range(2):
+            assert holds(m, {}, w) == evaluate(g, m, {}, w)
+            assert holds(m, {}, w) == bool((table[lam_value] >> w) & 1)
+        assert list(m.lambda_values.values()) == [lam_value]
+
+
+def test_lambda_reading_a_constant_is_not_kept():
+    g = beta_normalize(expand_derived(
+        SOAtom(G, Lambda((X,), Not(Exemplify(S1, (X,)))))))
+    denot = _PartialDenot({"G": {v: v for v in range(4)}})
+    m = KripkeInterpretation(SIG_SO, 2, 1, frozenset(), denot,
+                             full_relspace(1, 2))
+    holds = compile_world(g)
+    with pytest.raises(_MissingBit):
+        holds(m, {}, 0)
+    for s in range(4):
+        denot["S"] = s
+        assert [holds(m, {}, w) for w in range(2)] == [
+            bool(((3 ^ s) >> w) & 1) for w in range(2)]
+    assert m.lambda_values == {}
