@@ -31,11 +31,11 @@ from .formulas import (
     sort_of, substitute,
 )
 from .kripke import (
-    ColumnSpace, KripkeInterpretation, compile_mask, frames_for, lowest_bit,
-    total_access,
+    ColumnSpace, compile_mask, frames_for, lowest_bit, total_access,
 )
 from .macros import expand_derived
-from .signature import LogicTag, Mode, Signature
+from .modelfind import MODEL_BUDGET, SearchBoundsError, count_frames
+from .signature import LogicTag, Mode
 
 
 # ---------------------------------------------------------------------------
@@ -446,96 +446,159 @@ class SoundnessReport:
         return "\n".join(lines)
 
 
-def _realized_vectors(m: KripkeInterpretation, atoms, depth: int):
-    """World-vector closure of the atoms under the connectives, to the given
-    depth, with one witness formula per vector."""
-    full = m.all_worlds
+def _realized_vectors(unary: dict, atom_values: dict, depth: int) -> dict:
+    """World-vector closure of the atoms' vectors under the connectives, to
+    the given depth, on the frame of `_unary_tables`. Each vector maps, in
+    the order found, to the recipe of the first formula found for it:
+    (name,) for an atom, (Not, v), (Box, v), (Actually, v) or
+    (Implies, v1, v2), which `_witness` turns into that formula."""
+    neg = unary[Not]
     vecs = {}
-    for a in atoms:
-        f = Exemplify(Const(a, PROPOSITION), ())
-        vecs.setdefault(m.denot[a], f)
-    frontier = dict(vecs)
+    for a, v in atom_values.items():
+        vecs.setdefault(v, (a,))
+    frontier = list(vecs)
     for _ in range(depth):
-        new = {}
-        items = list(vecs.items())
-        for v, wf in list(frontier.items()):
-            for nv, nf in ((full ^ v, Not(wf)), (m.box(v), Box(wf)),
-                           (m.actually(v), Actually(wf))):
+        new = []
+        items = list(vecs)
+        for v in frontier:
+            for op, table in unary.items():
+                nv = table[v]
                 if nv not in vecs:
-                    vecs[nv] = nf
-                    new[nv] = nf
-        for v1, f1 in items:
-            for v2, f2 in items:
-                nv = (full ^ v1) | v2
+                    vecs[nv] = (op, v)
+                    new.append(nv)
+        for v1 in items:
+            for v2 in items:
+                nv = neg[v1] | v2
                 if nv not in vecs:
-                    nf = Implies(f1, f2)
-                    vecs[nv] = nf
-                    new[nv] = nf
+                    vecs[nv] = (Implies, v1, v2)
+                    new.append(nv)
         frontier = new
         if not new:
             break
     return vecs
 
 
+def _unary_tables(frame: ColumnSpace) -> dict:
+    """Per connective ~, Box and Actually, its value on every world vector
+    of a one-column space, by vector."""
+    vs = range(1 << frame.n_worlds)
+    return {Not: tuple(frame.all_worlds ^ v for v in vs),
+            Box: tuple(map(frame.box, vs)),
+            Actually: tuple(map(frame.actually, vs))}
+
+
+def _witness(vecs: dict, v: int) -> Formula:
+    """The formula that vector v's recipe in vecs describes."""
+    op, *args = vecs[v]
+    if isinstance(op, str):
+        return Exemplify(Const(op, PROPOSITION), ())
+    return op(*(_witness(vecs, u) for u in args))
+
+
+def _count_models(logic: LogicTag, max_worlds: int, n_atoms: int) -> int:
+    """The number of models validate_layer walks: every valuation of the
+    atoms on every frame of the class up to max_worlds. Raises
+    SearchBoundsError past MODEL_BUDGET, at the first world count that
+    passes it, before any frame is enumerated."""
+    total = 0
+    for n in range(1, max_worlds + 1):
+        total += count_frames(logic, n) << (n * n_atoms)
+        if total > MODEL_BUDGET:
+            raise SearchBoundsError(
+                f"more than the model budget of {MODEL_BUDGET} "
+                f"models within worlds<={n}")
+    return total
+
+
 def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
                    generator_depth: int = 3) -> SoundnessReport:
     """Every template schema over every model of the layer's frame class,
     its metavariables ranging over the world vectors the atoms generate
-    there; the builtin schemas over a small first-order setup."""
+    there; the builtin schemas over a small first-order setup.
+
+    A template's truth on a model depends only on the world count, the
+    frame, the actual world and the set of realized vectors, not on which
+    atom holds which vector. So each template is checked once per distinct
+    (frame, realized set): one call on a ColumnSpace whose columns are the
+    metavariable tuples, first outermost, whose lowest failing bit is the
+    first failing tuple. Each model then adds that check's instance count,
+    in model order, and the first failing model's witnesses are rebuilt
+    from its own closure. Raises SearchBoundsError past MODEL_BUDGET
+    models."""
     t0 = time.perf_counter()
-    # the models, per world count the columns of a space over the frame
-    # class, the last atom outermost
-    sig = Signature(Mode.CLASSICAL, layer.logic, dict.fromkeys(atoms, PROPOSITION))
-    names = tuple(reversed(atoms))
-    model_spaces = [ColumnSpace.product(n, frames_for(layer.logic, n), names,
-                                        range(1 << n))
-                    for n in range(1, max_worlds + 1)]
-    models = (KripkeInterpretation(sig, ms.n_worlds, 1, R, dict(zip(names, v)))
-              for ms in model_spaces
-              for R, v in map(ms.column, range(ms.n_columns)))
+    n_models = _count_models(layer.logic, max_worlds, len(atoms))
     template_schemas = [s for s in layer.schemas.values() if s.kind == "template"]
     builtin_schemas = [s for s in layer.schemas.values() if s.kind != "template"]
-    # per model, one call per template: the metavariable tuples, first
-    # outermost, are the columns of a space over the model's frame, so the
-    # lowest failing bit is the first failing tuple
     holds = [compile_mask(s.template) for s in template_schemas]
     counts = [0] * len(template_schemas)
     counterexamples = [None] * len(template_schemas)
-    for m in models:
+    # (n_worlds, frame, actual, realized vectors) -> per checked template,
+    # (instances, None) or, if it fails, (instances up to and including the
+    # first failing tuple, (world, that tuple))
+    outcomes = {}
+    # the models: per world count and frame, every valuation, the last atom
+    # outermost
+    frames = ((frame, _unary_tables(frame))
+              for n in range(1, max_worlds + 1)
+              for frame in (ColumnSpace(n, (R,), 1, {})
+                            for R in frames_for(layer.logic, n)))
+    models = ((frame, unary, v) for frame, unary in frames
+              for v in itertools.product(range(1 << frame.n_worlds),
+                                         repeat=len(atoms)))
+    for frame, unary, valuation in models:
         unfailed = [i for i, ce in enumerate(counterexamples) if ce is None]
         if not unfailed:
             break
-        vecs = _realized_vectors(m, atoms, generator_depth)
-        values = sorted(vecs)
-        spaces = {}  # metavariable count -> space
+        denot = dict(zip(atoms, reversed(valuation)))
+        vecs = _realized_vectors(unary, denot, generator_depth)
+        n, R = frame.n_worlds, frame.frames[0]
+        values = tuple(sorted(vecs))
+        key = (n, R, frame.actual, values)
+        found = outcomes.get(key)
+        if found is None:
+            found = outcomes[key] = _check_templates(
+                frame, values, [(i, template_schemas[i], holds[i])
+                                for i in unfailed])
         for i in unfailed:
-            s = template_schemas[i]
-            k = len(s.metavars)
-            if k not in spaces:
-                spaces[k] = ColumnSpace.product(m.n_worlds, m.frames, range(k),
-                                                values, m.actual)
-            space = spaces[k]
-            fails = space.all_worlds ^ holds[i](
-                space, dict(zip(s.metavars, space.denot.values())))
-            if not fails:
-                counts[i] += space.n_columns
-                continue
-            c, w = divmod(lowest_bit(fails), m.n_worlds)
-            counts[i] += c + 1
-            witnesses = tuple(vecs[v] for v in space.column(c)[1])
-            counterexamples[i] = (witnesses, _describe(m), w)
+            instances, failure = found[i]
+            counts[i] += instances
+            if failure is not None:
+                w, column = failure
+                counterexamples[i] = (tuple(_witness(vecs, v) for v in column),
+                                      _describe(n, R, denot), w)
     findings = [SchemaFinding(s.name, n, ce) for s, n, ce
                 in zip(template_schemas, counts, counterexamples)]
     findings.extend(_validate_builtins(builtin_schemas, layer))
-    return SoundnessReport(layer.name,
-                           sum(ms.n_columns for ms in model_spaces), findings,
+    return SoundnessReport(layer.name, n_models, findings,
                            time.perf_counter() - t0)
 
 
-def _describe(m: KripkeInterpretation) -> str:
-    R = sorted(m.access)
-    vals = {k: bin(v) for k, v in sorted(m.denot.items())}
-    return f"|W|={m.n_worlds} R={R} {vals}"
+def _check_templates(frame: ColumnSpace, values: tuple, checks) -> dict:
+    """Per (index, schema, compiled template) in checks, the template over
+    every tuple of values for its metavariables in frame's one frame, as
+    (instances, failure) for validate_layer: one ColumnSpace per
+    metavariable count."""
+    spaces = {}  # metavariable count -> space
+    out = {}
+    for i, s, holds in checks:
+        k = len(s.metavars)
+        if k not in spaces:
+            spaces[k] = ColumnSpace.product(frame.n_worlds, frame.frames,
+                                            range(k), values, frame.actual)
+        space = spaces[k]
+        fails = space.all_worlds ^ holds(
+            space, dict(zip(s.metavars, space.denot.values())))
+        if not fails:
+            out[i] = (space.n_columns, None)
+            continue
+        c, w = divmod(lowest_bit(fails), space.n_worlds)
+        out[i] = (c + 1, (w, space.column(c)[1]))
+    return out
+
+
+def _describe(n_worlds: int, frame, denot: dict) -> str:
+    vals = {k: bin(v) for k, v in sorted(denot.items())}
+    return f"|W|={n_worlds} R={sorted(frame)} {vals}"
 
 
 def _validate_builtins(schemas, layer: Layer):
@@ -547,8 +610,6 @@ def _validate_builtins(schemas, layer: Layer):
     out = []
     if not schemas:
         return out
-    sig = Signature(Mode.CLASSICAL, layer.logic,
-                    {"S": REL1, "p": PROPOSITION})
     x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
     Sx = Exemplify(Const("S", REL1), (x,))
     Sy = Exemplify(Const("S", REL1), (y,))
@@ -611,9 +672,9 @@ def _validate_builtins(schemas, layer: Layer):
                     continue
                 c, j = min(bad)
                 count += c * len(assigns) + j + 1
-                m = KripkeInterpretation(sig, n_w, space.n_individuals, space.frames[0],
-                                         dict(zip("Sp", divmod(c, 1 << n_w))))
-                counterexample = (inst, _describe(m), lowest_bit(fails[j]) % n_w)
+                model = dict(zip("Sp", divmod(c, 1 << n_w)))
+                counterexample = (inst, _describe(n_w, space.frames[0], model),
+                                  lowest_bit(fails[j]) % n_w)
                 break
             if counterexample:
                 break

@@ -215,11 +215,12 @@ class _EvalContext:
 
     Besides the sweep counters and the closed-term denotations, keyed by
     canonical key, it holds what the call works out once about its input:
-    encoding usage per (variable, body) and the bodies already prefetched.
-    These two tables are keyed by id(node) and keep their node, so no id is
-    reused while the context lives; the context is dropped when the call
-    returns. Free names and keys are stored on the nodes (see
-    `formulas`)."""
+    encoding usage per (variable, body), the bodies already prefetched,
+    and the truth of each Box per budget depth and values of its free
+    names (the same at every world, accessibility being total). These
+    tables are keyed by id(node) and keep their node, so no id is reused
+    while the context lives; the context is dropped when the call returns.
+    Free names and keys are stored on the nodes (see `formulas`)."""
 
     def __init__(self, m: AczelModel):
         self.m = m
@@ -232,6 +233,8 @@ class _EvalContext:
         self.closed_cache: dict = {}   # canonical key -> denotation
         self.usage: dict = {}          # (x, id(body)) -> (body, usage)
         self.prefetched: dict = {}     # id(body) -> body
+        # (id(box), pattern_depth, full_scans, free-name values) -> (box, truth)
+        self.boxes: dict = {}
 
     def _sigma_classes(self) -> dict:
         m = self.m
@@ -637,7 +640,14 @@ def _ev(f: Formula, m: AczelModel, a: dict, w: int, ctx: _EvalContext) -> bool:
     if isinstance(f, Implies):
         return (not _ev(f.left, m, a, w, ctx)) or _ev(f.right, m, a, w, ctx)
     if isinstance(f, Box):
-        return all(_ev(f.body, m, a, v, ctx) for v in range(m.n_worlds))
+        # accessibility is total, so the truth is the same at every world
+        key = (id(f), ctx.pattern_depth, ctx.full_scans,
+               tuple(a.get(n) for n in free_names(f)))
+        hit = ctx.boxes.get(key)
+        if hit is None:
+            hit = ctx.boxes[key] = (
+                f, all(_ev(f.body, m, a, v, ctx) for v in range(m.n_worlds)))
+        return hit[1]
     if isinstance(f, Actually):
         return _ev(f.body, m, a, m.actual, ctx)
     if isinstance(f, Forall):

@@ -1,21 +1,29 @@
+import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmodal.abstraction import (
     Accepted, AxStep, HypStep, Layer, MpStep, NecStep, PremiseStep,
-    ProofScript, ProofState, QedStep, Rejected, Schema, SoundnessReport,
-    check_proof, make_layer, validate_layer,
+    ProofScript, ProofState, QedStep, Rejected, Schema, SchemaFinding,
+    SoundnessReport, check_proof, make_layer, validate_layer,
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Exemplify, Forall, Implies, Not, Var,
-    alpha_equivalent, beta_normalize, canonical_key,
+    alpha_equivalent, beta_normalize, canonical_key, free_names,
 )
-from finmodal.kripke import Validity, validity
+from finmodal.kripke import (
+    ColumnSpace, KripkeInterpretation, Validity, compile_mask, frames_for,
+    lowest_bit, validity,
+)
 from finmodal.macros import expand_derived
-from finmodal.modelfind import Bounds, find_countermodel
+from finmodal.modelfind import (
+    MODEL_BUDGET, Bounds, SearchBoundsError, find_countermodel,
+)
 from finmodal.ontoarg import variant
 from finmodal.parser import parse_formula
 from finmodal.problemfile import parse_problem, parse_proof
@@ -217,6 +225,8 @@ class TestValidateLayer:
                    "ax_T": 408, "ax_5": 408}),
         ("KB", 2, {"pl1": 1792, "pl2": 6912, "pl3": 1792, "ax_K": 1792,
                    "ax_B": 480}),
+        ("KB", 3, {"pl1": 202478, "pl2": 1530146, "pl3": 202478,
+                   "ax_K": 202478, "ax_B": 28034}),
     ])
     def test_template_instance_counts(self, name, max_worlds, counts):
         # one instance per metavariable tuple of realized vectors per model
@@ -224,7 +234,18 @@ class TestValidateLayer:
         assert {f.schema: f.instances for f in report.schema_findings
                 if f.schema in counts} == counts
         # every valuation of the two atoms on every frame of the class
-        assert report.n_models == {"K": 264, "KB": 136, "S5": 84}[name]
+        assert report.n_models == {("K", 2): 264, ("KB", 2): 136,
+                                   ("KB", 3): 4232, ("S5", 3): 84}[
+                                       name, max_worlds]
+
+    def test_model_budget_checked_before_enumerating(self):
+        # K at 4 worlds: 65 536 frames, 16.8 M models; at 3 worlds 33 032
+        t0 = time.perf_counter()
+        with pytest.raises(SearchBoundsError, match=str(MODEL_BUDGET)):
+            validate_layer(make_layer("K"), max_worlds=4)
+        assert time.perf_counter() - t0 < 0.1
+        with pytest.raises(SearchBoundsError):
+            validate_layer(make_layer("K"), max_worlds=10 ** 6)
 
     @pytest.mark.parametrize("name, counts", [
         ("K", {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472}),
@@ -322,3 +343,96 @@ def P_meta():
 def test_aot_layer_validation_does_not_crash():
     report = validate_layer(make_layer("AOT"), max_worlds=2)
     assert report.ok  # eq_sub is deferred to the urelement-model suite
+
+
+# ---------------------------------------------------------------------------
+# validate_layer against a per-model loop
+
+def _oracle_vectors(m, atoms, depth):
+    """The world-vector closure with one witness formula per vector, built
+    on the model itself."""
+    full = m.all_worlds
+    vecs = {}
+    for a in atoms:
+        vecs.setdefault(m.denot[a], Exemplify(Const(a, PROPOSITION), ()))
+    frontier = dict(vecs)
+    for _ in range(depth):
+        new = {}
+        items = list(vecs.items())
+        for v, wf in list(frontier.items()):
+            for nv, nf in ((full ^ v, Not(wf)), (m.box(v), Box(wf)),
+                           (m.actually(v), Actually(wf))):
+                if nv not in vecs:
+                    vecs[nv] = nf
+                    new[nv] = nf
+        for v1, f1 in items:
+            for v2, f2 in items:
+                nv = (full ^ v1) | v2
+                if nv not in vecs:
+                    vecs[nv] = new[nv] = Implies(f1, f2)
+        frontier = new
+        if not new:
+            break
+    return vecs
+
+
+def _oracle_template_findings(layer, max_worlds, atoms, depth):
+    """Every template checked model by model, in validate_layer's model
+    order, on a fresh space of the model's own realized vectors."""
+    sig = Signature(Mode.CLASSICAL, layer.logic,
+                    dict.fromkeys(atoms, PROPOSITION))
+    schemas = [s for s in layer.schemas.values() if s.kind == "template"]
+    counts = [0] * len(schemas)
+    found = [None] * len(schemas)
+    models = (KripkeInterpretation(sig, n, 1, R,
+                                   dict(zip(reversed(atoms), v)))
+              for n in range(1, max_worlds + 1)
+              for R in frames_for(layer.logic, n)
+              for v in itertools.product(range(1 << n), repeat=len(atoms)))
+    for m in models:
+        vecs = _oracle_vectors(m, atoms, depth)
+        for i, s in enumerate(schemas):
+            if found[i] is not None:
+                continue
+            space = ColumnSpace.product(m.n_worlds, m.frames,
+                                        range(len(s.metavars)), sorted(vecs),
+                                        m.actual)
+            fails = space.all_worlds ^ compile_mask(s.template)(
+                space, dict(zip(s.metavars, space.denot.values())))
+            if not fails:
+                counts[i] += space.n_columns
+                continue
+            c, w = divmod(lowest_bit(fails), m.n_worlds)
+            counts[i] += c + 1
+            vals = {k: bin(x) for k, x in sorted(m.denot.items())}
+            found[i] = (tuple(vecs[x] for x in space.column(c)[1]),
+                        f"|W|={m.n_worlds} R={sorted(m.access)} {vals}", w)
+    return [SchemaFinding(s.name, n, ce)
+            for s, n, ce in zip(schemas, counts, found)]
+
+
+def _bogus_templates():
+    metas = st.sampled_from([P_meta(), Exemplify(Var("q", PROPOSITION), ())])
+    return st.recursive(metas, lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Box, sub), st.builds(Actually, sub),
+        st.builds(Implies, sub, sub)), max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_bogus_templates(), min_size=1, max_size=3),
+       st.sampled_from(["K", "KB", "S5"]), st.integers(1, 2),
+       st.sampled_from([("p",), ("p", "q")]), st.integers(1, 3), st.data())
+def test_validate_layer_matches_per_model_loop(templates, name, max_worlds,
+                                               atoms, depth, data):
+    # one check per (frame, realized set) gives every model's count and the
+    # first counterexample, witnesses included, of checking each model
+    schemas = {}
+    for j, t in enumerate(templates):
+        metavars = data.draw(st.permutations(sorted(free_names(t))))
+        schemas[f"bogus{j}"] = Schema(f"bogus{j}", "template", t,
+                                      tuple(metavars))
+    layer = Layer("bogus", make_layer(name).logic, Mode.CLASSICAL, schemas)
+    report = validate_layer(layer, max_worlds=max_worlds, atoms=atoms,
+                            generator_depth=depth)
+    assert report.schema_findings == _oracle_template_findings(
+        layer, max_worlds, atoms, depth)

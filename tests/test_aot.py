@@ -141,6 +141,20 @@ class TestEvaluation:
         chain = parse_formula(" <-> ".join(["~E! k1"] * 10), m.sig)
         assert eval_aot(chain, m)
 
+    @pytest.mark.parametrize("op", ["<>", "[]"])
+    @pytest.mark.parametrize("body", ["all x (%s E! x)", "exists x (%s E! x)",
+                                      "%s E! k1"])
+    def test_nested_modal_operators_collapse(self, m, op, body):
+        # accessibility is total, so n nested operators mean one; each Box
+        # is evaluated once per world-independent input, not once per world
+        # of every enclosing operator
+        want = eval_aot(parse_formula(body % op, m.sig), m)
+        for n in range(2, 64):
+            f = parse_formula(body % (op * n), m.sig)
+            start = time.perf_counter()
+            assert eval_aot(f, m) == want
+            assert time.perf_counter() - start < 0.1
+
 
 class TestDenotation:
     def test_simple_lambda_denotes(self, m):
