@@ -26,11 +26,10 @@ from .formulas import (
     Actually, And, Box, Const, Description, Encode, Exemplify, Forall,
     Formula, Implies, Lambda, MacroFormula, Not, PrimitiveEq, SOAtom, Term,
     Var,
-    beta_normalize, binder_vars, canonical_key, children, free_names,
-    subnodes, tree_size,
+    binder_vars, canonical_key, children, free_names, subnodes,
 )
 from .kripke import lowest_bit
-from .macros import expand_derived
+from .macros import primitive_form
 from .parser import parse_term
 from .printer import print_formula, print_term
 from .proofs import two_individuals_premises, two_individuals_script
@@ -214,13 +213,14 @@ class _EvalContext:
     """The state of one top-level call (`denote`, `eval_aot`).
 
     Besides the sweep counters and the closed-term denotations, keyed by
-    canonical key, it holds what the call works out once about its input:
-    encoding usage per (variable, body), the bodies already prefetched,
-    and the truth of each Box per budget depth and values of its free
-    names (the same at every world, accessibility being total). These
-    tables are keyed by id(node) and keep their node, so no id is reused
-    while the context lives; the context is dropped when the call returns.
-    Free names and keys are stored on the nodes (see `formulas`)."""
+    canonical key, it holds what the call works out about the model: the
+    truth of each Box, and each Box's column in a sweep, per budget depth
+    and values of its free names (the same at every world, accessibility
+    being total). The Box tables are keyed by id(node) and keep their
+    node, so no id is reused while the context lives; the context is
+    dropped when the call returns. What depends only on a node's
+    structure is stored on the node (see `formulas._FACTS`): its free
+    names, keys and normal form, and each binder's encoding usage."""
 
     def __init__(self, m: AczelModel):
         self.m = m
@@ -231,10 +231,11 @@ class _EvalContext:
         self.membership = _membership_masks(len(m.relspace1))
         self.sigma_class_masks = self._sigma_classes()
         self.closed_cache: dict = {}   # canonical key -> denotation
-        self.usage: dict = {}          # (x, id(body)) -> (body, usage)
-        self.prefetched: dict = {}     # id(body) -> body
         # (id(box), pattern_depth, full_scans, free-name values) -> (box, truth)
         self.boxes: dict = {}
+        # (id(box), swept variable, pattern_depth, full_scans, values of the
+        # other free names) -> (box, column)
+        self.box_columns: dict = {}
 
     def _sigma_classes(self) -> dict:
         m = self.m
@@ -244,15 +245,20 @@ class _EvalContext:
         return {0: self.full ^ mem, 1: mem}
 
 
-def _encode_usage(x: str, f: Formula, ctx: _EvalContext):
-    """(needs_full_sweep, closed_relation_terms) for quantified variable x.
+def _encode_usage(binder):
+    """(needs_full_sweep, closed_relation_terms, prefetch) for the variable
+    of binder (an individual quantifier, a unary lambda or a description)
+    over its body, stored on binder.
 
     A relation term is closed when it mentions no variable bound between
-    the quantifier and the encoding atom. Worked out once per (x, f) in
-    a call."""
-    hit = ctx.usage.get((x, id(f)))
-    if hit is not None:
-        return hit[1]
+    the binder and the encoding atom. prefetch lists the closed lambdas
+    and descriptions of the body, in the order a walk meets them, which a
+    full sweep denotes before it starts; it is empty when no full sweep is
+    needed."""
+    usage = getattr(binder, "_binder", None)
+    if usage is not None:
+        return usage
+    x, f = binder_vars(binder)[0].name, binder.body
     closed: list = []
     state = {"full": False}
 
@@ -285,8 +291,13 @@ def _encode_usage(x: str, f: Formula, ctx: _EvalContext):
                     state["full"] = True
 
     walk(f, frozenset())
-    usage = (state["full"], tuple(closed))
-    ctx.usage[(x, id(f))] = (f, usage)
+    prefetch = ()
+    if state["full"]:
+        prefetch = tuple({id(n): n for n in subnodes(f)
+                          if isinstance(n, (Lambda, Description))
+                          and not free_names(n)}.values())
+    usage = (state["full"], tuple(closed), prefetch)
+    object.__setattr__(binder, "_binder", usage)
     return usage
 
 
@@ -330,7 +341,7 @@ def _pattern_reps(m: AczelModel, values) -> list:
 def _individual_domain(f: Forall, m: AczelModel, a: dict,
                        ctx: "_EvalContext"):
     """('reps', list) or ('full', None) for an individual quantifier."""
-    needs_full, closed = _encode_usage(f.var.name, f.body, ctx)
+    needs_full, closed, _ = _encode_usage(f)
     if needs_full:
         return ("full", None)
     values = _pattern_values(closed, m, a, ctx, f)
@@ -342,20 +353,15 @@ def _individual_domain(f: Forall, m: AczelModel, a: dict,
 # ---------------------------------------------------------------------------
 # Denotation
 
-def _primitive(x):
-    """beta_normalize(expand_derived(x)), once the expansion is known to
-    have at most EXPANSION_BUDGET nodes as a tree: expand_derived shares
-    the two sides of each <-> or xor, but evaluation walks them apart."""
-    g = expand_derived(x)
-    if tree_size(g) > EXPANSION_BUDGET:
-        raise _budget_error(f"expands to {tree_size(g)} nodes, past the "
-                            f"budget of {EXPANSION_BUDGET}", x)
-    return beta_normalize(g)
+def _expansion_error(x, size: int) -> AotBudgetError:
+    return _budget_error(f"expands to {size} nodes, past the budget of "
+                         f"{EXPANSION_BUDGET}", x)
 
 
 def denote(t: Term, m: AczelModel, a: dict | None = None):
     ctx = _EvalContext(m)
-    return denote_in(_primitive(t), m, dict(a or {}), ctx)
+    return denote_in(primitive_form(t, _expansion_error), m, dict(a or {}),
+                     ctx)
 
 
 def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
@@ -407,7 +413,7 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
             if _ev(body, m, a2, w, ctx):
                 value |= 1 << (u * m.n_worlds + w)
 
-    needs_full, closed = _encode_usage(x.name, body, ctx)
+    needs_full, closed, _ = _encode_usage(t)
     if not needs_full:
         # truth depends on the proxy class and the membership pattern only;
         # the matrix factors iff patterns within one class cannot disagree
@@ -455,7 +461,7 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
             if len(hits) > 1:
                 return NON_DENOTING
 
-    needs_full, closed = _encode_usage(x.name, body, ctx)
+    needs_full, closed, _ = _encode_usage(t)
     if not needs_full:
         # any satisfying pattern class contains many abstract objects,
         # so an abstract satisfier already spoils uniqueness
@@ -481,28 +487,18 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
     return Denotes(Abstract(lowest_bit(col)))
 
 
-def _prefetch_closed_terms(body: Formula, m: AczelModel, a: dict,
-                           ctx: _EvalContext) -> None:
-    """Denote (and cache) closed complex subterms before a sweep starts, so
-    their own sweeps run sequentially rather than nested. Each body is
-    prefetched once per call: its closed terms then stay cached."""
-    if id(body) in ctx.prefetched:
-        return
-    for n in subnodes(body):
-        if isinstance(n, (Lambda, Description)) and not free_names(n):
-            denote_in(n, m, a, ctx)
-    ctx.prefetched[id(body)] = body
-
-
 def _scan_columns(binder, m: AczelModel, a: dict, ctx: _EvalContext,
                   worlds=None) -> dict:
     """The truth of the body of binder (a quantifier, a unary lambda or a
     description) with its variable bound to every abstract object, one bit
-    per encoded set, per world."""
+    per encoded set, per world. The closed complex subterms of the body are
+    denoted (and cached) first, so their own sweeps run one after another,
+    not nested."""
     if ctx.full_scans >= FULL_SCAN_BUDGET:
         raise _budget_error("nested full sweeps over abstract objects", binder)
     x, body = binder_vars(binder)[0].name, binder.body
-    _prefetch_closed_terms(body, m, a, ctx)
+    for t in _encode_usage(binder)[2]:
+        denote_in(t, m, a, ctx)
     ctx.full_scans += 1
     try:
         out = {}
@@ -559,10 +555,16 @@ def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
         return (full ^ _vec(f.left, x, m, a, w, ctx)) \
             | _vec(f.right, x, m, a, w, ctx)
     if isinstance(f, Box):
-        out = full
-        for v in range(m.n_worlds):
-            out &= _vec(f.body, x, m, a, v, ctx)
-        return out
+        # accessibility is total, so the column is the same at every world
+        key = (id(f), x, ctx.pattern_depth, ctx.full_scans,
+               tuple(a.get(n) for n in free_names(f) if n != x))
+        hit = ctx.box_columns.get(key)
+        if hit is None:
+            out = full
+            for v in range(m.n_worlds):
+                out &= _vec(f.body, x, m, a, v, ctx)
+            hit = ctx.box_columns[key] = (f, out)
+        return hit[1]
     if isinstance(f, Actually):
         return _vec(f.body, x, m, a, m.actual, ctx)
     if isinstance(f, Forall):
@@ -596,7 +598,7 @@ def eval_aot(f: Formula, m: AczelModel, a: dict | None = None,
     expanded and safe redexes reduced before evaluation; an expansion past
     EXPANSION_BUDGET nodes raises AotBudgetError first."""
     ctx = _EvalContext(m)
-    g = _primitive(f)
+    g = primitive_form(f, _expansion_error)
     return _ev(g, m, dict(a or {}), m.actual if w is None else w, ctx)
 
 

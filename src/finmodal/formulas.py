@@ -59,11 +59,14 @@ REL1 = Relation(1)
 
 # What a node stores about itself the first time it is asked: its free
 # variables and names, its canonical key at top level, its size as a tree,
-# and flags saying that beta_normalize and macros.expand_derived return it
-# unchanged. These depend only on the node's structure, and they are not
-# dataclass fields, so __init__, __eq__, __hash__ and repr never see them.
+# what beta_normalize and macros.expand_derived return for it, and, on a
+# binder, what aot works out about its body. A stored result is True when
+# it is the node itself, else the node returned, which stores True: never
+# a reference to itself, which would make every node a reference cycle.
+# These depend only on the node's structure, and they are not dataclass
+# fields, so __init__, __eq__, __hash__ and repr never see them.
 _FACTS = ("_free_vars", "_free_names", "_key", "_size", "_normal",
-          "_primitive")
+          "_primitive", "_binder")
 _EMPTY = frozenset()
 
 
@@ -319,11 +322,17 @@ def free_vars(x: Node) -> frozenset:
 
 
 def free_names(x: Node) -> frozenset:
-    """The names of x's free variables, stored on x."""
+    """The names of x's free variables, stored on x. When x's variables
+    are a child's set, its names are that child's set."""
     names = getattr(x, "_free_names", None)
     if names is None:
         fv = free_vars(x)
-        names = frozenset(v.name for v in fv) if fv else _EMPTY
+        names = _EMPTY
+        if fv:
+            same = [c for c in children(x)
+                    if not isinstance(c, Var) and free_vars(c) is fv]
+            names = free_names(same[0]) if same \
+                else frozenset(v.name for v in fv)
         object.__setattr__(x, "_free_names", names)
     return names
 
@@ -346,9 +355,14 @@ def tree_size(x: Node) -> int:
 
 
 def subnodes(x: Node):
-    yield x
-    for c in children(x):
-        yield from subnodes(c)
+    """x and every node below it, in pre-order; a child shared by two
+    parents comes twice. A stack, not nested generators, so each node
+    costs one step whatever its depth."""
+    stack = [x]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -488,20 +502,20 @@ def alpha_equivalent(a: Node, b: Node) -> bool:
 # ---------------------------------------------------------------------------
 # Beta normalization
 
-def _param_touches_encode(body: Formula, param: Var) -> bool:
-    """True when param occurs free inside some Encode atom of body."""
-    def walk(x, shadowed):
-        if isinstance(x, Encode):
-            for sub in subnodes(x):
-                if isinstance(sub, Var) and sub == param and param.name not in shadowed:
-                    return True
-            # fall through: Encode has no binders of its own below this check
-        bvs = {v.name for v in binder_vars(x)}
-        inner = shadowed | bvs
-        if isinstance(x, Var):
-            return False
-        return any(walk(c, inner) for c in children(x))
-    return walk(body, set())
+def _param_touches_encode(x: Node, param: Var, shadowed=_EMPTY) -> bool:
+    """True when param occurs free inside some Encode atom of x; the names
+    in shadowed are bound above x."""
+    if isinstance(x, Var):
+        return False
+    if isinstance(x, Encode) and param.name not in shadowed \
+            and any(isinstance(sub, Var) and sub == param
+                    for sub in subnodes(x)):
+        return True
+    bvs = binder_vars(x)
+    if bvs:
+        shadowed = shadowed | {v.name for v in bvs}
+    return any(_param_touches_encode(c, param, shadowed)
+               for c in children(x))
 
 
 def beta_step_safe(lam: Lambda) -> bool:
@@ -519,20 +533,26 @@ def beta_normalize(x: Node) -> Node:
     A redex with a definite description among its arguments is kept: the
     description may fail to denote, and then the application is false
     while the reduced matrix need not be. A node in which nothing changes
-    is returned as it is, not rebuilt. What it returns is flagged normal,
-    so normalizing it again returns at once.
+    is returned as it is, not rebuilt. What it returns is stored on x and
+    flagged normal (see _FACTS), so normalizing either again returns at
+    once.
     """
-    if isinstance(x, (Var, Const)) or getattr(x, "_normal", False):
+    if isinstance(x, (Var, Const)):
         return x
+    done = getattr(x, "_normal", None)
+    if done is not None:
+        return x if done is True else done
     old = children(x)
     new = tuple(map(beta_normalize, old))
-    if any(map(is_not, new, old)):
-        x = rebuild(x, new)
-    if isinstance(x, Exemplify) and isinstance(x.rel, Lambda):
-        lam = x.rel
-        if len(lam.params) == len(x.args) and beta_step_safe(lam) \
-                and not any(isinstance(t, Description) for t in x.args):
-            reduced = substitute_many(lam.body, dict(zip(lam.params, x.args)))
-            return beta_normalize(reduced)
-    object.__setattr__(x, "_normal", True)
-    return x
+    y = rebuild(x, new) if any(map(is_not, new, old)) else x
+    lam = y.rel if isinstance(y, Exemplify) else None
+    if isinstance(lam, Lambda) and len(lam.params) == len(y.args) \
+            and beta_step_safe(lam) \
+            and not any(isinstance(t, Description) for t in y.args):
+        y = beta_normalize(
+            substitute_many(lam.body, dict(zip(lam.params, y.args))))
+    else:
+        object.__setattr__(y, "_normal", True)
+    if y is not x:
+        object.__setattr__(x, "_normal", y)
+    return y

@@ -10,10 +10,11 @@ from __future__ import annotations
 from operator import is_not
 
 from .formulas import (
-    INDIVIDUAL, REL1, SECOND_ORDER, SortError,
+    EXPANSION_BUDGET, INDIVIDUAL, REL1, SECOND_ORDER, SortError,
     And, Box, Const, Diamond, Encode, Exemplify, Exists, Forall, Formula,
     Iff, Implies, Lambda, MacroFormula, MacroTerm, Node, Not, Or,
-    SOAtom, Term, Var, Xor, children, free_names, rebuild, fresh_name, sort_of,
+    SOAtom, Term, Var, Xor, beta_normalize, children, free_names, rebuild,
+    fresh_name, sort_of, tree_size,
 )
 
 P_CONST = Const("P", SECOND_ORDER)
@@ -167,30 +168,47 @@ def expand_derived(x: Node) -> Node:
 
     Terminating (the macro table is acyclic) and idempotent; applied
     lambdas are kept as written. A primitive node in which nothing
-    changes is returned as it is, not rebuilt. What it returns is flagged
-    primitive, so expanding it again returns at once.
+    changes is returned as it is, not rebuilt. What it returns is stored
+    on x and flagged primitive (see formulas._FACTS), so expanding either
+    again returns at once.
     """
-    if isinstance(x, (Var, Const)) or getattr(x, "_primitive", False):
+    if isinstance(x, (Var, Const)):
         return x
+    done = getattr(x, "_primitive", None)
+    if done is not None:
+        return x if done is True else done
     old = children(x)
     new = tuple(map(expand_derived, old))
-    if any(map(is_not, new, old)):
-        x = rebuild(x, new)
-    if isinstance(x, Diamond):
-        x = Not(Box(Not(x.body)))
-    elif isinstance(x, Exists):
-        x = Not(Forall(x.var, Not(x.body)))
-    elif isinstance(x, And):
-        x = Not(Implies(x.left, Not(x.right)))
-    elif isinstance(x, Or):
-        x = Implies(Not(x.left), x.right)
-    elif isinstance(x, (Iff, Xor)):
-        l, r = x.left, x.right
+    y = rebuild(x, new) if any(map(is_not, new, old)) else x
+    if isinstance(y, Diamond):
+        y = Not(Box(Not(y.body)))
+    elif isinstance(y, Exists):
+        y = Not(Forall(y.var, Not(y.body)))
+    elif isinstance(y, And):
+        y = Not(Implies(y.left, Not(y.right)))
+    elif isinstance(y, Or):
+        y = Implies(Not(y.left), y.right)
+    elif isinstance(y, (Iff, Xor)):
+        l, r = y.left, y.right
         iff = Not(Implies(Implies(l, r), Not(Implies(r, l))))
-        x = iff if isinstance(x, Iff) else Not(iff)
-    elif isinstance(x, MacroTerm):
-        x = expand_derived(_expand_macro_term(x))
-    elif isinstance(x, MacroFormula):
-        x = expand_derived(_expand_macro_formula(x))
-    object.__setattr__(x, "_primitive", True)
-    return x
+        y = iff if isinstance(y, Iff) else Not(iff)
+    elif isinstance(y, MacroTerm):
+        y = expand_derived(_expand_macro_term(y))
+    elif isinstance(y, MacroFormula):
+        y = expand_derived(_expand_macro_formula(y))
+    object.__setattr__(y, "_primitive", True)
+    if y is not x:
+        object.__setattr__(x, "_primitive", y)
+    return y
+
+
+def primitive_form(x: Node, too_large) -> Node:
+    """beta_normalize(expand_derived(x)), once the expansion is known to
+    have at most EXPANSION_BUDGET nodes as a tree: expand_derived shares
+    the two sides of each <-> or xor, but evaluating and compiling walk
+    them apart. Past the budget it raises too_large(x, size). The size is
+    checked on every call, a stored expansion included."""
+    g = expand_derived(x)
+    if tree_size(g) > EXPANSION_BUDGET:
+        raise too_large(x, tree_size(g))
+    return beta_normalize(g)

@@ -27,14 +27,13 @@ from dataclasses import dataclass, replace
 
 from .formulas import (
     EXPANSION_BUDGET, INDIVIDUAL, PROPOSITION, Actually, Box, Const,
-    Exemplify, Formula, Forall, Implies, Not, Var, beta_normalize, free_vars,
-    subnodes, tree_size,
+    Exemplify, Formula, Forall, Implies, Not, Var, free_vars, subnodes,
 )
 from .kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, compile_mask, compile_world,
     frames_for, full_relspace, lowest_bit, RELSPACE_LIMIT,
 )
-from .macros import expand_derived
+from .macros import primitive_form
 from .signature import LogicTag, Mode, Signature
 
 
@@ -233,16 +232,10 @@ def _check_budget(sig: Signature, b: Bounds) -> None:
         total += per
 
 
-def _primitive(f: Formula) -> Formula:
-    """beta_normalize(expand_derived(f)), once the expansion is known to
-    have at most EXPANSION_BUDGET nodes as a tree: expand_derived shares
-    the two sides of each <-> or xor, but compiling walks them apart."""
-    g = expand_derived(f)
-    if tree_size(g) > EXPANSION_BUDGET:
-        raise SearchBoundsError(
-            f"a premise or conjecture expands to {tree_size(g)} nodes, past "
-            f"the budget of {EXPANSION_BUDGET}")
-    return beta_normalize(g)
+def _expansion_error(f: Formula, size: int) -> SearchBoundsError:
+    return SearchBoundsError(
+        f"a premise or conjecture expands to {size} nodes, past the budget "
+        f"of {EXPANSION_BUDGET}")
 
 
 def _split_instances(f: Formula, domains) -> list:
@@ -423,7 +416,8 @@ class LeafTable:
     def __init__(self, premises, relvar_domain: str = "full"):
         self.premises = tuple(premises)
         self.relvar_domain = relvar_domain
-        self.premises_n = list(map(_primitive, self.premises))
+        self.premises_n = [primitive_form(f, _expansion_error)
+                           for f in self.premises]
         self.bodies: dict = {}
         self._nodes: dict = {}   # node -> [leaves so far, generator | None]
 
@@ -536,7 +530,7 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     b = b or Bounds()
     if free_vars(conjecture):
         raise EvalError("conjecture must be closed")
-    conjecture_n = _primitive(conjecture)
+    conjecture_n = primitive_form(conjecture, _expansion_error)
     holds = compile_mask(conjecture_n)
     if not premises and _propositional(sig, conjecture_n):
         return _packed_countermodel(holds, sig, b, relvar_domain)

@@ -11,14 +11,15 @@ from finmodal import aot, macros
 from finmodal.abstraction import Accepted, check_proof, make_layer
 from finmodal.aot import (
     Abstract, AczelConfig, AotBudgetError, AotEvalError, Denotes,
-    NON_DENOTING, NonDenoting, Ordinary, _EvalContext, _encode_usage,
+    NON_DENOTING, NonDenoting, Ordinary, _encode_usage,
     build_aczel, denote, eval_aot, exists_term, identity_holds,
     minimal_model, minimal_model_report, world_theory_report,
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    Box, Const, Encode, Exemplify, Exists, Forall, Formula, Iff, Lambda,
-    MacroFormula, Not, Term, Var, beta_normalize, free_names, subnodes,
+    Box, Const, Diamond, Encode, Exemplify, Exists, Forall, Formula, Iff,
+    Implies, Lambda, MacroFormula, Not, Term, Var, beta_normalize,
+    free_names, subnodes,
 )
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
@@ -127,15 +128,20 @@ class TestEvaluation:
                                                                 operands):
         # expand_derived shares the two sides of each <->, so the chain is
         # small, but it expands to 557 043 nodes as a tree at 16 operands,
-        # which evaluation would walk
+        # which evaluation would walk; a second and third call find the
+        # expansion stored, and still raise the same error
         chain = parse_formula(" <-> ".join(["~E! k1"] * operands), m.sig)
         term = Lambda((), chain)
         for call in (lambda: eval_aot(chain, m), lambda: denote(term, m),
                      lambda: exists_term(term, m)):
-            start = time.perf_counter()
-            with pytest.raises(AotBudgetError, match="expands to"):
-                call()
-            assert time.perf_counter() - start < 0.1
+            messages = set()
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(AotBudgetError, match="expands to") as err:
+                    call()
+                assert time.perf_counter() - start < 0.1
+                messages.add(str(err.value))
+            assert len(messages) == 1
 
     def test_iff_chain_within_the_expansion_budget_answers(self, m):
         chain = parse_formula(" <-> ".join(["~E! k1"] * 10), m.sig)
@@ -154,6 +160,27 @@ class TestEvaluation:
             start = time.perf_counter()
             assert eval_aot(f, m) == want
             assert time.perf_counter() - start < 0.1
+
+
+    @pytest.mark.parametrize("op", [Diamond, Box])
+    @pytest.mark.parametrize("concrete", [True, False])
+    def test_nested_modal_operators_under_a_column_sweep(self, m, op,
+                                                         concrete):
+        # x[F] with F bound below x needs a full sweep over abstract
+        # objects; each Box's column is worked out once, not once per world
+        # of every enclosing operator. Built, not parsed: 63 operators nest
+        # deeper than the parser allows.
+        x, f = Var("x", INDIVIDUAL), Var("F", REL1)
+        atom = Exemplify(Const("E!", REL1), (x,))
+        body = atom if concrete else Not(atom)
+        answers = []
+        for n in range(1, 64):
+            body = op(body)
+            g = Forall(x, Forall(f, Implies(Encode(x, f), body)))
+            start = time.perf_counter()
+            answers.append(eval_aot(g, m))
+            assert time.perf_counter() - start < 0.1
+        assert answers == [not concrete] * 63
 
 
 class TestDenotation:
@@ -270,12 +297,13 @@ class TestCallTables:
                     assert free_names(n) == free_names(fresh(n)), n
 
     def test_encode_usage_is_worked_out_once(self, m):
-        f = parse_formula("all F (x[F] <-> F = E!)", m.sig)
+        # stored on the binder, so two calls share it; a fresh copy works
+        # out the same
+        f = parse_formula("all x (all F (x[F] <-> F = E!))", m.sig)
         g = beta_normalize(expand_derived(f))
-        ctx = _EvalContext(m)
-        first = _encode_usage("x", g, ctx)
-        assert _encode_usage("x", g, ctx) is first
-        assert first == _encode_usage("x", g, _EvalContext(m))
+        first = _encode_usage(g)
+        assert _encode_usage(g) is first
+        assert first == _encode_usage(fresh(g))
 
     def test_no_module_global_keeps_nodes(self, m):
         # after AOT calls, a corpus suite, a proof check and a parse, no

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -227,3 +228,50 @@ class TestStoredFacts:
         for fact in (expand_derived, beta_normalize):
             normal = fact(root)
             assert fact(normal) is normal, fact.__name__
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 4))
+    def test_a_second_call_returns_the_stored_form(self, seed, depth):
+        # the root is neither primitive nor normal, so each fact returns a
+        # new node, which the root stores
+        from finmodal.signature import LogicTag, Mode, Signature
+        sig = Signature(Mode.CLASSICAL, LogicTag.K, {
+            "p": PROPOSITION, "S": REL1, "c": INDIVIDUAL})
+        f = random_formula(random.Random(seed), sig, depth, terms=True)
+        root = And(f, parse_formula("[\\x <>S x] c", sig))
+        for fact in (expand_derived, beta_normalize):
+            first = fact(root)
+            assert first is not root
+            assert fact(root) is first, fact.__name__
+            assert first == fact(fresh(root)), fact.__name__
+
+    def test_the_expansion_budget_is_checked_on_every_call(self,
+                                                           classical_sig):
+        # the chain's expansion is stored by the first call, and each later
+        # call still measures it and raises the same error
+        from finmodal.modelfind import SearchBoundsError, find_countermodel
+        chain = parse_formula(" <-> ".join(["p"] * 16), classical_sig)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(SearchBoundsError, match="expands to") as err:
+                find_countermodel((), chain, classical_sig)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert expand_derived(chain) is expand_derived(chain)
+
+    def test_storing_makes_no_reference_cycle(self, aot_sig):
+        # a stored form never points back to its node, so a normalized
+        # formula is freed by reference counting alone once dropped
+        rng = random.Random(11)
+        for _ in range(60):
+            f = And(random_formula(rng, aot_sig, 4, allow_encode=True,
+                                   terms=True),
+                    parse_formula("[\\x <>E! x] k", aot_sig))
+            gc.collect()
+            gc.disable()
+            try:
+                beta_normalize(expand_derived(f))
+                del f
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
