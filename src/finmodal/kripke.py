@@ -33,6 +33,14 @@ ANDs `spread(x, v)` into slot w of the columns whose frame has w -> v,
 the mask `into[v]`. Actually is the spread of the actual world. A complete
 `KripkeInterpretation` is the one-column space over its own frame.
 
+`frames_for` lists a frame class as a `FrameCube`: a base relation and
+generating edge sets, each frame the base with some of the generators
+added, in the order doubling over the generators gives, which is the
+order of the frames' bits. A space over a cube builds its `into` masks by
+the same doubling, a few big-int operations per world and generator
+whatever the number of frames; any other tuple of frames is one cube per
+frame.
+
 A `ColumnSpace` lets one `compile_mask` call check many complete
 interpretations at once, each column a valuation of the constants and
 variables. It covers 0-place atoms, Not, Implies, Box and Actually, and
@@ -99,25 +107,56 @@ def total_access(n_worlds: int) -> frozenset:
     return frozenset((w, v) for w in range(n_worlds) for v in range(n_worlds))
 
 
-def frames_for(logic: LogicTag, n_worlds: int) -> list:
+class FrameCube(tuple):
+    """The frames base | (a union of some generators), listed by doubling:
+    the listing starts as [base], and each generator g appends every frame
+    so far with g added, so frame i holds generators[k] exactly when bit k
+    of i is set. The generators are disjoint edge sets, none meeting base.
+    `_Columns.into` lays out a whole cube from base and generators alone."""
+
+    def __new__(cls, base: frozenset, generators: tuple = ()):
+        frames = [base]
+        for g in generators:
+            frames += [R | g for R in frames]
+        cube = super().__new__(cls, frames)
+        cube.base, cube.generators = base, generators
+        return cube
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the cube, not a cube of its frame tuple
+        return self.base, self.generators
+
+
+def frames_for(logic: LogicTag, n_worlds: int) -> FrameCube:
     """Every accessibility relation of the frame class, in increasing order
     of its bits (w * n_worlds + v); model search's canonical order, and so
-    the first model it reports, follows this order."""
+    the first model it reports, follows this order.
+
+    The class is a cube. K has one generator per pair, in bit order; KB
+    one per symmetric pair {(w, v), (v, w)}, ordered by its higher bit;
+    S5 is the total relation with no generators. The cube's order is the
+    bit order: every bit of a generator lies below the higher bit of each
+    later one, so the last generator in which two frames differ also
+    decides which has the larger bits."""
     if logic is LogicTag.S5TOTAL:
-        return [total_access(n_worlds)]
+        return FrameCube(total_access(n_worlds))
     pairs = [(w, v) for w in range(n_worlds) for v in range(n_worlds)]
-    out = []
-    for bits in range(1 << len(pairs)):
-        R = frozenset(p for k, p in enumerate(pairs) if (bits >> k) & 1)
-        if logic is LogicTag.KB and any((v, w) not in R for (w, v) in R):
-            continue
-        out.append(R)
-    return out
+    if logic is LogicTag.KB:
+        # for v <= w, (w, v) holds the pair's higher bit
+        generators = [frozenset({(w, v), (v, w)}) for w, v in pairs if v <= w]
+    else:
+        generators = [frozenset({p}) for p in pairs]
+    return FrameCube(frozenset(), tuple(generators))
 
 
 def _repunit(period: int, count: int) -> int:
     """count ones, period bits apart, the first at bit 0."""
     return ((1 << (period * count)) - 1) // ((1 << period) - 1)
+
+
+def _sources(edges, v: int) -> int:
+    """The mask of the worlds w with w -> v in edges."""
+    return sum(1 << w for w, u in edges if u == v)
 
 
 def lowest_bit(x: int) -> int:
@@ -149,14 +188,34 @@ class _Columns:
     @cached_property
     def into(self) -> tuple:
         """Per world v, the mask of slot w in the columns whose frame has
-        w -> v, over every w."""
-        n, per_block = self.n_worlds, self.n_columns // len(self.frames)
-        block = self.slots[0] & ((1 << (per_block * n)) - 1)  # slot 0, block 0
+        w -> v, over every w.
+
+        A FrameCube is laid out by doubling: the first block gets base's
+        edges, and each generator g copies the blocks so far above
+        themselves with g's edges added, a few big-int operations per world
+        and generator rather than one per edge and frame. Its frames are
+        listed in the same doubling order, so block i is frames[i]. Any
+        other tuple of frames is one cube per frame, with no generators."""
+        n, frames = self.n_worlds, self.frames
+        block_bits = self.n_columns // len(frames) * n
+        block = self.slots[0] & ((1 << block_bits) - 1)  # slot 0, block 0
+        if isinstance(frames, FrameCube):
+            cubes = [(frames.base, frames.generators)]
+        else:
+            cubes = [(R, ()) for R in frames]
         out = [0] * n
-        for i, R in enumerate(self.frames):
-            first = block << (i * per_block * n)
-            for w, v in R:
-                out[v] |= first << w
+        offset = 0
+        for base, generators in cubes:
+            x = [_sources(base, v) * block for v in range(n)]
+            rep, size = block, block_bits
+            for g in generators:
+                for v in range(n):
+                    x[v] |= (x[v] | _sources(g, v) * rep) << size
+                rep |= rep << size
+                size *= 2
+            for v in range(n):
+                out[v] |= x[v] << offset
+            offset += size
         return tuple(out)
 
     def spread(self, x: int, s: int) -> int:
@@ -259,7 +318,9 @@ class ColumnSpace(_Columns):
         name outermost, in each frame's block: in column c of a block, name
         j holds values[the j-th of the len(names) base-len(values) digits
         of c]. Each word repeats one run rather than visiting the columns."""
-        frames, values = tuple(frames), tuple(values)
+        if not isinstance(frames, tuple):
+            frames = tuple(frames)  # a FrameCube stays one
+        values = tuple(values)
         n_v, k = len(values), len(names)
         per_block = n_v ** k
         denot = dict.fromkeys(names, 0)

@@ -265,12 +265,13 @@ def _size_nodes(sig: Signature, b: Bounds, premises_n):
     _check_budget(sig, b)
     need = _needs_relspace(sig, premises_n)
     for n_w in range(1, b.max_worlds + 1):
+        frames = frames_for(sig.logic, n_w)
         for n_d in range(1, b.max_individuals + 1):
             if need:
                 _check_relspace(n_w, n_d)
             relspace = (full_relspace(n_d, n_w)
                         if n_d * n_w <= RELSPACE_LIMIT else ())
-            for R in frames_for(sig.logic, n_w):
+            for R in frames:
                 yield (n_w, n_d, R, relspace)
 
 

@@ -215,6 +215,22 @@ def test_first_order_bounds_over_budget_exit_before_search(tmp_path, capsys):
     assert lines[0].startswith("budget exceeded: ")
 
 
+def test_kdia_at_four_worlds_exits_before_listing_a_frame(tmp_path, capsys,
+                                                         monkeypatch):
+    # 2^16 frames at four worlds, 1.7e7 interpretations: the budget check
+    # raises before any frame class is listed
+    def unlisted(logic, n_worlds):
+        raise AssertionError(f"frames listed at {n_worlds} worlds")
+    monkeypatch.setattr("finmodal.modelfind.frames_for", unlisted)
+    text = Path("problems/kdia.problem").read_text()
+    big = tmp_path / "kdia4.problem"
+    big.write_text(text.replace("bounds worlds=3", "bounds worlds=4"))
+    assert run(["sat", str(big)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["budget exceeded: more than the search budget of "
+                   "1000000 interpretations within worlds<=4 individuals<=1"]
+
+
 @pytest.mark.parametrize("operands, code, out", [
     (10, 0, "verdict: valid"),  # 5 623 nodes expanded
     (16, 3, ""),  # 360 439 nodes: each <-> doubles both sides

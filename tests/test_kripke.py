@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,9 @@ from finmodal.kripke import (
     is_rigid_value, proposition_of, total_access, validity,
 )
 from finmodal.macros import expand_derived
-from finmodal.modelfind import _MissingBit, _PartialDenot, _PartialTable
+from finmodal.modelfind import (
+    _MissingBit, _PartialDenot, _PartialTable, count_frames,
+)
 from finmodal.parser import parse_formula
 from finmodal.signature import LogicTag, Mode, Signature
 
@@ -145,6 +149,71 @@ def test_frame_check_examples():
         m = KripkeInterpretation(SIG2, 3, 1, sym, {"p": 0, "q": 0})
         assert frame_check(m, LogicTag.KB) == all(
             (v, w) in sym for (w, v) in sym)
+
+
+def frames_by_filter(logic, n_worlds):
+    """The frame class by its defining filter: every subset of the pairs in
+    increasing order of its bits (w * n_worlds + v), K keeping all, KB the
+    symmetric ones and S5 only the total relation."""
+    if logic is LogicTag.S5TOTAL:
+        return [total_access(n_worlds)]
+    pairs = [(w, v) for w in range(n_worlds) for v in range(n_worlds)]
+    out = []
+    for bits in range(1 << len(pairs)):
+        R = frozenset(p for k, p in enumerate(pairs) if (bits >> k) & 1)
+        if logic is LogicTag.KB and any((v, w) not in R for (w, v) in R):
+            continue
+        out.append(R)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("logic", list(LogicTag))
+def test_frames_for_lists_the_class_in_bit_order(logic, n):
+    frames = frames_for(logic, n)
+    assert list(frames) == frames_by_filter(logic, n)
+    assert count_frames(logic, n) == len(frames)
+    again = pickle.loads(pickle.dumps(frames))
+    assert again == frames and again.generators == frames.generators
+
+
+def into_by_edges(space):
+    """space.into by one shift-or per edge of every frame."""
+    n, per_block = space.n_worlds, space.n_columns // len(space.frames)
+    block = space.slots[0] & ((1 << (per_block * n)) - 1)
+    out = [0] * n
+    for i, R in enumerate(space.frames):
+        first = block << (i * per_block * n)
+        for w, v in R:
+            out[v] |= first << w
+    return tuple(out)
+
+
+@pytest.mark.parametrize("logic", list(LogicTag))
+def test_cube_into_matches_per_edge_loop(logic):
+    # a class listing is laid out by doubling over its generators, the
+    # same frames as a plain tuple one cube per frame
+    for n in (1, 2, 3):
+        frames = frames_for(logic, n)
+        for k in (0, 1, 2):
+            names = ("p", "q")[:k]
+            for actual in range(n):
+                space = ColumnSpace.product(n, frames, names, range(1 << n),
+                                            actual)
+                assert space.frames is frames
+                want = into_by_edges(space)
+                assert space.into == want
+                plain = ColumnSpace.product(n, list(frames), names,
+                                            range(1 << n), actual)
+                assert plain.into == want
+
+
+def test_k_space_at_four_worlds_lays_out_at_once():
+    # 65 536 frames: one shift per edge per frame took seconds
+    start = time.perf_counter()
+    space = ColumnSpace.product(4, frames_for(LogicTag.K, 4), (), range(16))
+    assert len(space.into) == 4
+    assert time.perf_counter() - start < 0.5
 
 
 def test_monotone_frame_hierarchy():

@@ -322,6 +322,23 @@ class TestExhaustivenessProperty:
         check()
 
 
+def test_size_nodes_list_each_world_count_once(monkeypatch):
+    from finmodal import modelfind
+    from finmodal.kripke import frames_for
+    listed = []
+
+    def counting(logic, n_worlds):
+        listed.append(n_worlds)
+        return frames_for(logic, n_worlds)
+    monkeypatch.setattr(modelfind, "frames_for", counting)
+    sig = sig_of({"p": PROPOSITION}, LogicTag.KB)
+    nodes = list(_size_nodes(sig, Bounds(3, 3), ()))
+    assert listed == [1, 2, 3]
+    assert [node[:3] for node in nodes] == [
+        (n_w, n_d, R) for n_w in (1, 2, 3) for n_d in (1, 2, 3)
+        for R in frames_for(LogicTag.KB, n_w)]
+
+
 class TestPruning:
     @pytest.mark.parametrize("name, nodes, leaves, evaluations", [
         ("goedel", 36, 0, 9290), ("scott", 4, 6, 663),
