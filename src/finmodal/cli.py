@@ -15,11 +15,11 @@ from .aot import (
     AotBudgetError, AotEvalError, build_aczel, minimal_model,
     minimal_model_report, world_theory_report,
 )
-from .formulas import alpha_equivalent, beta_normalize
+from .formulas import alpha_equivalent
 from .kripke import EvalError
-from .macros import expand_derived
+from .macros import primitive_form
 from .modelfind import (
-    SearchBoundsError, decide_sat, find_countermodel,
+    SearchBoundsError, _expansion_error, decide_sat, find_countermodel,
 )
 from .ontoarg import VARIANT_NAMES, run_variant_suite
 from .parser import ParseError
@@ -91,8 +91,9 @@ def cmd_prove(args) -> int:
     rep.add("conclusion", print_formula(verdict.conclusion))
     code = 0
     if problem.conjectures:
-        want = beta_normalize(expand_derived(problem.conjectures[0]))
-        got = beta_normalize(expand_derived(verdict.conclusion))
+        # within the search's expansion budget, as the search checks it
+        want = primitive_form(problem.conjectures[0], _expansion_error)
+        got = primitive_form(verdict.conclusion, _expansion_error)
         matches = alpha_equivalent(want, got)
         rep.add("matches conjecture", "yes" if matches else "no")
         if not matches:

@@ -2,9 +2,9 @@
 
 Values are packed into integer bitmasks: a proposition is a mask over
 worlds, a unary relation a mask over (individual, world) pairs with bit
-position d * n_worlds + w. Box quantifies over all worlds under the
-S5 logic tag, mirroring the lifted definition of necessity, and over
-accessibility successors otherwise.
+position d * n_worlds + w. Box quantifies over accessibility successors.
+An S5 interpretation carries the total relation, so there Box quantifies
+over all worlds, mirroring the lifted definition of necessity.
 
 `evaluate` walks the formula at one world and stops at the first subformula
 that settles it. It is the reference the other two are tested against, and
@@ -51,11 +51,13 @@ bit d * width (an interpretation's width is n_worlds); an individual
 variable names one individual in every column. `ColumnSpace.product` lays
 out every tuple of given world masks for given names, repeated in each
 frame's block, and `column(c)` reads column c's frame and values back.
-Premise-free countermodel search and layer validation give it every frame
-of a class at one world count, with every valuation; layer validation also
-gives one model's frame its metavariable tuples, and each of its builtin
-schemas' test frames and domain sizes every valuation. The
-standard-translation cross-check gives it every K frame of a world count.
+Premise-free countermodel search gives it every frame of a class at one
+world count, with every valuation. Layer validation gives it one frame at
+a time: a one-column space to read the vectors the atoms realize there,
+then that frame with every tuple of those vectors for a template's
+metavariables; and each of its builtin schemas' test frames and domain
+sizes with every valuation. The standard-translation cross-check gives it
+every K frame of a world count.
 """
 
 from __future__ import annotations
@@ -266,8 +268,6 @@ class KripkeInterpretation(_Columns):
         return self.sig.logic
 
     def successors(self, w: int):
-        if self.logic is LogicTag.S5TOTAL:
-            return range(self.n_worlds)
         return [v for v in range(self.n_worlds) if (w, v) in self.access]
 
     @cached_property

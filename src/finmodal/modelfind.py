@@ -407,9 +407,9 @@ class LeafTable:
     and then resumes it.
 
     A node's leaves do not depend on the logic tag: premise evaluation
-    reads the frame only, through successor_lists and box, and successors
-    on an S5 interpretation is range(n_worlds), which equals the total
-    access relation S5 interpretations carry. So a node reached under K, KB
+    reads the frame only, through successor_lists and box, and both read
+    the access relation, which on an S5 interpretation is the total one
+    its construction requires. So a node reached under K, KB
     and S5 is one entry, and a replayed model is given the signature of
     the search that reads it. The frozen models are shared and read only.
     """

@@ -1,7 +1,14 @@
-"""Lexer and recursive-descent parser for the ASCII formula grammar.
+"""Lexer and recursive-descent parser for the ASCII formula grammar, and
+the sort discipline of what it parses.
 
 Application is sort-driven: the head's sort fixes how many argument terms
 are consumed, so `p & (q)` and `P (neg Y)` need no extra punctuation.
+Names resolve through the binders in scope and the signature's constants,
+so every head has its declared sort and takes exactly its arity. What the
+grammar cannot rule out, an argument or operand of the wrong sort or a
+construct the signature's mode forbids, is checked as its node is built.
+The first such SortError or ModeViolation is raised once the whole text
+has parsed, so a ParseError anywhere in the text takes precedence.
 """
 
 from __future__ import annotations
@@ -10,14 +17,14 @@ import re
 from dataclasses import dataclass
 
 from .formulas import (
-    INDIVIDUAL, PROPOSITION, REL1, Relation, Sort,
+    INDIVIDUAL, PROPOSITION, REL1, Relation, Sort, SortError,
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
     Exists, Forall, Formula, Iff, Implies, Lambda, MACRO_FORMULA_SIGS,
     MACRO_TERM_SIGS, MacroFormula, MacroTerm, Not, Or, PrimitiveEq, SOAtom,
     Term, Var, Xor, sort_of,
 )
 from .printer import default_sort
-from .signature import Mode, Signature, check_sorts
+from .signature import Mode, ModeViolation, Signature
 
 
 # Deepest nesting a formula may have. Prefix operators, binders, bracketed
@@ -85,6 +92,7 @@ class _Parser:
         self.scopes: list = []
         self.depth = 0
         self.peak = 0
+        self.error = None   # the first sort or mode error
 
     # -- token plumbing
 
@@ -126,6 +134,11 @@ class _Parser:
         if level > MAX_DEPTH:
             self.fail(f"formula nested deeper than {MAX_DEPTH} levels")
         self.peak = level
+
+    def check(self, ok: bool, message: str, error=SortError):
+        """Keep the first sort or mode error: error(message) unless ok."""
+        if not ok and self.error is None:
+            self.error = error(message)
 
     # -- scoping
 
@@ -218,9 +231,8 @@ class _Parser:
                     and t.text not in self.sig.consts \
                     and t.text in MACRO_FORMULA_SIGS:
                 self.next()
-                sig = MACRO_FORMULA_SIGS[t.text]
-                args = tuple(self.arg_term() for _ in sig)
-                return MacroFormula(t.text, args)
+                return self.macro_formula(t.text, tuple(
+                    self.arg_term() for _ in MACRO_FORMULA_SIGS[t.text]))
             head = self.primary_term()
             return self.app_tail(head)
         self.fail(f"unexpected token {t.text!r}")
@@ -228,16 +240,24 @@ class _Parser:
     def app_tail(self, head: Term) -> Formula:
         sort = sort_of(head)
         if sort.kind == "so":
-            return SOAtom(head, self.arg_term())
+            arg = self.arg_term()
+            self.check(sort_of(arg) == REL1,
+                       "second-order atom argument is not a unary relation")
+            return SOAtom(head, arg)
         if sort.kind == "rel":
             if self.peek().kind == "=":
                 return self.equality(head)
             args = tuple(self.arg_term() for _ in range(sort.arity))
+            self.check(all(sort_of(a) == INDIVIDUAL for a in args),
+                       "exemplification argument is not an individual")
             return Exemplify(head, args)
         # individual head: encoding atom or equality
         if self.peek().kind == "[":
             self.next()
+            self.check(self.sig.mode is Mode.AOT,
+                       "encoding atoms require an AOT signature", ModeViolation)
             rel = self.term()
+            self.check(sort_of(rel) == REL1, "only monadic encoding is supported")
             self.expect("]")
             return Encode(head, rel)
         if self.peek().kind == "=":
@@ -248,8 +268,23 @@ class _Parser:
         self.expect("=")
         right = self.arg_term()
         if self.sig.mode is Mode.AOT:
-            return MacroFormula("id", (left, right))
+            return self.macro_formula("id", (left, right))
+        self.check(sort_of(left) == sort_of(right),
+                   "equality between terms of different sorts")
         return PrimitiveEq(left, right)
+
+    def macro_formula(self, name: str, args: tuple) -> Formula:
+        got = [sort_of(a) for a in args]
+        self.check(all(want is None or g == want for g, want
+                       in zip(got, MACRO_FORMULA_SIGS[name])),
+                   f"macro {name}: argument sort mismatch")
+        if name == "id":
+            self.check(got[0] == got[1],
+                       "identity between terms of different sorts")
+            self.check(self.sig.mode is Mode.AOT,
+                       "defined identity belongs to AOT signatures",
+                       ModeViolation)
+        return MacroFormula(name, args)
 
     def resolve_name(self, tok: Token) -> Term:
         v = self.lookup(tok.text)
@@ -276,6 +311,9 @@ class _Parser:
         if t.kind == "(" and self.peek(1).kind == "the":
             self.next()
             self.next()
+            self.check(self.sig.mode is Mode.AOT,
+                       "definite descriptions require an AOT signature",
+                       ModeViolation)
             v = Var(self.expect("name").text, INDIVIDUAL)
             self.expect(":")
             self.scopes.append({v.name: v})
@@ -316,24 +354,26 @@ class _Parser:
             self.next()
             arg_sorts, _ = MACRO_TERM_SIGS[t.text]
             args = tuple(self.arg_term() for _ in arg_sorts)
+            self.check(all(sort_of(a) == s for a, s in zip(args, arg_sorts)),
+                       f"macro {t.text}: argument sort mismatch")
             return MacroTerm(t.text, args)
         return self.primary_term()
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
+def _parse(text: str, sig: Signature, start):
     p = _Parser(lex(text), sig)
-    f = p.formula()
+    x = start(p)
     tail = p.peek()
     if tail.kind != "eof":
         raise ParseError(f"trailing input {tail.text!r}", tail.pos)
-    check_sorts(f, sig)
-    return f
+    if p.error is not None:
+        raise p.error
+    return x
+
+
+def parse_formula(text: str, sig: Signature) -> Formula:
+    return _parse(text, sig, _Parser.formula)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(lex(text), sig)
-    t = p.term()
-    tail = p.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail.text!r}", tail.pos)
-    return t
+    return _parse(text, sig, _Parser.term)

@@ -1,16 +1,12 @@
-"""Signatures: constant declarations, language mode, and frame class."""
+"""Signatures: constant declarations, language mode, and frame class.
+The parser checks what it parses against them."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 
-from .formulas import (
-    INDIVIDUAL, REL1, SECOND_ORDER, Sort, SortError,
-    Const, Description, Encode, Exemplify, Formula, Lambda,
-    MACRO_FORMULA_SIGS, MACRO_TERM_SIGS, MacroFormula, MacroTerm,
-    PrimitiveEq, SOAtom, Term, Var, binder_vars, children, sort_of,
-)
+from .formulas import REL1, SortError
 
 
 class Mode(enum.Enum):
@@ -42,114 +38,3 @@ class Signature:
 
     def with_logic(self, logic: LogicTag) -> "Signature":
         return Signature(self.mode, logic, dict(self.consts))
-
-    def sort_of_const(self, name: str) -> Sort:
-        try:
-            return self.consts[name]
-        except KeyError:
-            raise SortError(f"undeclared constant {name!r}")
-
-
-def check_sorts(f: Formula, sig: Signature) -> None:
-    """Raise SortError/ModeViolation unless f is well-sorted for sig."""
-    _check(f, sig, {})
-
-
-def _check_term(t: Term, sig: Signature, env: dict) -> Sort:
-    if isinstance(t, Var):
-        if t.name in env and env[t.name] != t.sort:
-            raise SortError(f"variable {t.name} used at two sorts")
-        return t.sort
-    if isinstance(t, Const):
-        declared = sig.sort_of_const(t.name)
-        if declared != t.sort:
-            raise SortError(f"constant {t.name} declared {declared}, used {t.sort}")
-        return t.sort
-    if isinstance(t, Description):
-        if sig.mode is not Mode.AOT:
-            raise ModeViolation("definite descriptions require an AOT signature")
-        _check(t.body, sig, _push(env, (t.var,)))
-        return INDIVIDUAL
-    if isinstance(t, MacroTerm):
-        try:
-            arg_sorts, _ = MACRO_TERM_SIGS[t.name]
-        except KeyError:
-            raise SortError(f"unknown term macro {t.name!r}")
-        if len(t.args) != len(arg_sorts):
-            raise SortError(f"macro {t.name} expects {len(arg_sorts)} arguments")
-        for a, s in zip(t.args, arg_sorts):
-            if _check_term(a, sig, env) != s:
-                raise SortError(f"macro {t.name}: argument sort mismatch")
-        return sort_of(t)
-    if isinstance(t, Lambda):
-        _check(t.body, sig, _push(env, t.params))
-        return sort_of(t)
-    raise SortError(f"not a term: {t!r}")
-
-
-def _push(env: dict, vs) -> dict:
-    env = dict(env)
-    for v in vs:
-        env[v.name] = v.sort
-    return env
-
-
-def _check(f: Formula, sig: Signature, env: dict) -> None:
-    if isinstance(f, Exemplify):
-        rs = _check_term(f.rel, sig, env)
-        if rs.kind != "rel":
-            raise SortError("exemplification head is not a relation term")
-        if rs.arity != len(f.args):
-            raise SortError(
-                f"relation of arity {rs.arity} applied to {len(f.args)} arguments")
-        for a in f.args:
-            if _check_term(a, sig, env) != INDIVIDUAL:
-                raise SortError("exemplification argument is not an individual")
-        return
-    if isinstance(f, Encode):
-        if sig.mode is not Mode.AOT:
-            raise ModeViolation("encoding atoms require an AOT signature")
-        if _check_term(f.obj, sig, env) != INDIVIDUAL:
-            raise SortError("encoding subject is not an individual")
-        if _check_term(f.rel, sig, env) != REL1:
-            raise SortError("only monadic encoding is supported")
-        return
-    if isinstance(f, SOAtom):
-        if _check_term(f.op, sig, env) != SECOND_ORDER:
-            raise SortError("second-order atom head is not a second-order constant")
-        if _check_term(f.arg, sig, env) != REL1:
-            raise SortError("second-order atom argument is not a unary relation")
-        return
-    if isinstance(f, PrimitiveEq):
-        if sig.mode is Mode.AOT:
-            raise ModeViolation("primitive equality is not available in AOT mode")
-        ls = _check_term(f.left, sig, env)
-        rs = _check_term(f.right, sig, env)
-        if ls != rs:
-            raise SortError("equality between terms of different sorts")
-        return
-    if isinstance(f, MacroFormula):
-        try:
-            arg_sorts = MACRO_FORMULA_SIGS[f.name]
-        except KeyError:
-            raise SortError(f"unknown formula macro {f.name!r}")
-        if len(f.args) != len(arg_sorts):
-            raise SortError(f"macro {f.name} expects {len(arg_sorts)} arguments")
-        got = [_check_term(a, sig, env) for a in f.args]
-        for g, want in zip(got, arg_sorts):
-            if want is not None and g != want:
-                raise SortError(f"macro {f.name}: argument sort mismatch")
-        if f.name == "id":
-            if got[0] != got[1]:
-                raise SortError("identity between terms of different sorts")
-            if sig.mode is not Mode.AOT:
-                raise ModeViolation("defined identity belongs to AOT signatures")
-        return
-    bvs = binder_vars(f)
-    if bvs:
-        env = _push(env, bvs)
-    for c in children(f):
-        if isinstance(c, Formula):
-            _check(c, sig, env)
-        else:
-            _check_term(c, sig, env)

@@ -167,8 +167,6 @@ def meta_evaluate(mt: MetaTerm, m: KripkeInterpretation, w: int) -> bool:
         if isinstance(n, MAccess):
             w1 = m.actual if n.w == ACTUAL else env[n.w]
             w2 = m.actual if n.v == ACTUAL else env[n.v]
-            if m.logic is LogicTag.S5TOTAL:
-                return True
             return (w1, w2) in m.access
         if isinstance(n, MNot):
             return not ev(n.body, env)

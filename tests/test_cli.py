@@ -382,3 +382,39 @@ def test_repeated_bound_key_is_usage_error(tmp_path, bounds):
     line = _one_line_usage_error(run_module(["check", str(bad)]))
     no = 3 + bounds.count("\n")
     assert line == f"error: line {no}: bound 'worlds' is given twice"
+
+
+def test_description_in_a_classical_proof_term_is_usage_error(tmp_path,
+                                                               capsys):
+    problem = tmp_path / "p.problem"
+    problem.write_text("sig classical\nlogic K\nconst P : rel\n")
+    proof = tmp_path / "inst.proof"
+    proof.write_text("layer K\n"
+                     "ax inst {alpha: x, phi: P x, tau: (the y: P y)}\n")
+    assert run(["prove", str(problem), str(proof)]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.splitlines() == [
+        "error: line 2: definite descriptions require an AOT signature"]
+
+
+def test_prove_checks_the_expansion_budget_before_comparing(tmp_path,
+                                                            capsys):
+    # the conjecture's <-> chain sits under a binder, where comparing its
+    # expansion with the conclusion would walk it as a tree
+    chain = " <-> ".join(["S x"] * 20)
+    problem = tmp_path / "chain.problem"
+    problem.write_text("sig classical\nlogic K\nconst S : rel\n"
+                       f"const p : prop\nconjecture all x ({chain})\n")
+    proof = tmp_path / "trivial.proof"
+    proof.write_text("layer K\nhyp p\nqed 1\n")
+    start = time.perf_counter()
+    assert run(["prove", str(problem), str(proof)]) == 3
+    assert time.perf_counter() - start < 1.0
+    got = capsys.readouterr()
+    assert got.out == ""
+    lines = got.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "budget exceeded: a premise or conjecture expands to ")
+    assert lines[0].endswith("nodes, past the budget of 10000")

@@ -1,11 +1,21 @@
-import pytest
+import random
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_formula
+from finmodal.cli import run
 from finmodal.formulas import (
-    INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER,
-    Box, Const, Encode, Exemplify, Exists, Forall, Implies, MacroTerm, Not,
-    Var, alpha_equivalent,
+    INDIVIDUAL, MACRO_FORMULA_SIGS, MACRO_TERM_SIGS, PROPOSITION, REL1,
+    SECOND_ORDER, Box, Const, Description, Encode, Exemplify, Exists, Forall,
+    Formula, Implies, Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq,
+    Relation, SOAtom, SortError, Var, alpha_equivalent, binder_vars,
+    children, sort_of,
 )
-from finmodal.parser import ParseError, lex, parse_formula, parse_term
+from finmodal.parser import (
+    MAX_DEPTH, ParseError, _Parser, lex, parse_formula, parse_term,
+)
 from finmodal.printer import print_formula
 from finmodal.signature import LogicTag, Mode, ModeViolation, Signature
 
@@ -88,3 +98,271 @@ def test_description_parses_in_aot_only(sig, asig):
     parse_formula(text, asig)
     with pytest.raises(ModeViolation):
         parse_formula("exists F (F (the x: q))", sig)
+
+
+# -- sort and mode checks, made as the parser builds each node
+
+CLASSICAL = Signature(Mode.CLASSICAL, LogicTag.K, {
+    "p": PROPOSITION, "S": REL1, "c": INDIVIDUAL, "P": SECOND_ORDER})
+AOT = Signature(Mode.AOT, LogicTag.S5TOTAL, {
+    "p": PROPOSITION, "k": INDIVIDUAL, "S": REL1})
+
+# Every check that parsed text can fail: (formula, signature, class,
+# message, the ill-sorted term in the formula, if it has one).
+SORT_CHECKS = [
+    ("S p", CLASSICAL, SortError,
+     "exemplification argument is not an individual", None),
+    ("P c", CLASSICAL, SortError,
+     "second-order atom argument is not a unary relation", None),
+    ("c[S]", CLASSICAL, ModeViolation,
+     "encoding atoms require an AOT signature", None),
+    ("k[p]", AOT, SortError, "only monadic encoding is supported", None),
+    ("c = S", CLASSICAL, SortError,
+     "equality between terms of different sorts", None),
+    ("k = S", AOT, SortError, "identity between terms of different sorts",
+     None),
+    ("id c c", CLASSICAL, ModeViolation,
+     "defined identity belongs to AOT signatures", None),
+    ("ent c S", CLASSICAL, SortError, "macro ent: argument sort mismatch",
+     None),
+    ("S (the x: S x)", CLASSICAL, ModeViolation,
+     "definite descriptions require an AOT signature", "(the x: S x)"),
+    ("P (neg c)", CLASSICAL, SortError, "macro neg: argument sort mismatch",
+     "neg c"),
+]
+SORT_CHECK_IDS = [row[0] for row in SORT_CHECKS]
+
+
+def _declarations(sig):
+    words = {INDIVIDUAL: "ind", PROPOSITION: "prop", REL1: "rel",
+             SECOND_ORDER: "so"}
+    return [f"sig {sig.mode.value}", f"logic {sig.logic.value}"] + [
+        f"const {name} : {words[sort]}" for name, sort in sig.consts.items()
+        if name != "E!"]
+
+
+@pytest.mark.parametrize("text,sig,error,message,term", SORT_CHECKS,
+                         ids=SORT_CHECK_IDS)
+def test_each_sort_check(text, sig, error, message, term):
+    with pytest.raises(SortError) as e:
+        parse_formula(text, sig)
+    assert (type(e.value), str(e.value)) == (error, message)
+    if term is not None:
+        with pytest.raises(SortError) as e:
+            parse_term(term, sig)
+        assert (type(e.value), str(e.value)) == (error, message)
+
+
+@pytest.mark.parametrize("text,sig,error,message,term", SORT_CHECKS,
+                         ids=SORT_CHECK_IDS)
+def test_each_sort_check_on_a_file_line(tmp_path, capsys, text, sig, error,
+                                        message, term):
+    lines = _declarations(sig)
+    problem = tmp_path / "sig.problem"
+    problem.write_text("\n".join(lines) + "\n")
+    bad_problem = tmp_path / "bad.problem"
+    bad_problem.write_text("\n".join(lines + [f"premise {text}"]) + "\n")
+    bad_proof = tmp_path / "bad.proof"
+    bad_proof.write_text(f"layer K\nhyp {text}\nqed 1\n")
+    for argv, no in ((["check", str(bad_problem)], len(lines) + 1),
+                     (["prove", str(problem), str(bad_proof)], 2)):
+        assert run(argv) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.splitlines() == [f"error: line {no}: {message}"]
+
+
+def test_a_parse_error_wins_over_a_sort_error():
+    # the sort error comes first in the text, the parse error last
+    with pytest.raises(ParseError, match="trailing input"):
+        parse_formula("S p & p )", CLASSICAL)
+    with pytest.raises(ParseError, match="expected"):
+        parse_term("neg (the x: S x", CLASSICAL)
+    deep = "S p & " + "~" * (MAX_DEPTH + 1) + "p"
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_formula(deep, CLASSICAL)
+
+
+def test_the_first_sort_error_in_the_text_is_raised():
+    with pytest.raises(SortError,
+                       match="exemplification argument is not an individual"):
+        parse_formula("S p & P c", CLASSICAL)
+    with pytest.raises(SortError, match="second-order atom argument"):
+        parse_formula("P c & S p", CLASSICAL)
+
+
+# -- the same checks as a second walk over the finished tree: the oracle
+
+def oracle_errors(f, sig):
+    """The sort checker the parser had before it checked each node as it
+    built it, changed only to collect every error instead of raising the
+    first: (class, message) for each, in the order its walk meets them."""
+    errors = []
+
+    def fail(error, message):
+        errors.append((error, message))
+
+    def push(env, vs):
+        env = dict(env)
+        for v in vs:
+            env[v.name] = v.sort
+        return env
+
+    def check_term(t, env):
+        if isinstance(t, Var):
+            if t.name in env and env[t.name] != t.sort:
+                fail(SortError, f"variable {t.name} used at two sorts")
+            return t.sort
+        if isinstance(t, Const):
+            declared = sig.consts.get(t.name)
+            if declared is None:
+                fail(SortError, f"undeclared constant {t.name!r}")
+            elif declared != t.sort:
+                fail(SortError,
+                     f"constant {t.name} declared {declared}, used {t.sort}")
+            return t.sort
+        if isinstance(t, Description):
+            if sig.mode is not Mode.AOT:
+                fail(ModeViolation,
+                     "definite descriptions require an AOT signature")
+            check(t.body, push(env, (t.var,)))
+            return INDIVIDUAL
+        if isinstance(t, MacroTerm):
+            if t.name not in MACRO_TERM_SIGS:
+                fail(SortError, f"unknown term macro {t.name!r}")
+                return None
+            arg_sorts, result = MACRO_TERM_SIGS[t.name]
+            if len(t.args) != len(arg_sorts):
+                fail(SortError,
+                     f"macro {t.name} expects {len(arg_sorts)} arguments")
+            for a, s in zip(t.args, arg_sorts):
+                if check_term(a, env) != s:
+                    fail(SortError, f"macro {t.name}: argument sort mismatch")
+            return result
+        if isinstance(t, Lambda):
+            check(t.body, push(env, t.params))
+            return sort_of(t)
+        fail(SortError, f"not a term: {t!r}")
+        return None
+
+    def check(f, env):
+        if isinstance(f, Exemplify):
+            rs = check_term(f.rel, env)
+            if rs is None or rs.kind != "rel":
+                fail(SortError, "exemplification head is not a relation term")
+                return
+            if rs.arity != len(f.args):
+                fail(SortError, f"relation of arity {rs.arity} applied to "
+                                f"{len(f.args)} arguments")
+            for a in f.args:
+                if check_term(a, env) != INDIVIDUAL:
+                    fail(SortError,
+                         "exemplification argument is not an individual")
+            return
+        if isinstance(f, Encode):
+            if sig.mode is not Mode.AOT:
+                fail(ModeViolation, "encoding atoms require an AOT signature")
+            if check_term(f.obj, env) != INDIVIDUAL:
+                fail(SortError, "encoding subject is not an individual")
+            if check_term(f.rel, env) != REL1:
+                fail(SortError, "only monadic encoding is supported")
+            return
+        if isinstance(f, SOAtom):
+            if check_term(f.op, env) != SECOND_ORDER:
+                fail(SortError, "second-order atom head is not a "
+                                "second-order constant")
+            if check_term(f.arg, env) != REL1:
+                fail(SortError,
+                     "second-order atom argument is not a unary relation")
+            return
+        if isinstance(f, PrimitiveEq):
+            if sig.mode is Mode.AOT:
+                fail(ModeViolation,
+                     "primitive equality is not available in AOT mode")
+            if check_term(f.left, env) != check_term(f.right, env):
+                fail(SortError, "equality between terms of different sorts")
+            return
+        if isinstance(f, MacroFormula):
+            if f.name not in MACRO_FORMULA_SIGS:
+                fail(SortError, f"unknown formula macro {f.name!r}")
+                return
+            arg_sorts = MACRO_FORMULA_SIGS[f.name]
+            if len(f.args) != len(arg_sorts):
+                fail(SortError,
+                     f"macro {f.name} expects {len(arg_sorts)} arguments")
+            got = [check_term(a, env) for a in f.args]
+            for g, want in zip(got, arg_sorts):
+                if want is not None and g != want:
+                    fail(SortError, f"macro {f.name}: argument sort mismatch")
+            if f.name == "id":
+                if got[0] != got[1]:
+                    fail(SortError,
+                         "identity between terms of different sorts")
+                if sig.mode is not Mode.AOT:
+                    fail(ModeViolation,
+                         "defined identity belongs to AOT signatures")
+            return
+        bvs = binder_vars(f)
+        if bvs:
+            env = push(env, bvs)
+        for c in children(f):
+            if isinstance(c, Formula):
+                check(c, env)
+            else:
+                check_term(c, env)
+
+    check(f, {})
+    return errors
+
+
+# Constants of both signatures the differential property parses under:
+# random formulas use p, k and S; mutants also reach R, P and the rest.
+DIFF_CONSTS = {"p": PROPOSITION, "k": INDIVIDUAL, "S": REL1,
+               "R": Relation(2), "P": SECOND_ORDER}
+DIFF_SIGS = (Signature(Mode.AOT, LogicTag.S5TOTAL, DIFF_CONSTS),
+             Signature(Mode.CLASSICAL, LogicTag.K, DIFF_CONSTS))
+MUTANT_NAMES = ("p", "k", "S", "R", "P", "E!", "c", "x0", "x1", "Y0", "F",
+                "neg", "O!", "G", "id", "dn", "ent", "ess_g")
+
+
+def _outcome(text, sig):
+    """The parsed formula, or the error parsing it raises."""
+    try:
+        return parse_formula(text, sig), None
+    except ParseError as e:
+        return None, (ParseError, str(e), e.pos)
+    except SortError as e:
+        return None, (type(e), str(e))
+
+
+def _one_name_mutant(text, rng):
+    names = [t for t in lex(text) if t.kind == "name"]
+    if not names:
+        return text
+    t = rng.choice(names)
+    return text[:t.pos] + rng.choice(MUTANT_NAMES) + text[t.pos + len(t.text):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**30), st.integers(0, 3), st.booleans())
+def test_checks_as_built_match_a_second_walk(seed, depth, first_order):
+    rng = random.Random(seed)
+    f = random_formula(rng, DIFF_SIGS[0], depth, allow_encode=True,
+                       terms=True, first_order=first_order)
+    text = print_formula(f)
+    for text in (text, _one_name_mutant(text, rng),
+                 _one_name_mutant(_one_name_mutant(text, rng), rng)):
+        for sig in DIFF_SIGS:
+            got = _outcome(text, sig)
+            with patch.object(_Parser, "check", lambda *args: None):
+                bare, parse_error = _outcome(text, sig)
+            if parse_error is not None:
+                assert got == (None, parse_error), text
+                continue
+            errors = oracle_errors(bare, sig)
+            if not errors:
+                assert got == (bare, None), text
+            elif len(errors) == 1:
+                assert got == (None, errors[0]), text
+            else:
+                assert got[0] is None and got[1] in errors, text
