@@ -9,12 +9,24 @@ grammar cannot rule out, an argument or operand of the wrong sort or a
 construct the signature's mode forbids, is checked as its node is built.
 The first such SortError or ModeViolation is raised once the whole text
 has parsed, so a ParseError anywhere in the text takes precedence.
+
+The texts of one proof file can share a memo (parse_formula's and
+parse_term's memo argument, one dict per file). Each bracketed group is
+then parsed once per distinct text and name bindings, and every later
+occurrence gets the same node, so equal subformulas across a file are one
+object. A group is a parenthesized formula or argument term, a quantifier
+`all v (...)` or `exists v (...)`, or a lambda term `[\\x ...]`; on a
+repeat the parser skips its span without lexing it. Only groups that
+parsed without a sort or mode error are kept, and a group kept with its
+nesting height is parsed again where that height would cross MAX_DEPTH,
+so every error is the one, at the position, the text raises when parsed
+alone.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1, Relation, Sort, SortError,
@@ -39,8 +51,7 @@ class ParseError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -55,6 +66,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# The brackets of a text, with comments and `[]` skipped.
+_BRACKET_RE = re.compile(r"\#[^\n]*|\[\]|\[\\|[()\[\]]")
 
 _KEYWORDS = {"all", "exists", "the", "xor"}
 
@@ -78,6 +92,20 @@ def lex(text: str) -> list:
         out.append(Token(kind, val, m.start()))
     out.append(Token("eof", "", len(text)))
     return out
+
+
+def _closing_brackets(text: str) -> dict:
+    """The offset of each `(`, `[` or `[\\` in text that is closed, mapped
+    to the offset of the `)` or `]` that closes it, as lex reads them."""
+    closing, open_ = {}, []
+    for m in _BRACKET_RE.finditer(text):
+        c = m.group()
+        if c in ")]":
+            if open_:
+                closing[open_.pop()] = m.start()
+        elif c in ("(", "[", "[\\"):
+            open_.append(m.start())
+    return closing
 
 
 class _Parser:
@@ -186,15 +214,19 @@ class _Parser:
             return {"~": Not, "[]": Box, "<>": Diamond,
                     "@": Actually}[t.kind](body)
         if t.kind in ("all", "exists"):
-            self.next()
-            v = self.binder_decl()
-            self.expect("(")
-            self.scopes.append({v.name: v})
-            body = self.nested(self.formula)
-            self.scopes.pop()
-            self.expect(")")
-            return Forall(v, body) if t.kind == "all" else Exists(v, body)
+            return self.quantifier()
         return self.atom()
+
+    def quantifier(self) -> Formula:
+        """`all v (body)` or `exists v (body)`."""
+        t = self.next()
+        v = self.binder_decl()
+        self.expect("(")
+        self.scopes.append({v.name: v})
+        body = self.nested(self.formula)
+        self.scopes.pop()
+        self.expect(")")
+        return Forall(v, body) if t.kind == "all" else Exists(v, body)
 
     def binder_decl(self) -> Var:
         name = self.expect("name").text
@@ -221,10 +253,7 @@ class _Parser:
             if self.peek(1).kind == "the":
                 head = self.primary_term()
                 return self.app_tail(head)
-            self.next()
-            f = self.nested(self.formula)
-            self.expect(")")
-            return f
+            return self.parenthesized(self.formula)
         if t.kind in ("name", "[\\"):
             # A formula-macro head takes term arguments directly.
             if t.kind == "name" and self.lookup(t.text) is None \
@@ -340,11 +369,15 @@ class _Parser:
         """A term in argument position: name, lambda, description, or (macro app)."""
         t = self.peek()
         if t.kind == "(" and self.peek(1).kind != "the":
-            self.next()
-            inner = self.nested(self.term)
-            self.expect(")")
-            return inner
+            return self.parenthesized(self.term)
         return self.primary_term()
+
+    def parenthesized(self, parse):
+        """`(`, parse() one level deeper, `)`."""
+        self.next()
+        inner = self.nested(parse)
+        self.expect(")")
+        return inner
 
     def term(self) -> Term:
         """A full term: macro heads may take arguments here."""
@@ -360,20 +393,130 @@ class _Parser:
         return self.primary_term()
 
 
-def _parse(text: str, sig: Signature, start):
-    p = _Parser(lex(text), sig)
-    x = start(p)
-    tail = p.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail.text!r}", tail.pos)
+class _SharedParser(_Parser):
+    """A parser whose bracketed groups go through a memo that the texts of
+    one proof file share. It lexes on demand, so a group found in the memo
+    is skipped without being lexed. Any ParseError is raised only after lex
+    has run on the whole text, so lex's error still comes first."""
+
+    def __init__(self, text: str, sig: Signature, memo: dict):
+        super().__init__([], sig)
+        self.text = text
+        self.at = 0     # where lexing resumes
+        self.memo = memo
+        self.closing = _closing_brackets(text)
+
+    def peek(self, k: int = 0) -> Token:
+        j = self.i + k
+        toks = self.toks
+        while j >= len(toks):
+            if toks and toks[-1].kind == "eof":
+                return toks[-1]
+            m = _TOKEN_RE.match(self.text, self.at)
+            if m is None:
+                if self.at < len(self.text):
+                    lex(self.text)  # raises lex's error
+                toks.append(Token("eof", "", len(self.text)))
+                continue
+            self.at = m.end()
+            kind, val = m.lastgroup, m.group()
+            if kind == "ws":
+                continue
+            if kind == "op" or kind == "name" and val in _KEYWORDS:
+                kind = val  # as lex reads it
+            toks.append(Token(kind, val, m.start()))
+        return toks[j]
+
+    def quantifier(self) -> Formula:
+        start = self.peek().pos
+        return self.group("quantifier", start, self.text.find("(", start),
+                          super().quantifier)
+
+    def lambda_term(self) -> Term:
+        start = self.peek().pos
+        return self.group("lambda", start, start, super().lambda_term)
+
+    def parenthesized(self, parse):
+        start = self.peek().pos
+        return self.group(parse.__name__, start, start,
+                          super().parenthesized, parse)
+
+    def group(self, kind: str, start: int, opening: int, parse, *args):
+        """parse(*args) for the group that spans the text from offset start
+        to the bracket closing the one at offset opening, or the node the
+        memo holds for it. A group that parsed without a sort or mode error
+        is kept with the nesting height it reached, and a kept node is used
+        only where that height stays within MAX_DEPTH."""
+        closing = self.closing.get(opening)
+        if closing is None:
+            return parse(*args)
+        span = self.text[start:closing + 1]
+        key = (kind, span, self.bindings(span))
+        depth = self.depth
+        kept = self.memo.get(key)
+        if kept is not None and depth + kept[1] <= MAX_DEPTH:
+            del self.toks[self.i:]
+            self.at = closing + 1
+            self.peak = max(self.peak, depth + kept[1])
+            return kept[0]
+        outer, self.peak = self.peak, depth
+        clean = self.error is None
+        node = parse(*args)
+        height = self.peak - depth
+        self.peak = max(self.peak, outer)
+        if clean and self.error is None:
+            self.memo[key] = node, height
+        return node
+
+    def bindings(self, span: str) -> tuple:
+        """The variables that the binders in scope give to names span may
+        mention: all that a group's parse reads besides its text and the
+        signature. A variable is left out where its name, unbound, would
+        resolve to an equal one: a name of its default sort that names no
+        constant or macro."""
+        out, seen = [], set()
+        for scope in reversed(self.scopes):
+            for name, v in scope.items():
+                if name in seen:
+                    continue
+                seen.add(name)
+                if name in span and not (
+                        v.sort == default_sort(name)
+                        and name not in self.sig.consts
+                        and name not in MACRO_TERM_SIGS
+                        and name not in MACRO_FORMULA_SIGS):
+                    out.append(v)
+        return tuple(out)
+
+
+def _parse(text: str, sig: Signature, start, memo):
+    if memo is None:
+        p = _Parser(lex(text), sig)
+    else:
+        p = _SharedParser(text, sig, memo)
+    try:
+        x = start(p)
+        tail = p.peek()
+        if tail.kind != "eof":
+            raise ParseError(f"trailing input {tail.text!r}", tail.pos)
+    except ParseError:
+        if memo is not None:
+            lex(text)   # a lazy parse may stop before lex's error
+        raise
     if p.error is not None:
         raise p.error
     return x
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    return _parse(text, sig, _Parser.formula)
+def parse_formula(text: str, sig: Signature, memo: dict | None = None
+                  ) -> Formula:
+    """text parsed as a formula under sig. Calls that share a memo, a dict
+    that starts empty and serves one sig, hand out one node for equal
+    bracketed groups under equal bindings, and each raises what its text
+    raises parsed alone."""
+    return _parse(text, sig, _Parser.formula, memo)
 
 
-def parse_term(text: str, sig: Signature) -> Term:
-    return _parse(text, sig, _Parser.term)
+def parse_term(text: str, sig: Signature, memo: dict | None = None) -> Term:
+    """text parsed as a term under sig; memo as for parse_formula."""
+    return _parse(text, sig, _Parser.term, memo)

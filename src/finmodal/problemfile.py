@@ -2,6 +2,11 @@
 
 Problem directives: sig, logic, const, bounds, premise, conjecture,
 quantifiers, expect. Declarations come before the first formula line.
+
+Proof-script steps: layer, ax (a schema name and a `{name: value, ...}`
+substitution), mp, nec, gen, expand, premise, hyp, qed. A proof file is
+parsed with one parser memo, so equal subformulas across its lines are one
+node (see parse_proof).
 """
 
 from __future__ import annotations
@@ -174,20 +179,23 @@ def load_proof(path: str, sig: Signature):
 def parse_proof(text: str, sig: Signature):
     """(layer name, ProofScript).
 
-    Each distinct formula or term text is parsed once per call: equal
-    texts, on `hyp` and `gen` lines or as substitution values, give one
-    shared node, so the facts a node stores (free names, canonical key,
-    normal-form flags) are worked out once for the whole script. Only
-    successful parses are kept, so a bad text raises on the first line
-    that has it, and nothing outlives the call.
+    Each distinct formula or term text is parsed once per call, and the
+    texts share one parser memo, so each distinct bracketed group under
+    the same bindings is parsed once too. Equal texts and groups, on `hyp`
+    and `gen` lines or as substitution values, give one shared node, so
+    the facts a node stores (free names, canonical key, normal-form flags)
+    are worked out once for the whole script. Only successful parses are
+    kept, so a bad text raises on the first line that has it, as it does
+    parsed alone, and nothing outlives the call.
     """
     parsed: dict = {}   # ("term" | "formula", text) -> node
+    memo: dict = {}     # the parser's, for bracketed groups
 
     def parse(kind: str, text: str):
         node = parsed.get((kind, text))
         if node is None:
             parse_fn = parse_term if kind == "term" else parse_formula
-            node = parsed[kind, text] = parse_fn(text, sig)
+            node = parsed[kind, text] = parse_fn(text, sig, memo)
         return node
 
     layer_name = None
@@ -263,24 +271,25 @@ def _step_args(head: str, rest: str) -> list:
 
 
 def _parse_subst(text: str, parse) -> dict:
-    """The `name: value` items of an ax line's substitution, split at
-    top-level commas; parse(kind, text) parses one value."""
+    """The `name: value` items of an ax line's substitution, split at the
+    commas outside brackets: those where as many of `(` and `[` as of `)`
+    and `]` come before, so a `)` too many keeps the commas after it in one
+    item. parse(kind, text) parses one value."""
     out: dict = {}
     depth = 0
-    item = ""
+    start = seen = 0
     items = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            items.append(item)
-            item = ""
-            continue
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        item += ch
-    if item.strip():
-        items.append(item)
+    comma = text.find(",")
+    while comma >= 0:
+        depth += (text.count("(", seen, comma) + text.count("[", seen, comma)
+                  - text.count(")", seen, comma) - text.count("]", seen, comma))
+        seen = comma
+        if depth == 0:
+            items.append(text[start:comma])
+            start = comma + 1
+        comma = text.find(",", comma + 1)
+    if text[start:].strip():
+        items.append(text[start:])
     for piece in items:
         name, _, value = piece.partition(":")
         name = name.strip()

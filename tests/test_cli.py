@@ -418,3 +418,34 @@ def test_prove_checks_the_expansion_budget_before_comparing(tmp_path,
     assert lines[0].startswith(
         "budget exceeded: a premise or conjecture expands to ")
     assert lines[0].endswith("nodes, past the budget of 10000")
+
+
+# Mutants of long lines of the goedel refutation, whose groups earlier
+# lines already hold: (line, "drop", which `)` to drop) or (line, "set",
+# (offset, character)), and the one stderr line `prove` gives for each
+@pytest.mark.parametrize("line_no,how,where,error", [
+    (127, "drop", 0, "expected ')', found ',' (at position 81)"),
+    (140, "drop", -1, "expected ')', found '' (at position 157)"),
+    (121, "set", (60, "$"), "unexpected character '$' (at position 36)"),
+    (127, "set", (37, "q"), "exemplification argument is not an individual"),
+    (127, "set", (123, "q"),
+     "exemplification argument is not an individual"),
+    (152, "set", (70, "&"), "expected 'name', found '&' (at position 59)"),
+], ids=["drop-first", "drop-last", "lex", "sort-first-value",
+        "sort-second-value", "parse"])
+def test_goedel_line_mutant_is_usage_error(tmp_path, line_no, how, where,
+                                           error):
+    lines = Path("proofs/goedel_refutation.proof").read_text().splitlines()
+    line = lines[line_no - 1]
+    if how == "drop":
+        at = [i for i, c in enumerate(line) if c == ")"][where]
+        line = line[:at] + line[at + 1:]
+    else:
+        at, c = where
+        line = line[:at] + c + line[at + 1:]
+    lines[line_no - 1] = line
+    bad = tmp_path / "mutant.proof"
+    bad.write_text("\n".join(lines) + "\n")
+    out = _one_line_usage_error(
+        run_module(["prove", "problems/goedel.problem", str(bad)]))
+    assert out == f"error: line {line_no}: {error}"

@@ -11,10 +11,11 @@ from finmodal.formulas import (
     SECOND_ORDER, Box, Const, Description, Encode, Exemplify, Exists, Forall,
     Formula, Implies, Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq,
     Relation, SOAtom, SortError, Var, alpha_equivalent, binder_vars,
-    children, sort_of,
+    children, sort_of, subnodes,
 )
 from finmodal.parser import (
-    MAX_DEPTH, ParseError, _Parser, lex, parse_formula, parse_term,
+    MAX_DEPTH, ParseError, _Parser, _SharedParser, lex, parse_formula,
+    parse_term,
 )
 from finmodal.printer import print_formula
 from finmodal.signature import LogicTag, Mode, ModeViolation, Signature
@@ -325,10 +326,10 @@ MUTANT_NAMES = ("p", "k", "S", "R", "P", "E!", "c", "x0", "x1", "Y0", "F",
                 "neg", "O!", "G", "id", "dn", "ent", "ess_g")
 
 
-def _outcome(text, sig):
+def _outcome(text, sig, memo=None):
     """The parsed formula, or the error parsing it raises."""
     try:
-        return parse_formula(text, sig), None
+        return parse_formula(text, sig, memo), None
     except ParseError as e:
         return None, (ParseError, str(e), e.pos)
     except SortError as e:
@@ -366,3 +367,85 @@ def test_checks_as_built_match_a_second_walk(seed, depth, first_order):
                 assert got == (None, errors[0]), text
             else:
                 assert got[0] is None and got[1] in errors, text
+
+
+# -- one memo shared by several texts
+
+def test_a_text_parsed_alone_makes_no_memo():
+    with patch.object(_SharedParser, "__init__", side_effect=AssertionError):
+        parse_formula("all Y ((P Y) -> [](P Y))", CLASSICAL)
+        parse_term("neg (neg S)", CLASSICAL)
+
+
+def test_equal_groups_share_one_node_under_one_memo():
+    text = "all x (S x) -> ~(p & S c) & all x (S x) & (p & S c)"
+    memo = {}
+    f = parse_formula(text, CLASSICAL, memo)
+    assert f == parse_formula(text, CLASSICAL)
+    g = parse_formula("~(p & S c)", CLASSICAL, memo)
+    assert f.left is f.right.left.right
+    assert f.right.left.left.body is f.right.right is g.body
+    again = parse_formula(text, CLASSICAL, memo)
+    assert again.left is f.left and again.right.right is f.right.right
+    assert parse_formula(text, CLASSICAL, {}).left is not f.left
+
+
+# A lexing error after the point where the parse alone would stop, and
+# after or inside a group the memo holds
+@pytest.mark.parametrize("text", [
+    "p ) $", "(p & S c) ) $", "(p & S c) -> (p & S c) ! p",
+    "~(p & S c) & ~(p $ S c)", "all x (S x) all x (S x) <",
+])
+def test_lex_error_comes_first_under_a_memo(text):
+    memo = {}
+    parse_formula("~(p & S c) & all x (S x)", CLASSICAL, memo)
+    with pytest.raises(ParseError) as lexed:
+        lex(text)
+    with pytest.raises(ParseError) as parsed:
+        parse_formula(text, CLASSICAL, memo)
+    assert (str(parsed.value), parsed.value.pos) == \
+        (str(lexed.value), lexed.value.pos)
+
+
+TEXT_CHARS = "()[]\\~&|-<>@:=,! pqxcSPY#\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=TEXT_CHARS, max_size=30), max_size=3))
+def test_a_shared_memo_changes_no_outcome_on_any_text(texts):
+    for sig in DIFF_SIGS:
+        memo = {}
+        for text in texts + [" & ".join(texts)]:
+            assert _outcome(text, sig, memo) == _outcome(text, sig)
+
+
+def _bracket_mutant(text, rng):
+    """text with one bracket dropped, or one character replaced."""
+    brackets = [i for i, c in enumerate(text) if c in "()[]"]
+    if brackets and rng.random() < 0.5:
+        i = rng.choice(brackets)
+        return text[:i] + text[i + 1:]
+    i = rng.randrange(len(text))
+    return text[:i] + rng.choice("()[]~&:xS ") + text[i + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30), st.integers(1, 4))
+def test_a_shared_memo_changes_no_outcome(seed, depth):
+    """Random formulas, their subformulas and mutants, parsed in turn with
+    one memo per signature, each as it parses alone."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(3):
+        f = random_formula(rng, DIFF_SIGS[0], depth, allow_encode=True,
+                           terms=True, first_order=rng.random() < 0.3)
+        text = print_formula(f)
+        texts += [text, _one_name_mutant(text, rng),
+                  _bracket_mutant(text, rng), "~" * rng.randint(40, 64) + text]
+        sub = rng.choice([g for g in subnodes(f) if isinstance(g, Formula)])
+        texts.append(print_formula(sub))
+    rng.shuffle(texts)
+    for sig in DIFF_SIGS:
+        memo = {}
+        for text in texts:
+            assert _outcome(text, sig, memo) == _outcome(text, sig), text

@@ -1,16 +1,25 @@
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from finmodal import problemfile
 from finmodal.abstraction import (
     Accepted, AxStep, GenStep, HypStep, check_proof, make_layer,
 )
-from finmodal.formulas import subnodes
+from finmodal.formulas import (
+    INDIVIDUAL, REL1, Actually, And, Box, Const, Diamond, Exemplify, Exists,
+    Forall, Formula, Iff, Implies, Lambda, Not, Or, Var, Xor, children,
+    subnodes,
+)
 from finmodal.kripke import frame_check
 from finmodal.modelfind import enumerate_models
+from finmodal.parser import _Parser, parse_formula, parse_term
+from finmodal.printer import print_formula
 from finmodal.problemfile import (
-    ProblemFileError, load_problem, load_proof, parse_problem, parse_proof,
-    parse_aot_config, render_proof,
+    ProblemFileError, _parse_subst, load_problem, load_proof, parse_problem,
+    parse_proof, parse_aot_config, render_proof,
 )
 from finmodal.proofs import (
     ScriptBuilder, derive_kdia, kdia_script, two_individuals_script,
@@ -86,20 +95,85 @@ def test_aot_config_parsing():
 
 
 # ---------------------------------------------------------------------------
-# One parse per distinct text within a parse_proof call
+# One parse per distinct text and bracketed group within a parse_proof call
 
 SHIPPED_PROOFS = [("s5", "kdia"), ("goedel", "goedel_refutation"),
                   ("two_individuals", "two_individuals")]
 
 
+def _step_roots(step):
+    if isinstance(step, AxStep):
+        return tuple(step.subst.values())
+    if isinstance(step, HypStep):
+        return (step.formula,)
+    if isinstance(step, GenStep):
+        return (step.var,)
+    return ()
+
+
+def _step_nodes(step):
+    return [n for root in _step_roots(step) for n in subnodes(root)]
+
+
+def _outcome(parse, text, sig):
+    try:
+        return parse(text, sig)
+    except ProblemFileError as e:
+        return str(e)
+
+
+def _parsed_alone(text, sig):
+    """parse_proof with each of its texts parsed by a parser of its own."""
+    with patch.object(problemfile, "parse_formula",
+                      lambda text, sig, memo: parse_formula(text, sig)), \
+            patch.object(problemfile, "parse_term",
+                         lambda text, sig, memo: parse_term(text, sig)):
+        return parse_proof(text, sig)
+
+
+_PREFIX = (Not, Box, Diamond, Actually)
+_CONNECTIVES = (And, Or, Implies, Iff, Xor)
+
+
+def _bracketed(steps):
+    """Each node of the steps, once, that printed text always brackets: a
+    quantifier, a lambda, or a connective right under a prefix operator."""
+    seen = set()
+    stack = [root for step in steps for root in _step_roots(step)]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if isinstance(n, (Forall, Exists, Lambda)):
+            yield n
+        elif isinstance(n, _PREFIX) and isinstance(n.body, _CONNECTIVES):
+            yield n.body
+        stack.extend(children(n))
+
+
 def _assert_each_step_parses_alone(text, sig):
-    layer_name, script = parse_proof(text, sig)
-    lines = [raw for raw in text.splitlines()
-             if raw.strip() and raw.split()[0] != "layer"]
-    assert len(lines) == len(script.steps)
-    for raw, step in zip(lines, script.steps):
-        (alone,) = parse_proof(f"layer {layer_name}\n{raw}\n", sig)[1].steps
-        assert alone == step, raw
+    """Each step parse_proof gives equals its line parsed in a parse_proof
+    call of its own. The steps, or the error, equal those that parsing
+    each text alone gives, and equal groups the printer brackets are one
+    node."""
+    shared = _outcome(parse_proof, text, sig)
+    if not isinstance(shared, str):
+        layer_name, script = shared
+        lines = [raw for raw in text.splitlines()
+                 if raw.strip() and raw.split()[0] != "layer"]
+        assert len(lines) == len(script.steps)
+        for raw, step in zip(lines, script.steps):
+            (alone,) = parse_proof(f"layer {layer_name}\n{raw}\n",
+                                   sig)[1].steps
+            assert alone == step, raw
+    assert shared == _outcome(_parsed_alone, text, sig)
+    if isinstance(shared, str):
+        return
+    first: dict = {}
+    for n in _bracketed(shared[1].steps):
+        assert first.setdefault(n, n) is n, print_formula(n) \
+            if isinstance(n, Formula) else n
 
 
 @pytest.mark.parametrize("problem,proof", SHIPPED_PROOFS,
@@ -120,18 +194,6 @@ def test_each_rendered_kdia_step_equals_its_text_parsed_alone():
                     random_formula(rng, sig, 2, quantifiers=False))
         _assert_each_step_parses_alone(
             render_proof("K", builder.script()), sig)
-
-
-def _step_nodes(step):
-    if isinstance(step, AxStep):
-        roots = step.subst.values()
-    elif isinstance(step, HypStep):
-        roots = (step.formula,)
-    elif isinstance(step, GenStep):
-        roots = (step.var,)
-    else:
-        roots = ()
-    return [n for root in roots for n in subnodes(root)]
 
 
 def test_equal_texts_share_one_node_within_a_call_only():
@@ -173,3 +235,193 @@ def test_malformed_proof_line(line, message):
     with pytest.raises(ProblemFileError) as e:
         parse_proof(f"layer K\nhyp p\n{line}\n", sig)
     assert str(e.value) == f"line 3: {message}"
+
+
+KDIA_SIG = parse_problem("logic K\nconst p : prop\nconst q : prop\n"
+                         "const r : prop\n").sig
+HYP_SIGS = (
+    parse_problem("sig aot\nconst p : prop\nconst k : ind\n"
+                  "const S : rel 1\n").sig,
+    parse_problem("const p : prop\nconst k : ind\nconst S : rel 1\n").sig,
+)
+
+
+def _hyp_script(rng, sig):
+    """hyp lines of random formulas, each twice, and of two random
+    subformulas of each, in random order."""
+    aot = sig is HYP_SIGS[0]
+    lines = ["layer K"]
+    for _ in range(4):
+        f = random_formula(rng, sig, rng.randint(1, 4), allow_encode=aot,
+                           terms=aot, first_order=not aot and rng.random() < .5)
+        parts = [g for g in subnodes(f) if isinstance(g, Formula)]
+        for g in (f, rng.choice(parts), rng.choice(parts), f):
+            lines.append(f"hyp {print_formula(g)}")
+    rng.shuffle(lines[1:])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_shared_parse_matches_each_text_alone(seed):
+    rng = random.Random(seed)
+    builder = ScriptBuilder(make_layer("K"))
+    derive_kdia(builder, random_formula(rng, KDIA_SIG, rng.randint(1, 3),
+                                        quantifiers=False),
+                random_formula(rng, KDIA_SIG, rng.randint(1, 3),
+                               quantifiers=False))
+    _assert_each_step_parses_alone(render_proof("K", builder.script()),
+                                   KDIA_SIG)
+    for sig in HYP_SIGS:
+        _assert_each_step_parses_alone(_hyp_script(rng, sig), sig)
+
+
+def test_goedel_parse_skips_repeated_groups():
+    """Most tokens of the refutation sit in a bracketed group whose text an
+    earlier line has; the parser consumes them once."""
+    sig = load_problem("problems/goedel.problem").sig
+    with open("proofs/goedel_refutation.proof") as fh:
+        text = fh.read()
+    consumed = {}
+    next_token = _Parser.next
+
+    def counting(self):
+        consumed[parse] = consumed.get(parse, 0) + 1
+        return next_token(self)
+
+    with patch.object(_Parser, "next", counting):
+        for parse in (parse_proof, _parsed_alone):
+            parse(text, sig)
+    assert consumed[_parsed_alone] > 3000
+    assert consumed[parse_proof] <= 1100
+
+
+# A group 20 levels high (21 for the lambda) on line 2, then under k prefix
+# operators on line 3: it crosses MAX_DEPTH from k = 45 on (k = 44)
+DEEP_GROUPS = {
+    "parens": "(" * 20 + "p" + ")" * 20,
+    "and-chain": "(" + " & ".join(["p"] * 20) + ")",
+    "imp-chain": "(" + " -> ".join(["p"] * 20) + ")",
+    "quantifier": "all x (" * 20 + "p" + ")" * 20,
+    "lambda": "[\\x " + "~" * 20 + "p] c",
+    "argument": "P " + "(neg " * 20 + "Y" + ")" * 20,
+}
+
+
+@pytest.mark.parametrize("group", DEEP_GROUPS.values(), ids=DEEP_GROUPS)
+def test_a_kept_group_pushed_past_max_depth_fails_as_alone(group):
+    sig = parse_problem("const p : prop\nconst c : ind\nconst P : so\n").sig
+    outcomes = []
+    for k in range(40, 50):
+        text = f"layer K\nhyp {group}\nhyp {'~' * k}{group}\n"
+        outcomes.append(_outcome(parse_proof, text, sig))
+        assert outcomes[-1] == _outcome(_parsed_alone, text, sig), k
+    assert not isinstance(outcomes[0], str)
+    assert outcomes[-1].startswith("line 3: formula nested deeper than 64")
+
+
+def test_a_kept_group_past_max_depth_fails_where_alone():
+    sig = parse_problem("const p : prop\n").sig
+    group = DEEP_GROUPS["parens"]
+    with pytest.raises(ProblemFileError) as e:
+        parse_proof(f"layer K\nhyp {group}\nhyp {'~' * 45}{group}\n", sig)
+    assert str(e.value) == ("line 3: formula nested deeper than 64 levels "
+                            "(at position 65)")
+
+
+@pytest.mark.parametrize("first", ["bound", "constant"])
+def test_one_group_text_under_different_bindings(first):
+    sig = parse_problem("const F : rel 1\n").sig
+    bound, constant = "hyp all F:rel ((F x) -> (F x))", "hyp (F x) -> (F x)"
+    lines = [bound, constant] if first == "bound" else [constant, bound]
+    text = "layer K\n" + "\n".join(lines + lines) + "\n"
+    _assert_each_step_parses_alone(text, sig)
+    steps = parse_proof(text, sig)[1].steps
+    x = Var("x", INDIVIDUAL)
+    by_line = dict(zip(lines, steps))
+    assert by_line[bound].formula.body.left == Exemplify(Var("F", REL1), (x,))
+    assert by_line[constant].formula.left == Exemplify(Const("F", REL1), (x,))
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["hyp p", "hyp ~(P q)", "hyp (P q) -> p"],
+     "line 3: second-order atom argument is not a unary relation"),
+    (["hyp p", "hyp (P q) -> (P q)"],
+     "line 3: second-order atom argument is not a unary relation"),
+    (["hyp ~(p -> q)", "hyp (p -> q) -> ~(P q) & (p -> q)"],
+     "line 3: second-order atom argument is not a unary relation"),
+    (["hyp ~(P (neg q))", "hyp ~(P (neg q))"],
+     "line 2: macro neg: argument sort mismatch"),
+])
+def test_a_group_with_a_sort_error_fails_on_its_first_line(lines, message):
+    sig = parse_problem("const p : prop\nconst q : prop\nconst P : so\n").sig
+    text = "layer K\n" + "\n".join(lines) + "\n"
+    assert _outcome(parse_proof, text, sig) == message
+    assert _outcome(_parsed_alone, text, sig) == message
+
+
+# ---------------------------------------------------------------------------
+# Splitting an ax line's substitution
+
+def _split_reference(text):
+    """The substitution items, split one character at a time."""
+    depth = 0
+    item = ""
+    items = []
+    for ch in text:
+        if ch == "," and depth == 0:
+            items.append(item)
+            item = ""
+            continue
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        item += ch
+    if item.strip():
+        items.append(item)
+    return items
+
+
+# `(text, {name: (kind, value)})`: a `)` or `]` too many keeps every later
+# comma inside its item, a `(` or `[` too few keeps them all
+@pytest.mark.parametrize("text,items", [
+    ("p: p), q: q", {"p": ("formula", "p), q: q")}),
+    ("p: (p, q: q", {"p": ("formula", "(p, q: q")}),
+    ("p: p], q: (q, r)", {"p": ("formula", "p], q: (q"),
+                          "r)": ("formula", "")}),
+    (r"alpha: x, phi: [\x p] , tau: (neg Y)",
+     {"alpha": ("term", "x"), "phi": ("formula", r"[\x p]"),
+      "tau": ("term", "(neg Y)")}),
+    ("p: ((p)), q: q", {"p": ("formula", "((p))"), "q": ("formula", "q")}),
+    (", p: p", {"": ("formula", ""), "p": ("formula", "p")}),
+    ("p: p,, q: q", {"p": ("formula", "p"), "": ("formula", ""),
+                     "q": ("formula", "q")}),
+    ("p: p, ", {"p": ("formula", "p")}),
+])
+def test_substitution_items(text, items):
+    assert _parse_subst(text, lambda kind, value: (kind, value)) == items
+
+
+@pytest.mark.parametrize("subst,message", [
+    ("{p: p), q: q}", "line 2: trailing input ')' (at position 1)"),
+    ("{p: (p, q: q}", "line 2: expected ')', found ',' (at position 2)"),
+])
+def test_unbalanced_substitution(subst, message):
+    sig = parse_problem("const p : prop\nconst q : prop\n").sig
+    with pytest.raises(ProblemFileError) as e:
+        parse_proof(f"layer K\nax pl1 {subst}\n", sig)
+    assert str(e.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="()[],: pq", max_size=24))
+def test_substitution_split_matches_a_character_walk(text):
+    items = [item.partition(":") for item in _split_reference(text)]
+    names = [name.strip() for name, _, _ in items]
+    if len(set(names)) < len(names):
+        with pytest.raises(ValueError, match="is given twice"):
+            _parse_subst(text, lambda kind, value: value)
+    else:
+        assert _parse_subst(text, lambda kind, value: value) == {
+            name: value.strip() for name, (_, _, value) in zip(names, items)}
