@@ -31,7 +31,8 @@ from .formulas import (
     sort_of, substitute,
 )
 from .kripke import (
-    ColumnSpace, compile_mask, frames_for, lowest_bit, total_access,
+    ColumnSpace, compile_mask, compile_masks, frames_for, lowest_bit,
+    product_words, total_access,
 )
 from .macros import expand_derived
 from .modelfind import MODEL_BUDGET, SearchBoundsError, count_frames
@@ -448,10 +449,11 @@ class SoundnessReport:
 
 def _realized_vectors(unary: dict, atom_values: dict, depth: int) -> dict:
     """World-vector closure of the atoms' vectors under the connectives, to
-    the given depth, on the frame of `_unary_tables`. Each vector maps, in
-    the order found, to the recipe of the first formula found for it:
-    (name,) for an atom, (Not, v), (Box, v), (Actually, v) or
-    (Implies, v1, v2), which `_witness` turns into that formula."""
+    the given depth, on the frame of one of `_unary_tables`' tables. Each
+    vector maps, in the order found, to the recipe of the first formula
+    found for it: (name,) for an atom, (Not, v), (Box, v), (Actually, v)
+    or (Implies, v1, v2), which `_witness` turns into that formula. It
+    stops early once every vector is realized."""
     neg = unary[Not]
     vecs = {}
     for a, v in atom_values.items():
@@ -473,18 +475,25 @@ def _realized_vectors(unary: dict, atom_values: dict, depth: int) -> dict:
                     vecs[nv] = (Implies, v1, v2)
                     new.append(nv)
         frontier = new
-        if not new:
+        if not new or len(vecs) == len(neg):
             break
     return vecs
 
 
-def _unary_tables(frame: ColumnSpace) -> dict:
-    """Per connective ~, Box and Actually, its value on every world vector
-    of a one-column space, by vector."""
-    vs = range(1 << frame.n_worlds)
-    return {Not: tuple(frame.all_worlds ^ v for v in vs),
-            Box: tuple(map(frame.box, vs)),
-            Actually: tuple(map(frame.actually, vs))}
+def _unary_tables(n_worlds: int, frames: tuple) -> list:
+    """Per frame, per connective ~, Box and Actually, its value on every
+    world vector, by vector. One space holds every frame as a one-column
+    block, so each Box is one call whatever the number of frames."""
+    space = ColumnSpace(n_worlds, frames, len(frames), {})
+    vs = range(1 << n_worlds)
+    mask = (1 << n_worlds) - 1
+    neg = tuple(mask ^ v for v in vs)
+    actually = tuple(space.actually(v) & mask for v in vs)
+    boxes = [space.box(v * space.slots[0]) for v in vs]
+    return [{Not: neg,
+             Box: tuple((x >> (i * n_worlds)) & mask for x in boxes),
+             Actually: actually}
+            for i in range(len(frames))]
 
 
 def _witness(vecs: dict, v: int) -> Formula:
@@ -518,54 +527,89 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
 
     A template's truth on a model depends only on the world count, the
     frame, the actual world and the set of realized vectors, not on which
-    atom holds which vector. So each template is checked once per distinct
-    (frame, realized set): one call on a ColumnSpace whose columns are the
-    metavariable tuples, first outermost, whose lowest failing bit is the
-    first failing tuple. Each model then adds that check's instance count,
-    in model order, and the first failing model's witnesses are rebuilt
-    from its own closure. Raises SearchBoundsError past MODEL_BUDGET
-    models."""
+    atom holds which vector; and that set depends only on the frame and
+    the set of the atoms' values. So the closure is worked out once per
+    (frame, atoms' values), and each template is checked once per world
+    count over every frame and every tuple of world vectors, then once per
+    distinct (frame, realized set) only where that check fails: one call
+    on a ColumnSpace whose blocks are the frames and whose columns are the
+    metavariable tuples, first outermost, so that the lowest failing bit
+    of a block is its first failing tuple. Each model then adds its
+    instance count, in model order, and the first failing model's
+    witnesses are rebuilt from its own closure. Every builtin instance is
+    one compile_masks program (see _validate_builtins).
+
+    Raises ValueError, before any work, for max_worlds < 1 or a repeated
+    atom name, and SearchBoundsError past MODEL_BUDGET models."""
     t0 = time.perf_counter()
+    if max_worlds < 1:
+        raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
+    if len(set(atoms)) != len(atoms):
+        raise ValueError(f"atoms must be distinct names, not {tuple(atoms)}")
     n_models = _count_models(layer.logic, max_worlds, len(atoms))
     template_schemas = [s for s in layer.schemas.values() if s.kind == "template"]
     builtin_schemas = [s for s in layer.schemas.values() if s.kind != "template"]
     holds = [compile_mask(s.template) for s in template_schemas]
     counts = [0] * len(template_schemas)
     counterexamples = [None] * len(template_schemas)
-    # (n_worlds, frame, actual, realized vectors) -> per checked template,
-    # (instances, None) or, if it fails, (instances up to and including the
-    # first failing tuple, (world, that tuple))
-    outcomes = {}
-    # the models: per world count and frame, every valuation, the last atom
-    # outermost
-    frames = ((frame, _unary_tables(frame))
-              for n in range(1, max_worlds + 1)
-              for frame in (ColumnSpace(n, (R,), 1, {})
-                            for R in frames_for(layer.logic, n)))
-    models = ((frame, unary, v) for frame, unary in frames
-              for v in itertools.product(range(1 << frame.n_worlds),
-                                         repeat=len(atoms)))
-    for frame, unary, valuation in models:
+    for n in range(1, max_worlds + 1):
         unfailed = [i for i, ce in enumerate(counterexamples) if ce is None]
         if not unfailed:
             break
-        denot = dict(zip(atoms, reversed(valuation)))
-        vecs = _realized_vectors(unary, denot, generator_depth)
-        n, R = frame.n_worlds, frame.frames[0]
-        values = tuple(sorted(vecs))
-        key = (n, R, frame.actual, values)
-        found = outcomes.get(key)
-        if found is None:
-            found = outcomes[key] = _check_templates(
-                frame, values, [(i, template_schemas[i], holds[i])
-                                for i in unfailed])
-        for i in unfailed:
-            instances, failure = found[i]
-            counts[i] += instances
-            if failure is not None:
-                w, column = failure
-                counterexamples[i] = (tuple(_witness(vecs, v) for v in column),
-                                      _describe(n, R, denot), w)
+        # the models: per frame, every valuation, the last atom outermost
+        frames = frames_for(layer.logic, n)
+        denots = [dict(zip(atoms, reversed(v))) for v in
+                  itertools.product(range(1 << n), repeat=len(atoms))]
+        atom_sets = [frozenset(d.values()) for d in denots]
+        # per frame, the realized vectors, sorted, by the atoms' values
+        unary = _unary_tables(n, frames)
+        realized = [{} for _ in frames]
+        for tables, closures in zip(unary, realized):
+            for d, atom_set in zip(denots, atom_sets):
+                if atom_set not in closures:
+                    closures[atom_set] = tuple(sorted(
+                        _realized_vectors(tables, d, generator_depth)))
+        # (frame index, realized vectors) -> per template unfailed at this
+        # world count, (instances, None) or, if it fails, (instances up to
+        # and including the first failing tuple, (world, that tuple)).
+        # A template that holds on a frame at every tuple of world vectors
+        # holds at every tuple of realized ones, so one check over every
+        # frame and vector leaves to check, per realized set, only the
+        # frames where it fails; the frames with one set are checked
+        # together.
+        checks = [(i, template_schemas[i], holds[i]) for i in unfailed]
+        valid = [{i for i, (_, failure) in found.items() if failure is None}
+                 for found in _check_templates(n, frames,
+                                               tuple(range(1 << n)), checks)]
+        outcomes = {}
+        by_values = {}
+        for j, closures in enumerate(realized):
+            for values in set(closures.values()):
+                outcomes[j, values] = {
+                    i: (len(values) ** len(template_schemas[i].metavars),
+                        None) for i in valid[j]}
+                if len(valid[j]) < len(checks):
+                    by_values.setdefault(values, []).append(j)
+        for values, js in by_values.items():
+            found = _check_templates(
+                n, tuple(frames[j] for j in js), values,
+                [c for c in checks if any(c[0] not in valid[j] for j in js)])
+            for j, f in zip(js, found):
+                outcomes[j, values].update(f)
+        for j, R in enumerate(frames):
+            for d, atom_set in zip(denots, atom_sets):
+                found = outcomes[j, realized[j][atom_set]]
+                for i in unfailed:
+                    if counterexamples[i] is not None:
+                        continue
+                    instances, failure = found[i]
+                    counts[i] += instances
+                    if failure is not None:
+                        w, column = failure
+                        vecs = _realized_vectors(unary[j], d, generator_depth)
+                        counterexamples[i] = (
+                            tuple(_witness(vecs, v) for v in column),
+                            _describe(n, R, d), w)
     findings = [SchemaFinding(s.name, n, ce) for s, n, ce
                 in zip(template_schemas, counts, counterexamples)]
     findings.extend(_validate_builtins(builtin_schemas, layer))
@@ -573,26 +617,34 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
                            time.perf_counter() - t0)
 
 
-def _check_templates(frame: ColumnSpace, values: tuple, checks) -> dict:
-    """Per (index, schema, compiled template) in checks, the template over
-    every tuple of values for its metavariables in frame's one frame, as
-    (instances, failure) for validate_layer: one ColumnSpace per
-    metavariable count."""
+def _check_templates(n_worlds: int, frames: tuple, values: tuple,
+                     checks) -> list:
+    """Per frame, per (index, schema, compiled template) in checks, the
+    template over every tuple of values for its metavariables in that
+    frame, as (instances, failure) for validate_layer: one ColumnSpace per
+    metavariable count, holding each frame as a block."""
+    out = [{} for _ in frames]
     spaces = {}  # metavariable count -> space
-    out = {}
     for i, s, holds in checks:
         k = len(s.metavars)
         if k not in spaces:
-            spaces[k] = ColumnSpace.product(frame.n_worlds, frame.frames,
-                                            range(k), values, frame.actual)
+            spaces[k] = ColumnSpace.product(n_worlds, frames, range(k), values)
         space = spaces[k]
         fails = space.all_worlds ^ holds(
             space, dict(zip(s.metavars, space.denot.values())))
+        per_block = space.n_columns // len(frames)
         if not fails:
-            out[i] = (space.n_columns, None)
+            for found in out:
+                found[i] = (per_block, None)
             continue
-        c, w = divmod(lowest_bit(fails), space.n_worlds)
-        out[i] = (c + 1, (w, space.column(c)[1]))
+        bits = per_block * n_worlds
+        for b, found in enumerate(out):
+            block = (fails >> (b * bits)) & ((1 << bits) - 1)
+            if not block:
+                found[i] = (per_block, None)
+                continue
+            c, w = divmod(lowest_bit(block), n_worlds)
+            found[i] = (c + 1, (w, space.column(b * per_block + c)[1]))
     return out
 
 
@@ -601,82 +653,128 @@ def _describe(n_worlds: int, frame, denot: dict) -> str:
     return f"|W|={n_worlds} R={sorted(frame)} {vals}"
 
 
-def _validate_builtins(schemas, layer: Layer):
-    """Quantifier and equality schemas over every valuation of a unary S and
-    a 0-place p on small test frames with one or two individuals, one
-    ColumnSpace per (frame, domain size), whose column c is the model
-    (S, p) = divmod(c, 2 ** n_worlds): one compile_mask call per instance,
-    space and assignment."""
-    out = []
-    if not schemas:
-        return out
+def _builtin_instances(s: Schema, layer: Layer):
+    """The instances _validate_builtins checks for s, or None for one it
+    defers."""
     x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
     Sx = Exemplify(Const("S", REL1), (x,))
     Sy = Exemplify(Const("S", REL1), (y,))
     p = Exemplify(Const("p", PROPOSITION), ())
     phis = [Sx, Implies(Sx, p), Box(Sx), Forall(y, Implies(Sy, Sx))]
-    spaces = []
+    if s.kind == "inst":
+        return [schema_instance(s, {"alpha": x, "phi": phi, "tau": tau})
+                for phi in phis for tau in (x, y)]
+    if s.kind == "dist":
+        return [schema_instance(s, {"alpha": x, "phi": phi, "psi": psi})
+                for phi in phis for psi in phis]
+    if s.kind == "vac":
+        return [schema_instance(s, {"alpha": y, "phi": Sx}),
+                schema_instance(s, {"alpha": x, "phi": p})]
+    if s.kind == "eq_refl":
+        return [schema_instance(s, {"tau": x})]
+    if s.kind == "eq_sub":
+        if layer.mode is Mode.AOT:
+            # defined identity has urelement-model semantics only;
+            # the object-theory suite exercises it there
+            return None
+        return [schema_instance(
+            s, {"alpha": x, "beta": y, "phi": Sx, "psi": Sy}, layer.mode)]
+    return []
+
+
+def _builtin_spaces(logic: LogicTag) -> tuple:
+    """The test models: per world count, its test frames and, per domain
+    size, one ColumnSpace holding each of those frames as a block. Block
+    column c is the model (S, p) = divmod(c, 2 ** n_worlds), S's value the
+    digits S{n_d-1} ... S0 of its individuals, the last lowest."""
+    out = []
     for n_w in (1, 2):
-        if layer.logic is LogicTag.S5TOTAL:
-            frames = [total_access(n_w)]
+        if logic is LogicTag.S5TOTAL:
+            frames = (total_access(n_w),)
         elif n_w == 1:
-            frames = [frozenset(), total_access(1)]
+            frames = (frozenset(), total_access(1))
         else:
-            frames = [frozenset(), total_access(2), frozenset({(0, 1)})]
-        for fr in frames:
-            for n_d in (1, 2):
-                # S's value is the digits S{n_d-1} ... S0, the last lowest
-                names = [f"S{d}" for d in reversed(range(n_d))] + ["p"]
-                ps = ColumnSpace.product(n_w, [fr], names, range(1 << n_w))
-                S = sum(ps.denot[f"S{d}"] << (d * ps.width) for d in range(n_d))
-                spaces.append(ColumnSpace(n_w, ps.frames, ps.n_columns,
-                                          {"S": S, "p": ps.denot["p"]},
-                                          n_individuals=n_d))
-    for s in schemas:
+            frames = (frozenset(), total_access(2), frozenset({(0, 1)}))
+        spaces = []
+        for n_d in (1, 2):
+            names = [f"S{d}" for d in reversed(range(n_d))] + ["p"]
+            words, n_columns = product_words(n_w, len(frames), names,
+                                             range(1 << n_w))
+            width = n_columns * n_w
+            S = sum(words[f"S{d}"] << (d * width) for d in range(n_d))
+            spaces.append(ColumnSpace(n_w, frames, n_columns,
+                                      {"S": S, "p": words["p"]},
+                                      n_individuals=n_d))
+        out.append((frames, spaces))
+    return tuple(out)
+
+
+def _validate_builtins(schemas, layer: Layer):
+    """Quantifier and equality schemas over every valuation of a unary S and
+    a 0-place p on small test frames with one or two individuals.
+
+    All the instances are one compile_masks program, run on one ColumnSpace
+    per (world count, domain size) that holds each test frame as a block
+    (see _builtin_spaces), so each distinct node is evaluated once per
+    (space, assignment). An instance's models are read in (world count,
+    frame, domain size) order, block by block, and within each model its
+    assignments, the first free variable outermost: the count runs to the
+    first failing (model, assignment), which is the lowest failing column
+    of the first failing block and then its first failing assignment."""
+    out = []
+    if not schemas:
+        return out
+    checked = [(s, _builtin_instances(s, layer)) for s in schemas]
+    programs = compile_masks(
+        [inst for _, insts in checked if insts for inst in insts])
+    spaces = _builtin_spaces(layer.logic)
+    first = 0  # the index in programs of s's first instance
+    for s, insts in checked:
+        if insts is None:
+            out.append(SchemaFinding(s.name, 0, None))
+            continue
         count = 0
         counterexample = None
-        instances = []
-        if s.kind == "inst":
-            for phi in phis:
-                for tau in (x, y):
-                    instances.append(schema_instance(s, {"alpha": x, "phi": phi, "tau": tau}))
-        elif s.kind == "dist":
-            for phi in phis:
-                for psi in phis:
-                    instances.append(schema_instance(s, {"alpha": x, "phi": phi, "psi": psi}))
-        elif s.kind == "vac":
-            instances.append(schema_instance(s, {"alpha": y, "phi": Sx}))
-            instances.append(schema_instance(s, {"alpha": x, "phi": p}))
-        elif s.kind == "eq_refl":
-            instances.append(schema_instance(s, {"tau": x}))
-        elif s.kind == "eq_sub":
-            if layer.mode is Mode.AOT:
-                # defined identity has urelement-model semantics only;
-                # the object-theory suite exercises it there
-                out.append(SchemaFinding(s.name, 0, None))
-                continue
-            instances.append(schema_instance(
-                s, {"alpha": x, "beta": y, "phi": Sx, "psi": Sy}, layer.mode))
-        for inst in instances:
+        for inst, holds in zip(insts, programs[first:]):
             fv = sorted(free_names(inst))
-            holds = compile_mask(inst)
-            for space in spaces:
-                n_w = space.n_worlds
-                assigns = [dict(zip(fv, ds)) for ds in itertools.product(
-                    range(space.n_individuals), repeat=len(fv))]
-                fails = [space.all_worlds ^ holds(space, a) for a in assigns]
-                # the lowest failing column, then its first failing assignment
-                bad = [(lowest_bit(f) // n_w, j) for j, f in enumerate(fails) if f]
-                if not bad:
-                    count += space.n_columns * len(assigns)
-                    continue
-                c, j = min(bad)
-                count += c * len(assigns) + j + 1
-                model = dict(zip("Sp", divmod(c, 1 << n_w)))
-                counterexample = (inst, _describe(n_w, space.frames[0], model),
-                                  lowest_bit(fails[j]) % n_w)
+            fails = {space: [space.all_worlds ^ holds(space, dict(zip(fv, ds)))
+                             for ds in itertools.product(
+                                 range(space.n_individuals), repeat=len(fv))]
+                     for _, row in spaces for space in row}
+            n, found = _first_failure(spaces, fails)
+            count += n
+            if found is not None:
+                counterexample = (inst, *found)
                 break
-            if counterexample:
-                break
+        first += len(insts)
         out.append(SchemaFinding(s.name, count, counterexample))
     return out
+
+
+def _first_failure(spaces: tuple, fails: dict) -> tuple:
+    """(count, found) for one instance, whose fail mask per assignment
+    fails holds by space: found is (model description, world) for the
+    first failing (model, assignment), or None, and count the number of
+    (model, assignment) pairs up to and including it, or all of them."""
+    if not any(any(fs) for fs in fails.values()):
+        return sum(space.n_columns * len(fs)
+                   for space, fs in fails.items()), None
+    count = 0
+    for frames, row in spaces:
+        for i, frame in enumerate(frames):
+            for space in row:
+                n_w = space.n_worlds
+                per_block = space.n_columns // len(frames)
+                bits = per_block * n_w
+                block = [(f >> (i * bits)) & ((1 << bits) - 1)
+                         for f in fails[space]]
+                bad = [(lowest_bit(f) // n_w, j)
+                       for j, f in enumerate(block) if f]
+                if not bad:
+                    count += per_block * len(block)
+                    continue
+                c, j = min(bad)
+                model = dict(zip("Sp", divmod(c, 1 << n_w)))
+                return (count + c * len(block) + j + 1,
+                        (_describe(n_w, frame, model),
+                         lowest_bit(block[j]) % n_w))

@@ -59,14 +59,15 @@ REL1 = Relation(1)
 
 # What a node stores about itself the first time it is asked: its free
 # variables and names, its canonical key at top level, its size as a tree,
-# what beta_normalize and macros.expand_derived return for it, and, on a
-# binder, what aot works out about its body. A stored result is True when
-# it is the node itself, else the node returned, which stores True: never
-# a reference to itself, which would make every node a reference cycle.
-# These depend only on the node's structure, and they are not dataclass
-# fields, so __init__, __eq__, __hash__ and repr never see them.
+# what beta_normalize and macros.expand_derived return for it, on a
+# binder what aot works out about its body, and its hash. A stored result
+# is True when it is the node itself, else the node returned, which stores
+# True: never a reference to itself, which would make every node a
+# reference cycle. These depend only on the node's structure, and they are
+# not dataclass fields, so __init__, __eq__ and repr never see them, nor
+# do pickle and copy, which carry a slotted dataclass's fields alone.
 _FACTS = ("_free_vars", "_free_names", "_key", "_size", "_normal",
-          "_primitive", "_binder")
+          "_primitive", "_binder", "_hash")
 _EMPTY = frozenset()
 
 
@@ -257,6 +258,30 @@ class MacroFormula(Formula):
 
 
 Node = Union[Term, Formula]
+
+
+def _store_hash(cls):
+    """Make cls's hash the one its dataclass __hash__ gives, stored on the
+    node (see _FACTS). That hash is built from the fields' hashes, so
+    without storing it every call walks the whole tree; set and dict
+    orders stay as they were. dataclass writes __hash__ on each class, so
+    each class gets its own."""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+    cls.__hash__ = __hash__
+
+
+for _cls in (Var, Const, Lambda, Description, MacroTerm, Exemplify, Encode,
+             SOAtom, PrimitiveEq, Not, Implies, Box, Actually, Forall,
+             Diamond, Exists, And, Or, Iff, Xor, MacroFormula):
+    _store_hash(_cls)
+del _cls
 
 UNARY = (Not, Box, Actually, Diamond)
 BINARY = (Implies, And, Or, Iff, Xor)

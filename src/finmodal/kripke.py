@@ -22,7 +22,10 @@ denotation bit an evaluation stops on decides which bit a premise instance
 waits for. `compile_mask` also compiles once, but each call returns the
 mask of all the worlds where the formula holds, with Box and Actually left
 to the interpretation's `box` and `actually`. It serves complete
-interpretations.
+interpretations. `compile_masks` is compile_mask over a list of formulas:
+one program with the same semantics for each construct, in which equal
+nodes are one node, each evaluated once per space and values of its free
+variables.
 
 `box`, `actually` and `spread` have one implementation each, over columns:
 bit c * n_worlds + w of a mask means "column c at world w". The columns
@@ -52,12 +55,14 @@ variable names one individual in every column. `ColumnSpace.product` lays
 out every tuple of given world masks for given names, repeated in each
 frame's block, and `column(c)` reads column c's frame and values back.
 Premise-free countermodel search gives it every frame of a class at one
-world count, with every valuation. Layer validation gives it one frame at
-a time: a one-column space to read the vectors the atoms realize there,
-then that frame with every tuple of those vectors for a template's
-metavariables; and each of its builtin schemas' test frames and domain
-sizes with every valuation. The standard-translation cross-check gives it
-every K frame of a world count.
+world count, with every valuation. Layer validation gives it every frame
+of a world count: as one-column blocks, to read the vectors the atoms
+realize on each; with every tuple of all world vectors for a template's
+metavariables; and, for the frames that share a set of realized vectors,
+with every tuple of that set. For its builtin schemas it gives it one
+space per (world count, domain size), every test frame with every
+valuation, and runs all the instances as one compile_masks program. The
+standard-translation cross-check gives it every K frame of a world count.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .formulas import (
     INDIVIDUAL,
@@ -317,24 +323,11 @@ class ColumnSpace(_Columns):
         """Every tuple of the world masks in values for names, the first
         name outermost, in each frame's block: in column c of a block, name
         j holds values[the j-th of the len(names) base-len(values) digits
-        of c]. Each word repeats one run rather than visiting the columns."""
+        of c]. See product_words."""
         if not isinstance(frames, tuple):
             frames = tuple(frames)  # a FrameCube stays one
-        values = tuple(values)
-        n_v, k = len(values), len(names)
-        per_block = n_v ** k
-        denot = dict.fromkeys(names, 0)
-        if per_block:
-            blocks = _repunit(per_block * n_worlds, len(frames))
-            for j, name in enumerate(names):
-                inner = n_v ** (k - 1 - j)  # columns per value
-                width = inner * n_worlds
-                run = _repunit(n_worlds, inner)
-                word = 0
-                for i, v in enumerate(values):
-                    word |= v * run << (i * width)
-                denot[name] = word * _repunit(n_v * width, n_v ** j) * blocks
-        return cls(n_worlds, frames, len(frames) * per_block, denot, actual)
+        denot, n_columns = product_words(n_worlds, len(frames), names, values)
+        return cls(n_worlds, frames, n_columns, denot, actual)
 
     def column(self, c: int) -> tuple:
         """(frame, values): column c's accessibility relation, and the
@@ -345,6 +338,27 @@ class ColumnSpace(_Columns):
         mask = (1 << n) - 1
         return frame, tuple((word >> (c * n)) & mask
                             for word in self.denot.values())
+
+
+def product_words(n_worlds: int, n_blocks: int, names, values) -> tuple:
+    """(denot, n_columns) of ColumnSpace.product over n_blocks frames:
+    per name its column word, and the number of columns. Each word repeats
+    one run rather than visiting the columns."""
+    values = tuple(values)
+    n_v, k = len(values), len(names)
+    per_block = n_v ** k
+    denot = dict.fromkeys(names, 0)
+    if per_block:
+        blocks = _repunit(per_block * n_worlds, n_blocks)
+        for j, name in enumerate(names):
+            inner = n_v ** (k - 1 - j)  # columns per value
+            width = inner * n_worlds
+            run = _repunit(n_worlds, inner)
+            word = 0
+            for i, v in enumerate(values):
+                word |= v * run << (i * width)
+            denot[name] = word * _repunit(n_v * width, n_v ** j) * blocks
+    return denot, n_blocks * per_block
 
 
 def frame_check(m: KripkeInterpretation, tag: LogicTag) -> bool:
@@ -649,9 +663,9 @@ def compile_world(f: Formula):
 # ---------------------------------------------------------------------------
 # World-mask evaluation for complete interpretations
 
-def _mask_lambda(t: Lambda):
-    """A lambda term's value from the masks of its body."""
-    body = compile_mask(t.body)
+def _mask_lambda(t: Lambda, sub):
+    """A lambda term's value from the masks of its body, compiled by sub."""
+    body = sub(t.body)
     if not t.params:
         return body
     name = t.params[0].name
@@ -676,19 +690,61 @@ def compile_mask(f: Formula):
 
     Constructs evaluate cannot interpret raise the same EvalError, and
     derived ones an EvalError naming them, when fn is called rather than
-    when it is built.
+    when it is built. Implies reads its right side only where its left
+    mask is not 0, and Forall stops at the first value that leaves no
+    world.
     """
+    return _mask_node(f, compile_mask)
+
+
+def _mask_node(f: Formula, sub):
+    """compile_mask's closure for f's own construct, its subformulas
+    compiled by sub: compile_mask itself, or compile_masks' shared
+    nodes. Connectives are tested first, as they are most nodes."""
+    if isinstance(f, Implies):
+        left, right = sub(f.left), sub(f.right)
+
+        def implies(m, a):
+            x = left(m, a)
+            return m.all_worlds if not x else (m.all_worlds ^ x) | right(m, a)
+        return implies
+    if isinstance(f, Not):
+        body = sub(f.body)
+        return lambda m, a: m.all_worlds ^ body(m, a)
+    if isinstance(f, Box):
+        body = sub(f.body)
+        return lambda m, a: m.box(body(m, a))
+    if isinstance(f, Forall):
+        domain, name, body = _domain_of(f.var), f.var.name, sub(f.body)
+
+        def forall(m, a):
+            inner = dict(a)
+            out = m.all_worlds
+            for val in domain(m):
+                inner[name] = val
+                out &= body(m, inner)
+                if not out:
+                    break
+            return out
+        return forall
+    if isinstance(f, Actually):
+        body = sub(f.body)
+        return lambda m, a: m.actually(body(m, a))
+
+    def lambda_term(t):
+        return _mask_lambda(t, sub)
+
     if isinstance(f, Exemplify):
-        rel = _compile_term(f.rel, _mask_lambda)
+        rel = _compile_term(f.rel, lambda_term)
         if not f.args:
             return lambda m, a: rel(m, a) & m.all_worlds
         if len(f.args) == 1:
-            arg = _compile_term(f.args[0], _mask_lambda)
+            arg = _compile_term(f.args[0], lambda_term)
             return lambda m, a: (rel(m, a) >> (arg(m, a) * m.width)) & m.all_worlds
-        args = tuple(_compile_term(t, _mask_lambda) for t in f.args)
+        args = tuple(_compile_term(t, lambda_term) for t in f.args)
         return lambda m, a: rel(m, a)[tuple(t(m, a) for t in args)] & m.all_worlds
     if isinstance(f, SOAtom):
-        name, arg = f.op.name, _compile_term(f.arg, _mask_lambda)
+        name, arg = f.op.name, _compile_term(f.arg, lambda_term)
 
         def so_atom(m, a):
             table = m.denot.get(name)
@@ -702,41 +758,91 @@ def compile_mask(f: Formula):
                 return 0
         return so_atom
     if isinstance(f, PrimitiveEq):
-        left = _compile_term(f.left, _mask_lambda)
-        right = _compile_term(f.right, _mask_lambda)
+        left = _compile_term(f.left, lambda_term)
+        right = _compile_term(f.right, lambda_term)
         return lambda m, a: m.all_worlds if left(m, a) == right(m, a) else 0
     if isinstance(f, Encode):
         return _raiser("encoding atoms are not interpreted in classical models")
-    if isinstance(f, Not):
-        body = compile_mask(f.body)
-        return lambda m, a: m.all_worlds ^ body(m, a)
-    if isinstance(f, Implies):
-        left, right = compile_mask(f.left), compile_mask(f.right)
-
-        def implies(m, a):
-            x = left(m, a)
-            return m.all_worlds if not x else (m.all_worlds ^ x) | right(m, a)
-        return implies
-    if isinstance(f, Box):
-        body = compile_mask(f.body)
-        return lambda m, a: m.box(body(m, a))
-    if isinstance(f, Actually):
-        body = compile_mask(f.body)
-        return lambda m, a: m.actually(body(m, a))
-    if isinstance(f, Forall):
-        domain, name, body = _domain_of(f.var), f.var.name, compile_mask(f.body)
-
-        def forall(m, a):
-            inner = dict(a)
-            out = m.all_worlds
-            for val in domain(m):
-                inner[name] = val
-                out &= body(m, inner)
-                if not out:
-                    break
-            return out
-        return forall
     return _raiser(f"cannot evaluate {f!r}")
+
+
+class _Outside(Exception):
+    """A node outside the ColumnSpace fragment, met by compile_masks."""
+
+
+def _in_fragment(f: Formula) -> bool:
+    """Whether f's own construct is in the ColumnSpace fragment: an atom of
+    a constant or variable with at most one argument, a constant or
+    variable itself, an equality between constants or variables, Not,
+    Implies, Box, Actually, or Forall over individuals."""
+    if isinstance(f, (Not, Implies, Box, Actually)):
+        return True
+    if isinstance(f, Exemplify):
+        return len(f.args) <= 1 and all(
+            isinstance(t, (Var, Const)) for t in (f.rel, *f.args))
+    if isinstance(f, PrimitiveEq):
+        return isinstance(f.left, (Var, Const)) \
+            and isinstance(f.right, (Var, Const))
+    return isinstance(f, Forall) and f.var.sort == INDIVIDUAL
+
+
+def _kept(fn, names: tuple):
+    """fn, its value kept per space and values of the variables names."""
+    values = {}
+    if not names:
+        def kept(m, a):
+            x = values.get(m)
+            if x is None:
+                x = values[m] = fn(m, a)
+            return x
+        return kept
+
+    values_of = itemgetter(*names)
+
+    def kept_per_value(m, a):
+        try:
+            key = (m, values_of(a))
+        except KeyError:
+            return fn(m, a)  # raises where fn reads the unassigned variable
+        x = values.get(key)
+        if x is None:
+            x = values[key] = fn(m, a)
+        return x
+    return kept_per_value
+
+
+def compile_masks(formulas) -> list:
+    """compile_mask over a list: one fn(m, a) per formula, in order, each
+    returning what compile_mask(formula)(m, a) returns and raising where
+    it raises, the same EvalError.
+
+    The formulas of the ColumnSpace fragment (see _in_fragment) share one
+    program: equal nodes are one node, and each node's mask is worked out
+    once per space and values of its free variables, then kept. A node
+    reached again, under any root, assignment or bound value, reads it
+    back; one that raised is evaluated again, so it raises again where
+    compile_mask would. A formula with a node outside the fragment gets
+    compile_mask's own closure. The program keeps every mask, and so every
+    space it has seen, for as long as it lives, so it serves spaces and
+    complete interpretations that do not change between calls."""
+    compiled = {}  # node -> its kept closure
+
+    def sub(f):
+        fn = compiled.get(f)
+        if fn is None:
+            if not _in_fragment(f):
+                raise _Outside
+            fn = compiled[f] = _kept(_mask_node(f, sub),
+                                     tuple(free_names(f)))
+        return fn
+
+    out = []
+    for f in formulas:
+        try:
+            out.append(sub(f))
+        except _Outside:
+            out.append(compile_mask(f))
+    return out
 
 
 def proposition_of(f: Formula, m: KripkeInterpretation, a: dict) -> tuple:

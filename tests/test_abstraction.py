@@ -1,6 +1,8 @@
+import collections
 import itertools
 import random
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -14,11 +16,11 @@ from finmodal.abstraction import (
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Exemplify, Forall, Implies, Not, Var,
-    alpha_equivalent, beta_normalize, canonical_key, free_names,
+    alpha_equivalent, beta_normalize, canonical_key, free_names, subnodes,
 )
 from finmodal.kripke import (
     ColumnSpace, KripkeInterpretation, Validity, compile_mask, frames_for,
-    lowest_bit, validity,
+    lowest_bit, total_access, validity,
 )
 from finmodal.macros import expand_derived
 from finmodal.modelfind import (
@@ -247,6 +249,21 @@ class TestValidateLayer:
         with pytest.raises(SearchBoundsError):
             validate_layer(make_layer("K"), max_worlds=10 ** 6)
 
+    def test_bad_arguments_rejected_before_any_work(self):
+        # no world count passes vacuously, and a repeated atom would make
+        # the valuation and the atoms' values disagree
+        layer = make_layer("S5")
+        for kwargs, match in [({"max_worlds": 0}, "max_worlds"),
+                              ({"max_worlds": -1}, "max_worlds"),
+                              ({"atoms": ("p", "p")}, "distinct"),
+                              ({"atoms": ("p", "q", "p")}, "distinct")]:
+            with pytest.raises(ValueError, match=match):
+                validate_layer(layer, **kwargs)
+        # even where the model budget would be passed too
+        with pytest.raises(ValueError):
+            validate_layer(make_layer("K"), max_worlds=10 ** 6,
+                           atoms=("p", "p"))
+
     @pytest.mark.parametrize("name, counts", [
         ("K", {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472}),
         ("KB", {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472}),
@@ -321,6 +338,42 @@ class TestValidateLayer:
                 assert [(f.schema, f.instances, f.counterexample)
                         for f in failed] == [(kind, instances,
                                               (bad, model, world))]
+
+    # every finding of the shipped layers, in report order: the templates
+    # by max_worlds, then the builtins, which do not depend on it
+    GOLDEN_TEMPLATES = {
+        "K": {1: {"pl1": 32, "pl2": 64, "pl3": 32, "ax_K": 32},
+              2: {"pl1": 3648, "pl2": 14208, "pl3": 3648, "ax_K": 3648},
+              3: {"pl1": 1666430, "pl2": 12713062, "pl3": 1666430,
+                  "ax_K": 1666430}},
+        "KB": {1: {"pl1": 32, "pl2": 64, "pl3": 32, "ax_K": 32, "ax_B": 16},
+               2: {"pl1": 1792, "pl2": 6912, "pl3": 1792, "ax_K": 1792,
+                   "ax_B": 480},
+               3: {"pl1": 202478, "pl2": 1530146, "pl3": 202478,
+                   "ax_K": 202478, "ax_B": 28034}},
+        "S5": {1: {"pl1": 16, "pl2": 32, "pl3": 16, "ax_K": 16, "ax_T": 8,
+                   "ax_5": 8},
+               2: {"pl1": 224, "pl2": 832, "pl3": 224, "ax_K": 224,
+                   "ax_T": 64, "ax_5": 64},
+               3: {"pl1": 2352, "pl2": 15456, "pl3": 2352, "ax_K": 2352,
+                   "ax_T": 408, "ax_5": 408}},
+    }
+    GOLDEN_BUILTINS = {
+        "K": {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472},
+        "KB": {"inst": 3776, "dist": 4224, "vac": 736, "eq_refl": 472},
+        "S5": {"inst": 1312, "dist": 1472, "vac": 256, "eq_refl": 164},
+        "AOT": {"inst": 1312, "dist": 1472, "vac": 256, "eq_sub": 0},
+    }
+
+    @pytest.mark.parametrize("max_worlds", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["K", "KB", "S5", "AOT"])
+    def test_golden_findings(self, name, max_worlds):
+        templates = self.GOLDEN_TEMPLATES["S5" if name == "AOT" else name]
+        want = {**templates[max_worlds], **self.GOLDEN_BUILTINS[name]}
+        report = validate_layer(make_layer(name), max_worlds=max_worlds)
+        assert [(f.schema, f.instances, f.counterexample)
+                for f in report.schema_findings] == [
+                    (schema, n, None) for schema, n in want.items()]
 
     def test_k_schemas_on_kb_frames_still_sound(self):
         base = make_layer("K")
@@ -436,3 +489,159 @@ def test_validate_layer_matches_per_model_loop(templates, name, max_worlds,
                             generator_depth=depth)
     assert report.schema_findings == _oracle_template_findings(
         layer, max_worlds, atoms, depth)
+
+
+# ---------------------------------------------------------------------------
+# validate_layer's builtin half against a per-space loop
+
+def _oracle_builtin_findings(layer):
+    """The builtin schemas checked one instance at a time, one compile_mask
+    per instance, on one ColumnSpace per (test frame, domain size) in
+    (world count, frame, domain size) order; in each, the lowest failing
+    column, then its first failing assignment."""
+    from finmodal import abstraction
+    x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+    Sx, Sy = (Exemplify(Const("S", REL1), (v,)) for v in (x, y))
+    p = Exemplify(Const("p", PROPOSITION), ())
+    phis = [Sx, Implies(Sx, p), Box(Sx), Forall(y, Implies(Sy, Sx))]
+    spaces = []
+    for n_w in (1, 2):
+        if layer.logic is LogicTag.S5TOTAL:
+            frames = [total_access(n_w)]
+        elif n_w == 1:
+            frames = [frozenset(), total_access(1)]
+        else:
+            frames = [frozenset(), total_access(2), frozenset({(0, 1)})]
+        for fr in frames:
+            for n_d in (1, 2):
+                names = [f"S{d}" for d in reversed(range(n_d))] + ["p"]
+                ps = ColumnSpace.product(n_w, [fr], names, range(1 << n_w))
+                S = sum(ps.denot[f"S{d}"] << (d * ps.width)
+                        for d in range(n_d))
+                spaces.append(ColumnSpace(n_w, ps.frames, ps.n_columns,
+                                          {"S": S, "p": ps.denot["p"]},
+                                          n_individuals=n_d))
+    out = []
+    for s in layer.schemas.values():
+        if s.kind == "template":
+            continue
+        new = abstraction.schema_instance
+        instances = {
+            "inst": lambda: [new(s, {"alpha": x, "phi": phi, "tau": tau})
+                             for phi in phis for tau in (x, y)],
+            "dist": lambda: [new(s, {"alpha": x, "phi": phi, "psi": psi})
+                             for phi in phis for psi in phis],
+            "vac": lambda: [new(s, {"alpha": y, "phi": Sx}),
+                            new(s, {"alpha": x, "phi": p})],
+            "eq_refl": lambda: [new(s, {"tau": x})],
+        }[s.kind]()
+        count, counterexample = 0, None
+        for inst in instances:
+            fv = sorted(free_names(inst))
+            holds = compile_mask(inst)
+            for space in spaces:
+                n_w = space.n_worlds
+                assigns = [dict(zip(fv, ds)) for ds in itertools.product(
+                    range(space.n_individuals), repeat=len(fv))]
+                fails = [space.all_worlds ^ holds(space, a) for a in assigns]
+                bad = [(lowest_bit(f) // n_w, j)
+                       for j, f in enumerate(fails) if f]
+                if not bad:
+                    count += space.n_columns * len(assigns)
+                    continue
+                c, j = min(bad)
+                count += c * len(assigns) + j + 1
+                model = {k: bin(v) for k, v in
+                         zip("Sp", divmod(c, 1 << n_w))}
+                counterexample = (
+                    inst, f"|W|={n_w} R={sorted(space.frames[0])} {model}",
+                    lowest_bit(fails[j]) % n_w)
+                break
+            if counterexample:
+                break
+        out.append(SchemaFinding(s.name, count, counterexample))
+    return out
+
+
+def _bogus_first_order():
+    x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+    atoms = st.sampled_from([Exemplify(Const("S", REL1), (x,)),
+                             Exemplify(Const("S", REL1), (y,)), P])
+    return st.recursive(atoms, lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Box, sub), st.builds(Actually, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Forall, st.sampled_from([x, y]), sub)), max_leaves=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["K", "KB", "S5"]),
+       st.sets(st.sampled_from(["inst", "dist", "vac", "eq_refl"]),
+               min_size=1),
+       st.lists(_bogus_first_order(), min_size=1, max_size=4))
+def test_builtins_match_per_space_loop(name, kinds, bogus):
+    # each instance of a patched kind is one of the bogus formulas, picked
+    # by its substitution; the counts and first counterexamples, models,
+    # assignments and worlds included, are those of checking one space per
+    # (test frame, domain size) in order
+    from finmodal import abstraction
+    real = abstraction.schema_instance
+
+    def patched(s, subst, mode=Mode.CLASSICAL):
+        if s.kind not in kinds:
+            return real(s, subst, mode)
+        key = repr(sorted((k, repr(v)) for k, v in subst.items()))
+        return bogus[zlib.crc32(key.encode()) % len(bogus)]
+    layer = make_layer(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abstraction, "schema_instance", patched)
+        report = validate_layer(layer, max_worlds=1)
+        want = _oracle_builtin_findings(layer)
+    builtins = [f for f in report.schema_findings
+                if layer.schemas[f.schema].kind != "template"]
+    assert builtins == want
+
+
+@pytest.mark.parametrize("name", ["K", "KB", "S5"])
+def test_builtins_build_four_spaces(monkeypatch, name):
+    # one space per (world count, domain size), each frame a block, and
+    # each distinct node of the instances evaluated once per space and
+    # values of its free variables
+    from finmodal import abstraction, kripke
+    built = []
+    evaluations = collections.Counter()
+    real = kripke._mask_node
+
+    class Counted(ColumnSpace):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counted(f, sub):
+        fn, names = real(f, sub), sorted(free_names(f))
+
+        def run(m, a):
+            evaluations[f, id(m), tuple(a[n] for n in names)] += 1
+            return fn(m, a)
+        return run
+    instances = []
+
+    def recorded(*args):
+        instances.append(real_instance(*args))
+        return instances[-1]
+    real_instance = abstraction.schema_instance
+    monkeypatch.setattr(abstraction, "ColumnSpace", Counted)
+    monkeypatch.setattr(abstraction, "schema_instance", recorded)
+    monkeypatch.setattr(kripke, "_mask_node", counted)
+    layer = make_layer(name)
+    findings = abstraction._validate_builtins(
+        [s for s in layer.schemas.values() if s.kind != "template"], layer)
+    assert [f.instances for f in findings] == list(
+        TestValidateLayer.GOLDEN_BUILTINS[name].values())
+    assert len(built) == 4
+    # 27 instances with 321 formula nodes as trees, 93 of them distinct
+    assert len(instances) == 27
+    distinct = {n for i in instances for n in subnodes(i)
+                if not isinstance(n, (Var, Const))}
+    assert len(distinct) == 93
+    assert {f for f, _, _ in evaluations} == distinct
+    assert set(evaluations.values()) == {1}

@@ -1,5 +1,8 @@
+import copy
 import gc
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,7 +207,7 @@ class TestRoundTrip:
 
 class TestStoredFacts:
     FACTS = (free_vars, free_names, canonical_key, tree_size, expand_derived,
-             beta_normalize)
+             beta_normalize, hash)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**30), st.integers(0, 4), st.booleans())
@@ -258,6 +261,25 @@ class TestStoredFacts:
             messages.add(str(err.value))
         assert len(messages) == 1
         assert expand_derived(chain) is expand_derived(chain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 4))
+    def test_stored_hash_is_the_dataclass_hash_and_stays_home(self, seed,
+                                                              depth):
+        # the stored hash is the one the fields give, so set and dict
+        # orders are unchanged; pickle and copy carry the fields alone
+        from finmodal.signature import LogicTag, Mode, Signature
+        sig = Signature(Mode.CLASSICAL, LogicTag.K, {
+            "p": PROPOSITION, "S": REL1, "c": INDIVIDUAL})
+        root = random_formula(random.Random(seed), sig, depth, terms=True)
+        for n in subnodes(root):
+            assert hash(n) == hash(tuple(getattr(n, f.name)
+                                         for f in fields(n)))
+            assert n._hash == hash(n)
+        for other in (pickle.loads(pickle.dumps(root)), copy.copy(root),
+                      copy.deepcopy(root)):
+            assert getattr(other, "_hash", None) is None
+            assert other == root and hash(other) == hash(root)
 
     def test_storing_makes_no_reference_cycle(self, aot_sig):
         # a stored form never points back to its node, so a normalized

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pickle
 import random
@@ -10,12 +11,12 @@ from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation,
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
     Exists, Forall, Iff, Implies, Lambda, MacroFormula, Not, Or, PrimitiveEq,
-    SOAtom, Var, Xor, beta_normalize, free_names,
+    SOAtom, Var, Xor, beta_normalize, free_names, subnodes,
 )
 from finmodal.kripke import (
     ColumnSpace, EvalError, KripkeInterpretation, Validity, compile_mask,
-    compile_world, evaluate, frame_check, frames_for, full_relspace,
-    is_rigid_value, proposition_of, total_access, validity,
+    compile_masks, compile_world, evaluate, frame_check, frames_for,
+    full_relspace, is_rigid_value, proposition_of, total_access, validity,
 )
 from finmodal.macros import expand_derived
 from finmodal.modelfind import (
@@ -24,7 +25,7 @@ from finmodal.modelfind import (
 from finmodal.parser import parse_formula
 from finmodal.signature import LogicTag, Mode, Signature
 
-from conftest import propositional_formulas, random_formula
+from conftest import fresh, propositional_formulas, random_formula
 
 
 SIG2 = Signature(Mode.CLASSICAL, LogicTag.K,
@@ -403,6 +404,113 @@ def test_first_order_column_space_matches_each_column(rng, n, n_d, data):
                                      {"S": sval, "p": pval}, actual=actual)
             for w in range(n):
                 assert bool((mask >> (c * n + w)) & 1) == evaluate(g, m, a, w)
+
+
+def _shared_formulas():
+    """Formulas over S x, S y, p, x = y and a falsum by ~, ->, [], @ and
+    all over x or y, with a few leaves that raise (an uninterpreted q, a
+    derived And) and one outside the ColumnSpace fragment (a lambda). A
+    falsum to the left of -> leaves its right side unread."""
+    x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+    S, p = Const("S", REL1), Exemplify(Const("p", PROPOSITION), ())
+    Sx, Sy = Exemplify(S, (x,)), Exemplify(S, (y,))
+    atoms = st.sampled_from([Sx, Sy, p, PrimitiveEq(x, y),
+                             Not(Implies(p, p))])
+    odd = st.sampled_from([Exemplify(Const("q", PROPOSITION), ()),
+                           And(p, Sx),
+                           Exemplify(Lambda((x,), Box(Sx)), (y,))])
+    leaves = st.one_of(atoms, atoms, atoms, odd)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Box, sub), st.builds(Actually, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Forall, st.sampled_from([x, y]), sub)), max_leaves=8)
+
+
+def _sp_space(data, n, n_d):
+    """A random ColumnSpace over S and p: a few frames, each with the
+    same few valuations, as in the first-order column-space test."""
+    worlds = st.integers(0, n - 1)
+    frames = data.draw(st.lists(
+        st.frozensets(st.tuples(worlds, worlds)), min_size=1, max_size=2))
+    valuations = data.draw(st.lists(
+        st.tuples(st.integers(0, (1 << (n_d * n)) - 1),
+                  st.integers(0, (1 << n) - 1)), min_size=1, max_size=3))
+    columns = list(itertools.product(frames, valuations))
+    width, one = len(columns) * n, (1 << n) - 1
+    S = p = 0
+    for c, (_, (sval, pval)) in enumerate(columns):
+        p |= pval << (c * n)
+        for d in range(n_d):
+            S |= ((sval >> (d * n)) & one) << (d * width + c * n)
+    return ColumnSpace(n, tuple(frames), len(columns), {"S": S, "p": p},
+                       data.draw(worlds), n_individuals=n_d)
+
+
+def _mask_or_error(fn, m, a):
+    try:
+        return fn(m, a)
+    except EvalError as e:
+        return f"EvalError: {e}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_shared_formulas(), min_size=1, max_size=6), st.data())
+def test_compile_masks_matches_compile_mask(roots, data):
+    # every root answers as compile_mask does, raising the same EvalError
+    # where it raises, whatever the other roots, spaces and assignments
+    # the shared program has seen; copies of roots share their nodes
+    roots += [fresh(r) for r in data.draw(st.lists(st.sampled_from(roots),
+                                                   max_size=2))]
+    programs = compile_masks(roots)
+    assert len(programs) == len(roots)
+    n_d = data.draw(st.integers(1, 2))
+    spaces = [_sp_space(data, data.draw(st.integers(1, 2)), n_d)
+              for _ in range(2)]
+    assignment = st.dictionaries(st.sampled_from("xy"),
+                                 st.integers(0, n_d - 1), max_size=2)
+    calls = data.draw(st.lists(st.tuples(
+        st.integers(0, len(roots) - 1), st.sampled_from(spaces), assignment),
+        min_size=1, max_size=12))
+    for i, m, a in calls:
+        assert _mask_or_error(programs[i], m, a) == _mask_or_error(
+            compile_mask(roots[i]), m, a)
+
+
+def test_compile_masks_evaluates_each_node_once(monkeypatch):
+    # each distinct node is worked out once per space and values of its
+    # free variables, under any root, assignment and bound value
+    from finmodal import kripke
+    x, y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+    S, p = Const("S", REL1), Exemplify(Const("p", PROPOSITION), ())
+    Sx, Sy = Exemplify(S, (x,)), Exemplify(S, (y,))
+    inner = Forall(y, Implies(Sy, Box(Sx)))
+    roots = [Implies(Forall(x, inner), inner), Not(Box(Sx)),
+             Implies(p, fresh(inner)), Forall(x, Implies(p, Box(Sx)))]
+    spaces = [ColumnSpace(n, (frozenset({(0, n - 1)}),), 1,
+                          {"S": 0b0110, "p": 1}, n_individuals=2)
+              for n in (1, 2)]
+    calls = [(m, i, dict(zip(sorted(free_names(root)), ds)))
+             for m in spaces for i, root in enumerate(roots)
+             for ds in itertools.product(range(2),
+                                         repeat=len(free_names(root)))]
+    want = [compile_mask(roots[i])(m, a) for m, i, a in calls]
+    evaluations = collections.Counter()
+    real = kripke._mask_node
+
+    def counted(f, sub):
+        fn, names = real(f, sub), sorted(free_names(f))
+
+        def run(m, a):
+            evaluations[f, id(m), tuple(a[n] for n in names)] += 1
+            return fn(m, a)
+        return run
+    monkeypatch.setattr(kripke, "_mask_node", counted)
+    programs = compile_masks(roots)
+    assert [programs[i](m, a) for m, i, a in calls] == want
+    distinct = {n for r in roots for n in subnodes(r)
+                if not isinstance(n, (Var, Const))}
+    assert {f for f, _, _ in evaluations} == distinct
+    assert set(evaluations.values()) == {1}
 
 
 def test_compilers_reject_derived_constructs():
