@@ -491,7 +491,7 @@ def _unary_tables(n_worlds: int, frames: tuple) -> list:
     actually = tuple(space.actually(v) & mask for v in vs)
     boxes = [space.box(v * space.slots[0]) for v in vs]
     return [{Not: neg,
-             Box: tuple((x >> (i * n_worlds)) & mask for x in boxes),
+             Box: tuple(space.block(x, i) for x in boxes),
              Actually: actually}
             for i in range(len(frames))]
 
@@ -530,14 +530,15 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
     atom holds which vector; and that set depends only on the frame and
     the set of the atoms' values. So the closure is worked out once per
     (frame, atoms' values), and each template is checked once per world
-    count over every frame and every tuple of world vectors, then once per
-    distinct (frame, realized set) only where that check fails: one call
-    on a ColumnSpace whose blocks are the frames and whose columns are the
-    metavariable tuples, first outermost, so that the lowest failing bit
-    of a block is its first failing tuple. Each model then adds its
-    instance count, in model order, and the first failing model's
-    witnesses are rebuilt from its own closure. Every builtin instance is
-    one compile_masks program (see _validate_builtins).
+    count: one call on a ColumnSpace whose blocks are the frames and whose
+    columns are every tuple of all world vectors for its metavariables,
+    first outermost. Every model's outcome is read from that fail mask,
+    once per (frame, realized set): its first failing tuple is the lowest
+    failing column of its frame's block whose entries are all realized
+    (see _first_failing_tuple). Each model adds its instance count, in
+    model order, and the first failing model's witnesses are rebuilt from
+    its own closure. Every builtin instance is one compile_masks program
+    (see _validate_builtins).
 
     Raises ValueError, before any work, for max_worlds < 1 or a repeated
     atom name, and SearchBoundsError past MODEL_BUDGET models."""
@@ -561,55 +562,36 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
         denots = [dict(zip(atoms, reversed(v))) for v in
                   itertools.product(range(1 << n), repeat=len(atoms))]
         atom_sets = [frozenset(d.values()) for d in denots]
-        # per frame, the realized vectors, sorted, by the atoms' values
+        # per frame, per valuation, the realized vectors, sorted; the
+        # closure is worked out once per set of the atoms' values
         unary = _unary_tables(n, frames)
-        realized = [{} for _ in frames]
-        for tables, closures in zip(unary, realized):
+        realized = []
+        for tables in unary:
+            closures = {}
             for d, atom_set in zip(denots, atom_sets):
                 if atom_set not in closures:
                     closures[atom_set] = tuple(sorted(
                         _realized_vectors(tables, d, generator_depth)))
-        # (frame index, realized vectors) -> per template unfailed at this
-        # world count, (instances, None) or, if it fails, (instances up to
-        # and including the first failing tuple, (world, that tuple)).
-        # A template that holds on a frame at every tuple of world vectors
-        # holds at every tuple of realized ones, so one check over every
-        # frame and vector leaves to check, per realized set, only the
-        # frames where it fails; the frames with one set are checked
-        # together.
-        checks = [(i, template_schemas[i], holds[i]) for i in unfailed]
-        valid = [{i for i, (_, failure) in found.items() if failure is None}
-                 for found in _check_templates(n, frames,
-                                               tuple(range(1 << n)), checks)]
-        outcomes = {}
-        by_values = {}
-        for j, closures in enumerate(realized):
-            for values in set(closures.values()):
-                outcomes[j, values] = {
-                    i: (len(values) ** len(template_schemas[i].metavars),
-                        None) for i in valid[j]}
-                if len(valid[j]) < len(checks):
-                    by_values.setdefault(values, []).append(j)
-        for values, js in by_values.items():
-            found = _check_templates(
-                n, tuple(frames[j] for j in js), values,
-                [c for c in checks if any(c[0] not in valid[j] for j in js)])
-            for j, f in zip(js, found):
-                outcomes[j, values].update(f)
-        for j, R in enumerate(frames):
-            for d, atom_set in zip(denots, atom_sets):
-                found = outcomes[j, realized[j][atom_set]]
-                for i in unfailed:
-                    if counterexamples[i] is not None:
-                        continue
-                    instances, failure = found[i]
-                    counts[i] += instances
-                    if failure is not None:
-                        w, column = failure
-                        vecs = _realized_vectors(unary[j], d, generator_depth)
-                        counterexamples[i] = (
-                            tuple(_witness(vecs, v) for v in column),
-                            _describe(n, R, d), w)
+            realized.append([closures[a] for a in atom_sets])
+        spaces = {}  # metavariable count -> space
+        for i in unfailed:
+            s = template_schemas[i]
+            k = len(s.metavars)
+            if k not in spaces:
+                spaces[k] = ColumnSpace.product(n, frames, range(k),
+                                                range(1 << n))
+            space = spaces[k]
+            fails = space.all_worlds ^ holds[i](
+                space, dict(zip(s.metavars, space.denot.values())))
+            count, failure = _first_failing_model(space, fails, realized)
+            counts[i] += count
+            if failure is not None:
+                j, model, w, column = failure
+                vecs = _realized_vectors(unary[j], denots[model],
+                                         generator_depth)
+                counterexamples[i] = (
+                    tuple(_witness(vecs, v) for v in column),
+                    _describe(n, frames[j], denots[model]), w)
     findings = [SchemaFinding(s.name, n, ce) for s, n, ce
                 in zip(template_schemas, counts, counterexamples)]
     findings.extend(_validate_builtins(builtin_schemas, layer))
@@ -617,35 +599,60 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
                            time.perf_counter() - t0)
 
 
-def _check_templates(n_worlds: int, frames: tuple, values: tuple,
-                     checks) -> list:
-    """Per frame, per (index, schema, compiled template) in checks, the
-    template over every tuple of values for its metavariables in that
-    frame, as (instances, failure) for validate_layer: one ColumnSpace per
-    metavariable count, holding each frame as a block."""
-    out = [{} for _ in frames]
-    spaces = {}  # metavariable count -> space
-    for i, s, holds in checks:
-        k = len(s.metavars)
-        if k not in spaces:
-            spaces[k] = ColumnSpace.product(n_worlds, frames, range(k), values)
-        space = spaces[k]
-        fails = space.all_worlds ^ holds(
-            space, dict(zip(s.metavars, space.denot.values())))
-        per_block = space.n_columns // len(frames)
-        if not fails:
-            for found in out:
-                found[i] = (per_block, None)
+def _first_failing_model(space: ColumnSpace, fails: int,
+                         realized: list) -> tuple:
+    """(count, failure) of one template over one world count's models, in
+    validate_layer's order: per frame j, per valuation m, the model whose
+    realized vectors, sorted, are realized[j][m]. fails is the template's
+    fail mask on space, each frame a block of every tuple of all world
+    vectors, first outermost. failure is (j, m, world, tuple) for the
+    first failing (model, tuple), or None, and count the instances up to
+    and including it, or all of them. A frame whose block has no failing
+    column adds all its models' instances; on any other, each realized
+    set is read once (see _first_failing_tuple)."""
+    count, k = 0, len(space.denot)
+    for j, per_model in enumerate(realized):
+        block = space.block(fails, j)
+        if not block:  # no failing tuple on this frame
+            count += sum(len(values) ** k for values in per_model)
             continue
-        bits = per_block * n_worlds
-        for b, found in enumerate(out):
-            block = (fails >> (b * bits)) & ((1 << bits) - 1)
-            if not block:
-                found[i] = (per_block, None)
-                continue
-            c, w = divmod(lowest_bit(block), n_worlds)
-            found[i] = (c + 1, (w, space.column(b * per_block + c)[1]))
-    return out
+        found = {}  # realized vectors -> (instances, failure)
+        for m, values in enumerate(per_model):
+            if values not in found:
+                found[values] = _first_failing_tuple(space, j, block, values)
+            instances, failure = found[values]
+            count += instances
+            if failure is not None:
+                return count, (j, m, *failure)
+    return count, None
+
+
+def _first_failing_tuple(space: ColumnSpace, j: int, block: int,
+                         values: tuple) -> tuple:
+    """(instances, failure) of a template whose fail mask on block j of
+    space is block, over every tuple of the sorted world vectors values:
+    failure is (world, tuple) for the first failing tuple, or None, and
+    instances its position among the tuples plus 1, or their number.
+
+    A column's truth depends only on its tuple and its frame, and the
+    tuples of values come in the same order as among all vectors, so the
+    first failing tuple of values is the lowest failing column of the
+    block whose entries all lie in values, and its world that column's
+    lowest failing bit. inside marks those columns, every world of each,
+    and the tuples before the failing one are its columns below it."""
+    n, k = space.n_worlds, len(space.denot)
+    words, _ = product_words(n, 1, range(k), [
+        (1 << n) - 1 if v in values else 0 for v in range(1 << n)])
+    inside = (1 << space.per_block * n) - 1
+    for word in words.values():
+        inside &= word
+    hits = block & inside
+    if not hits:
+        return len(values) ** k, None
+    low = lowest_bit(hits)
+    c, w = divmod(low, n)
+    return ((inside & ((1 << low) - 1)).bit_count() // n + 1,
+            (w, space.column(j * space.per_block + c)[1]))
 
 
 def _describe(n_worlds: int, frame, denot: dict) -> str:
@@ -764,14 +771,11 @@ def _first_failure(spaces: tuple, fails: dict) -> tuple:
         for i, frame in enumerate(frames):
             for space in row:
                 n_w = space.n_worlds
-                per_block = space.n_columns // len(frames)
-                bits = per_block * n_w
-                block = [(f >> (i * bits)) & ((1 << bits) - 1)
-                         for f in fails[space]]
+                block = [space.block(f, i) for f in fails[space]]
                 bad = [(lowest_bit(f) // n_w, j)
                        for j, f in enumerate(block) if f]
                 if not bad:
-                    count += per_block * len(block)
+                    count += space.per_block * len(block)
                     continue
                 c, j = min(bad)
                 model = dict(zip("Sp", divmod(c, 1 << n_w)))

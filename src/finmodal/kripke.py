@@ -24,16 +24,17 @@ mask of all the worlds where the formula holds, with Box and Actually left
 to the interpretation's `box` and `actually`. It serves complete
 interpretations. `compile_masks` is compile_mask over a list of formulas:
 one program with the same semantics for each construct, in which equal
-nodes are one node, each evaluated once per space and values of its free
-variables.
+nodes are one node, each evaluated once per space (or complete
+interpretation) and values of its free variables, whatever its construct.
 
 `box`, `actually` and `spread` have one implementation each, over columns:
 bit c * n_worlds + w of a mask means "column c at world w". The columns
-fall into equal consecutive blocks, one per frame, and each column is read
-over its block's frame. `spread(x, v)` copies each column's bit at world v
-to all of its worlds. Box is a spread per predecessor: for each world v, it
-ANDs `spread(x, v)` into slot w of the columns whose frame has w -> v,
-the mask `into[v]`. Actually is the spread of the actual world. A complete
+fall into equal consecutive blocks of `per_block` columns, one per frame,
+and each column is read over its block's frame; `block(x, i)` is block i
+of mask x, and is the one place a mask is cut into blocks. `spread(x, v)`
+copies each column's bit at world v to all of its worlds. Box is a spread
+per predecessor: for each world v, it ANDs `spread(x, v)` into slot w of
+the columns whose frame has w -> v, the mask `into[v]`. Actually is the spread of the actual world. A complete
 `KripkeInterpretation` is the one-column space over its own frame.
 
 `frames_for` lists a frame class as a `FrameCube`: a base relation and
@@ -57,12 +58,12 @@ frame's block, and `column(c)` reads column c's frame and values back.
 Premise-free countermodel search gives it every frame of a class at one
 world count, with every valuation. Layer validation gives it every frame
 of a world count: as one-column blocks, to read the vectors the atoms
-realize on each; with every tuple of all world vectors for a template's
-metavariables; and, for the frames that share a set of realized vectors,
-with every tuple of that set. For its builtin schemas it gives it one
-space per (world count, domain size), every test frame with every
-valuation, and runs all the instances as one compile_masks program. The
-standard-translation cross-check gives it every K frame of a world count.
+realize on each; and with every tuple of all world vectors for a
+template's metavariables, from which it reads every model's outcome.
+For its builtin schemas it gives it one space per (world count, domain
+size), every test frame with every valuation, and runs all the instances
+as one compile_masks program. The standard-translation cross-check gives
+it every K frame of a world count.
 """
 
 from __future__ import annotations
@@ -193,6 +194,16 @@ class _Columns:
         first = _repunit(self.n_worlds, self.n_columns)
         return tuple(first << w for w in range(self.n_worlds))
 
+    @property
+    def per_block(self) -> int:
+        """The number of columns in each frame's block."""
+        return self.n_columns // len(self.frames)
+
+    def block(self, x: int, i: int) -> int:
+        """Block i of mask x, its first column at bit 0."""
+        bits = self.per_block * self.n_worlds
+        return (x >> (i * bits)) & ((1 << bits) - 1)
+
     @cached_property
     def into(self) -> tuple:
         """Per world v, the mask of slot w in the columns whose frame has
@@ -205,8 +216,7 @@ class _Columns:
         listed in the same doubling order, so block i is frames[i]. Any
         other tuple of frames is one cube per frame, with no generators."""
         n, frames = self.n_worlds, self.frames
-        block_bits = self.n_columns // len(frames) * n
-        block = self.slots[0] & ((1 << block_bits) - 1)  # slot 0, block 0
+        block = self.block(self.slots[0], 0)
         if isinstance(frames, FrameCube):
             cubes = [(frames.base, frames.generators)]
         else:
@@ -215,7 +225,7 @@ class _Columns:
         offset = 0
         for base, generators in cubes:
             x = [_sources(base, v) * block for v in range(n)]
-            rep, size = block, block_bits
+            rep, size = block, self.per_block * n
             for g in generators:
                 for v in range(n):
                     x[v] |= (x[v] | _sources(g, v) * rep) << size
@@ -334,10 +344,9 @@ class ColumnSpace(_Columns):
         value in column c of each word of denot (of individual 0's block,
         for a relation), in denot's order."""
         n = self.n_worlds
-        frame = self.frames[c // (self.n_columns // len(self.frames))]
         mask = (1 << n) - 1
-        return frame, tuple((word >> (c * n)) & mask
-                            for word in self.denot.values())
+        return self.frames[c // self.per_block], tuple(
+            (word >> (c * n)) & mask for word in self.denot.values())
 
 
 def product_words(n_worlds: int, n_blocks: int, names, values) -> tuple:
@@ -766,26 +775,6 @@ def _mask_node(f: Formula, sub):
     return _raiser(f"cannot evaluate {f!r}")
 
 
-class _Outside(Exception):
-    """A node outside the ColumnSpace fragment, met by compile_masks."""
-
-
-def _in_fragment(f: Formula) -> bool:
-    """Whether f's own construct is in the ColumnSpace fragment: an atom of
-    a constant or variable with at most one argument, a constant or
-    variable itself, an equality between constants or variables, Not,
-    Implies, Box, Actually, or Forall over individuals."""
-    if isinstance(f, (Not, Implies, Box, Actually)):
-        return True
-    if isinstance(f, Exemplify):
-        return len(f.args) <= 1 and all(
-            isinstance(t, (Var, Const)) for t in (f.rel, *f.args))
-    if isinstance(f, PrimitiveEq):
-        return isinstance(f.left, (Var, Const)) \
-            and isinstance(f.right, (Var, Const))
-    return isinstance(f, Forall) and f.var.sort == INDIVIDUAL
-
-
 def _kept(fn, names: tuple):
     """fn, its value kept per space and values of the variables names."""
     values = {}
@@ -816,33 +805,24 @@ def compile_masks(formulas) -> list:
     returning what compile_mask(formula)(m, a) returns and raising where
     it raises, the same EvalError.
 
-    The formulas of the ColumnSpace fragment (see _in_fragment) share one
-    program: equal nodes are one node, and each node's mask is worked out
-    once per space and values of its free variables, then kept. A node
-    reached again, under any root, assignment or bound value, reads it
-    back; one that raised is evaluated again, so it raises again where
-    compile_mask would. A formula with a node outside the fragment gets
-    compile_mask's own closure. The program keeps every mask, and so every
-    space it has seen, for as long as it lives, so it serves spaces and
-    complete interpretations that do not change between calls."""
+    The formulas share one program: equal nodes are one node, and each
+    node's mask is worked out once per space (or complete interpretation)
+    and values of its free variables, then kept, whatever its construct:
+    a mask is a function of those alone. A node reached again, under any
+    root, assignment or bound value, reads it back; one that raised is
+    evaluated again, so it raises again where compile_mask would. The
+    program keeps every mask, and so every space it has seen, for as long
+    as it lives, so it serves spaces and complete interpretations that do
+    not change between calls."""
     compiled = {}  # node -> its kept closure
 
     def sub(f):
         fn = compiled.get(f)
         if fn is None:
-            if not _in_fragment(f):
-                raise _Outside
             fn = compiled[f] = _kept(_mask_node(f, sub),
                                      tuple(free_names(f)))
         return fn
-
-    out = []
-    for f in formulas:
-        try:
-            out.append(sub(f))
-        except _Outside:
-            out.append(compile_mask(f))
-    return out
+    return [sub(f) for f in formulas]
 
 
 def proposition_of(f: Formula, m: KripkeInterpretation, a: dict) -> tuple:

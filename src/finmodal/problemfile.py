@@ -337,53 +337,69 @@ def load_aot_config(path: str) -> AczelConfig:
     return parse_aot_config(_read_text(path))
 
 
+_MODEL_SIZES = {"ordinary": "n_ordinary", "special": "n_special",
+                "worlds": "n_worlds", "actual": "actual"}
+_SIGMA_ARGS = {"constant": 0, "membership": 1}
+_CONST_FORMS = {"ordinary": "<urelement>", "abstract": "<value> ...",
+                "prop": "<value>", "rel": "<value>"}
+
+
 def parse_aot_config(text: str) -> AczelConfig:
+    """The model a config file describes. Each of ordinary, special,
+    worlds, actual and sigma is given at most once, each constant is
+    declared once, and concrete may repeat. A line whose words do not fit
+    its directive's form is an error showing the form."""
     kw: dict = {"consts": {}}
     concrete_bits: list = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
-        parts = line.split()
-        head = parts[0]
+        head, *words = line.split()
         try:
-            if head == "ordinary":
-                kw["n_ordinary"] = int(parts[1])
-            elif head == "special":
-                kw["n_special"] = int(parts[1])
-            elif head == "worlds":
-                kw["n_worlds"] = int(parts[1])
-            elif head == "actual":
-                kw["actual"] = int(parts[1])
+            if head in _MODEL_SIZES:
+                key = _MODEL_SIZES[head]
+                (value,) = _model_numbers(words, f"{head} <n>")
             elif head == "sigma":
-                if parts[1] == "constant":
-                    kw["sigma"] = ("constant",)
-                elif parts[1] == "membership":
-                    kw["sigma"] = ("membership", int(parts[2]))
-                else:
-                    raise ProblemFileError(f"unknown sigma rule {parts[1]!r}", no)
+                if not words:
+                    raise ValueError("expected 'sigma constant' or "
+                                     "'sigma membership <value>'")
+                rule = words[0]
+                if rule not in _SIGMA_ARGS:
+                    raise ValueError(f"unknown sigma rule {rule!r}")
+                count = _SIGMA_ARGS[rule]
+                key, value = "sigma", (rule, *_model_numbers(
+                    words[1:], f"sigma {rule}" + " <value>" * count, count))
             elif head == "concrete":
-                u = int(parts[1].lstrip("u"))
-                w = int(parts[2].lstrip("w"))
-                concrete_bits.append((no, u, w))
+                form = "concrete u<i> w<j>"
+                if [w[:1] for w in words] != ["u", "w"]:
+                    raise ValueError(f"expected '{form}'")
+                concrete_bits.append(
+                    (no, *_model_numbers([w[1:] for w in words], form, 2)))
+                continue
             elif head == "const":
-                name, kind = parts[1], parts[2]
-                if kind == "ordinary":
-                    kw["consts"][name] = ("ordinary", int(parts[3]))
-                elif kind == "abstract":
-                    kw["consts"][name] = ("abstract",
-                                          tuple(int(x) for x in parts[3:]))
-                elif kind == "prop":
-                    kw["consts"][name] = ("prop", int(parts[3], 0))
-                elif kind == "rel":
-                    kw["consts"][name] = ("rel", int(parts[3], 0))
+                if len(words) < 2:
+                    raise ValueError("expected 'const <name> <kind> ...'")
+                name, kind, *values = words
+                if kind not in _CONST_FORMS:
+                    raise ValueError(f"unknown constant kind {kind!r}")
+                form = f"const <name> {kind} {_CONST_FORMS[kind]}"
+                if kind == "abstract":
+                    value = ("abstract",
+                             tuple(_model_numbers(values, form, None)))
                 else:
-                    raise ProblemFileError(f"unknown constant kind {kind!r}", no)
+                    value = (kind, *_model_numbers(
+                        values, form, base=10 if kind == "ordinary" else 0))
+                if name in kw["consts"]:
+                    raise ValueError(f"constant {name!r} is declared twice")
+                kw["consts"][name] = value
+                continue
             else:
-                raise ProblemFileError(f"unknown directive {head!r}", no)
-        except ProblemFileError:
-            raise
-        except Exception as e:
+                raise ValueError(f"unknown directive {head!r}")
+            if key in kw:
+                raise ValueError(f"{head!r} is given twice")
+            kw[key] = value
+        except ValueError as e:
             raise ProblemFileError(str(e), no)
     if concrete_bits:
         defaults = AczelConfig()
@@ -399,3 +415,17 @@ def parse_aot_config(text: str) -> AczelConfig:
             e_bang |= 1 << (u * n_worlds + w)
         kw["e_bang"] = e_bang
     return AczelConfig(**kw)
+
+
+def _model_numbers(words: list, form: str, count: int | None = 1,
+                   base: int = 10) -> list:
+    """words as whole numbers, count of them or any number for None: in
+    base 10 decimal digits only, in base 0 any literal int() reads. Other
+    words are a ValueError showing the line's form."""
+    try:
+        if count is not None and len(words) != count or base == 10 \
+                and not all(w.isdecimal() for w in words):
+            raise ValueError
+        return [int(w, base) for w in words]
+    except ValueError:
+        raise ValueError(f"expected '{form}'") from None

@@ -302,6 +302,33 @@ class TestValidateLayer:
             assert finding.counterexample == (witnesses, model, 0)
             assert "rule" not in report.to_text()
 
+    def test_three_world_template_first_counterexample(self):
+        # Alt2, "at most two successors": it holds on every model up to two
+        # worlds, so its first counterexample is at three
+        alt2 = Schema("alt2", "template", Implies(
+            Not(Box(P_meta())),
+            Implies(Not(Box(Implies(P_meta(), Q_meta()))),
+                    Box(Implies(Not(Implies(P_meta(), Not(Q_meta()))),
+                                R_meta())))), ("p", "q", "r"))
+        cases = {
+            "KB": (272300, (Implies(Box(Not(P)), P), Not(Box(Not(P))), Q),
+                   "|W|=3 R=[(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)] "
+                   "{'p': '0b10', 'q': '0b0'}"),
+            "K": (178705, (Implies(Box(P), P), Not(Box(P)), Q),
+                  "|W|=3 R=[(0, 0), (0, 1), (0, 2)] "
+                  "{'p': '0b10', 'q': '0b0'}"),
+        }
+        for name, (instances, witnesses, model) in cases.items():
+            layer = Layer("alt2", make_layer(name).logic, Mode.CLASSICAL,
+                          {"alt2": alt2})
+            assert validate_layer(layer, max_worlds=2).ok
+            report = validate_layer(layer, max_worlds=3)
+            assert report.schema_findings == [
+                SchemaFinding("alt2", instances, (witnesses, model, 0))]
+            if name == "KB":
+                assert report.schema_findings == _oracle_template_findings(
+                    layer, 3, ("p", "q"), 3)
+
     def test_bogus_builtin_first_counterexample(self, monkeypatch):
         # builtin models go by world count, frame, domain size, then S's
         # value, then p's, and within a model by assignment, the first free
@@ -391,6 +418,14 @@ class TestValidateLayer:
 
 def P_meta():
     return Exemplify(Var("p", PROPOSITION), ())
+
+
+def Q_meta():
+    return Exemplify(Var("q", PROPOSITION), ())
+
+
+def R_meta():
+    return Exemplify(Var("r", PROPOSITION), ())
 
 
 def test_aot_layer_validation_does_not_crash():

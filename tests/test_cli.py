@@ -259,6 +259,13 @@ def _one_line_usage_error(proc):
     return lines[0]
 
 
+def test_short_model_line_is_usage_error(tmp_path):
+    bad = tmp_path / "short.model"
+    bad.write_text("worlds 2\nsigma membership\n")
+    line = _one_line_usage_error(run_module(["aot", str(bad), "--census"]))
+    assert line == "error: line 2: expected 'sigma membership <value>'"
+
+
 def test_directory_is_usage_error():
     line = _one_line_usage_error(run_module(["check", "problems"]))
     assert line.startswith("error: cannot read problems: ")

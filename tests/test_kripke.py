@@ -513,6 +513,25 @@ def test_compile_masks_evaluates_each_node_once(monkeypatch):
     assert set(evaluations.values()) == {1}
 
 
+def test_block_reads_the_columns_of_one_frame():
+    # bits c * n .. c * n + n - 1 of block(x, i) are column
+    # i * per_block + c of x, over a FrameCube and over a plain tuple
+    cube = frames_for(LogicTag.K, 2)
+    for frames in (cube, tuple(reversed(cube))):
+        space = ColumnSpace.product(2, frames, ("p", "q"), (0b01, 0b10, 0b11))
+        assert space.per_block == 9
+        for i, frame in enumerate(frames):
+            blocks = [space.block(word, i) for word in space.denot.values()]
+            assert all(b >> (9 * 2) == 0 for b in blocks)
+            for c in range(9):
+                assert space.column(i * 9 + c) == (
+                    frame, tuple((b >> (c * 2)) & 0b11 for b in blocks))
+    m = KripkeInterpretation(SIG2, 2, 1, frozenset({(0, 1)}),
+                             {"p": 0b01, "q": 0b10})
+    assert m.per_block == 1
+    assert m.block(0b10, 0) == 0b10
+
+
 def test_compilers_reject_derived_constructs():
     # the compilers take only beta_normalize(expand_derived(f))
     m = KripkeInterpretation(SIG2, 2, 1, frozenset({(0, 1)}),
@@ -725,6 +744,40 @@ def test_compiled_world_matches_evaluate(f, rng):
                 got = _outcome(lambda: holds(m, {}, w), log)
                 assert got == want
 
+
+
+def _kept_constructs():
+    """so_formulas with their derived connectives expanded and their
+    lambdas left unreduced, alone or under a proposition quantifier: second-
+    order atoms, relation and proposition quantifiers, 0- and 1-place
+    lambdas and n-ary exemplification, which no ColumnSpace holds."""
+    var = Var("P", PROPOSITION)
+    prop = Exemplify(var, ())
+    return st.one_of(
+        so_formulas().map(expand_derived),
+        so_formulas().map(lambda f: Forall(var, Implies(
+            Box(prop), Not(Implies(expand_derived(f), prop))))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_kept_constructs(), min_size=1, max_size=4),
+       st.randoms(use_true_random=False), st.data())
+def test_compile_masks_matches_compile_mask_on_interpretations(roots, rng,
+                                                               data):
+    # on complete interpretations every node is kept, whatever its
+    # construct: every root answers as compile_mask does, raising the same
+    # EvalError where it raises, across repeated calls and interpretations
+    roots += [fresh(r) for r in data.draw(st.lists(st.sampled_from(roots),
+                                                   max_size=2))]
+    programs = compile_masks(roots)
+    models = [_random_interpretation(rng, n_w, n_d, False, [])
+              for n_w, n_d in ((1, 1), (2, 1), (1, 2), (2, 2))]
+    calls = data.draw(st.lists(st.tuples(
+        st.integers(0, len(roots) - 1), st.sampled_from(models)),
+        min_size=1, max_size=12))
+    for i, m in calls:
+        assert _mask_or_error(programs[i], m, {}) == _mask_or_error(
+            compile_mask(roots[i]), m, {})
 
 
 def _redenote(rng, m):

@@ -92,6 +92,36 @@ def test_aot_config_parsing():
     assert config.e_bang == 0b10
     assert config.consts["k2"] == ("abstract", (2, 5))
     assert config.sigma == ("membership", 3)
+    # any number of abstract values, and repeated concrete lines
+    config = parse_aot_config("const k abstract\nconcrete u0 w1\n"
+                              "concrete u0 w1\nconst p prop 0b11\n")
+    assert config.consts == {"k": ("abstract", ()), "p": ("prop", 3)}
+    assert config.e_bang == 0b10
+
+
+@pytest.mark.parametrize("text,error", [
+    ("sigma membership", "expected 'sigma membership <value>'"),
+    ("sigma", "expected 'sigma constant' or 'sigma membership <value>'"),
+    ("sigma constant 3", "expected 'sigma constant'"),
+    ("const k1 ordinary", "expected 'const <name> ordinary <urelement>'"),
+    ("const k1", "expected 'const <name> <kind> ...'"),
+    ("const k2 abstract 1 x", "expected 'const <name> abstract <value> ...'"),
+    ("const p prop 0b12", "expected 'const <name> prop <value>'"),
+    ("concrete u0", "expected 'concrete u<i> w<j>'"),
+    ("concrete uu0 ww1", "expected 'concrete u<i> w<j>'"),
+    ("ordinary", "expected 'ordinary <n>'"),
+    ("ordinary 1 junk", "expected 'ordinary <n>'"),
+    ("worlds 2 3", "expected 'worlds <n>'"),
+    ("actual -1", "expected 'actual <n>'"),
+    ("worlds 2\nworlds 2", "'worlds' is given twice"),
+    ("sigma constant\nsigma membership 3", "'sigma' is given twice"),
+    ("const k ordinary 0\nconst k abstract", "constant 'k' is declared twice"),
+])
+def test_malformed_model_line_names_its_form(text, error):
+    lines = text.count("\n") + 1
+    with pytest.raises(ProblemFileError) as e:
+        parse_aot_config("ordinary 1\n" + text + "\n")
+    assert str(e.value) == f"line {lines + 1}: {error}"
 
 
 # ---------------------------------------------------------------------------
