@@ -10,10 +10,12 @@ that do not depend on an open hypothesis (generalization additionally
 just needs its variable absent from the open hypotheses it depends on).
 
 Every proof line is kept in beta normal form. Nodes store their
-normal-form flag and their canonical key (see `formulas`), so a line that
-modus ponens, necessitation or a closed deduction block builds from the
-lines it cites is normalized in constant time, and its key, once modus
-ponens compares it, is built from the keys stored on its parts.
+normal-form flag (see `formulas`), so a line that modus ponens,
+necessitation or a closed deduction block builds from the lines it cites
+is normalized in constant time. Modus ponens compares the cited
+antecedent with the implication's by `alpha_equivalent`, which answers
+most pairs by identity or equality and builds canonical keys only for
+a pair that is not equal as written.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SortError,
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, MacroFormula,
     Not, PrimitiveEq, Term, Var,
-    beta_normalize, binder_vars, canonical_key, children,
+    alpha_equivalent, beta_normalize, binder_vars, children,
     free_names, free_vars, rebuild, rename_binder,
     sort_of, substitute,
 )
@@ -130,11 +132,10 @@ def _replaces_some(phi: Formula, psi: Formula, a: Term, b: Term) -> bool:
     a_names = free_names(a)
 
     def go(x, y, shadowed) -> bool:
-        if canonical_key(x) == canonical_key(y):
+        if alpha_equivalent(x, y):
             return True
         if isinstance(x, Term) and isinstance(y, Term):
-            if canonical_key(x) == canonical_key(a) \
-                    and canonical_key(y) == canonical_key(b) \
+            if alpha_equivalent(x, a) and alpha_equivalent(y, b) \
                     and not (a_names & shadowed):
                 return True
         if type(x) is not type(y):
@@ -167,11 +168,15 @@ def schema_instance(s: Schema, subst: dict, mode: Mode = Mode.CLASSICAL) -> Form
         return Implies(Forall(alpha, phi), substitute(phi, alpha, tau))
     if s.kind == "dist":
         alpha, phi, psi = subst["alpha"], subst["phi"], subst["psi"]
+        if not isinstance(alpha, Var):
+            raise SchemaError("alpha must be a variable")
         return Implies(
             Forall(alpha, Implies(phi, psi)),
             Implies(Forall(alpha, phi), Forall(alpha, psi)))
     if s.kind == "vac":
         alpha, phi = subst["alpha"], subst["phi"]
+        if not isinstance(alpha, Var):
+            raise SchemaError("alpha must be a variable")
         if alpha.name in free_names(phi):
             raise SchemaError("vacuous generalization needs the variable absent")
         return Implies(phi, Forall(alpha, phi))
@@ -345,7 +350,7 @@ class ProofState:
                 ante, impl = lines[step.i], lines[step.j]
                 g = impl.formula
                 if not isinstance(g, Implies) \
-                        or canonical_key(g.left) != canonical_key(ante.formula):
+                        or not alpha_equivalent(g.left, ante.formula):
                     raise ProofStepError("mp-mismatch")
                 f = g.right
                 deps = ante.hyp_deps | impl.hyp_deps

@@ -1,10 +1,13 @@
 """AST for a second-order quantified modal language with exemplification and encoding.
 
 Terms and formulas are immutable; every variable and constant carries a sort.
-Alpha-equivalence is decided through a de Bruijn canonical key, substitution is
-capture-avoiding, and beta reduction is restricted to applications whose matrix
-is safe (in AOT mode a lambda with encoding atoms on its bound variable may
-fail to denote, so such redexes are left in place).
+Alpha-equivalence is defined by a de Bruijn canonical key and decided by
+`alpha_equivalent`, which tries identity and structural equality first: on
+shared nodes, such as the parser's, most pairs are one of those, and no key
+is built. Substitution is capture-avoiding, and beta reduction is restricted
+to applications whose matrix is safe (in AOT mode a lambda with encoding
+atoms on its bound variable may fail to denote, so such redexes are left in
+place).
 """
 
 from __future__ import annotations
@@ -521,7 +524,15 @@ def _ckey(x: Node, env: dict, depth: int):
 
 
 def alpha_equivalent(a: Node, b: Node) -> bool:
-    return canonical_key(a) == canonical_key(b)
+    """True when a and b differ at most in the names of their bound
+    variables, that is, when their canonical keys are equal.
+
+    Identity and dataclass equality are tried first. Equality compares the
+    class and every field, names and sorts included, so equal nodes have
+    equal keys; it compares shared children by identity, so on shared
+    nodes it is a short walk. Only a pair that is not equal builds keys.
+    Every comparison of two keys in the package goes through here."""
+    return a is b or a == b or canonical_key(a) == canonical_key(b)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .formulas import (
@@ -173,6 +172,29 @@ def lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+class _stored:
+    """functools.cached_property without its lock: the first read of the
+    attribute calls the method and puts the value in the instance's
+    __dict__, where, since this descriptor defines no __set__, every later
+    read finds it before looking here. Python 3.11's cached_property takes
+    a lock at each first read, and every space makes several. Two threads
+    reading at once could both compute the value; the package shares no
+    interpretation or space between threads."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 class _Columns:
     """Box, Actually and spread over n_columns columns of n_worlds bits:
     bit c * n_worlds + w of a mask is column c at world w. The columns split
@@ -180,15 +202,15 @@ class _Columns:
     accessibility relation frames[i]. A formula's mask has width bits.
     Subclasses give n_worlds, n_columns, frames and actual."""
 
-    @cached_property
+    @_stored
     def width(self) -> int:
         return self.n_columns * self.n_worlds
 
-    @cached_property
+    @_stored
     def all_worlds(self) -> int:
         return (1 << self.width) - 1
 
-    @cached_property
+    @_stored
     def slots(self) -> tuple:
         """Per world w, the mask of bit w in every column."""
         first = _repunit(self.n_worlds, self.n_columns)
@@ -204,7 +226,7 @@ class _Columns:
         bits = self.per_block * self.n_worlds
         return (x >> (i * bits)) & ((1 << bits) - 1)
 
-    @cached_property
+    @_stored
     def into(self) -> tuple:
         """Per world v, the mask of slot w in the columns whose frame has
         w -> v, over every w.
@@ -286,18 +308,18 @@ class KripkeInterpretation(_Columns):
     def successors(self, w: int):
         return [v for v in range(self.n_worlds) if (w, v) in self.access]
 
-    @cached_property
+    @_stored
     def successor_lists(self) -> tuple:
         """Per world, the tuple of `successors(w)`."""
         return tuple(tuple(self.successors(w)) for w in range(self.n_worlds))
 
-    @cached_property
+    @_stored
     def lambda_values(self) -> dict:
         """compile_world's values of lambdas that read no denotation, by
         compiled lambda and the values of its free variables."""
         return {}
 
-    @cached_property
+    @_stored
     def rigid_relations(self) -> tuple:
         """The rigid values of relspace, in its order."""
         return tuple(v for v in self.relspace

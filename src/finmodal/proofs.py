@@ -21,7 +21,7 @@ from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Diamond, Exemplify, Forall, Formula, Implies,
     Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, SOAtom, Term, Var,
-    beta_normalize, canonical_key,
+    alpha_equivalent, beta_normalize,
 )
 from .macros import P_CONST, expand_derived
 
@@ -142,7 +142,8 @@ class ScriptBuilder:
         f = beta_normalize(f)
         h = self.hyp(f)
         i_pos, i_neg = derive(self, h)
-        if canonical_key(self.formula(i_neg)) != canonical_key(Not(self.formula(i_pos))):
+        neg, pos = self.formula(i_neg), self.formula(i_pos)
+        if not (isinstance(neg, Not) and alpha_equivalent(neg.body, pos)):
             raise ValueError("reductio: the two lines are not contradictory")
         c = self.contradiction_to(Not(f), i_pos, i_neg)
         q = self.qed(c)                          # f -> ~f

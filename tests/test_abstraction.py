@@ -15,7 +15,7 @@ from finmodal.abstraction import (
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    Actually, And, Box, Const, Exemplify, Forall, Implies, Not, Var,
+    Actually, And, Box, Const, Exemplify, Forall, Implies, Lambda, Not, Var,
     alpha_equivalent, beta_normalize, canonical_key, free_names, subnodes,
 )
 from finmodal.kripke import (
@@ -66,6 +66,30 @@ class TestCheckProof:
         assert isinstance(verdict, Rejected)
         assert verdict.reason == "mp-mismatch"
         assert verdict.step == 2
+
+    def test_mp_across_renamed_binders(self):
+        # the cited antecedent binds another name: neither the same object
+        # nor equal, so the canonical keys decide
+        S, x, y = Const("S", REL1), Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+        all_x = Forall(x, Exemplify(S, (x,)))
+        all_y = Forall(y, Exemplify(S, (y,)))
+        steps = (HypStep(all_x), HypStep(Implies(all_y, Q)), MpStep(0, 1),
+                 QedStep(2), QedStep(3))
+        verdict = check_proof(ProofScript(steps), make_layer("K"))
+        assert verdict == Accepted(Implies(all_x, Implies(Implies(all_y, Q), Q)))
+
+    @pytest.mark.parametrize("kind,rest", [
+        ("inst", {"phi": Q, "tau": Const("c", INDIVIDUAL)}),
+        ("dist", {"phi": Q, "psi": Q}),
+        ("vac", {"phi": Q}),
+    ], ids=["inst", "dist", "vac"])
+    @pytest.mark.parametrize("alpha", [
+        P.rel, Lambda((Var("x", INDIVIDUAL),), P),
+    ], ids=["constant", "lambda"])
+    def test_quantifier_schemas_need_a_variable(self, kind, rest, alpha):
+        script = ProofScript((AxStep(kind, {"alpha": alpha, **rest}),))
+        verdict = check_proof(script, make_layer("K"))
+        assert verdict == Rejected(0, "SchemaError: alpha must be a variable")
 
     def test_nec_barred_on_hypothesis_dependents(self):
         steps = (HypStep(P), NecStep(0), QedStep(1))
@@ -135,8 +159,8 @@ def _shipped(problem_stem, proof_stem):
 
 class TestIncrementalLines:
     """Lines built from the lines they cite (mp, nec, qed), whose stored
-    normal-form flags and keys they reuse, hold what normalizing and keying
-    them from scratch would give."""
+    normal-form flags they reuse, hold what normalizing and keying them
+    from scratch would give."""
 
     def _assert_lines_normal_and_keyed(self, state):
         # a fresh copy has nothing stored, so its answers are computed anew
@@ -174,6 +198,34 @@ class TestIncrementalLines:
         assert isinstance(verdict, Accepted)
         assert verdict == check_proof(goedel_refutation_script(premises),
                                       make_layer("K"), premises)
+
+
+# Top-level canonical keys that checking each shipped proof builds: mp
+# compares its two formulas by identity or equality first, so only those
+# written with other bound names are keyed, and eq_sub's terms in the AOT
+# proof. Keying both sides of every mp built 109, 746 and 173.
+KEYS_BUILT = {"kdia": 0, "goedel_refutation": 2, "two_individuals": 12}
+
+
+@pytest.mark.parametrize("stems", SHIPPED_PROOFS,
+                         ids=[p for _, p in SHIPPED_PROOFS])
+def test_checking_builds_few_keys(stems, monkeypatch):
+    from finmodal import formulas
+    problem, text = _shipped(*stems)
+    layer_name, script = parse_proof(text, problem.sig)
+    built = []
+    ckey = formulas._ckey
+
+    def counting(x, env, depth):
+        if not env:  # canonical_key's call, not one under a binder
+            built.append(x)
+        return ckey(x, env, depth)
+
+    monkeypatch.setattr(formulas, "_ckey", counting)
+    verdict = check_proof(script, make_layer(layer_name),
+                          tuple(problem.premises))
+    assert isinstance(verdict, Accepted)
+    assert len(built) <= KEYS_BUILT[stems[1]]
 
 
 # The last eight `mp` steps of each shipped proof, as 0-based step indices.
@@ -524,6 +576,23 @@ def test_validate_layer_matches_per_model_loop(templates, name, max_worlds,
                             generator_depth=depth)
     assert report.schema_findings == _oracle_template_findings(
         layer, max_worlds, atoms, depth)
+
+
+@pytest.mark.parametrize("name,template,atoms", [
+    ("KB", Implies(P_meta(), Box(P_meta())), ("p", "q")),
+    ("S5", Implies(Actually(P_meta()), Box(P_meta())), ("p",)),
+], ids=["KB", "S5"])
+def test_validate_layer_matches_per_model_loop_fixed(name, template, atoms):
+    # fixed cases beside the property, whose draws at two worlds rarely
+    # need the subset reading: here the lowest failing column of the whole
+    # block, or the failures at world 0 alone, give another finding than
+    # the first failing tuple of the model's own realized vectors
+    layer = Layer("bogus", make_layer(name).logic, Mode.CLASSICAL,
+                  {"bogus": Schema("bogus", "template", template, ("p",))})
+    report = validate_layer(layer, max_worlds=2, atoms=atoms,
+                            generator_depth=1)
+    assert report.schema_findings == _oracle_template_findings(
+        layer, 2, atoms, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -456,3 +456,19 @@ def test_goedel_line_mutant_is_usage_error(tmp_path, line_no, how, where,
     out = _one_line_usage_error(
         run_module(["prove", "problems/goedel.problem", str(bad)]))
     assert out == f"error: line {line_no}: {error}"
+
+
+@pytest.mark.parametrize("step", [
+    "ax vac {alpha: [\\x p], phi: q}",
+    "ax vac {alpha: p, phi: q}",
+    "ax dist {alpha: [\\x p], phi: q, psi: q}",
+    "ax dist {alpha: p, phi: q, psi: q}",
+], ids=["vac-lambda", "vac-constant", "dist-lambda", "dist-constant"])
+def test_quantifier_schema_needs_a_variable(tmp_path, step):
+    bad = tmp_path / "bad.proof"
+    bad.write_text(f"layer K\n{step}\n")
+    proc = run_module(["prove", "problems/kdia.problem", str(bad)])
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "verdict: rejected at step 1: SchemaError: alpha must be a variable"]

@@ -1,18 +1,22 @@
+import ast
 import copy
 import gc
 import pickle
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finmodal
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     And, Box, Const, Description, Diamond, Encode, Exemplify, Exists, Forall, Implies,
     Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, SortError, Var,
     alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
-    free_names, free_vars, subnodes, substitute, tree_size,
+    free_names, free_vars, rebuild, rename_binder, subnodes, substitute,
+    tree_size,
 )
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
@@ -96,6 +100,77 @@ class TestAlphaEquivalence:
                   random_formula(rng, classical_sig, 3)) for _ in range(60)]
         for f, g in pairs:
             assert alpha_equivalent(f, g) == (debruijn(f, {}) == debruijn(g, {}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 4),
+           st.sampled_from(["other", "fresh", "renamed", "shared"]))
+    def test_agrees_with_keys(self, seed, depth, how):
+        # identity and equality decide before the keys, and must never
+        # disagree with them: g is another formula, a fresh copy of f, f
+        # with one binder renamed, or f with one subnode replaced by a
+        # fresh or renamed copy and every other node shared
+        from finmodal.signature import LogicTag, Mode, Signature
+        sig = Signature(Mode.CLASSICAL, LogicTag.K, {
+            "p": PROPOSITION, "q": PROPOSITION, "S": REL1, "c": INDIVIDUAL})
+        rng = random.Random(seed)
+        f = random_formula(rng, sig, depth, terms=True)
+        if how == "other":
+            g = random_formula(rng, sig, depth, terms=True)
+        elif how == "fresh":
+            g = fresh(f)
+        elif how == "renamed":
+            g = _rename_a_binder(f, rng)
+        else:
+            target = rng.choice(list(subnodes(f)))
+            twin = (_rename_a_binder(target, rng) if rng.random() < 0.5
+                    else fresh(target))
+            g = _replace(f, target, twin)
+        assert alpha_equivalent(f, g) == (canonical_key(f) == canonical_key(g))
+        assert alpha_equivalent(g, f) == alpha_equivalent(f, g)
+
+
+def test_only_formulas_compares_keys():
+    # alpha-equivalence is decided in one place, alpha_equivalent: no other
+    # module compares a canonical_key(...) result with == or !=; using a
+    # key as a dict key, as aot does, is not a comparison
+    def is_key_call(node):
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Name) and f.id == "canonical_key") or \
+            (isinstance(f, ast.Attribute) and f.attr == "canonical_key")
+
+    found = []
+    for path in sorted(Path(finmodal.__file__).parent.glob("*.py")):
+        if path.name == "formulas.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) \
+                    and any(isinstance(op, (ast.Eq, ast.NotEq))
+                            for op in node.ops) \
+                    and any(map(is_key_call, [node.left, *node.comparators])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _rename_a_binder(x, rng):
+    """x with one of its binders, if it has any, binding a new name."""
+    binders = [n for n in subnodes(x) if binder_vars(n)]
+    if not binders:
+        return x
+    b = rng.choice(binders)
+    old = rng.choice(binder_vars(b))
+    return _replace(x, b, rename_binder(b, old, Var("fresh_name", old.sort)))
+
+
+def _replace(x, old, new):
+    """x with the subnode old, compared by identity, replaced by new; every
+    node not above old is shared with x."""
+    if x is old:
+        return new
+    kids = children(x)
+    new_kids = tuple(_replace(c, old, new) for c in kids)
+    if all(a is b for a, b in zip(new_kids, kids)):
+        return x
+    return rebuild(x, new_kids)
 
 
 class TestBeta:
