@@ -29,7 +29,7 @@ from .formulas import (
     Actually, Box, Const, Exemplify, Forall, Formula, Implies, MacroFormula,
     Not, PrimitiveEq, Term, Var,
     alpha_equivalent, beta_normalize, binder_vars, children,
-    free_names, free_vars, rebuild, rename_binder,
+    free_names, free_vars, rebuild,
     sort_of, substitute,
 )
 from .kripke import (
@@ -96,32 +96,19 @@ _BUILTINS = {
 
 def instantiate_template(template: Formula, mapping: dict) -> Formula:
     """Splice metavariable values into a template (capturing on purpose:
-    schema instances are syntactic)."""
+    schema instances are syntactic). Every template is propositional: each
+    0-place atom on a metavariable becomes that metavariable's value,
+    which must be a formula."""
 
     def go(x):
         if isinstance(x, Exemplify) and isinstance(x.rel, Var) \
-                and x.rel.name in mapping and isinstance(mapping[x.rel.name], Formula):
-            if x.args:
-                raise SchemaError("formula metavariable applied to arguments")
-            return mapping[x.rel.name]
-        if isinstance(x, Var):
-            v = mapping.get(x.name)
-            if v is None:
-                return x
-            if not isinstance(v, Term):
-                raise SchemaError(f"metavariable {x.name} needs a term value")
-            return v
-        bvs = binder_vars(x)
-        if bvs:
-            new = x
-            for bv in bvs:
-                if bv.name in mapping:
-                    nv = mapping[bv.name]
-                    if not isinstance(nv, Var):
-                        raise SchemaError("binder metavariable needs a variable value")
-                    new = rename_binder(new, bv, nv)
-            return rebuild(new, tuple(go(c) for c in children(new)))
-        return rebuild(x, tuple(go(c) for c in children(x)))
+                and x.rel.name in mapping:
+            value = mapping[x.rel.name]
+            if not isinstance(value, Formula):
+                raise SchemaError(
+                    f"metavariable {x.rel.name} needs a formula value")
+            return value
+        return rebuild(x, tuple(map(go, children(x))))
 
     return go(template)
 

@@ -24,9 +24,8 @@ from .abstraction import Accepted, check_proof, make_layer
 from .formulas import (
     EXPANSION_BUDGET, INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Description, Encode, Exemplify, Forall,
-    Formula, Implies, Lambda, MacroFormula, Not, PrimitiveEq, SOAtom, Term,
-    Var,
-    binder_vars, canonical_key, children, free_names, subnodes,
+    Formula, Implies, Lambda, MacroFormula, Not, PrimitiveEq, Term, Var,
+    binder_vars, children, free_names, subnodes,
 )
 from .kripke import lowest_bit
 from .macros import primitive_form
@@ -212,15 +211,12 @@ def _membership_masks(n_values: int) -> list:
 class _EvalContext:
     """The state of one top-level call (`denote`, `eval_aot`).
 
-    Besides the sweep counters and the closed-term denotations, keyed by
-    canonical key, it holds what the call works out about the model: the
-    truth of each Box, and each Box's column in a sweep, per budget depth
-    and values of its free names (the same at every world, accessibility
-    being total). The Box tables are keyed by id(node) and keep their
-    node, so no id is reused while the context lives; the context is
+    Besides the sweep counters and the closed terms' denotations, it
+    holds the truth of each Box, and each Box's column in a sweep, per
+    budget depth and values of its free names (the same at every world,
+    accessibility being total). Every table is keyed by node, and is
     dropped when the call returns. What depends only on a node's
-    structure is stored on the node (see `formulas._FACTS`): its free
-    names, keys and normal form, and each binder's encoding usage."""
+    structure is stored on the node (see `formulas._FACTS`)."""
 
     def __init__(self, m: AczelModel):
         self.m = m
@@ -230,11 +226,11 @@ class _EvalContext:
         self.full = (1 << self.n_cols) - 1
         self.membership = _membership_masks(len(m.relspace1))
         self.sigma_class_masks = self._sigma_classes()
-        self.closed_cache: dict = {}   # canonical key -> denotation
-        # (id(box), pattern_depth, full_scans, free-name values) -> (box, truth)
+        self.closed_cache: dict = {}   # closed term -> denotation
+        # (box, pattern_depth, full_scans, free-name values) -> truth
         self.boxes: dict = {}
-        # (id(box), swept variable, pattern_depth, full_scans, values of the
-        # other free names) -> (box, column)
+        # (box, swept variable, pattern_depth, full_scans, values of the
+        # other free names) -> column
         self.box_columns: dict = {}
 
     def _sigma_classes(self) -> dict:
@@ -376,9 +372,9 @@ def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
         except KeyError:
             raise AotEvalError(f"uninterpreted constant {t.name!r}")
     if isinstance(t, (Lambda, Description)):
-        key = canonical_key(t) if not free_names(t) else None
-        if key is not None:
-            hit = ctx.closed_cache.get(key)
+        closed = not free_names(t)
+        if closed:
+            hit = ctx.closed_cache.get(t)
             if hit is not None:
                 return hit
         if isinstance(t, Lambda):
@@ -394,8 +390,8 @@ def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
                 raise AotEvalError("lambda terms of arity >= 2 are not interpreted")
         else:
             d = _denote_description(t, m, a, ctx)
-        if key is not None:
-            ctx.closed_cache[key] = d
+        if closed:
+            ctx.closed_cache[t] = d
         return d
     raise AotEvalError(f"cannot interpret {t!r}")
 
@@ -556,15 +552,15 @@ def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
             | _vec(f.right, x, m, a, w, ctx)
     if isinstance(f, Box):
         # accessibility is total, so the column is the same at every world
-        key = (id(f), x, ctx.pattern_depth, ctx.full_scans,
+        key = (f, x, ctx.pattern_depth, ctx.full_scans,
                tuple(a.get(n) for n in free_names(f) if n != x))
-        hit = ctx.box_columns.get(key)
-        if hit is None:
+        out = ctx.box_columns.get(key)
+        if out is None:
             out = full
             for v in range(m.n_worlds):
                 out &= _vec(f.body, x, m, a, v, ctx)
-            hit = ctx.box_columns[key] = (f, out)
-        return hit[1]
+            ctx.box_columns[key] = out
+        return out
     if isinstance(f, Actually):
         return _vec(f.body, x, m, a, m.actual, ctx)
     if isinstance(f, Forall):
@@ -626,15 +622,6 @@ def _ev(f: Formula, m: AczelModel, a: dict, w: int, ctx: _EvalContext) -> bool:
         if not isinstance(obj.value, Abstract):
             return False
         return bool((obj.value.encoded >> rel.value) & 1)
-    if isinstance(f, SOAtom):
-        table = m.denot.get(f.op.name)
-        if table is None:
-            raise AotEvalError(
-                f"uninterpreted second-order constant {f.op.name!r}")
-        d = denote_in(f.arg, m, a, ctx)
-        if isinstance(d, NonDenoting):
-            return False
-        return bool((table.get(d.value, 0) >> w) & 1)
     if isinstance(f, PrimitiveEq):
         raise AotEvalError("primitive equality has no place in these models")
     if isinstance(f, Not):
@@ -643,13 +630,13 @@ def _ev(f: Formula, m: AczelModel, a: dict, w: int, ctx: _EvalContext) -> bool:
         return (not _ev(f.left, m, a, w, ctx)) or _ev(f.right, m, a, w, ctx)
     if isinstance(f, Box):
         # accessibility is total, so the truth is the same at every world
-        key = (id(f), ctx.pattern_depth, ctx.full_scans,
+        key = (f, ctx.pattern_depth, ctx.full_scans,
                tuple(a.get(n) for n in free_names(f)))
         hit = ctx.boxes.get(key)
         if hit is None:
-            hit = ctx.boxes[key] = (
-                f, all(_ev(f.body, m, a, v, ctx) for v in range(m.n_worlds)))
-        return hit[1]
+            hit = ctx.boxes[key] = all(
+                _ev(f.body, m, a, v, ctx) for v in range(m.n_worlds))
+        return hit
     if isinstance(f, Actually):
         return _ev(f.body, m, a, m.actual, ctx)
     if isinstance(f, Forall):

@@ -301,10 +301,6 @@ class KripkeInterpretation(_Columns):
     def frames(self) -> tuple:
         return (self.access,)
 
-    @property
-    def logic(self) -> LogicTag:
-        return self.sig.logic
-
     def successors(self, w: int):
         return [v for v in range(self.n_worlds) if (w, v) in self.access]
 

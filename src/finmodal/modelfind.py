@@ -475,12 +475,12 @@ def leaves(premises, sig: Signature, b: Bounds,
 
 
 def _run_search(premises, sig: Signature, b: Bounds, leaf_ok=None,
-                relvar_domain: str = "full", table=None):
+                relvar_domain: str = "full", table=None, nodes=None):
     """Canonically-first premise model passing leaf_ok, and the number of
     complete interpretations examined before it (all of them when none is
-    found)."""
+    found). nodes replaces the size nodes when given (see leaves)."""
     examined = 0
-    for m, ok in leaves(premises, sig, b, relvar_domain, table=table):
+    for m, ok in leaves(premises, sig, b, relvar_domain, nodes, table):
         if ok and (leaf_ok is None or leaf_ok(m)):
             return m, examined
         examined += 1
@@ -535,11 +535,17 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     holds = compile_mask(conjecture_n)
     if not premises and _propositional(sig, conjecture_n):
         return _packed_countermodel(holds, sig, b, relvar_domain)
+    # the leaves evaluate the conjecture, so a relation quantifier in it
+    # needs the relation space as one in a premise does: past the limit,
+    # the node list raises before any node is searched
+    nodes = (list(_size_nodes(sig, b, (conjecture_n,)))
+             if _needs_relspace(sig, (conjecture_n,)) else None)
 
     def leaf_ok(m):
         return holds(m, {}) != m.all_worlds
 
-    model, _ = _run_search(premises, sig, b, leaf_ok, relvar_domain, table)
+    model, _ = _run_search(premises, sig, b, leaf_ok, relvar_domain, table,
+                           nodes)
     return model
 
 

@@ -51,9 +51,10 @@ def _pt(t: Term, ctx: int) -> str:
     if isinstance(t, (Var, Const)):
         return t.name
     if isinstance(t, Lambda):
-        binders = "".join(f"\\{p.name} " for p in t.params)
         if not t.params:
-            binders = "\\ "
+            # else a body that starts with a name reads as a parameter
+            return f"[\\ ({_pf(t.body, 0)})]"
+        binders = "".join(f"\\{p.name} " for p in t.params)
         return f"[{binders}{_pf(t.body, 0)}]"
     if isinstance(t, Description):
         return f"(the {t.var.name}: {_pf(t.body, 0)})"

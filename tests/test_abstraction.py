@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finmodal.abstraction import (
-    Accepted, AxStep, HypStep, Layer, MpStep, NecStep, PremiseStep,
-    ProofScript, ProofState, QedStep, Rejected, Schema, SchemaFinding,
-    SoundnessReport, check_proof, make_layer, validate_layer,
+    Accepted, AxStep, ExpandStep, GenStep, HypStep, Layer, MpStep, NecStep,
+    PremiseStep, ProofScript, ProofState, QedStep, Rejected, Schema,
+    SchemaFinding, SoundnessReport, check_proof, make_layer, validate_layer,
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    Actually, And, Box, Const, Exemplify, Forall, Implies, Lambda, Not, Var,
+    Actually, And, Box, Const, Exemplify, Forall, Implies, Lambda,
+    MacroFormula, Not, PrimitiveEq, Relation, Var,
     alpha_equivalent, beta_normalize, canonical_key, free_names, subnodes,
 )
 from finmodal.kripke import (
@@ -144,6 +145,83 @@ class TestCheckProof:
         m.denot["p"] = 3  # models share nothing with the checker
         second = check_proof(script, make_layer("K"))
         assert first == second
+
+
+_x, _y = Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
+_Sx, _Sy = (Exemplify(Const("S", REL1), (v,)) for v in (_x, _y))
+
+
+def _eq_sub(phi, psi, beta=_y):
+    return AxStep("eq_sub", {"alpha": _x, "beta": beta, "phi": phi,
+                             "psi": psi})
+
+
+_NOT_REPLACED = "SchemaError: psi is not phi with occurrences of alpha replaced"
+
+
+@pytest.mark.parametrize("layer, steps, premises, step, reason", [
+    ("K", (AxStep("vac", {"alpha": _x, "phi": _Sx}),), (), 0,
+     "SchemaError: vacuous generalization needs the variable absent"),
+    ("K", (AxStep("pl1", {"p": P}),), (), 0,
+     "SchemaError: missing metavariables ['q']"),
+    # an individual for a formula metavariable would head an atom
+    ("K", (AxStep("pl1", {"p": _x, "q": P}),), (), 0,
+     "SchemaError: metavariable p needs a formula value"),
+    ("K", (HypStep(_Sx), GenStep(0, _x)), (), 1,
+     "gen-variable free in an open hypothesis"),
+    ("K", (MpStep(0, 1),), (), 0, "mp cites an unavailable line"),
+    ("K", (GenStep(0, _x),), (), 0, "gen cites an unavailable line"),
+    ("K", (ExpandStep(0),), (), 0, "expand cites an unavailable line"),
+    ("K", (QedStep(0),), (), 0, "qed outside a deduction block"),
+    ("K", (HypStep(P), QedStep(1)), (), 1, "qed cites an unavailable line"),
+    ("K", ("junk",), (), 0, "unknown step 'junk'"),
+    ("K", (), (), 0, "empty script"),
+    ("K", (PremiseStep(1),), (_Sx,), 0, "premises must be closed"),
+    ("AOT", (_eq_sub(_Sx, _Sy, Var("F", REL1)),), (), 0,
+     "SchemaError: equality between different sorts"),
+    ("AOT", (_eq_sub(_Sx, Not(_Sy)),), (), 0, _NOT_REPLACED),
+    ("AOT", (_eq_sub(Forall(Var("z", INDIVIDUAL), _Sx),
+                     Forall(Var("w", INDIVIDUAL), _Sy)),), (), 0,
+     _NOT_REPLACED),
+    ("AOT", (_eq_sub(_Sx, Exemplify(Const("R", Relation(2)), (_x, _y))),),
+     (), 0, _NOT_REPLACED),
+    ("AOT", (_eq_sub(MacroFormula("ess_g", (Const("S", REL1), _x)),
+                     MacroFormula("ess_s", (Const("S", REL1), _y))),), (), 0,
+     _NOT_REPLACED),
+], ids=["vac-free", "missing-metavariable", "template-term-value",
+        "gen-free-in-hypothesis",
+        "mp-unavailable", "gen-unavailable", "expand-unavailable",
+        "qed-outside-block", "qed-unavailable", "unknown-step", "empty",
+        "open-premise", "eq_sub-sorts", "eq_sub-node-kind",
+        "eq_sub-binder-names", "eq_sub-arity", "eq_sub-macro-name"])
+def test_rejected_steps(layer, steps, premises, step, reason):
+    verdict = check_proof(ProofScript(steps), make_layer(layer), premises)
+    assert verdict == Rejected(step, reason)
+
+
+def test_custom_layer_schemas():
+    # eq_refl in an object-theory layer, and a schema kind the checker
+    # does not know, are rejected; eq_sub in a classical layer gives a
+    # primitive equality and holds on every test model
+    refl = Layer("AOT+eq_refl", LogicTag.S5TOTAL, Mode.AOT,
+                 {"eq_refl": Schema("eq_refl", "eq_refl")})
+    assert check_proof(ProofScript((AxStep("eq_refl", {"tau": _x}),)),
+                       refl) == Rejected(0, "SchemaError: reflexivity is "
+                                            "not an AOT axiom (existence "
+                                            "needed)")
+    layer = Layer("K+eq_sub", LogicTag.K, Mode.CLASSICAL,
+                  {"eq_sub": Schema("eq_sub", "eq_sub"),
+                   "odd": Schema("odd", "odd")})
+    assert check_proof(ProofScript((AxStep("odd", {}),)), layer) == Rejected(
+        0, "SchemaError: unknown schema kind odd")
+    assert check_proof(ProofScript((_eq_sub(_Sx, _Sy),)), layer) == Accepted(
+        Implies(PrimitiveEq(_x, _y), Implies(_Sx, _Sy)))
+    report = validate_layer(layer, max_worlds=1)
+    assert [(f.schema, f.instances, f.counterexample)
+            for f in report.schema_findings] == [
+                ("eq_sub", 888, None), ("odd", 0, None)]
+    with pytest.raises(ValueError, match="unknown layer 'T'"):
+        make_layer("T")
 
 
 # (problem, proof) stems of the shipped proof scripts

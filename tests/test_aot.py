@@ -16,9 +16,9 @@ from finmodal.aot import (
     minimal_model, minimal_model_report, world_theory_report,
 )
 from finmodal.formulas import (
-    INDIVIDUAL, PROPOSITION, REL1,
+    INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER,
     Box, Const, Diamond, Encode, Exemplify, Exists, Forall, Formula, Iff,
-    Implies, Lambda, MacroFormula, Not, Term, Var, beta_normalize,
+    Implies, Lambda, MacroFormula, Not, SOAtom, Term, Var, beta_normalize,
     free_names, subnodes,
 )
 from finmodal.macros import expand_derived
@@ -106,6 +106,12 @@ class TestEvaluation:
         for a, b, same in pairs:
             assert (m.urelement_of(a) == m.urelement_of(b)) == same
             assert eval_aot(f, m, {"x": a, "y": b}) == same
+
+    def test_second_order_atom_is_not_evaluated(self, m):
+        # Aczel models interpret no second-order constant
+        f = SOAtom(Const("k1", SECOND_ORDER), Const("E!", REL1))
+        with pytest.raises(AotEvalError, match="cannot evaluate SOAtom"):
+            eval_aot(f, m)
 
     def test_budget_error_on_nested_sweeps(self, m):
         f = parse_formula(

@@ -472,3 +472,77 @@ def test_quantifier_schema_needs_a_variable(tmp_path, step):
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [
         "verdict: rejected at step 1: SchemaError: alpha must be a variable"]
+
+
+def _files(tmp_path, problem, proof=None):
+    """The paths of a problem file and, when given, a proof file."""
+    paths = [tmp_path / "t.problem"]
+    paths[0].write_text(problem)
+    if proof is not None:
+        paths.append(tmp_path / "t.proof")
+        paths[1].write_text(proof)
+    return [str(p) for p in paths]
+
+
+PROP_K = "sig classical\nlogic K\nconst p : prop\nconst q : prop\n"
+
+
+@pytest.mark.parametrize("problem, proof, code, out", [
+    # generalization on a variable free in the open hypothesis
+    ("sig classical\nlogic K\nconst S : rel\n", "layer K\nhyp S x\ngen 1 x\n",
+     1, ["verdict: rejected at step 2: "
+         "gen-variable free in an open hypothesis"]),
+    # a sound derivation of another formula than the conjecture
+    (PROP_K + "conjecture p -> p\n", "layer K\nax pl1 {p: p, q: q}\n",
+     1, ["verdict: accepted", "conclusion: p -> q -> p",
+         "matches conjecture: no", "semantic countermodel: none"]),
+    # an S5 axiom proves the conjecture, which fails on K frames
+    (PROP_K + "conjecture []p -> p\n", "layer S5\nax ax_T {p: p}\n",
+     1, ["verdict: accepted", "conclusion: []p -> p",
+         "matches conjecture: yes", "semantic countermodel: FOUND"]),
+], ids=["gen", "mismatch", "countermodel"])
+def test_prove_exit_one(tmp_path, capsys, problem, proof, code, out):
+    assert run(["prove", *_files(tmp_path, problem, proof)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == out
+    assert captured.err == ""
+
+
+def test_first_order_countermodel_report(tmp_path, capsys):
+    # an individual constant, a unary relation and a binary one, each on
+    # its own line
+    problem = ("sig classical\nlogic K\nconst c : ind\nconst S : rel\n"
+               "const T : rel 2\nbounds worlds=1 individuals=1\n"
+               "premise T c c\nconjecture S c\nexpect countermodel\n")
+    assert run(["sat", *_files(tmp_path, problem)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: countermodel",
+        "countermodel:",
+        "  worlds: 1 (actual w0)",
+        "  individuals: 1",
+        "  R: 0",
+        "  relation space: 2 relations",
+        "  S: d0:0",
+        "  T(0, 0): 1",
+        "  c: d0",
+    ]
+
+
+@pytest.mark.parametrize("problem, code, out, err", [
+    (PROP_K + "premise [\\ ~~p] = q\nconjecture p <-> q\nexpect valid\n",
+     0, ["verdict: valid"], []),
+    (PROP_K + "expect valid\n", 2, [],
+     ["error: expectation needs a conjecture"]),
+    # a relation quantifier in the conjecture needs the relation space,
+    # as one in a premise does: past its limit, exit 3 before searching
+    ("sig classical\nlogic K\nconst c : ind\nconst S : rel\n"
+     "bounds worlds=3 individuals=2\npremise S c\n"
+     "conjecture all X (X c -> X c)\nexpect valid\n", 3, [],
+     ["budget exceeded: worlds=3 individuals=2 need a relation space past "
+      "the limit of 4 bits"]),
+], ids=["zero-place-lambda", "no-conjecture", "conjecture-relspace"])
+def test_sat_exit_codes(tmp_path, capsys, problem, code, out, err):
+    assert run(["sat", *_files(tmp_path, problem)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == out
+    assert captured.err.splitlines() == err

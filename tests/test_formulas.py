@@ -270,6 +270,16 @@ class TestRoundTrip:
         g = parse_formula(print_formula(f), sig)
         assert alpha_equivalent(f, g)
 
+    @pytest.mark.parametrize("body", ["p -> p", "p", "~~p"])
+    def test_zero_place_lambda_round_trip(self, classical_sig, body):
+        # a 0-place lambda's body prints in parentheses, so that a name
+        # at its start does not read as a parameter
+        f = PrimitiveEq(Lambda((), parse_formula(body, classical_sig)),
+                        Const("q", PROPOSITION))
+        text = print_formula(f)
+        assert text == f"[\\ ({body})] = q"
+        assert parse_formula(text, classical_sig) == f
+
     def test_nested_description_round_trip(self, aot_sig):
         sig = aot_sig
         text = "S (the x: exists F (x[F] & F = E!))"

@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation,
     Actually, And, Box, Const, Description, Diamond, Encode, Exemplify,
-    Exists, Forall, Iff, Implies, Lambda, MacroFormula, Not, Or, PrimitiveEq,
-    SOAtom, Var, Xor, beta_normalize, free_names, subnodes,
+    Exists, Forall, Iff, Implies, Lambda, MacroFormula, MacroTerm, Not, Or,
+    PrimitiveEq, SOAtom, Var, Xor, beta_normalize, free_names, subnodes,
 )
 from finmodal.kripke import (
-    ColumnSpace, EvalError, KripkeInterpretation, Validity, compile_mask,
-    compile_masks, compile_world, evaluate, frame_check, frames_for,
-    full_relspace, is_rigid_value, proposition_of, total_access, validity,
+    RELSPACE_LIMIT, ColumnSpace, EvalError, KripkeInterpretation, Validity,
+    compile_mask, compile_masks, compile_world, evaluate, frame_check,
+    frames_for, full_relspace, is_rigid_value, proposition_of, total_access,
+    validity,
 )
 from finmodal.macros import expand_derived
 from finmodal.modelfind import (
@@ -150,6 +151,39 @@ def test_frame_check_examples():
         m = KripkeInterpretation(SIG2, 3, 1, sym, {"p": 0, "q": 0})
         assert frame_check(m, LogicTag.KB) == all(
             (v, w) in sym for (w, v) in sym)
+
+
+def test_interpretation_and_frame_guards():
+    with pytest.raises(EvalError, match="must be non-empty"):
+        KripkeInterpretation(SIG2, 0, 1, frozenset(), {"p": 0, "q": 0})
+    with pytest.raises(EvalError, match="total accessibility"):
+        KripkeInterpretation(S5SIG, 2, 1, frozenset({(0, 1)}),
+                             {"p": 0, "q": 0})
+    with pytest.raises(EvalError, match=f"limit is {RELSPACE_LIMIT}"):
+        full_relspace(1, RELSPACE_LIMIT + 1)
+    m = KripkeInterpretation(SIG2, 1, 1, frozenset(), {"p": 0, "q": 0})
+    with pytest.raises(ValueError):
+        frame_check(m, "T")
+
+
+def test_stored_attribute_keeps_its_doc_on_the_class():
+    # read on the class, a stored attribute is its descriptor, which
+    # carries the method's doc for help()
+    assert KripkeInterpretation.successor_lists.__doc__ == (
+        "Per world, the tuple of `successors(w)`.")
+
+
+def test_zero_place_lambda_denotes_its_body():
+    # [\ ~~p] is the proposition p, so it equals q exactly where p and q
+    # have one value, by each evaluator
+    f = parse_formula("[\\ ~~p] = q", SIG2)
+    holds_mask, holds_world = compile_mask(f), compile_world(f)
+    for m in k_models(2):
+        want = m.denot["p"] == m.denot["q"]
+        assert holds_mask(m, {}) == (0b11 if want else 0)
+        for w in range(2):
+            assert evaluate(f, m, {}, w) == want
+            assert holds_world(m, {}, w) == want
 
 
 def frames_by_filter(logic, n_worlds):
@@ -541,7 +575,8 @@ def test_compilers_reject_derived_constructs():
     for f, name in [(And(p, q), "And"), (Diamond(p), "Diamond"),
                     (Exists(x, p), "Exists"),
                     (MacroFormula("dn", (Const("p", PROPOSITION),)),
-                     "MacroFormula")]:
+                     "MacroFormula"),
+                    (Exemplify(MacroTerm("O!"), (x,)), "term MacroTerm")]:
         holds = compile_mask(f)  # building never raises; calling does
         with pytest.raises(EvalError, match=f"cannot evaluate {name}"):
             holds(m, {})
@@ -561,7 +596,12 @@ def test_unsupported_constructs_raise_from_both_evaluators():
         Exemplify(S, (Description(x, Exemplify(S, (x,))),)),
         Exemplify(Lambda((x, y), PrimitiveEq(x, y)), (c, c)),
         Forall(Var("R", Relation(2)), P),
+        Forall(Var("Y", REL1), P),  # m has no relation space
         Exemplify(S, (x,)),
+        # a constant-free lambda, whose compiled value is kept per
+        # assignment of its free variables, with one unassigned
+        PrimitiveEq(Lambda((), Exemplify(Var("r", PROPOSITION), ())),
+                    Const("p", PROPOSITION)),
         Exemplify(Const("r", PROPOSITION), ()),
         SOAtom(Const("G", SECOND_ORDER), S),
     ]

@@ -456,6 +456,21 @@ class TestBudget:
         with pytest.raises(SearchBoundsError, match="search budget"):
             next(enumerate_models(sig, Bounds(4, 1)))
 
+    def test_conjecture_relation_quantifier_checked_before_search(
+            self, monkeypatch):
+        # the premises quantify over no relation, but the conjecture does:
+        # the relation space is still needed, and at worlds=3
+        # individuals=2 it passes the limit before any node is searched
+        def unsearched(*args):
+            raise AssertionError("a node was searched")
+        monkeypatch.setattr("finmodal.modelfind._search_node", unsearched)
+        sig = sig_of({"c": INDIVIDUAL, "S": REL1}, LogicTag.K)
+        premise = parse_formula("S c", sig)
+        conjecture = parse_formula("all X (X c -> X c)", sig)
+        with pytest.raises(SearchBoundsError,
+                           match="worlds=3 individuals=2 need a relation"):
+            find_countermodel([premise], conjecture, sig, Bounds(3, 2))
+
     def test_second_order_tables_are_left_to_the_cap(self):
         # the corpus problems admit 1.7e10 to 2.7e11 interpretations, almost
         # all of them second-order table rows the premises prune
