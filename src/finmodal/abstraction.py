@@ -108,7 +108,8 @@ def instantiate_template(template: Formula, mapping: dict) -> Formula:
                 raise SchemaError(
                     f"metavariable {x.rel.name} needs a formula value")
             return value
-        return rebuild(x, tuple(map(go, children(x))))
+        kids = children(x)
+        return rebuild(x, tuple(map(go, kids))) if kids else x
 
     return go(template)
 

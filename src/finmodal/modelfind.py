@@ -11,9 +11,11 @@ that want every premise model filter the same stream. The stream is read
 through a LeafTable, which keeps each node's leaves for its premise set:
 searches that share one (a corpus suite's consistency, K, KB and S5, and
 collapse searches) search each node once, and each still walks its own
-frame order with its own leaf test. A relation space is listed in full
-up to RELSPACE_LIMIT bits; bounds that need a larger one raise
-SearchBoundsError before any node is searched. Without premises, a
+frame order with its own leaf test. A countermodel tree search whose
+premises and conjecture never read the actual world searches one frame
+per isomorphism class (see find_countermodel). A relation space is
+listed in full up to RELSPACE_LIMIT bits; bounds that need a larger one
+raise SearchBoundsError before any node is searched. Without premises, a
 conjecture over proposition constants alone is checked one world count at
 a time, every frame and valuation in one call, and the first failing
 valuation is the same first countermodel. The search runs in one thread.
@@ -275,13 +277,29 @@ def _size_nodes(sig: Signature, b: Bounds, premises_n):
                 yield (n_w, n_d, R, relspace)
 
 
+def _one_frame_per_class(nodes):
+    """nodes, lazily, without each node whose frame is a world permutation
+    of an earlier node's frame with the same sizes; the first frame of each
+    class is kept. Each kept frame's relabellings under all n_worlds!
+    permutations are recorded as edge masks (bit w * n_worlds + v), so a
+    later frame is tested with one lookup."""
+    seen = set()
+    for node in nodes:
+        n_w, n_d, R, _ = node
+        if (n_w, n_d, sum(1 << (w * n_w + v) for w, v in R)) in seen:
+            continue
+        seen.update((n_w, n_d, sum(1 << (p[w] * n_w + p[v]) for w, v in R))
+                    for p in itertools.permutations(range(n_w)))
+        yield node
+
+
 def _compiled_body(bodies: dict, g: Formula):
-    """compile_world(g), built once per search: bodies maps id(g) to
-    (g, closure), and keeping g keeps its id from being reused."""
-    hit = bodies.get(id(g))
-    if hit is None:
-        hit = bodies[id(g)] = (g, compile_world(g))
-    return hit[1]
+    """compile_world(g), built once per search: bodies maps each instance
+    body to its closure, so equal bodies share one."""
+    fn = bodies.get(g)
+    if fn is None:
+        fn = bodies[g] = compile_world(g)
+    return fn
 
 
 def _search_node(node, sig, premises_n, relvar_domain, bodies):
@@ -398,13 +416,13 @@ class LeafTable:
     over that premise set and quantifier reading, so each node is searched
     once however many searches reach it.
 
-    It holds the normalized premises, the compiled instance bodies (see
-    _compiled_body), and per (n_worlds, n_individuals, frame, relspace) node
-    the leaves found so far, as (frozen model, True) or (None, False), with
-    the node's _search_node generator while it is unfinished. It fills
-    lazily: a search that stops partway through a node leaves its generator
-    suspended, and the next search over the node replays the stored leaves
-    and then resumes it.
+    It holds the normalized premises, the compiled instance bodies by body
+    (see _compiled_body), and per (n_worlds, n_individuals, frame,
+    relspace) node the leaves found so far, as (frozen model, True) or
+    (None, False), with the node's _search_node generator while it is
+    unfinished. It fills lazily: a search that stops partway through a node
+    leaves its generator suspended, and the next search over the node
+    replays the stored leaves and then resumes it.
 
     A node's leaves do not depend on the logic tag: premise evaluation
     reads the frame only, through successor_lists and box, and both read
@@ -527,7 +545,19 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
                       b: Bounds | None = None, relvar_domain: str = "full",
                       table: LeafTable | None = None):
     """A premise model falsifying the conjecture at some world, if any.
-    table is the premise set's LeafTable, when searches share one."""
+    table is the premise set's LeafTable, when searches share one.
+
+    The tree search (every search but _packed_countermodel's) searches
+    frames one per isomorphism class when neither the primitive form of a
+    premise nor that of the conjecture contains Actually: a node whose
+    frame is a world permutation of an earlier frame with the same sizes
+    is skipped (see _one_frame_per_class). The permutation maps the
+    premise models on one frame onto those on the other, keeping that
+    every premise instance holds at every world and that the conjecture
+    fails at some world, and the relation spaces searched (full or rigid)
+    are closed under it. So a skipped frame has a countermodel exactly
+    when the kept one does, and the search has stopped at the kept one by
+    then: the first countermodel is the one the unfiltered search finds."""
     b = b or Bounds()
     if free_vars(conjecture):
         raise EvalError("conjecture must be closed")
@@ -535,11 +565,15 @@ def find_countermodel(premises, conjecture: Formula, sig: Signature,
     holds = compile_mask(conjecture_n)
     if not premises and _propositional(sig, conjecture_n):
         return _packed_countermodel(holds, sig, b, relvar_domain)
+    if table is None:
+        table = LeafTable(premises, relvar_domain)
     # the leaves evaluate the conjecture, so a relation quantifier in it
     # needs the relation space as one in a premise does: past the limit,
     # the node list raises before any node is searched
-    nodes = (list(_size_nodes(sig, b, (conjecture_n,)))
-             if _needs_relspace(sig, (conjecture_n,)) else None)
+    read = (*table.premises_n, conjecture_n)
+    nodes = list(_size_nodes(sig, b, read))
+    if not any(isinstance(n, Actually) for f in read for n in subnodes(f)):
+        nodes = _one_frame_per_class(nodes)
 
     def leaf_ok(m):
         return holds(m, {}) != m.all_worlds
@@ -638,7 +672,11 @@ def frame_requirements(premises, conjecture: Formula, sig: Signature,
     several frame classes reach (every S5 frame is a KB frame, and every
     KB frame a K frame) is searched once. Each class still walks its own
     frames in order, so its first countermodel is the one a search of its
-    own finds."""
+    own finds. When nothing reads the actual world, each class searches
+    one frame per isomorphism class, the first in its order (see
+    find_countermodel): a later isomorphic frame has a countermodel only
+    if the first has, and the search stops there, so the first
+    countermodel is unchanged."""
     b = b or Bounds()
     if table is None:
         table = LeafTable(premises, relvar_domain)

@@ -224,6 +224,16 @@ def test_custom_layer_schemas():
         make_layer("T")
 
 
+def test_template_with_a_constant():
+    # a template's leaves that are no metavariable atom, such as the
+    # constant c, are kept as they are
+    c = Exemplify(Const("c", PROPOSITION), ())
+    layer = Layer("K+c", LogicTag.K, Mode.CLASSICAL, {
+        "c_ax": Schema("c_ax", "template", Implies(P_meta(), c), ("p",))})
+    assert check_proof(ProofScript((AxStep("c_ax", {"p": Q}),)),
+                       layer) == Accepted(Implies(Q, c))
+
+
 # (problem, proof) stems of the shipped proof scripts
 SHIPPED_PROOFS = (("s5", "kdia"), ("goedel", "goedel_refutation"),
                   ("two_individuals", "two_individuals"))

@@ -85,6 +85,23 @@ def test_binder_annotations(sig):
     assert alpha_equivalent(f, g)
 
 
+@pytest.mark.parametrize("text, params", [
+    ("[\\x \\y R x y] a b", ("x", "y")),
+    ("all x ([\\y \\z \\w T w z y] x b a)", ("y", "z", "w"))])
+def test_multi_parameter_lambda_round_trip(text, params):
+    # every parameter after the first is read by lambda_term's loop
+    msig = Signature(Mode.CLASSICAL, LogicTag.K, {
+        "R": Relation(2), "T": Relation(3), "a": INDIVIDUAL,
+        "b": INDIVIDUAL})
+    f = parse_formula(text, msig)
+    lam = next(n for n in subnodes(f) if isinstance(n, Lambda))
+    assert tuple(v.name for v in lam.params) == params
+    assert all(v.sort == INDIVIDUAL for v in lam.params)
+    assert sort_of(lam) == Relation(len(params))
+    assert print_formula(f) == text
+    assert parse_formula(print_formula(f), msig) == f
+
+
 def test_print_box(sig):
     assert print_formula(parse_formula("[] p", sig)) == "[]p"
 
