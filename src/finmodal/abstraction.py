@@ -98,7 +98,10 @@ def instantiate_template(template: Formula, mapping: dict) -> Formula:
     """Splice metavariable values into a template (capturing on purpose:
     schema instances are syntactic). Every template is propositional: each
     0-place atom on a metavariable becomes that metavariable's value,
-    which must be a formula."""
+    which must be a formula. Each value is beta-normalized; when the
+    template is normal too, splicing makes no redex, so each rebuilt node
+    is flagged normal and the proof line is the instance itself."""
+    normal = beta_normalize(template) is template
 
     def go(x):
         if isinstance(x, Exemplify) and isinstance(x.rel, Var) \
@@ -107,9 +110,14 @@ def instantiate_template(template: Formula, mapping: dict) -> Formula:
             if not isinstance(value, Formula):
                 raise SchemaError(
                     f"metavariable {x.rel.name} needs a formula value")
-            return value
+            return beta_normalize(value)
         kids = children(x)
-        return rebuild(x, tuple(map(go, kids))) if kids else x
+        if not kids:
+            return x
+        y = rebuild(x, tuple(map(go, kids)))
+        if normal:
+            object.__setattr__(y, "_normal", True)
+        return y
 
     return go(template)
 

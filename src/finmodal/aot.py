@@ -14,6 +14,13 @@ patterns; a variable free of encoding atoms ranges over urelement
 representatives; anything else needs one full sweep over all encoded sets,
 evaluated column-wise on packed integers. Nested full sweeps exceed the
 budget and raise, never truncate.
+
+`_ev` (truth at a world) and `_vec` (a sweep's column) find each node's
+handler by its type in a table, `_EV` and `_VEC`. An atom reads a variable
+or constant straight from the assignment or the model; lambdas and
+descriptions are denoted. A formula is rigid when its truth cannot differ
+between worlds, a fact stored on the node; a Box evaluates a rigid body
+once, at world 0, where the loop over worlds would start.
 """
 
 from __future__ import annotations
@@ -214,8 +221,10 @@ class _EvalContext:
     Besides the sweep counters and the closed terms' denotations, it
     holds the truth of each Box, and each Box's column in a sweep, per
     budget depth and values of its free names (the same at every world,
-    accessibility being total). Every table is keyed by node, and is
-    dropped when the call returns. What depends only on a node's
+    accessibility being total), and the representatives of an individual
+    quantifier per tuple of pattern values. The Box tables and the closed
+    terms' are keyed by node, the representatives by values alone; all
+    are dropped when the call returns. What depends only on a node's
     structure is stored on the node (see `formulas._FACTS`)."""
 
     def __init__(self, m: AczelModel):
@@ -227,6 +236,7 @@ class _EvalContext:
         self.membership = _membership_masks(len(m.relspace1))
         self.sigma_class_masks = self._sigma_classes()
         self.closed_cache: dict = {}   # closed term -> denotation
+        self.reps: dict = {}           # pattern values -> representatives
         # (box, pattern_depth, full_scans, free-name values) -> truth
         self.boxes: dict = {}
         # (box, swept variable, pattern_depth, full_scans, values of the
@@ -307,12 +317,12 @@ def _pattern_values(closed_rels, m: AczelModel, a: dict,
                     ctx: "_EvalContext", where) -> list:
     values = []
     for t in closed_rels:
-        d = denote_in(t, m, a, ctx)
-        if isinstance(d, Denotes):
-            values.append(d.value)
+        v = _value(t, m, a, ctx)
+        if v is not NON_DENOTING:
+            values.append(v)
     if m.sigma[0] == "membership":
         values.append(m.sigma[1])
-    values = sorted(set(values))
+    values = tuple(sorted(set(values)))
     if len(values) > 8:
         raise _budget_error("too many reachable relation values to quotient",
                             where)
@@ -336,14 +346,33 @@ def _pattern_reps(m: AczelModel, values) -> list:
 
 def _individual_domain(f: Forall, m: AczelModel, a: dict,
                        ctx: "_EvalContext"):
-    """('reps', list) or ('full', None) for an individual quantifier."""
+    """('reps', list) or ('full', None) for an individual quantifier. The
+    list is built once per call for each tuple of pattern values."""
     needs_full, closed, _ = _encode_usage(f)
     if needs_full:
         return ("full", None)
     values = _pattern_values(closed, m, a, ctx, f)
-    reps = [Ordinary(u) for u in range(m.n_ordinary)]
-    reps.extend(_pattern_reps(m, values))
+    reps = ctx.reps.get(values)
+    if reps is None:
+        reps = [Ordinary(u) for u in range(m.n_ordinary)]
+        reps.extend(_pattern_reps(m, values))
+        ctx.reps[values] = reps
     return ("reps", reps)
+
+
+def _rigid(f: Formula) -> bool:
+    """Whether f's truth under an assignment is the same at every world,
+    stored on f (see formulas._FACTS). Accessibility is total and encoding
+    does not depend on the world, so Box, Actually and Encode are rigid,
+    Exemplify is not, and Not, Implies and Forall are when their bodies
+    are. A rigid formula also raises the same error at every world."""
+    r = getattr(f, "_rigid", None)
+    if r is None:
+        kind = type(f)
+        r = kind in (Box, Actually, Encode) or (
+            kind in (Not, Implies, Forall) and all(map(_rigid, children(f))))
+        object.__setattr__(f, "_rigid", r)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +389,27 @@ def denote(t: Term, m: AczelModel, a: dict | None = None):
                      ctx)
 
 
-def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
-    if isinstance(t, Var):
+def _value(t: Term, m: AczelModel, a: dict, ctx: "_EvalContext"):
+    """What t denotes, unwrapped, or NON_DENOTING. A variable or constant
+    is read from a or m.denot; anything else goes through denote_in."""
+    kind = type(t)
+    if kind is Var:
         try:
-            return Denotes(a[t.name])
+            return a[t.name]
         except KeyError:
             raise AotEvalError(f"unhoused free variable {t.name!r}")
-    if isinstance(t, Const):
+    if kind is Const:
         try:
-            return Denotes(m.denot[t.name])
+            return m.denot[t.name]
         except KeyError:
             raise AotEvalError(f"uninterpreted constant {t.name!r}")
+    d = denote_in(t, m, a, ctx)
+    return d.value if isinstance(d, Denotes) else NON_DENOTING
+
+
+def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
+    if type(t) in (Var, Const):
+        return Denotes(_value(t, m, a, ctx))
     if isinstance(t, (Lambda, Description)):
         closed = not free_names(t)
         if closed:
@@ -516,73 +555,90 @@ def _higher_domain(var: Var, m: AczelModel):
 
 def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
          ctx: _EvalContext) -> int:
-    full = ctx.full
     if x not in free_names(f):
-        return full if _ev(f, m, a, w, ctx) else 0
-    if isinstance(f, Encode):
-        if isinstance(f.obj, Var) and f.obj.name == x \
-                and x not in free_names(f.rel):
-            d = denote_in(f.rel, m, a, ctx)
-            if isinstance(d, NonDenoting):
-                return 0
-            return ctx.membership[d.value]
-        raise _budget_error("encoding atom too complex for the column sweep",
+        return ctx.full if _ev(f, m, a, w, ctx) else 0
+    handler = _VEC.get(type(f))
+    if handler is None:
+        raise _budget_error(f"column sweep cannot handle {type(f).__name__}",
                             f)
-    if isinstance(f, Exemplify):
-        head = denote_in(f.rel, m, a, ctx) if x not in free_names(f.rel) else None
-        if head is None:
-            raise _budget_error("quantified variable inside a relation term", f)
-        if isinstance(head, NonDenoting):
-            return 0
-        if len(f.args) != 1:
-            raise _budget_error("column sweep over n-ary exemplification", f)
-        arg = f.args[0]
-        if not (isinstance(arg, Var) and arg.name == x):
-            raise _budget_error("quantified variable buried in a term", f)
-        out = 0
-        for s, cmask in ctx.sigma_class_masks.items():
-            u = m.n_ordinary + s
-            if m.rel_bit(head.value, u, w):
-                out |= cmask
-        return out
-    if isinstance(f, Not):
-        return full ^ _vec(f.body, x, m, a, w, ctx)
-    if isinstance(f, Implies):
-        return (full ^ _vec(f.left, x, m, a, w, ctx)) \
-            | _vec(f.right, x, m, a, w, ctx)
-    if isinstance(f, Box):
-        # accessibility is total, so the column is the same at every world
-        key = (f, x, ctx.pattern_depth, ctx.full_scans,
-               tuple(a.get(n) for n in free_names(f) if n != x))
-        out = ctx.box_columns.get(key)
-        if out is None:
-            out = full
+    return handler(f, x, m, a, w, ctx)
+
+
+def _vec_encode(f: Encode, x, m, a, w, ctx) -> int:
+    if isinstance(f.obj, Var) and f.obj.name == x \
+            and x not in free_names(f.rel):
+        rel = _value(f.rel, m, a, ctx)
+        return 0 if rel is NON_DENOTING else ctx.membership[rel]
+    raise _budget_error("encoding atom too complex for the column sweep", f)
+
+
+def _vec_exemplify(f: Exemplify, x, m, a, w, ctx) -> int:
+    if x in free_names(f.rel):
+        raise _budget_error("quantified variable inside a relation term", f)
+    head = _value(f.rel, m, a, ctx)
+    if head is NON_DENOTING:
+        return 0
+    if len(f.args) != 1:
+        raise _budget_error("column sweep over n-ary exemplification", f)
+    arg = f.args[0]
+    if not (isinstance(arg, Var) and arg.name == x):
+        raise _budget_error("quantified variable buried in a term", f)
+    out = 0
+    for s, cmask in ctx.sigma_class_masks.items():
+        if m.rel_bit(head, m.n_ordinary + s, w):
+            out |= cmask
+    return out
+
+
+def _vec_not(f: Not, x, m, a, w, ctx) -> int:
+    return ctx.full ^ _vec(f.body, x, m, a, w, ctx)
+
+
+def _vec_implies(f: Implies, x, m, a, w, ctx) -> int:
+    return (ctx.full ^ _vec(f.left, x, m, a, w, ctx)) \
+        | _vec(f.right, x, m, a, w, ctx)
+
+
+def _vec_box(f: Box, x, m, a, w, ctx) -> int:
+    # accessibility is total, so the column is the same at every world
+    key = (f, x, ctx.pattern_depth, ctx.full_scans,
+           tuple(a.get(n) for n in free_names(f) if n != x))
+    out = ctx.box_columns.get(key)
+    if out is None:
+        body = f.body
+        if _rigid(body):
+            out = _vec(body, x, m, a, 0, ctx)
+        else:
+            out = ctx.full
             for v in range(m.n_worlds):
-                out &= _vec(f.body, x, m, a, v, ctx)
-            ctx.box_columns[key] = out
-        return out
-    if isinstance(f, Actually):
-        return _vec(f.body, x, m, a, m.actual, ctx)
-    if isinstance(f, Forall):
-        var = f.var
-        if var.sort == INDIVIDUAL:
-            kind, reps = _individual_domain(f, m, a, ctx)
-            if kind == "full":
-                raise _budget_error("nested full sweeps over abstract objects",
-                                    f)
-            out = full
-            for rep in reps:
-                a2 = dict(a)
-                a2[var.name] = rep
-                out &= _vec(f.body, x, m, a2, w, ctx)
-            return out
-        out = full
-        for val in _higher_domain(var, m):
-            a2 = dict(a)
-            a2[var.name] = val
-            out &= _vec(f.body, x, m, a2, w, ctx)
-        return out
-    raise _budget_error(f"column sweep cannot handle {type(f).__name__}", f)
+                out &= _vec(body, x, m, a, v, ctx)
+        ctx.box_columns[key] = out
+    return out
+
+
+def _vec_actually(f: Actually, x, m, a, w, ctx) -> int:
+    return _vec(f.body, x, m, a, m.actual, ctx)
+
+
+def _vec_forall(f: Forall, x, m, a, w, ctx) -> int:
+    var = f.var
+    if var.sort == INDIVIDUAL:
+        kind, domain = _individual_domain(f, m, a, ctx)
+        if kind == "full":
+            raise _budget_error("nested full sweeps over abstract objects", f)
+    else:
+        domain = _higher_domain(var, m)
+    out = ctx.full
+    for val in domain:
+        a2 = dict(a)
+        a2[var.name] = val
+        out &= _vec(f.body, x, m, a2, w, ctx)
+    return out
+
+
+_VEC = {Encode: _vec_encode, Exemplify: _vec_exemplify, Not: _vec_not,
+        Implies: _vec_implies, Box: _vec_box, Actually: _vec_actually,
+        Forall: _vec_forall}
 
 
 # ---------------------------------------------------------------------------
@@ -599,78 +655,104 @@ def eval_aot(f: Formula, m: AczelModel, a: dict | None = None,
 
 
 def _ev(f: Formula, m: AczelModel, a: dict, w: int, ctx: _EvalContext) -> bool:
-    if isinstance(f, Exemplify):
-        head = denote_in(f.rel, m, a, ctx)
-        if isinstance(head, NonDenoting):
+    handler = _EV.get(type(f))
+    if handler is None:
+        raise AotEvalError(f"cannot evaluate {f!r}")
+    return handler(f, m, a, w, ctx)
+
+
+def _ev_exemplify(f: Exemplify, m, a, w, ctx) -> bool:
+    head = _value(f.rel, m, a, ctx)
+    if head is NON_DENOTING:
+        return False
+    if not f.args:
+        return bool((head >> w) & 1)
+    args = []
+    for arg in f.args:
+        d = _value(arg, m, a, ctx)
+        if d is NON_DENOTING:
             return False
-        if not f.args:
-            return bool((head.value >> w) & 1)
-        args = []
-        for arg in f.args:
-            d = denote_in(arg, m, a, ctx)
-            if isinstance(d, NonDenoting):
-                return False
-            args.append(d.value)
-        if len(args) == 1:
-            return m.rel_bit(head.value, m.urelement_of(args[0]), w)
-        raise AotEvalError("n-ary exemplification is not interpreted")
-    if isinstance(f, Encode):
-        obj = denote_in(f.obj, m, a, ctx)
-        rel = denote_in(f.rel, m, a, ctx)
-        if isinstance(obj, NonDenoting) or isinstance(rel, NonDenoting):
+        args.append(d)
+    if len(args) == 1:
+        return m.rel_bit(head, m.urelement_of(args[0]), w)
+    raise AotEvalError("n-ary exemplification is not interpreted")
+
+
+def _ev_encode(f: Encode, m, a, w, ctx) -> bool:
+    obj = _value(f.obj, m, a, ctx)
+    rel = _value(f.rel, m, a, ctx)
+    if obj is NON_DENOTING or rel is NON_DENOTING \
+            or not isinstance(obj, Abstract):
+        return False
+    return bool((obj.encoded >> rel) & 1)
+
+
+def _ev_primitive_eq(f: PrimitiveEq, m, a, w, ctx) -> bool:
+    raise AotEvalError("primitive equality has no place in these models")
+
+
+def _ev_not(f: Not, m, a, w, ctx) -> bool:
+    return not _ev(f.body, m, a, w, ctx)
+
+
+def _ev_implies(f: Implies, m, a, w, ctx) -> bool:
+    return (not _ev(f.left, m, a, w, ctx)) or _ev(f.right, m, a, w, ctx)
+
+
+def _ev_box(f: Box, m, a, w, ctx) -> bool:
+    # accessibility is total, so the truth is the same at every world
+    key = (f, ctx.pattern_depth, ctx.full_scans,
+           tuple(a.get(n) for n in free_names(f)))
+    hit = ctx.boxes.get(key)
+    if hit is None:
+        body = f.body
+        if _rigid(body):
+            hit = _ev(body, m, a, 0, ctx)
+        else:
+            hit = all(_ev(body, m, a, v, ctx) for v in range(m.n_worlds))
+        ctx.boxes[key] = hit
+    return hit
+
+
+def _ev_actually(f: Actually, m, a, w, ctx) -> bool:
+    return _ev(f.body, m, a, m.actual, ctx)
+
+
+def _ev_forall(f: Forall, m, a, w, ctx) -> bool:
+    var = f.var
+    if var.sort == INDIVIDUAL:
+        kind, reps = _individual_domain(f, m, a, ctx)
+        if kind == "full":
+            for u in range(m.n_ordinary):
+                a2 = dict(a)
+                a2[var.name] = Ordinary(u)
+                if not _ev(f.body, m, a2, w, ctx):
+                    return False
+            cols = _scan_columns(f, m, a, ctx, worlds=(w,))
+            return cols[w] == ctx.full
+        if ctx.pattern_depth >= PATTERN_BUDGET:
+            raise _budget_error("individual quantifiers nested too deeply", f)
+        ctx.pattern_depth += 1
+        try:
+            for rep in reps:
+                a2 = dict(a)
+                a2[var.name] = rep
+                if not _ev(f.body, m, a2, w, ctx):
+                    return False
+            return True
+        finally:
+            ctx.pattern_depth -= 1
+    for val in _higher_domain(var, m):
+        a2 = dict(a)
+        a2[var.name] = val
+        if not _ev(f.body, m, a2, w, ctx):
             return False
-        if not isinstance(obj.value, Abstract):
-            return False
-        return bool((obj.value.encoded >> rel.value) & 1)
-    if isinstance(f, PrimitiveEq):
-        raise AotEvalError("primitive equality has no place in these models")
-    if isinstance(f, Not):
-        return not _ev(f.body, m, a, w, ctx)
-    if isinstance(f, Implies):
-        return (not _ev(f.left, m, a, w, ctx)) or _ev(f.right, m, a, w, ctx)
-    if isinstance(f, Box):
-        # accessibility is total, so the truth is the same at every world
-        key = (f, ctx.pattern_depth, ctx.full_scans,
-               tuple(a.get(n) for n in free_names(f)))
-        hit = ctx.boxes.get(key)
-        if hit is None:
-            hit = ctx.boxes[key] = all(
-                _ev(f.body, m, a, v, ctx) for v in range(m.n_worlds))
-        return hit
-    if isinstance(f, Actually):
-        return _ev(f.body, m, a, m.actual, ctx)
-    if isinstance(f, Forall):
-        var = f.var
-        if var.sort == INDIVIDUAL:
-            kind, reps = _individual_domain(f, m, a, ctx)
-            if kind == "full":
-                for u in range(m.n_ordinary):
-                    a2 = dict(a)
-                    a2[var.name] = Ordinary(u)
-                    if not _ev(f.body, m, a2, w, ctx):
-                        return False
-                cols = _scan_columns(f, m, a, ctx, worlds=(w,))
-                return cols[w] == ctx.full
-            if ctx.pattern_depth >= PATTERN_BUDGET:
-                raise _budget_error("individual quantifiers nested too deeply",
-                                    f)
-            ctx.pattern_depth += 1
-            try:
-                for rep in reps:
-                    a2 = dict(a)
-                    a2[var.name] = rep
-                    if not _ev(f.body, m, a2, w, ctx):
-                        return False
-                return True
-            finally:
-                ctx.pattern_depth -= 1
-        for val in _higher_domain(var, m):
-            a2 = dict(a)
-            a2[var.name] = val
-            if not _ev(f.body, m, a2, w, ctx):
-                return False
-        return True
-    raise AotEvalError(f"cannot evaluate {f!r}")
+    return True
+
+
+_EV = {Exemplify: _ev_exemplify, Encode: _ev_encode,
+       PrimitiveEq: _ev_primitive_eq, Not: _ev_not, Implies: _ev_implies,
+       Box: _ev_box, Actually: _ev_actually, Forall: _ev_forall}
 
 
 # ---------------------------------------------------------------------------

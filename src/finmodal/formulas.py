@@ -63,14 +63,15 @@ REL1 = Relation(1)
 # What a node stores about itself the first time it is asked: its free
 # variables and names, its canonical key at top level, its size as a tree,
 # what beta_normalize and macros.expand_derived return for it, on a
-# binder what aot works out about its body, and its hash. A stored result
+# binder what aot works out about its body, on a formula whether aot finds
+# its truth the same at every world, and its hash. A stored result
 # is True when it is the node itself, else the node returned, which stores
 # True: never a reference to itself, which would make every node a
 # reference cycle. These depend only on the node's structure, and they are
 # not dataclass fields, so __init__, __eq__ and repr never see them, nor
 # do pickle and copy, which carry a slotted dataclass's fields alone.
 _FACTS = ("_free_vars", "_free_names", "_key", "_size", "_normal",
-          "_primitive", "_binder", "_hash")
+          "_primitive", "_binder", "_rigid", "_hash")
 _EMPTY = frozenset()
 
 

@@ -11,13 +11,15 @@ from hypothesis import given, settings, strategies as st
 from finmodal.abstraction import (
     Accepted, AxStep, ExpandStep, GenStep, HypStep, Layer, MpStep, NecStep,
     PremiseStep, ProofScript, ProofState, QedStep, Rejected, Schema,
-    SchemaFinding, SoundnessReport, check_proof, make_layer, validate_layer,
+    SchemaFinding, SoundnessReport, check_proof, make_layer, schema_instance,
+    validate_layer,
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
-    Actually, And, Box, Const, Exemplify, Forall, Implies, Lambda,
-    MacroFormula, Not, PrimitiveEq, Relation, Var,
-    alpha_equivalent, beta_normalize, canonical_key, free_names, subnodes,
+    Actually, And, Box, Const, Encode, Exemplify, Forall, Formula, Implies,
+    Lambda, MacroFormula, Not, PrimitiveEq, Relation, Var,
+    alpha_equivalent, beta_normalize, canonical_key, children, free_names,
+    rebuild, subnodes,
 )
 from finmodal.kripke import (
     ColumnSpace, KripkeInterpretation, Validity, compile_mask, frames_for,
@@ -232,6 +234,56 @@ def test_template_with_a_constant():
         "c_ax": Schema("c_ax", "template", Implies(P_meta(), c), ("p",))})
     assert check_proof(ProofScript((AxStep("c_ax", {"p": Q}),)),
                        layer) == Accepted(Implies(Q, c))
+
+
+def _spliced(x, mapping):
+    """The instance as the proof line's normalization used to receive it:
+    each metavariable atom replaced by its value as given, every other
+    node rebuilt, nothing flagged."""
+    if isinstance(x, Exemplify) and isinstance(x.rel, Var) \
+            and x.rel.name in mapping:
+        return mapping[x.rel.name]
+    kids = children(x)
+    return rebuild(x, tuple(_spliced(c, mapping) for c in kids)) if kids \
+        else x
+
+
+# a safe redex, which reduces to S x, and a kept one: its matrix encodes
+_REDEX = Exemplify(Lambda((_y,), Exemplify(Const("S", REL1), (_y,))), (_x,))
+_KEPT = Exemplify(Lambda((_y,), Encode(_y, Const("S", REL1))), (_x,))
+
+
+_AX_CASES = {
+    "pl1": {"p": _REDEX, "q": Box(Not(_REDEX))},
+    "pl3": {"p": P, "q": Implies(_KEPT, _REDEX)},
+    "ax_K": {"p": Actually(_REDEX), "q": Q},
+    "ax_5": {"p": _Sx},
+    # a template holding a redex is normalized as a whole, after splicing
+    "redex": {"p": _REDEX},
+}
+
+
+@pytest.mark.parametrize("schema", _AX_CASES)
+def test_ax_line_is_normal_and_unchanged(schema):
+    subst = _AX_CASES[schema]
+    layer = make_layer("S5")
+    layer.schemas["redex"] = Schema("redex", "template", Exemplify(
+        Lambda((_y,), Implies(P_meta(), Exemplify(Const("S", REL1), (_y,)))),
+        (_x,)), ("p",))
+    verdict = check_proof(ProofScript((AxStep(schema, subst),)), layer)
+    assert isinstance(verdict, Accepted)
+    line = verdict.conclusion
+    old = beta_normalize(_spliced(layer.schemas[schema].template, subst))
+    assert line == old
+    assert beta_normalize(line) is line
+    if schema != "redex":
+        # the shipped templates are normal, so each rebuilt node of the
+        # instance is flagged normal where it is built, and the line is
+        # the instance, not normalized node by node
+        instance = schema_instance(layer.schemas[schema], subst)
+        assert instance == line
+        assert all(n._normal is True for n in subnodes(instance)
+                   if isinstance(n, Formula))
 
 
 # (problem, proof) stems of the shipped proof scripts

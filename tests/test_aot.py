@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import finmodal
 from finmodal import aot, macros
@@ -17,9 +18,9 @@ from finmodal.aot import (
 )
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER,
-    Box, Const, Diamond, Encode, Exemplify, Exists, Forall, Formula, Iff,
-    Implies, Lambda, MacroFormula, Not, SOAtom, Term, Var, beta_normalize,
-    free_names, subnodes,
+    Actually, And, Box, Const, Diamond, Encode, Exemplify, Exists, Forall,
+    Formula, Iff, Implies, Lambda, MacroFormula, Not, PrimitiveEq, Relation,
+    SOAtom, Term, Var, beta_normalize, free_names, subnodes,
 )
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
@@ -27,7 +28,7 @@ from finmodal.printer import print_formula
 from finmodal.ontoarg import run_variant_suite
 from finmodal.problemfile import load_aot_config, load_problem, parse_proof
 
-from conftest import fresh
+from conftest import fresh, random_formula
 
 
 @pytest.fixture(scope="module")
@@ -485,3 +486,201 @@ class TestTwoSpecialUrelements:
     def test_comprehension_with_two_classes(self, m2):
         f = parse_formula("exists x (A! x & all F (x[F] <-> F = E!))", m2.sig)
         assert eval_aot(f, m2)
+
+
+# ---------------------------------------------------------------------------
+# Each branch of the evaluator, reached through the public calls
+
+_x, _y, _z = (Var(n, INDIVIDUAL) for n in "xyz")
+_F = Var("F", REL1)
+_R2 = Var("R", Relation(2))
+_E = Const("E!", REL1)
+_K1, _K2 = Const("k1", INDIVIDUAL), Const("k2", INDIVIDUAL)
+_ZZ_REL, _ZZ_IND = Const("zz", REL1), Const("zz", INDIVIDUAL)
+
+
+def _ex(rel, *args):
+    return Exemplify(rel, args)
+
+
+def _sweep(sig):
+    # x[F] with F bound below x, so a quantifier on x sweeps every
+    # abstract object; true of every ordinary object
+    return parse_formula("all F (x[F] -> F x)", sig)
+
+
+def _separating(sig):
+    # a closed lambda that separates abstract objects behind one proxy
+    return parse_term("[\\y y[E!]]", sig)
+
+
+# id -> (call on the minimal model, its answer or (error class, message))
+EVALUATOR_BRANCHES = {
+    "unhoused-exemplify-arg": (
+        lambda m: eval_aot(_ex(_E, _x), m),
+        (AotEvalError, "unhoused free variable 'x'")),
+    "unhoused-exemplify-rel": (
+        lambda m: eval_aot(_ex(_F, _K1), m),
+        (AotEvalError, "unhoused free variable 'F'")),
+    "unhoused-encode-obj": (
+        lambda m: eval_aot(Encode(_x, _E), m),
+        (AotEvalError, "unhoused free variable 'x'")),
+    "unhoused-encode-rel": (
+        lambda m: eval_aot(Encode(_K1, _F), m),
+        (AotEvalError, "unhoused free variable 'F'")),
+    "uninterpreted-exemplify-rel": (
+        lambda m: eval_aot(_ex(_ZZ_REL, _K1), m),
+        (AotEvalError, "uninterpreted constant 'zz'")),
+    "uninterpreted-exemplify-arg": (
+        lambda m: eval_aot(_ex(_E, _ZZ_IND), m),
+        (AotEvalError, "uninterpreted constant 'zz'")),
+    "uninterpreted-encode-obj": (
+        lambda m: eval_aot(Encode(_ZZ_IND, _E), m),
+        (AotEvalError, "uninterpreted constant 'zz'")),
+    "uninterpreted-encode-rel": (
+        lambda m: eval_aot(Encode(_K2, _ZZ_REL), m),
+        (AotEvalError, "uninterpreted constant 'zz'")),
+    "unhoused-denote": (
+        lambda m: denote(_x, m),
+        (AotEvalError, "unhoused free variable 'x'")),
+    "uninterpreted-denote": (
+        lambda m: denote(_ZZ_REL, m),
+        (AotEvalError, "uninterpreted constant 'zz'")),
+    "binary-lambda": (
+        lambda m: denote(Lambda((_x, _y), _ex(_E, _x)), m),
+        (AotEvalError, "lambda terms of arity >= 2 are not interpreted")),
+    "formula-as-term": (
+        lambda m: denote(_ex(_E, _K1), m),
+        (AotEvalError, "cannot interpret Exemplify(rel=Const(name='E!', "
+                       "sort=Sort(kind='rel', arity=1)), args=(Const("
+                       "name='k1', sort=Sort(kind='ind', arity=0)),))")),
+    "non-denoting-head": (
+        lambda m: eval_aot(_ex(_separating(m.sig), _K1), m), False),
+    "n-ary": (
+        lambda m: eval_aot(_ex(_R2, _K1, _K1), m, {"R": 0}),
+        (AotEvalError, "n-ary exemplification is not interpreted")),
+    "primitive-eq": (
+        lambda m: eval_aot(PrimitiveEq(_K1, _K1), m),
+        (AotEvalError, "primitive equality has no place in these models")),
+    "no-domain": (
+        lambda m: eval_aot(Forall(_R2, _ex(_E, _K1)), m),
+        (AotEvalError, "no quantification domain at sort rel 2")),
+    "nested-too-deeply": (
+        lambda m: eval_aot(Forall(_x, Forall(_y, Forall(_z, _ex(_E, _z)))),
+                           m),
+        (AotBudgetError,
+         "individual quantifiers nested too deeply: all z (E! z)")),
+    # an inner sweep met by _ev under an outer one
+    "nested-sweep-in-body": (
+        lambda m: eval_aot(Forall(_x, And(_sweep(m.sig), parse_formula(
+            "all y (all G (y[G] -> y[G]))", m.sig))), m),
+        (AotBudgetError, "nested full sweeps over abstract objects: "
+                         "all y (all G (y[G] -> y[G]))")),
+    # _vec on each kind of node, inside a sweep over x; each body holds of
+    # every ordinary object, so that the sweep starts
+    "sweep-non-denoting-encode-rel": (
+        lambda m: eval_aot(Forall(_x, Implies(
+            Encode(_x, _separating(m.sig)), _sweep(m.sig))), m), True),
+    "sweep-complex-encode": (
+        lambda m: eval_aot(Forall(_x, Not(Encode(
+            _K2, Lambda((_y,), _ex(_E, _x))))), m),
+        (AotBudgetError, "encoding atom too complex for the column sweep: "
+                         "k2[[\\y E! x]]")),
+    "sweep-relation-term": (
+        lambda m: eval_aot(Forall(_x, Not(_ex(Lambda((_y,), And(
+            Encode(_y, _E), _ex(_E, _x))), _K1))), m),
+        (AotBudgetError, "quantified variable inside a relation term: "
+                         "[\\y ~(y[E!] -> ~E! x)] k1")),
+    "sweep-non-denoting-head": (
+        lambda m: eval_aot(Forall(_x, Implies(
+            _ex(_separating(m.sig), _x), _sweep(m.sig))), m), True),
+    "sweep-n-ary": (
+        lambda m: eval_aot(Forall(_x, Implies(
+            Not(_sweep(m.sig)), _ex(_R2, _x, _K1))), m, {"R": 0}),
+        (AotBudgetError, "column sweep over n-ary exemplification: R x k1")),
+    "sweep-buried": (
+        lambda m: eval_aot(Forall(_x, Not(_ex(_E, Description(
+            _y, And(_ex(_E, _y), _ex(_E, _x)))))), m),
+        (AotBudgetError, "quantified variable buried in a term: "
+                         "E! (the y: ~(E! y -> ~E! x))")),
+    "sweep-actually": (
+        lambda m: eval_aot(Forall(_x, Implies(
+            _sweep(m.sig), Actually(Not(_ex(_E, _x))))), m), True),
+    "sweep-individual-quantifier": (
+        lambda m: eval_aot(Forall(_x, Implies(_sweep(m.sig), Forall(
+            _y, Implies(_ex(_E, _y), Not(_ex(_E, _x)))))), m), True),
+    "sweep-primitive-eq": (
+        lambda m: eval_aot(Forall(_x, Implies(
+            Not(_sweep(m.sig)), PrimitiveEq(_x, _K1))), m),
+        (AotBudgetError, "column sweep cannot handle PrimitiveEq: x = k1")),
+}
+
+
+@pytest.mark.parametrize("case", EVALUATOR_BRANCHES)
+def test_evaluator_branch(m, case):
+    call, want = EVALUATOR_BRANCHES[case]
+    if isinstance(want, bool):
+        assert call(m) is want
+        return
+    cls, message = want
+    with pytest.raises(cls) as err:
+        call(m)
+    assert type(err.value) is cls
+    assert str(err.value) == message
+
+
+def test_dispatch_tables(m):
+    # _ev and _vec find each node's handler by its exact type; a kind with
+    # no handler raises the evaluator's own error, not the table's KeyError
+    assert set(aot._EV) == {Exemplify, Encode, PrimitiveEq, Not, Implies,
+                            Box, Actually, Forall}
+    assert set(aot._VEC) == set(aot._EV) - {PrimitiveEq}
+    p = _ex(_E, _K1)
+    for f in (SOAtom(Const("k1", SECOND_ORDER), _E), And(p, p), Diamond(p),
+              Exists(_x, _ex(_E, _x)), MacroFormula("dn", (_K1,))):
+        with pytest.raises(AotEvalError) as err:
+            aot._ev(f, m, {}, 0, aot._EvalContext(m))
+        assert type(err.value) is AotEvalError
+        assert str(err.value) == f"cannot evaluate {f!r}"
+
+
+# ---------------------------------------------------------------------------
+# Rigid formulas: the same truth, or the same error, at every world
+
+_MEMBERSHIP_ACTUAL_1 = build_aczel(AczelConfig(
+    actual=1, sigma=("membership", 3), e_bang=1,
+    consts={"k1": ("ordinary", 0), "k2": ("abstract", (1, 2))}))
+_RIGID_MODELS = {"aotmin": minimal_model(),
+                 "membership": _MEMBERSHIP_ACTUAL_1}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except AotEvalError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_RIGID_MODELS)), st.integers(0, 2**30),
+       st.integers(0, 4))
+@example("aotmin", None, None)
+def test_rigid_fact_matches_evaluation(which, seed, depth):
+    m = _RIGID_MODELS[which]
+    if seed is None:
+        f, a = parse_formula("~E! k1", m.sig), {}
+    else:
+        rng = random.Random(seed)
+        f = random_formula(rng, m.sig, depth, [_z, _F], allow_encode=True,
+                           terms=rng.random() < 0.5)
+        a = {"z": rng.choice([Ordinary(0), Abstract(rng.randrange(1 << 16))]),
+             "F": rng.randrange(len(m.relspace1))}
+    worlds = range(m.n_worlds)
+    at = [_outcome(lambda: eval_aot(f, m, a, w)) for w in worlds]
+    g = macros.primitive_form(f, aot._expansion_error)
+    if aot._rigid(g):
+        assert at[0] == at[1], print_formula(f)
+
+    def every_world():
+        return all(eval_aot(f, m, a, w=v) for v in worlds)
+    assert _outcome(lambda: eval_aot(Box(f), m, a)) == _outcome(every_world)
