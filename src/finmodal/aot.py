@@ -621,19 +621,27 @@ def _vec_actually(f: Actually, x, m, a, w, ctx) -> int:
 
 
 def _vec_forall(f: Forall, x, m, a, w, ctx) -> int:
+    # an individual quantifier charges PATTERN_BUDGET as in _ev_forall
     var = f.var
+    depth = ctx.pattern_depth
     if var.sort == INDIVIDUAL:
         kind, domain = _individual_domain(f, m, a, ctx)
         if kind == "full":
             raise _budget_error("nested full sweeps over abstract objects", f)
+        if depth >= PATTERN_BUDGET:
+            raise _budget_error("individual quantifiers nested too deeply", f)
+        ctx.pattern_depth = depth + 1
     else:
         domain = _higher_domain(var, m)
-    out = ctx.full
-    for val in domain:
-        a2 = dict(a)
-        a2[var.name] = val
-        out &= _vec(f.body, x, m, a2, w, ctx)
-    return out
+    try:
+        out = ctx.full
+        for val in domain:
+            a2 = dict(a)
+            a2[var.name] = val
+            out &= _vec(f.body, x, m, a2, w, ctx)
+        return out
+    finally:
+        ctx.pattern_depth = depth
 
 
 _VEC = {Encode: _vec_encode, Exemplify: _vec_exemplify, Not: _vec_not,

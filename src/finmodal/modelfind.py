@@ -11,9 +11,17 @@ that want every premise model filter the same stream. The stream is read
 through a LeafTable, which keeps each node's leaves for its premise set:
 searches that share one (a corpus suite's consistency, K, KB and S5, and
 collapse searches) search each node once, and each still walks its own
-frame order with its own leaf test. A countermodel tree search whose
-premises and conjecture never read the actual world searches one frame
-per isomorphism class (see find_countermodel). A relation space is
+frame order with its own leaf test. The frames of one size walk the same
+denotation tree, so the table keeps one entry per size: its denotation
+groups, its compiled premise instances, and a trie of the search
+positions its nodes have visited. A node that reaches a position another
+node has visited first tries each instance on a frameless copy of its
+interpretation, keeps a result reached without the frame there for every
+frame of the size, and tries only the instances that read the frame on its
+own; a position's first visit tries instances as a lone node does. A
+countermodel tree search whose premises and conjecture never read the
+actual world searches one frame per isomorphism class (see
+find_countermodel). A relation space is
 listed in full up to RELSPACE_LIMIT bits; bounds that need a larger one
 raise SearchBoundsError before any node is searched. Without premises, a
 conjecture over proposition constants alone is checked one world count at
@@ -302,7 +310,60 @@ def _compiled_body(bodies: dict, g: Formula):
     return fn
 
 
-def _search_node(node, sig, premises_n, relvar_domain, bodies):
+class _NeedsFrame(Exception):
+    """A premise instance read the frame of a _Frameless interpretation."""
+
+
+class _Frameless(KripkeInterpretation):
+    """A node's partial interpretation with its frame hidden: it shares the
+    node's denot, and reading successor_lists, the one read of the frame a
+    compile_world body makes, raises _NeedsFrame. A premise instance tried
+    on it to a result read nothing that differs between the frames of the
+    node's size, so every frame of the size gets that result there."""
+
+    @property
+    def successor_lists(self):
+        raise _NeedsFrame
+
+
+def _size_parts(m: KripkeInterpretation, premises_n, bodies) -> tuple:
+    """(groups, instances) of m's size: its denotation groups, and the
+    premises' split ground instances as (compiled body, assignment, index)
+    triples in split order. Both read m's sizes, signature, relation space
+    and quantifier reading only, never its frame or its denotation."""
+    n_d = m.n_individuals
+
+    def domains(var: Var):
+        if var.sort == INDIVIDUAL:
+            return range(n_d)
+        if var.sort.kind == "rel" and var.sort.arity == 1:
+            return m.relation_domain()
+        return None
+
+    split = [ga for p in premises_n for ga in _split_instances(p, domains)]
+    return _denotation_groups(m), tuple(
+        (_compiled_body(bodies, g), a, i) for i, (g, a) in enumerate(split))
+
+
+def _enter(position, value):
+    """The search position below position at value (None: the seeding
+    position below the top, or the leaf check below the last group's
+    position), and the results of the instances tried there, by index:
+    None on the position's first visit, which makes it, and one shared dict
+    on every later visit."""
+    below = position[0]
+    if below is None:
+        below = position[0] = {}
+    child = below.get(value)
+    if child is None:
+        child = below[value] = [None, None]
+        return child, None
+    if child[1] is None:
+        child[1] = {}
+    return child, child[1]
+
+
+def _search_node(node, sig, premises_n, relvar_domain, bodies, size=None):
     """Depth-first search of one (worlds, individuals, frame) node: yields
     (m, ok) at every complete interpretation it reaches, in canonical order.
 
@@ -312,19 +373,27 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
     stopped their evaluation and are re-tried only when that bit is set.
     bodies caches the compiled instance bodies across the nodes of one
     search (see _compiled_body).
+
+    size, when given, is the (groups, instances, top) table a LeafTable
+    keeps for the node's size (see LeafTable); top is the root of its trie
+    of search positions, each [positions below by value, results]. A
+    position's first visit tries instances as an unshared search does. A
+    later visit, by another frame's node, reads each woken instance's
+    result there, or else tries it on a _Frameless copy of m and keeps
+    what that gives, or that it needs the frame, for the other frames; only
+    instances that need the frame are tried on m. Results, and so leaves,
+    are those of the unshared search.
     """
     n_w, n_d, R, relspace = node
     denot = _PartialDenot()
     m = KripkeInterpretation(sig, n_w, n_d, R, denot, relspace,
                              relvar_domain=relvar_domain)
-    groups = _denotation_groups(m)
-
-    def domains(var: Var):
-        if var.sort == INDIVIDUAL:
-            return range(n_d)
-        if var.sort.kind == "rel" and var.sort.arity == 1:
-            return m.relation_domain()
-        return None
+    if size is None:
+        (groups, instances), top = _size_parts(m, premises_n, bodies), None
+    else:
+        groups, instances, top = size
+        free = _Frameless(sig, n_w, n_d, R, denot, relspace,
+                          relvar_domain=relvar_domain)
 
     tables = {}
     for name in sorted(sig.consts):
@@ -333,9 +402,9 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
             tables[name] = _PartialTable(name)
             denot[name] = tables[name]
 
-    def try_inst(inst):
+    def try_inst(inst, m=m):
         """True, False, or the token of the first missing bit."""
-        holds, a = inst
+        holds, a, _ = inst
         try:
             for w in range(n_w):
                 if not holds(m, a, w):
@@ -344,46 +413,65 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
         except _MissingBit as e:
             return e.args[0]
 
+    def attempt(inst, shared):
+        """try_inst(inst) at a later visit of a position whose instances'
+        results are shared."""
+        r = shared.get(inst[2])
+        if r is None:
+            try:
+                r = try_inst(inst, free)
+            except _NeedsFrame:
+                r = _NeedsFrame
+            shared[inst[2]] = r
+        return try_inst(inst) if r is _NeedsFrame else r
+
     # Seed the waiting map: instances evaluable from the frame alone are
-    # settled immediately. An instance is (compiled body, assignment).
+    # settled immediately.
+    position, shared = (None, None) if top is None else _enter(top, None)
     waiting0: dict = {}
-    for p in premises_n:
-        for g, a in _split_instances(p, domains):
-            inst = (_compiled_body(bodies, g), a)
-            r = try_inst(inst)
-            if r is False:
-                return
-            if r is not True:
-                waiting0.setdefault(r, []).append(inst)
+    for inst in instances:
+        r = try_inst(inst) if shared is None else attempt(inst, shared)
+        if r is False:
+            return
+        if r is not True:
+            waiting0.setdefault(r, []).append(inst)
     waiting0 = {k: tuple(v) for k, v in waiting0.items()}
 
-    def leaf_check(waiting) -> bool:
+    def leaf_check(waiting, position) -> bool:
         # All groups are assigned; anything still waiting reads a value
-        # outside the listed relation space, which falsifies its atom.
+        # outside the listed relation space, which falsifies its atom. The
+        # tables are complete now, so the check has a position of its own.
+        shared = None if position is None else _enter(position, None)[1]
         for insts in waiting.values():
             for inst in insts:
-                if try_inst(inst) is not True:
+                r = try_inst(inst) if shared is None \
+                    else attempt(inst, shared)
+                if r is not True:
                     return False
         return True
 
-    def rec(gi, waiting):
+    def rec(gi, waiting, position):
         if gi == len(groups):
             for t in tables.values():
                 t.complete = True
-            yield m, leaf_check(waiting)
+            yield m, leaf_check(waiting, position)
             for t in tables.values():
                 t.complete = False
             return
         name, key, options = groups[gi]
         token = (name, key)
         target, slot = (denot, name) if key is None else (tables[name], key)
+        woken = waiting.get(token, ())
+        below = shared = None
         for value in options:
             target[slot] = value
-            woken = waiting.get(token, ())
+            if position is not None:
+                below, shared = _enter(position, value)
             ok = True
             moved: dict = {}
             for inst in woken:
-                r = try_inst(inst)
+                r = try_inst(inst) if shared is None \
+                    else attempt(inst, shared)
                 if r is False:
                     ok = False
                     break
@@ -397,10 +485,10 @@ def _search_node(node, sig, premises_n, relvar_domain, bodies):
                         nxt[t] = nxt.get(t, ()) + tuple(insts)
                 else:
                     nxt = waiting
-                yield from rec(gi + 1, nxt)
+                yield from rec(gi + 1, nxt, below)
         del target[slot]
 
-    yield from rec(0, waiting0)
+    yield from rec(0, waiting0, position)
 
 
 def _freeze(m: KripkeInterpretation) -> KripkeInterpretation:
@@ -424,6 +512,17 @@ class LeafTable:
     leaves its generator suspended, and the next search over the node
     replays the stored leaves and then resumes it.
 
+    Per (n_worlds, n_individuals, relspace) size it holds one table, built
+    when the size's first node is searched: the denotation groups and the
+    split, compiled premise instances, which no frame changes, and a trie
+    of search positions, the values of the first k groups, with the leaf
+    check at a position of its own below the last group's, since it reads
+    the tables complete. On a position's second and later visits, each
+    instance tried there is kept with its result, when a _Frameless try
+    reached one, or as needing the frame (see _search_node). Node
+    generators stay lazy and per node, so a search walks no frame it would
+    not walk unshared, and each node's leaves are those it lists alone.
+
     A node's leaves do not depend on the logic tag: premise evaluation
     reads the frame only, through successor_lists and box, and both read
     the access relation, which on an S5 interpretation is the total one
@@ -439,6 +538,19 @@ class LeafTable:
                            for f in self.premises]
         self.bodies: dict = {}
         self._nodes: dict = {}   # node -> [leaves so far, generator | None]
+        self._sizes: dict = {}   # (n_worlds, n_individuals, relspace) -> size
+
+    def _size(self, node, sig: Signature) -> tuple:
+        """The (groups, instances, top) table of the node's size, shared by
+        its frames' nodes (see _search_node)."""
+        n_w, n_d, R, relspace = node
+        size = self._sizes.get((n_w, n_d, relspace))
+        if size is None:
+            m = KripkeInterpretation(sig, n_w, n_d, R, {}, relspace,
+                                     relvar_domain=self.relvar_domain)
+            size = self._sizes[n_w, n_d, relspace] = (
+                *_size_parts(m, self.premises_n, self.bodies), [None, None])
+        return size
 
     def node_leaves(self, node, sig: Signature):
         """(m, ok) for every complete interpretation of the node, in
@@ -447,7 +559,8 @@ class LeafTable:
         entry = self._nodes.get(node)
         if entry is None:
             entry = self._nodes[node] = [[], _search_node(
-                node, sig, self.premises_n, self.relvar_domain, self.bodies)]
+                node, sig, self.premises_n, self.relvar_domain, self.bodies,
+                self._size(node, sig))]
         found, i = entry[0], 0
         while True:
             while i < len(found):

@@ -609,6 +609,18 @@ EVALUATOR_BRANCHES = {
     "sweep-individual-quantifier": (
         lambda m: eval_aot(Forall(_x, Implies(_sweep(m.sig), Forall(
             _y, Implies(_ex(_E, _y), Not(_ex(_E, _x)))))), m), True),
+    # inside a sweep, individual quantifiers charge the pattern budget as
+    # outside one: two nest, the third raises
+    "sweep-two-individual-quantifiers": (
+        lambda m: eval_aot(parse_formula(
+            "all x (~all F (x[F] -> F x) -> "
+            "all y (all z (E! y -> E! z -> ~E! x)))", m.sig), m), True),
+    "sweep-nested-too-deeply": (
+        lambda m: eval_aot(parse_formula(
+            "all x (~all F (x[F] -> F x) -> all y (all z (all u (all v "
+            "(E! y -> E! z -> E! u -> E! v -> ~E! x)))))", m.sig), m),
+        (AotBudgetError, "individual quantifiers nested too deeply: all u "
+                         "(all v (E! y -> E! z -> E! u -> E! v -> ~E! x))")),
     "sweep-primitive-eq": (
         lambda m: eval_aot(Forall(_x, Implies(
             Not(_sweep(m.sig)), PrimitiveEq(_x, _K1))), m),

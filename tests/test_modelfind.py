@@ -405,6 +405,79 @@ class TestLeafTable:
                 {})] for tag in self.TAGS]
             assert listed[0] == listed[1] == listed[2], node
 
+    @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
+    @pytest.mark.parametrize("name", ["goedel", "scott", "anderson",
+                                      "fitting", "unlisted row"])
+    def test_shared_size_tables_keep_every_leaf(self, name, tag):
+        # the frames of one size share each premise instance's result at a
+        # search position when the result reads no frame; each node's
+        # leaves must still be those of _search_node without a shared
+        # table, whichever nodes of the size visit a position first. In
+        # "unlisted row", P has rows for rigid values only, so the leaf
+        # check, its tables complete, reads P of a non-rigid q as false,
+        # where a try at q's position (the last) waits on the row
+        from finmodal.formulas import SECOND_ORDER
+        from finmodal.ontoarg import variant
+        if name == "unlisted row":
+            sig = sig_of({"P": SECOND_ORDER, "q": PROPOSITION}, tag)
+            premises = [parse_formula("~(P [\\x q])", sig)]
+            b, relvar_domain = Bounds(2, 1), "rigid"
+        else:
+            ps = variant(name)
+            sig, premises = ps.sig.with_logic(tag), ps.formulas()
+            b, relvar_domain = ps.bounds, ps.relvar_domain
+        premises_n = [beta_normalize(expand_derived(p)) for p in premises]
+        nodes = list(_size_nodes(sig, b, premises_n))
+
+        def read(leaves):
+            return [(ok, m.denot if ok else None) for m, ok in leaves]
+
+        want = [read((_freeze(m), ok) for m, ok in _search_node(
+            node, sig, premises_n, relvar_domain, {})) for node in nodes]
+        table = LeafTable(premises, relvar_domain)
+        assert [read(table.node_leaves(node, sig)) for node in nodes] == want
+        # a new table, its largest size's nodes read in turn from the last,
+        # one leaf at a time, so other nodes make each position first
+        table = LeafTable(premises, relvar_domain)
+        largest = [node for node in nodes if node[:2] == nodes[-1][:2]]
+        open_ = [table.node_leaves(node, sig) for node in reversed(largest)]
+        for _ in range(3):
+            for leaves in open_:
+                next(leaves, None)
+        assert [read(table.node_leaves(node, sig)) for node in nodes] == want
+
+    @pytest.mark.parametrize("name, leaves, unshared, shared", [
+        ("goedel", 0, 9290, 3244), ("scott", 74, 21338, 16106),
+        ("anderson", 110, 106045, 99849), ("fitting", 122, 4155, 2250)])
+    def test_compiled_body_calls_through_the_table(
+            self, name, leaves, unshared, shared, monkeypatch):
+        # the (instance, world) evaluations of an exhaustive K search at two
+        # worlds and two individuals, as TestPruning counts them, through
+        # the production LeafTable path and through it with no size table
+        # (each node searched on its own)
+        from finmodal import modelfind
+        from finmodal.ontoarg import variant
+        calls = [0]
+
+        def counting(g):
+            holds = compile_world(g)
+
+            def counted(m, a, w):
+                calls[0] += 1
+                return holds(m, a, w)
+            return counted
+
+        monkeypatch.setattr(modelfind, "compile_world", counting)
+        ps = variant(name)
+        args = (ps.formulas(), ps.sig.with_logic(LogicTag.K), Bounds(2, 2),
+                ps.relvar_domain)
+        assert sum(1 for _ in modelfind.leaves(*args)) == leaves
+        assert calls[0] == shared
+        calls[0] = 0
+        monkeypatch.setattr(LeafTable, "_size", lambda self, node, sig: None)
+        assert sum(1 for _ in modelfind.leaves(*args)) == leaves
+        assert calls[0] == unshared
+
     def test_table_refuses_other_premises(self):
         sig = sig_of({"p": PROPOSITION, "q": PROPOSITION}, LogicTag.K)
         premises = [parse_formula("p -> []q", sig)]
@@ -425,39 +498,75 @@ class TestLeafTable:
         decide_sat(premises, sig, Bounds(2, 1), table=table)
         assert list(table.bodies) == [premises[0]]
 
-    def test_shared_table_matches_fresh_calls_on_random_premises(self):
+    def test_shared_table_matches_fresh_calls_on_random_premises(
+            self, monkeypatch):
+        # Also against searches with no size table, each node on its own:
+        # a Box inside a lambda, or a lambda's value kept per interpretation
+        # (one with no constant), reads the frame where a search position
+        # is shared, and a relation quantifier splits into many instances.
         from hypothesis import given, settings, strategies as st
-        from finmodal.formulas import Forall, Var
+        from finmodal import modelfind
+        from finmodal.formulas import Exemplify, Forall, Lambda, Var
 
         sig = sig_of({"p": PROPOSITION, "q": PROPOSITION, "S": REL1},
                      LogicTag.K)
-        x = Var("x0", INDIVIDUAL)
-        b = Bounds(2, 1)
+        bare = sig_of({}, LogicTag.K)
+        x, y = Var("x0", INDIVIDUAL), Var("y", INDIVIDUAL)
+        X, Y = Var("Y0", REL1), Var("Y", REL1)
+        kept = {"result": 0, "needs the frame": 0}
 
         def premise(rng):
+            depth = rng.randint(0, 2)
+            kind = rng.choice(["closed", "all x", "all X", "lambda"])
+            if kind == "closed":
+                return random_formula(rng, sig, depth)
+            if kind == "all x":
+                return Forall(x, random_formula(rng, sig, depth, [x]))
+            if kind == "all X":
+                return Forall(X, random_formula(rng, sig, depth, [X]))
             if rng.random() < 0.5:
-                return random_formula(rng, sig, rng.randint(0, 2))
-            return Forall(x, random_formula(rng, sig, rng.randint(0, 2), [x]))
+                body = Box(random_formula(rng, sig, depth - 1 if depth else 0,
+                                          [y]))
+            else:
+                body = Forall(Y, Box(random_formula(rng, bare, depth, [y, Y])))
+            return Forall(x, Exemplify(Lambda((y,), body), (x,)))
+
+        def results(position):
+            below, shared = position
+            yield from (shared or {}).values()
+            for child in (below or {}).values():
+                yield from results(child)
+
+        def searches(premises, conjecture, b, table=None):
+            sat = decide_sat(premises, sig, b, table=table)
+            return sat, [find_countermodel(premises, conjecture,
+                                           sig.with_logic(tag), b, table=table)
+                         for tag in self.TAGS]
 
         @settings(max_examples=60, deadline=None)
-        @given(st.integers(0, 2**30), st.integers(1, 3))
-        def check(seed, n_premises):
+        @given(st.integers(0, 2**30), st.integers(1, 3),
+               st.sampled_from([Bounds(2, 1), Bounds(2, 2)]))
+        def check(seed, n_premises, b):
             rng = random.Random(seed)
             premises = [premise(rng) for _ in range(n_premises)]
             conjecture = premise(rng)
             table = LeafTable(premises)
-            shared = decide_sat(premises, sig, b, table=table)
-            fresh = decide_sat(premises, sig, b)
-            assert shared.examined == fresh.examined
-            _assert_same_model(shared.model, fresh.model)
-            for tag in self.TAGS:
-                tagged = sig.with_logic(tag)
-                _assert_same_model(
-                    find_countermodel(premises, conjecture, tagged, b,
-                                      table=table),
-                    find_countermodel(premises, conjecture, tagged, b))
+            got = searches(premises, conjecture, b, table)
+            for size in table._sizes.values():
+                for r in results(size[2]):
+                    kept["needs the frame" if r is modelfind._NeedsFrame
+                         else "result"] += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(LeafTable, "_size", lambda self, node, sig: None)
+                unshared = searches(premises, conjecture, b)
+            for want in (searches(premises, conjecture, b), unshared):
+                assert got[0].examined == want[0].examined
+                _assert_same_model(got[0].model, want[0].model)
+                for cm, want_cm in zip(got[1], want[1]):
+                    _assert_same_model(cm, want_cm)
 
         check()
+        assert kept["result"] and kept["needs the frame"], kept
 
 
 class TestOneFramePerClass:
@@ -629,3 +738,44 @@ class TestBudget:
         ps = variant("goedel")
         assert count_models(ps.sig, Bounds(2, 2)) > MODEL_BUDGET
         assert not decide_sat(ps.formulas(), ps.sig, Bounds(2, 2)).is_sat
+
+
+class TestInputEdges:
+    """Inputs the shipped problems never give: each answers or raises."""
+
+    def test_bounds_below_one(self):
+        with pytest.raises(ValueError, match="bounds must be at least 1"):
+            Bounds(0, 1)
+
+    def test_open_premise_and_conjecture(self):
+        from finmodal.kripke import EvalError
+        sig = sig_of({"S": REL1}, LogicTag.K)
+        open_ = parse_formula("S x", sig)
+        with pytest.raises(EvalError, match="premises must be closed"):
+            decide_sat([open_], sig, Bounds(1, 1))
+        with pytest.raises(EvalError, match="conjecture must be closed"):
+            find_countermodel([], open_, sig, Bounds(1, 1))
+
+    def test_leading_quantifier_without_a_split_domain(self):
+        # a proposition quantifier is not split into instances: the premise
+        # is one instance, evaluated whole at each world
+        sig = sig_of({"p": PROPOSITION}, LogicTag.K)
+        premise = parse_formula("all r:prop (r -> []r)", sig)
+        table = LeafTable([premise])
+        result = decide_sat([premise], sig, Bounds(2, 1), table=table)
+        assert (result.model.n_worlds, result.model.access) == (1, frozenset())
+        assert result.examined == 0
+        assert [len(size[1]) for size in table._sizes.values()] == [1]
+        cm = find_countermodel([premise], parse_formula("p -> <>p", sig),
+                               sig, Bounds(2, 1))
+        assert (cm.n_worlds, cm.access, cm.denot) == (1, frozenset(), {"p": 1})
+
+    def test_premise_free_conjecture_outside_the_packed_fragment(self):
+        # a constant the signature lacks is left to the tree search, whose
+        # evaluator names it
+        from finmodal.formulas import Exemplify
+        from finmodal.kripke import EvalError
+        sig = sig_of({"p": PROPOSITION}, LogicTag.K)
+        with pytest.raises(EvalError, match="uninterpreted constant 'zz'"):
+            find_countermodel([], Exemplify(Const("zz", PROPOSITION), ()),
+                              sig, Bounds(1, 1))
