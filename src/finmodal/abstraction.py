@@ -9,6 +9,10 @@ deduction block, necessitation and generalization may only cite lines
 that do not depend on an open hypothesis (generalization additionally
 just needs its variable absent from the open hypotheses it depends on).
 
+A proof step is one record, `Step(rule, args)`, and `RULES` gives each
+rule's arguments in the order a proof file writes them; the file parser
+and renderer in `problemfile` read the same table.
+
 Every proof line is kept in beta normal form. Nodes store their
 normal-form flag (see `formulas`), so a line that modus ponens,
 necessitation or a closed deduction block builds from the lines it cites
@@ -21,8 +25,8 @@ a pair that is not equal as written.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SortError,
@@ -233,47 +237,21 @@ def make_layer(name: str) -> Layer:
 # ---------------------------------------------------------------------------
 # Proof scripts
 
-@dataclass(frozen=True)
-class AxStep:
-    schema: str
-    subst: dict
+class Step(NamedTuple):
+    """One proof step: a rule of RULES and its arguments in the order of
+    the rule's form there."""
+    rule: str
+    args: tuple
 
 
-@dataclass(frozen=True)
-class MpStep:
-    i: int  # antecedent line
-    j: int  # implication line
-
-
-@dataclass(frozen=True)
-class NecStep:
-    i: int
-
-
-@dataclass(frozen=True)
-class GenStep:
-    i: int
-    var: Var
-
-
-@dataclass(frozen=True)
-class ExpandStep:
-    i: int
-
-
-@dataclass(frozen=True)
-class HypStep:
-    formula: Formula
-
-
-@dataclass(frozen=True)
-class QedStep:
-    i: int
-
-
-@dataclass(frozen=True)
-class PremiseStep:
-    k: int  # 1-based premise index
+# Each rule's arguments, as a proof file writes them after the rule's name.
+# The slots in CITATIONS cite lines: 0-based in a Step, 1-based in a file.
+# <k> numbers a premise from 1 in both. ax's substitution is written
+# {name: value, ...}, and is a dict from metavariable names in a Step.
+RULES = {"ax": ("<schema>", "{...}"), "premise": ("<k>",),
+         "mp": ("<i>", "<j>"), "nec": ("<i>",), "gen": ("<i>", "<variable>"),
+         "expand": ("<i>",), "hyp": ("<formula>",), "qed": ("<i>",)}
+CITATIONS = ("<i>", "<j>")
 
 
 @dataclass(frozen=True)
@@ -327,69 +305,63 @@ class ProofState:
 
     def apply(self, step) -> int:
         """Apply one step; return the new line index or raise ProofStepError."""
+        if not (isinstance(step, Step) and step.rule in RULES):
+            raise ProofStepError(f"unknown step {step!r}")
         lines, layer = self.lines, self.layer
+        rule, args = step
         try:
-            if isinstance(step, AxStep):
-                s = layer.schemas.get(step.schema)
+            if rule == "ax":
+                name, subst = args
+                s = layer.schemas.get(name)
                 if s is None:
-                    raise ProofStepError(f"schema-not-in-layer: {step.schema}")
-                f = schema_instance(s, step.subst, layer.mode)
+                    raise ProofStepError(f"schema-not-in-layer: {name}")
+                f = schema_instance(s, subst, layer.mode)
                 deps = frozenset()
-            elif isinstance(step, PremiseStep):
-                if not (1 <= step.k <= len(self.premises)):
-                    raise ProofStepError(f"no premise {step.k}")
-                f = self.premises[step.k - 1]
+            elif rule == "premise":
+                (k,) = args
+                if not (1 <= k <= len(self.premises)):
+                    raise ProofStepError(f"no premise {k}")
+                f = self.premises[k - 1]
                 deps = frozenset()
-            elif isinstance(step, MpStep):
-                if not (self._visible(step.i) and self._visible(step.j)):
-                    raise ProofStepError("mp cites an unavailable line")
-                ante, impl = lines[step.i], lines[step.j]
-                g = impl.formula
-                if not isinstance(g, Implies) \
-                        or not alpha_equivalent(g.left, ante.formula):
-                    raise ProofStepError("mp-mismatch")
-                f = g.right
-                deps = ante.hyp_deps | impl.hyp_deps
-            elif isinstance(step, NecStep):
-                if not self._visible(step.i):
-                    raise ProofStepError("nec cites an unavailable line")
-                src = lines[step.i]
-                if self._open_hyp_deps(src.hyp_deps):
-                    raise ProofStepError(
-                        "nec-inside-deduction: line depends on an open hypothesis")
-                f = Box(src.formula)
-                deps = src.hyp_deps
-            elif isinstance(step, GenStep):
-                if not self._visible(step.i):
-                    raise ProofStepError("gen cites an unavailable line")
-                src = lines[step.i]
-                for h in self._open_hyp_deps(src.hyp_deps):
-                    if step.var.name in free_names(lines[h].formula):
-                        raise ProofStepError("gen-variable free in an open hypothesis")
-                f = Forall(step.var, src.formula)
-                deps = src.hyp_deps
-            elif isinstance(step, ExpandStep):
-                if not self._visible(step.i):
-                    raise ProofStepError("expand cites an unavailable line")
-                src = lines[step.i]
-                f = expand_derived(src.formula)
-                deps = src.hyp_deps
-            elif isinstance(step, HypStep):
-                f = step.formula
+            elif rule == "hyp":
+                (f,) = args
                 self.path = self.path + (len(lines),)
                 deps = frozenset({len(lines)})
-            elif isinstance(step, QedStep):
-                if not self.path:
+            else:  # a rule whose first argument cites a line
+                if rule == "qed" and not self.path:
                     raise ProofStepError("qed outside a deduction block")
-                if not self._visible(step.i):
-                    raise ProofStepError("qed cites an unavailable line")
-                hyp_idx = self.path[-1]
-                hyp, src = lines[hyp_idx], lines[step.i]
-                f = Implies(hyp.formula, src.formula)
-                self.path = self.path[:-1]
-                deps = (src.hyp_deps | hyp.hyp_deps) - {hyp_idx}
-            else:
-                raise ProofStepError(f"unknown step {step!r}")
+                if not (self._visible(args[0]) and (
+                        rule != "mp" or self._visible(args[1]))):
+                    raise ProofStepError(f"{rule} cites an unavailable line")
+                src = lines[args[0]]
+                deps = src.hyp_deps
+                if rule == "mp":
+                    impl = lines[args[1]]
+                    g = impl.formula
+                    if not isinstance(g, Implies) \
+                            or not alpha_equivalent(g.left, src.formula):
+                        raise ProofStepError("mp-mismatch")
+                    f = g.right
+                    deps = deps | impl.hyp_deps
+                elif rule == "nec":
+                    if self._open_hyp_deps(deps):
+                        raise ProofStepError(
+                            "nec-inside-deduction: line depends on an open hypothesis")
+                    f = Box(src.formula)
+                elif rule == "gen":
+                    var = args[1]
+                    for h in self._open_hyp_deps(deps):
+                        if var.name in free_names(lines[h].formula):
+                            raise ProofStepError("gen-variable free in an open hypothesis")
+                    f = Forall(var, src.formula)
+                elif rule == "expand":
+                    f = expand_derived(src.formula)
+                else:  # qed
+                    hyp_idx = self.path[-1]
+                    hyp = lines[hyp_idx]
+                    f = Implies(hyp.formula, src.formula)
+                    self.path = self.path[:-1]
+                    deps = (deps | hyp.hyp_deps) - {hyp_idx}
         except (SchemaError, SortError, KeyError) as e:
             raise ProofStepError(f"{type(e).__name__}: {e}")
         lines.append(_Line(beta_normalize(f), deps, self.path))
@@ -434,7 +406,6 @@ class SoundnessReport:
     layer: str
     n_models: int
     schema_findings: list
-    seconds: float
 
     @property
     def ok(self) -> bool:
@@ -543,7 +514,6 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
 
     Raises ValueError, before any work, for max_worlds < 1 or a repeated
     atom name, and SearchBoundsError past MODEL_BUDGET models."""
-    t0 = time.perf_counter()
     if max_worlds < 1:
         raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
     if len(set(atoms)) != len(atoms):
@@ -596,8 +566,7 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
     findings = [SchemaFinding(s.name, n, ce) for s, n, ce
                 in zip(template_schemas, counts, counterexamples)]
     findings.extend(_validate_builtins(builtin_schemas, layer))
-    return SoundnessReport(layer.name, n_models, findings,
-                           time.perf_counter() - t0)
+    return SoundnessReport(layer.name, n_models, findings)
 
 
 def _first_failing_model(space: ColumnSpace, fails: int,

@@ -3,20 +3,19 @@
 Problem directives: sig, logic, const, bounds, premise, conjecture,
 quantifiers, expect. Declarations come before the first formula line.
 
-Proof-script steps: layer, ax (a schema name and a `{name: value, ...}`
-substitution), mp, nec, gen, expand, premise, hyp, qed. A proof file is
-parsed with one parser memo, so equal subformulas across its lines are one
-node (see parse_proof).
+Proof-script files: a `layer` line and one step per line, each written
+as its rule's form in `abstraction.RULES`, line citations 1-based. Only
+ax (a schema name and a `{name: value, ...}` substitution) and hyp (a
+formula) are read and written apart; every other rule's words follow
+its form. A proof file is parsed with one parser memo, so equal
+subformulas across its lines are one node (see parse_proof).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abstraction import (
-    LAYER_NAMES, AxStep, ExpandStep, GenStep, HypStep, MpStep, NecStep,
-    PremiseStep, ProofScript, QedStep,
-)
+from .abstraction import CITATIONS, LAYER_NAMES, RULES, ProofScript, Step
 from .aot import AczelConfig
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation, Var, free_names,
@@ -165,12 +164,6 @@ def _parse_sort(text: str):
 
 _TERM_KEYS = {"alpha", "beta", "tau"}
 
-# What follows the head of each step that cites lines; every word but a
-# variable is a whole number.
-_STEP_FORMS = {"mp": ("<i>", "<j>"), "nec": ("<i>",),
-               "gen": ("<i>", "<variable>"), "expand": ("<i>",),
-               "premise": ("<k>",), "qed": ("<i>",)}
-
 
 def load_proof(path: str, sig: Signature):
     return parse_proof(_read_text(path), sig)
@@ -224,27 +217,12 @@ def parse_proof(text: str, sig: Signature):
                         raise ProblemFileError(
                             f"unexpected {tail.strip()!r} after the "
                             "substitution", no)
-                steps.append(AxStep(name.strip(),
-                                    _parse_subst(subst_text, parse)))
-            elif head == "mp":
-                i, j = _step_args(head, rest)
-                steps.append(MpStep(i - 1, j - 1))
-            elif head == "nec":
-                steps.append(NecStep(_step_args(head, rest)[0] - 1))
-            elif head == "gen":
-                i, var_name = _step_args(head, rest)
-                t = parse("term", var_name)
-                if not isinstance(t, Var):
-                    raise ProblemFileError("gen needs a variable", no)
-                steps.append(GenStep(i - 1, t))
-            elif head == "expand":
-                steps.append(ExpandStep(_step_args(head, rest)[0] - 1))
-            elif head == "premise":
-                steps.append(PremiseStep(_step_args(head, rest)[0]))
+                steps.append(Step("ax", (name.strip(),
+                                         _parse_subst(subst_text, parse))))
             elif head == "hyp":
-                steps.append(HypStep(parse("formula", rest)))
-            elif head == "qed":
-                steps.append(QedStep(_step_args(head, rest)[0] - 1))
+                steps.append(Step("hyp", (parse("formula", rest),)))
+            elif head in RULES:
+                steps.append(Step(head, _step_args(head, rest, parse)))
             else:
                 raise ProblemFileError(f"unknown step {head!r}", no)
         except ProblemFileError:
@@ -256,18 +234,28 @@ def parse_proof(text: str, sig: Signature):
     return layer_name, ProofScript(tuple(steps))
 
 
-def _step_args(head: str, rest: str) -> list:
-    """The words after a citing step's head, whole numbers as ints; the
-    wrong number of words, or a citation that is not a whole number, is a
-    ValueError showing the step's form."""
-    form = _STEP_FORMS[head]
+def _step_args(rule: str, rest: str, parse) -> tuple:
+    """The arguments of a step of a rule in RULES other than ax and hyp,
+    from the words after its name: a line citation less 1, a premise
+    number as it is, a variable parsed by parse(kind, text). The wrong
+    number of words, or a number that is not a whole number, is a
+    ValueError showing the rule's form."""
+    form = RULES[rule]
     words = rest.split()
     if len(words) != len(form) or not all(
             w.isdecimal() for w, slot in zip(words, form)
             if slot != "<variable>"):
-        raise ValueError(f"expected '{head} {' '.join(form)}'")
-    return [w if slot == "<variable>" else int(w)
-            for w, slot in zip(words, form)]
+        raise ValueError(f"expected '{rule} {' '.join(form)}'")
+    args = []
+    for w, slot in zip(words, form):
+        if slot == "<variable>":
+            var = parse("term", w)
+            if not isinstance(var, Var):
+                raise ValueError(f"{rule} needs a variable")
+            args.append(var)
+        else:
+            args.append(int(w) - 1 if slot in CITATIONS else int(w))
+    return tuple(args)
 
 
 def _parse_subst(text: str, parse) -> dict:
@@ -303,28 +291,24 @@ def _parse_subst(text: str, parse) -> dict:
 def render_proof(layer_name: str, script: ProofScript) -> str:
     lines = [f"layer {layer_name}"]
     for step in script.steps:
-        if isinstance(step, AxStep):
+        rule, args = step if isinstance(step, Step) else (None, ())
+        if rule == "ax":
+            name, subst = args
             items = []
-            for name in sorted(step.subst):
-                value = step.subst[name]
+            for key in sorted(subst):
+                value = subst[key]
                 rendered = (print_term(value) if isinstance(value, (Var,))
-                            or name in _TERM_KEYS else print_formula(value))
-                items.append(f"{name}: {rendered}")
-            lines.append(f"ax {step.schema} {{{', '.join(items)}}}")
-        elif isinstance(step, MpStep):
-            lines.append(f"mp {step.i + 1} {step.j + 1}")
-        elif isinstance(step, NecStep):
-            lines.append(f"nec {step.i + 1}")
-        elif isinstance(step, GenStep):
-            lines.append(f"gen {step.i + 1} {step.var.name}")
-        elif isinstance(step, ExpandStep):
-            lines.append(f"expand {step.i + 1}")
-        elif isinstance(step, PremiseStep):
-            lines.append(f"premise {step.k}")
-        elif isinstance(step, HypStep):
-            lines.append(f"hyp {print_formula(step.formula)}")
-        elif isinstance(step, QedStep):
-            lines.append(f"qed {step.i + 1}")
+                            or key in _TERM_KEYS else print_formula(value))
+                items.append(f"{key}: {rendered}")
+            lines.append(f"ax {name} {{{', '.join(items)}}}")
+        elif rule == "hyp":
+            lines.append(f"hyp {print_formula(args[0])}")
+        elif rule in RULES:
+            words = [rule]
+            for a, slot in zip(args, RULES[rule]):
+                words.append(a.name if slot == "<variable>" else
+                             str(a + 1 if slot in CITATIONS else a))
+            lines.append(" ".join(words))
         else:
             raise ValueError(f"cannot render {step!r}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 """Script builder and the shipped derivations.
 
-The builder appends checker-validated steps and exposes the standard
-derived moves of a Hilbert system with deduction blocks (identity,
-double negation, ex falso, reductio, conjunction handling), so longer
-derivations read as recipes. Shipped here:
+The builder appends checker-validated steps, one method per rule, each
+building an `abstraction.Step`. It exposes the standard derived moves of
+a Hilbert system with deduction blocks (identity, double negation, ex
+falso, reductio, conjunction handling), so longer derivations read as
+recipes. Shipped here:
 
 * the K-diamond lemma  [](p->q) -> (<>p -> <>q),
 * the refutation of the unemended ontological premise set in logic K,
@@ -13,10 +14,7 @@ derivations read as recipes. Shipped here:
 
 from __future__ import annotations
 
-from .abstraction import (
-    AxStep, ExpandStep, GenStep, HypStep, Layer, MpStep, NecStep, PremiseStep,
-    ProofScript, ProofState, QedStep, make_layer,
-)
+from .abstraction import Layer, ProofScript, ProofState, Step, make_layer
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Diamond, Exemplify, Forall, Formula, Implies,
@@ -41,7 +39,8 @@ class ScriptBuilder:
         self.state = ProofState(layer, premises)
         self.steps: list = []
 
-    def _push(self, step) -> int:
+    def _push(self, rule: str, *args) -> int:
+        step = Step(rule, args)
         idx = self.state.apply(step)
         self.steps.append(step)
         return idx
@@ -55,28 +54,28 @@ class ScriptBuilder:
     # elementary steps
 
     def ax(self, name: str, **subst) -> int:
-        return self._push(AxStep(name, subst))
+        return self._push("ax", name, subst)
 
     def premise(self, k: int) -> int:
-        return self._push(PremiseStep(k))
+        return self._push("premise", k)
 
     def mp(self, i: int, j: int) -> int:
-        return self._push(MpStep(i, j))
+        return self._push("mp", i, j)
 
     def nec(self, i: int) -> int:
-        return self._push(NecStep(i))
+        return self._push("nec", i)
 
     def gen(self, i: int, var: Var) -> int:
-        return self._push(GenStep(i, var))
+        return self._push("gen", i, var)
 
     def expand(self, i: int) -> int:
-        return self._push(ExpandStep(i))
+        return self._push("expand", i)
 
     def hyp(self, f: Formula) -> int:
-        return self._push(HypStep(f))
+        return self._push("hyp", f)
 
     def qed(self, i: int) -> int:
-        return self._push(QedStep(i))
+        return self._push("qed", i)
 
     # derived moves (each returns the index of its conclusion)
 

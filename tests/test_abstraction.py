@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finmodal.abstraction import (
-    Accepted, AxStep, ExpandStep, GenStep, HypStep, Layer, MpStep, NecStep,
-    PremiseStep, ProofScript, ProofState, QedStep, Rejected, Schema,
-    SchemaFinding, SoundnessReport, check_proof, make_layer, schema_instance,
+    Accepted, Layer, ProofScript, ProofState, Rejected, Schema, SchemaFinding,
+    SoundnessReport, Step, check_proof, make_layer, schema_instance,
     validate_layer,
 )
 from finmodal.formulas import (
@@ -56,15 +55,15 @@ class TestCheckProof:
         assert alpha_equivalent(verdict.conclusion, want)
 
     def test_schema_not_in_layer(self):
-        script = ProofScript((AxStep("ax_T", {"p": P}),))
+        script = ProofScript((Step("ax", ("ax_T", {"p": P})),))
         verdict = check_proof(script, make_layer("K"))
         assert isinstance(verdict, Rejected)
         assert "schema-not-in-layer" in verdict.reason
 
     def test_mp_mismatch(self):
-        steps = (AxStep("pl1", {"p": P, "q": Q}),
-                 AxStep("pl1", {"p": P, "q": Q}),
-                 MpStep(0, 1))
+        steps = (Step("ax", ("pl1", {"p": P, "q": Q})),
+                 Step("ax", ("pl1", {"p": P, "q": Q})),
+                 Step("mp", (0, 1)))
         verdict = check_proof(ProofScript(steps), make_layer("K"))
         assert isinstance(verdict, Rejected)
         assert verdict.reason == "mp-mismatch"
@@ -76,8 +75,8 @@ class TestCheckProof:
         S, x, y = Const("S", REL1), Var("x", INDIVIDUAL), Var("y", INDIVIDUAL)
         all_x = Forall(x, Exemplify(S, (x,)))
         all_y = Forall(y, Exemplify(S, (y,)))
-        steps = (HypStep(all_x), HypStep(Implies(all_y, Q)), MpStep(0, 1),
-                 QedStep(2), QedStep(3))
+        steps = (Step("hyp", (all_x,)), Step("hyp", (Implies(all_y, Q),)),
+                 Step("mp", (0, 1)), Step("qed", (2,)), Step("qed", (3,)))
         verdict = check_proof(ProofScript(steps), make_layer("K"))
         assert verdict == Accepted(Implies(all_x, Implies(Implies(all_y, Q), Q)))
 
@@ -90,12 +89,12 @@ class TestCheckProof:
         P.rel, Lambda((Var("x", INDIVIDUAL),), P),
     ], ids=["constant", "lambda"])
     def test_quantifier_schemas_need_a_variable(self, kind, rest, alpha):
-        script = ProofScript((AxStep(kind, {"alpha": alpha, **rest}),))
+        script = ProofScript((Step("ax", (kind, {"alpha": alpha, **rest})),))
         verdict = check_proof(script, make_layer("K"))
         assert verdict == Rejected(0, "SchemaError: alpha must be a variable")
 
     def test_nec_barred_on_hypothesis_dependents(self):
-        steps = (HypStep(P), NecStep(0), QedStep(1))
+        steps = (Step("hyp", (P,)), Step("nec", (0,)), Step("qed", (1,)))
         verdict = check_proof(ProofScript(steps), make_layer("K"))
         assert isinstance(verdict, Rejected)
         assert "nec-inside-deduction" in verdict.reason
@@ -110,21 +109,23 @@ class TestCheckProof:
         assert isinstance(verdict, Accepted)
 
     def test_unclosed_block(self):
-        verdict = check_proof(ProofScript((HypStep(P),)), make_layer("K"))
+        verdict = check_proof(ProofScript((Step("hyp", (P,)),)),
+                              make_layer("K"))
         assert isinstance(verdict, Rejected)
         assert "unclosed" in verdict.reason
 
     def test_lines_inside_closed_blocks_are_out_of_scope(self):
-        steps = (HypStep(P), QedStep(0), NecStep(0))
+        steps = (Step("hyp", (P,)), Step("qed", (0,)), Step("nec", (0,)))
         verdict = check_proof(ProofScript(steps), make_layer("K"))
         assert isinstance(verdict, Rejected)
 
     def test_premises_enter_by_index(self):
-        script = ProofScript((PremiseStep(1),))
+        script = ProofScript((Step("premise", (1,)),))
         verdict = check_proof(script, make_layer("K"), (P,))
         assert isinstance(verdict, Accepted)
         assert verdict.conclusion == P
-        bad = check_proof(ProofScript((PremiseStep(2),)), make_layer("K"), (P,))
+        bad = check_proof(ProofScript((Step("premise", (2,)),)),
+                          make_layer("K"), (P,))
         assert isinstance(bad, Rejected)
 
     def test_deduction_metarule_admissible(self):
@@ -154,31 +155,34 @@ _Sx, _Sy = (Exemplify(Const("S", REL1), (v,)) for v in (_x, _y))
 
 
 def _eq_sub(phi, psi, beta=_y):
-    return AxStep("eq_sub", {"alpha": _x, "beta": beta, "phi": phi,
-                             "psi": psi})
+    return Step("ax", ("eq_sub", {"alpha": _x, "beta": beta, "phi": phi,
+                                  "psi": psi}))
 
 
 _NOT_REPLACED = "SchemaError: psi is not phi with occurrences of alpha replaced"
 
 
 @pytest.mark.parametrize("layer, steps, premises, step, reason", [
-    ("K", (AxStep("vac", {"alpha": _x, "phi": _Sx}),), (), 0,
+    ("K", (Step("ax", ("vac", {"alpha": _x, "phi": _Sx})),), (), 0,
      "SchemaError: vacuous generalization needs the variable absent"),
-    ("K", (AxStep("pl1", {"p": P}),), (), 0,
+    ("K", (Step("ax", ("pl1", {"p": P})),), (), 0,
      "SchemaError: missing metavariables ['q']"),
     # an individual for a formula metavariable would head an atom
-    ("K", (AxStep("pl1", {"p": _x, "q": P}),), (), 0,
+    ("K", (Step("ax", ("pl1", {"p": _x, "q": P})),), (), 0,
      "SchemaError: metavariable p needs a formula value"),
-    ("K", (HypStep(_Sx), GenStep(0, _x)), (), 1,
+    ("K", (Step("hyp", (_Sx,)), Step("gen", (0, _x))), (), 1,
      "gen-variable free in an open hypothesis"),
-    ("K", (MpStep(0, 1),), (), 0, "mp cites an unavailable line"),
-    ("K", (GenStep(0, _x),), (), 0, "gen cites an unavailable line"),
-    ("K", (ExpandStep(0),), (), 0, "expand cites an unavailable line"),
-    ("K", (QedStep(0),), (), 0, "qed outside a deduction block"),
-    ("K", (HypStep(P), QedStep(1)), (), 1, "qed cites an unavailable line"),
+    ("K", (Step("mp", (0, 1)),), (), 0, "mp cites an unavailable line"),
+    ("K", (Step("gen", (0, _x)),), (), 0, "gen cites an unavailable line"),
+    ("K", (Step("expand", (0,)),), (), 0, "expand cites an unavailable line"),
+    ("K", (Step("qed", (0,)),), (), 0, "qed outside a deduction block"),
+    ("K", (Step("hyp", (P,)), Step("qed", (1,))), (), 1,
+     "qed cites an unavailable line"),
     ("K", ("junk",), (), 0, "unknown step 'junk'"),
+    ("K", (Step("lemma", (0,)),), (), 0,
+     "unknown step Step(rule='lemma', args=(0,))"),
     ("K", (), (), 0, "empty script"),
-    ("K", (PremiseStep(1),), (_Sx,), 0, "premises must be closed"),
+    ("K", (Step("premise", (1,)),), (_Sx,), 0, "premises must be closed"),
     ("AOT", (_eq_sub(_Sx, _Sy, Var("F", REL1)),), (), 0,
      "SchemaError: equality between different sorts"),
     ("AOT", (_eq_sub(_Sx, Not(_Sy)),), (), 0, _NOT_REPLACED),
@@ -193,7 +197,8 @@ _NOT_REPLACED = "SchemaError: psi is not phi with occurrences of alpha replaced"
 ], ids=["vac-free", "missing-metavariable", "template-term-value",
         "gen-free-in-hypothesis",
         "mp-unavailable", "gen-unavailable", "expand-unavailable",
-        "qed-outside-block", "qed-unavailable", "unknown-step", "empty",
+        "qed-outside-block", "qed-unavailable", "unknown-step",
+        "unknown-rule", "empty",
         "open-premise", "eq_sub-sorts", "eq_sub-node-kind",
         "eq_sub-binder-names", "eq_sub-arity", "eq_sub-macro-name"])
 def test_rejected_steps(layer, steps, premises, step, reason):
@@ -207,15 +212,16 @@ def test_custom_layer_schemas():
     # primitive equality and holds on every test model
     refl = Layer("AOT+eq_refl", LogicTag.S5TOTAL, Mode.AOT,
                  {"eq_refl": Schema("eq_refl", "eq_refl")})
-    assert check_proof(ProofScript((AxStep("eq_refl", {"tau": _x}),)),
+    assert check_proof(ProofScript((Step("ax", ("eq_refl", {"tau": _x})),)),
                        refl) == Rejected(0, "SchemaError: reflexivity is "
                                             "not an AOT axiom (existence "
                                             "needed)")
     layer = Layer("K+eq_sub", LogicTag.K, Mode.CLASSICAL,
                   {"eq_sub": Schema("eq_sub", "eq_sub"),
                    "odd": Schema("odd", "odd")})
-    assert check_proof(ProofScript((AxStep("odd", {}),)), layer) == Rejected(
-        0, "SchemaError: unknown schema kind odd")
+    assert check_proof(ProofScript((Step("ax", ("odd", {})),)),
+                       layer) == Rejected(0, "SchemaError: unknown schema "
+                                             "kind odd")
     assert check_proof(ProofScript((_eq_sub(_Sx, _Sy),)), layer) == Accepted(
         Implies(PrimitiveEq(_x, _y), Implies(_Sx, _Sy)))
     report = validate_layer(layer, max_worlds=1)
@@ -232,7 +238,7 @@ def test_template_with_a_constant():
     c = Exemplify(Const("c", PROPOSITION), ())
     layer = Layer("K+c", LogicTag.K, Mode.CLASSICAL, {
         "c_ax": Schema("c_ax", "template", Implies(P_meta(), c), ("p",))})
-    assert check_proof(ProofScript((AxStep("c_ax", {"p": Q}),)),
+    assert check_proof(ProofScript((Step("ax", ("c_ax", {"p": Q})),)),
                        layer) == Accepted(Implies(Q, c))
 
 
@@ -270,7 +276,7 @@ def test_ax_line_is_normal_and_unchanged(schema):
     layer.schemas["redex"] = Schema("redex", "template", Exemplify(
         Lambda((_y,), Implies(P_meta(), Exemplify(Const("S", REL1), (_y,)))),
         (_x,)), ("p",))
-    verdict = check_proof(ProofScript((AxStep(schema, subst),)), layer)
+    verdict = check_proof(ProofScript((Step("ax", (schema, subst)),)), layer)
     assert isinstance(verdict, Accepted)
     line = verdict.conclusion
     old = beta_normalize(_spliced(layer.schemas[schema].template, subst))
@@ -412,6 +418,14 @@ class TestValidateLayer:
         report = validate_layer(layer, max_worlds=2)
         finding = next(f for f in report.schema_findings if f.schema == "bogus")
         assert finding.counterexample is not None
+
+    @pytest.mark.parametrize("name", ["KB", "AOT"])
+    def test_one_input_gives_equal_reports(self, name):
+        # a report holds counts and counterexamples, no wall time
+        first, second = (validate_layer(make_layer(name), max_worlds=2)
+                         for _ in range(2))
+        assert first == second
+        assert repr(first) == repr(second)
 
     @pytest.mark.parametrize("name, max_worlds, counts", [
         ("K", 2, {"pl1": 3648, "pl2": 14208, "pl3": 3648, "ax_K": 3648}),

@@ -514,8 +514,80 @@ def _separating(sig):
     return parse_term("[\\y y[E!]]", sig)
 
 
-# id -> (call on the minimal model, its answer or (error class, message))
+def _individuals(m):
+    """Every object of m: each ordinary urelement, and each encoded set."""
+    return [Ordinary(u) for u in range(m.n_ordinary)] + [
+        Abstract(s) for s in range(1 << len(m.relspace1))]
+
+
+def _encodes(x, r):
+    return isinstance(x, Abstract) and bool(x.encoded >> r & 1)
+
+
+def _concrete(m, x, w):
+    return m.rel_bit(m.denot["E!"], m.urelement_of(x), w)
+
+
+def _description(m, holds):
+    """(the x: phi) on m, where holds(x) is phi's truth at the actual world:
+    the one object that satisfies it, if there is one."""
+    found = [x for x in _individuals(m) if holds(x)]
+    return Denotes(found[0]) if len(found) == 1 else NON_DENOTING
+
+
+def _lambda(m, holds):
+    """[\\x phi] on m, where holds(x, w) is phi's truth at world w: the
+    relation that holds of an urelement at w when phi holds of the objects
+    whose urelement it is, if those objects agree everywhere."""
+    truth = {}
+    for x in _individuals(m):
+        for w in range(m.n_worlds):
+            key = (m.urelement_of(x), w)
+            if truth.setdefault(key, holds(x, w)) != holds(x, w):
+                return NON_DENOTING
+    return Denotes(sum(1 << (u * m.n_worlds + w)
+                       for (u, w), t in truth.items() if t))
+
+
+_TWO_ORDINARY = build_aczel(AczelConfig(n_ordinary=2, n_worlds=1))
+_FOUR_RELATIONS = build_aczel(AczelConfig(n_worlds=1, consts={
+    f"r{v}": ("rel", v) for v in range(4)}))
+
+
+def _denote_on(model, text):
+    return lambda m: denote(parse_term(text, (model or m).sig), model or m)
+
+
+# id -> (call on the minimal model, its answer, (error class, message), or
+# a function of the model that works out the answer)
 EVALUATOR_BRANCHES = {
+    # a lambda and descriptions whose matrix sweeps every encoded set
+    "lambda-full-sweep": (
+        _denote_on(None, r"[\x exists F (x[F] | ~x[F])]"),
+        lambda m: _lambda(m, lambda x, w: any(
+            _encodes(x, r) or not _encodes(x, r) for r in m.relspace1))),
+    "description-full-sweep-many": (
+        _denote_on(None, "(the x: exists F (x[F]))"),
+        lambda m: _description(m, lambda x: any(
+            _encodes(x, r) for r in m.relspace1))),
+    "description-full-sweep-one-ordinary": (
+        _denote_on(None, "(the x: O! x & ~exists F (x[F]))"),
+        lambda m: _description(m, lambda x: any(
+            _concrete(m, x, w) for w in range(m.n_worlds)) and not any(
+            _encodes(x, r) for r in m.relspace1))),
+    # descriptions with two ordinary satisfiers, and, on singleton pattern
+    # classes, with one abstract satisfier or many
+    "description-patterns-two-ordinary": (
+        _denote_on(_TWO_ORDINARY, "(the x: E! x -> E! x)"),
+        lambda m: _description(_TWO_ORDINARY, lambda x: True)),
+    "description-patterns-one-abstract": (
+        _denote_on(_FOUR_RELATIONS, "(the x: x[r0] & x[r1] & x[r2] & x[r3])"),
+        lambda m: _description(_FOUR_RELATIONS, lambda x: all(
+            _encodes(x, r) for r in range(4)))),
+    "description-patterns-many-abstract": (
+        _denote_on(_FOUR_RELATIONS, "(the x: x[r0] & (x[r1] | ~x[r1]) & "
+                                    "(x[r2] | ~x[r2]) & (x[r3] | ~x[r3]))"),
+        lambda m: _description(_FOUR_RELATIONS, lambda x: _encodes(x, 0))),
     "unhoused-exemplify-arg": (
         lambda m: eval_aot(_ex(_E, _x), m),
         (AotEvalError, "unhoused free variable 'x'")),
@@ -631,6 +703,9 @@ EVALUATOR_BRANCHES = {
 @pytest.mark.parametrize("case", EVALUATOR_BRANCHES)
 def test_evaluator_branch(m, case):
     call, want = EVALUATOR_BRANCHES[case]
+    if callable(want):
+        assert call(m) == want(m)
+        return
     if isinstance(want, bool):
         assert call(m) is want
         return

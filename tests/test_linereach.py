@@ -28,3 +28,25 @@ def test_counts_the_lines_of_functions_only():
 
 def test_ranges_join_consecutive_lines():
     assert _linereach()._ranges({7, 1, 2, 3, 5, 8}) == "1-3, 5, 7-8"
+
+
+def test_lines_are_read_before_the_run(tmp_path):
+    # an edit made to a module while the traced run goes on does not
+    # shift the report: its lines are those of the source at the start
+    path = tmp_path / "mod.py"
+    path.write_text("def f(x):\n"       # 1
+                    "    if x:\n"       # 2
+                    "        return 1\n"  # 3
+                    "    return 2\n")   # 4
+    linereach = _linereach()
+
+    def run():
+        spec = importlib.util.spec_from_file_location("mod", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        path.write_text("\n" * 5 + path.read_text())
+        return module.f(1)
+
+    result, report = linereach.traced(tmp_path, run)
+    assert result == 1
+    assert report == {path: ({1, 2, 3, 4}, {4})}

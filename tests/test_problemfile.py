@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from finmodal import problemfile
 from finmodal.abstraction import (
-    Accepted, AxStep, GenStep, HypStep, check_proof, make_layer,
+    Accepted, ProofScript, check_proof, make_layer,
 )
 from finmodal.formulas import (
     INDIVIDUAL, REL1, Actually, And, Box, Const, Diamond, Exemplify, Exists,
@@ -22,7 +22,8 @@ from finmodal.problemfile import (
     parse_proof, parse_aot_config, render_proof,
 )
 from finmodal.proofs import (
-    ScriptBuilder, derive_kdia, kdia_script, two_individuals_script,
+    ScriptBuilder, derive_kdia, goedel_refutation_script, kdia_script,
+    two_individuals_script,
 )
 from finmodal.signature import LogicTag, Mode
 
@@ -132,12 +133,12 @@ SHIPPED_PROOFS = [("s5", "kdia"), ("goedel", "goedel_refutation"),
 
 
 def _step_roots(step):
-    if isinstance(step, AxStep):
-        return tuple(step.subst.values())
-    if isinstance(step, HypStep):
-        return (step.formula,)
-    if isinstance(step, GenStep):
-        return (step.var,)
+    if step.rule == "ax":
+        return tuple(step.args[1].values())
+    if step.rule == "hyp":
+        return step.args
+    if step.rule == "gen":
+        return step.args[1:]
     return ()
 
 
@@ -232,9 +233,10 @@ def test_equal_texts_share_one_node_within_a_call_only():
             "ax pl1 {p: p -> q, q: q}\nhyp q\ngen 1 x\ngen 2 x\n")
     first = parse_proof(text, sig)[1].steps
     hyp1, hyp2, ax, hyp3, gen1, gen2 = first
-    assert hyp1.formula is hyp2.formula is ax.subst["p"]
-    assert ax.subst["q"] is hyp3.formula
-    assert gen1.var is gen2.var
+    (f1,), (f2,), (_, subst), (f3,) = hyp1.args, hyp2.args, ax.args, hyp3.args
+    assert f1 is f2 is subst["p"]
+    assert subst["q"] is f3
+    assert gen1.args[1] is gen2.args[1]
     second = parse_proof(text, sig)[1].steps
     assert second == first
     seen = {id(n) for step in first for n in _step_nodes(step)}
@@ -250,8 +252,6 @@ def test_a_bad_text_repeated_reports_its_first_line(bad):
     assert e.value.line == 3
 
 
-# the command-line tests cover an unclosed or repeating substitution, a
-# second layer line and `mp 1`
 @pytest.mark.parametrize("line,message", [
     ("ax pl1 {p: p, q: q} q", "unexpected 'q' after the substitution"),
     ("mp 1 2 3", "expected 'mp <i> <j>'"),
@@ -265,6 +265,75 @@ def test_malformed_proof_line(line, message):
     with pytest.raises(ProblemFileError) as e:
         parse_proof(f"layer K\nhyp p\n{line}\n", sig)
     assert str(e.value) == f"line 3: {message}"
+
+
+# id -> (proof file, what parsing it and rendering the script back gives:
+# the rendered text, or the error)
+PROOF_FILES = {
+    "every-rule": (
+        "layer K\n\nhyp p\n  # a comment\ngen 1 x\npremise 2\nmp 1 3\n"
+        "expand 4\nnec 5\nax pl1 {q: q, p: p}\nqed 2\n",
+        "layer K\nhyp p\ngen 1 x\npremise 2\nmp 1 3\nexpand 4\nnec 5\n"
+        "ax pl1 {p: p, q: q}\nqed 2\n"),
+    "second-layer": ("layer K\nlayer K\n", "line 2: 'layer' is given twice"),
+    "unknown-layer": ("layer T\n", "line 1: unknown layer 'T'"),
+    "missing-layer": ("hyp p\n", "line 1: missing 'layer' line"),
+    "unknown-step": ("layer K\nlemma 1\n", "line 2: unknown step 'lemma'"),
+    "unclosed-substitution": ("layer K\nax pl1 {p: p, q: q\n",
+                              "line 2: the substitution has no closing '}'"),
+    "after-substitution": ("layer K\nax pl1 {p: p} q\n",
+                           "line 2: unexpected 'q' after the substitution"),
+    "repeated-metavariable": ("layer K\nax pl1 {p: p, p: q}\n",
+                              "line 2: metavariable 'p' is given twice"),
+    "gen-constant": ("layer K\nhyp p\ngen 1 c\n",
+                     "line 3: gen needs a variable"),
+    "mp-count": ("layer K\nmp 1\n", "line 2: expected 'mp <i> <j>'"),
+    "mp-word": ("layer K\nmp 1 j\n", "line 2: expected 'mp <i> <j>'"),
+    "nec-count": ("layer K\nnec\n", "line 2: expected 'nec <i>'"),
+    "nec-word": ("layer K\nnec 1.0\n", "line 2: expected 'nec <i>'"),
+    "gen-count": ("layer K\ngen 1\n",
+                  "line 2: expected 'gen <i> <variable>'"),
+    "gen-word": ("layer K\ngen x x\n",
+                 "line 2: expected 'gen <i> <variable>'"),
+    "expand-count": ("layer K\nexpand 1 2\n", "line 2: expected 'expand <i>'"),
+    "expand-word": ("layer K\nexpand -1\n", "line 2: expected 'expand <i>'"),
+    "premise-count": ("layer K\npremise\n", "line 2: expected 'premise <k>'"),
+    "premise-word": ("layer K\npremise one\n",
+                     "line 2: expected 'premise <k>'"),
+    "qed-count": ("layer K\nqed 1 1\n", "line 2: expected 'qed <i>'"),
+    "qed-word": ("layer K\nqed i\n", "line 2: expected 'qed <i>'"),
+}
+
+
+@pytest.mark.parametrize("case", PROOF_FILES)
+def test_proof_file_parses_and_renders(case):
+    text, want = PROOF_FILES[case]
+    sig = parse_problem("const p : prop\nconst q : prop\nconst c : ind\n").sig
+    try:
+        got = render_proof(*parse_proof(text, sig))
+    except ProblemFileError as e:
+        got = str(e)
+    assert got == want
+
+
+@pytest.mark.parametrize("stem", ["kdia", "goedel_refutation",
+                                  "two_individuals"])
+def test_builder_scripts_render_as_shipped(stem):
+    script = {
+        "kdia": kdia_script,
+        "goedel_refutation": lambda: goedel_refutation_script(
+            load_problem("problems/goedel.problem").premises),
+        "two_individuals": two_individuals_script,
+    }[stem]()
+    layer_name = "AOT" if stem == "two_individuals" else "K"
+    with open(f"proofs/{stem}.proof") as fh:
+        assert render_proof(layer_name, script) == fh.read()
+
+
+def test_a_step_of_no_rule_cannot_be_rendered():
+    with pytest.raises(ValueError) as e:
+        render_proof("K", ProofScript(("junk",)))
+    assert str(e.value) == "cannot render 'junk'"
 
 
 KDIA_SIG = parse_problem("logic K\nconst p : prop\nconst q : prop\n"
@@ -369,8 +438,8 @@ def test_one_group_text_under_different_bindings(first):
     steps = parse_proof(text, sig)[1].steps
     x = Var("x", INDIVIDUAL)
     by_line = dict(zip(lines, steps))
-    assert by_line[bound].formula.body.left == Exemplify(Var("F", REL1), (x,))
-    assert by_line[constant].formula.left == Exemplify(Const("F", REL1), (x,))
+    assert by_line[bound].args[0].body.left == Exemplify(Var("F", REL1), (x,))
+    assert by_line[constant].args[0].left == Exemplify(Const("F", REL1), (x,))
 
 
 @pytest.mark.parametrize("lines,message", [

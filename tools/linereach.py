@@ -2,12 +2,14 @@
 
     python tools/linereach.py
 
-Runs the Tier-1 suite in this process under sys.settrace, then every
-subcommand through finmodal.cli.run on the shipped files: `check` and
-`sat` on each problem, the three shipped `prove`s, `corpus all` into a
-temporary directory, and `aot` with `--census --worlds` on the model. It
-then prints, per module, the executable lines that never ran, and a
-total.
+Reads each module's source, then runs the Tier-1 suite in this process
+under sys.settrace, then every subcommand through finmodal.cli.run on the
+shipped files: `check` and `sat` on each problem, the three shipped
+`prove`s, `corpus all` into a temporary directory, and `aot` with
+`--census --worlds` on the model. It then prints, per module, the
+executable lines that never ran, and a total. The lines are those of the
+sources as read at the start, so editing a module during the run does not
+shift its report.
 
 A line is executable when a function's code object lists it (co_lines,
 through every nested code object). Module and class bodies are left out:
@@ -52,10 +54,10 @@ def executable_lines(source: str, filename: str = "<source>") -> set:
     return lines
 
 
-def _tracer(reached: dict):
+def _tracer(reached: dict, src: Path):
     """A global trace function that records, by file, each line run in a
-    frame whose code lies under SRC."""
-    prefix = str(SRC) + os.sep
+    frame whose code lies under src."""
+    prefix = str(src) + os.sep
     local_tracers = {}
 
     def trace(frame, event, arg):
@@ -76,6 +78,26 @@ def _tracer(reached: dict):
         return local
 
     return trace
+
+
+def traced(src: Path, run) -> tuple:
+    """(run's result, report) of run() under the tracer. The report maps
+    each module under src to (its executable lines, those no traced line
+    reached), the lines read from its source before run starts, so an
+    edit made during the run does not shift them. The trace function in
+    place before, if any, is put back after."""
+    executable = {path: executable_lines(path.read_text(encoding="utf-8"),
+                                         str(path))
+                  for path in sorted(src.glob("*.py"))}
+    reached: dict = {}
+    previous = sys.gettrace()
+    sys.settrace(_tracer(reached, src))
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, {path: (lines, lines - reached.get(str(path), set()))
+                    for path, lines in executable.items()}
 
 
 def _cli_runs(tmp: str) -> list:
@@ -102,33 +124,31 @@ def _ranges(numbers) -> str:
                      for r in out)
 
 
-def main() -> int:
+def _run_all() -> int:
+    """The Tier-1 suite's status, after it and the command-line runs."""
     import pytest
 
+    status = pytest.main(["-q", "--continue-on-collection-errors",
+                          "-p", "no:cacheprovider", "tests"])
+    from finmodal.cli import run
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in _cli_runs(tmp):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                run(argv)
+    return status
+
+
+def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    reached: dict = {}
-    trace = _tracer(reached)
-    sys.settrace(trace)
-    try:
-        status = pytest.main(["-q", "--continue-on-collection-errors",
-                              "-p", "no:cacheprovider", "tests"])
-        from finmodal.cli import run
-
-        with tempfile.TemporaryDirectory() as tmp:
-            for argv in _cli_runs(tmp):
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    run(argv)
-    finally:
-        sys.settrace(None)
+    status, report = traced(SRC, _run_all)
 
     print("\nlines no traced run reached (tests that run the command line "
           "in a subprocess are not traced):")
     total = unreached_total = 0
-    for path in sorted(SRC.glob("*.py")):
-        lines = executable_lines(path.read_text(encoding="utf-8"), str(path))
-        missed = lines - reached.get(str(path), set())
+    for path, (lines, missed) in report.items():
         total += len(lines)
         unreached_total += len(missed)
         if missed:
