@@ -53,7 +53,7 @@ class Schema:
     name: str
     kind: str  # 'template' | 'inst' | 'dist' | 'vac' | 'eq_refl' | 'eq_sub'
     template: Formula | None = None
-    metavars: tuple = ()  # names, documentation only for builtins
+    metavars: tuple = ()  # names a substitution must give
 
 
 class SchemaError(Exception):
@@ -156,10 +156,10 @@ def _replaces_some(phi: Formula, psi: Formula, a: Term, b: Term) -> bool:
 
 def schema_instance(s: Schema, subst: dict, mode: Mode = Mode.CLASSICAL) -> Formula:
     """Compute the instance of s under the given substitution."""
+    missing = [n for n in s.metavars if n not in subst]
+    if missing:
+        raise SchemaError(f"missing metavariables {missing}")
     if s.kind == "template":
-        missing = [n for n in s.metavars if n not in subst]
-        if missing:
-            raise SchemaError(f"missing metavariables {missing}")
         return instantiate_template(s.template, subst)
     if s.kind == "inst":
         alpha, phi, tau = subst["alpha"], subst["phi"], subst["tau"]

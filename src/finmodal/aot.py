@@ -8,8 +8,11 @@ through its urelement; encoding tests membership in an abstract object's
 set and is world-independent. Terms may fail to denote: atoms touching a
 non-denoting term are false.
 
-Individual quantifiers run on a quotient. A variable whose encoding atoms
-all use relation terms closed at the quantifier ranges over membership
+Every binder of an individual, be it a quantifier, a unary lambda or a
+description, runs on one quotient: the ordinary individuals, built once
+per call, and the abstract representatives `_abstract_reps` gives it, one
+per (proxy class, membership pattern). A variable whose encoding atoms
+all use relation terms closed at the binder ranges over membership
 patterns; a variable free of encoding atoms ranges over urelement
 representatives; anything else needs one full sweep over all encoded sets,
 evaluated column-wise on packed integers. Nested full sweeps exceed the
@@ -20,12 +23,15 @@ handler by its type in a table, `_EV` and `_VEC`. An atom reads a variable
 or constant straight from the assignment or the model; lambdas and
 descriptions are denoted. A formula is rigid when its truth cannot differ
 between worlds, a fact stored on the node; a Box evaluates a rigid body
-once, at world 0, where the loop over worlds would start.
+once, at world 0, where the loop over worlds would start. A Box's truth
+is kept per call; its column in a sweep is not, since keeping it was
+measured to save no time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .abstraction import Accepted, check_proof, make_layer
 from .formulas import (
@@ -219,13 +225,14 @@ class _EvalContext:
     """The state of one top-level call (`denote`, `eval_aot`).
 
     Besides the sweep counters and the closed terms' denotations, it
-    holds the truth of each Box, and each Box's column in a sweep, per
+    holds the ordinary individuals, built once, the truth of each Box per
     budget depth and values of its free names (the same at every world,
-    accessibility being total), and the representatives of an individual
-    quantifier per tuple of pattern values. The Box tables and the closed
-    terms' are keyed by node, the representatives by values alone; all
-    are dropped when the call returns. What depends only on a node's
-    structure is stored on the node (see `formulas._FACTS`)."""
+    accessibility being total), and the abstract representatives every
+    binder ranges over per tuple of pattern values (see `_abstract_reps`).
+    The Box table and the closed terms' are keyed by node, the
+    representatives by values alone; all are dropped when the call
+    returns. What depends only on a node's structure is stored on the node
+    (see `formulas._FACTS`)."""
 
     def __init__(self, m: AczelModel):
         self.m = m
@@ -235,13 +242,11 @@ class _EvalContext:
         self.full = (1 << self.n_cols) - 1
         self.membership = _membership_masks(len(m.relspace1))
         self.sigma_class_masks = self._sigma_classes()
+        self.ordinary = [Ordinary(u) for u in range(m.n_ordinary)]
         self.closed_cache: dict = {}   # closed term -> denotation
         self.reps: dict = {}           # pattern values -> representatives
         # (box, pattern_depth, full_scans, free-name values) -> truth
         self.boxes: dict = {}
-        # (box, swept variable, pattern_depth, full_scans, values of the
-        # other free names) -> column
-        self.box_columns: dict = {}
 
     def _sigma_classes(self) -> dict:
         m = self.m
@@ -313,10 +318,18 @@ def _budget_error(what: str, node) -> AotBudgetError:
     return AotBudgetError(f"{what}: {shown}")
 
 
-def _pattern_values(closed_rels, m: AczelModel, a: dict,
-                    ctx: "_EvalContext", where) -> list:
+def _abstract_reps(binder, m: AczelModel, a: dict, ctx: "_EvalContext"):
+    """The abstract objects the variable of binder (an individual
+    quantifier, a unary lambda or a description) ranges over besides the
+    ordinary ones: one encoded set per (proxy class, membership pattern
+    over the values of the body's closed encoding relations), class by
+    class. None when the body needs a full sweep instead. The list is built
+    once per call for each tuple of pattern values."""
+    needs_full, closed, _ = _encode_usage(binder)
+    if needs_full:
+        return None
     values = []
-    for t in closed_rels:
+    for t in closed:
         v = _value(t, m, a, ctx)
         if v is not NON_DENOTING:
             values.append(v)
@@ -325,39 +338,19 @@ def _pattern_values(closed_rels, m: AczelModel, a: dict,
     values = tuple(sorted(set(values)))
     if len(values) > 8:
         raise _budget_error("too many reachable relation values to quotient",
-                            where)
-    return values
-
-
-def _pattern_reps(m: AczelModel, values) -> list:
-    """Abstract representatives: one encoded set per (proxy class,
-    membership pattern over the reachable values)."""
-    reps = []
-    for s in range(m.n_special):
+                            binder)
+    reps = ctx.reps.get(values)
+    if reps is None:
+        reps = []
         for bits in range(1 << len(values)):
             enc = 0
             for i, v in enumerate(values):
                 if (bits >> i) & 1:
                     enc |= 1 << v
-            if m.sigma_of(enc) == s:
-                reps.append(Abstract(enc))
-    return reps
-
-
-def _individual_domain(f: Forall, m: AczelModel, a: dict,
-                       ctx: "_EvalContext"):
-    """('reps', list) or ('full', None) for an individual quantifier. The
-    list is built once per call for each tuple of pattern values."""
-    needs_full, closed, _ = _encode_usage(f)
-    if needs_full:
-        return ("full", None)
-    values = _pattern_values(closed, m, a, ctx, f)
-    reps = ctx.reps.get(values)
-    if reps is None:
-        reps = [Ordinary(u) for u in range(m.n_ordinary)]
-        reps.extend(_pattern_reps(m, values))
+            reps.append(Abstract(enc))
+        reps.sort(key=m.urelement_of)   # stable: patterns in order per class
         ctx.reps[values] = reps
-    return ("reps", reps)
+    return reps
 
 
 def _rigid(f: Formula) -> bool:
@@ -438,36 +431,30 @@ def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
 def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
     """The urelement function for a unary lambda, or non-denoting when its
     matrix separates objects sharing a proxy."""
-    x = t.params[0]
-    body = t.body
+    x, body = t.params[0].name, t.body
     value = 0
     a2 = dict(a)
-    for u in range(m.n_ordinary):
-        a2[x.name] = Ordinary(u)
+    for u, ind in enumerate(ctx.ordinary):
+        a2[x] = ind
         for w in range(m.n_worlds):
             if _ev(body, m, a2, w, ctx):
                 value |= 1 << (u * m.n_worlds + w)
 
-    needs_full, closed, _ = _encode_usage(t)
-    if not needs_full:
+    reps = _abstract_reps(t, m, a, ctx)
+    if reps is not None:
         # truth depends on the proxy class and the membership pattern only;
-        # the matrix factors iff patterns within one class cannot disagree
-        values = _pattern_values(closed, m, a, ctx, t)
-        for s in range(m.n_special):
-            reps = [r for r in _pattern_reps(m, values)
-                    if m.sigma_of(r.encoded) == s]
-            truths = None
-            for rep in reps:
-                a2[x.name] = rep
-                got = tuple(_ev(body, m, a2, w, ctx)
-                            for w in range(m.n_worlds))
-                if truths is None:
-                    truths = got
-                elif truths != got:
-                    return NON_DENOTING
+        # the matrix factors iff representatives sharing a urelement agree
+        rows = {}
+        for rep in reps:
+            a2[x] = rep
+            u = m.urelement_of(rep)
+            row = 0
             for w in range(m.n_worlds):
-                if truths and truths[w]:
-                    value |= 1 << ((m.n_ordinary + s) * m.n_worlds + w)
+                if _ev(body, m, a2, w, ctx):
+                    row |= 1 << (u * m.n_worlds + w)
+            if rows.setdefault(u, row) != row:
+                return NON_DENOTING
+            value |= row
         return Denotes(value)
 
     cols = _scan_columns(t, m, a, ctx)
@@ -485,31 +472,29 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
 def _denote_description(t: Description, m: AczelModel, a: dict,
                         ctx: _EvalContext):
     """The unique satisfier at the actual world, else non-denoting."""
-    x, body = t.var, t.body
+    x, body = t.var.name, t.body
     w0 = m.actual
     a2 = dict(a)
     hits = []
-    for u in range(m.n_ordinary):
-        a2[x.name] = Ordinary(u)
+    for ind in ctx.ordinary:
+        a2[x] = ind
         if _ev(body, m, a2, w0, ctx):
-            hits.append(Ordinary(u))
+            hits.append(ind)
             if len(hits) > 1:
                 return NON_DENOTING
 
-    needs_full, closed, _ = _encode_usage(t)
-    if not needs_full:
-        # any satisfying pattern class contains many abstract objects,
-        # so an abstract satisfier already spoils uniqueness
-        values = _pattern_values(closed, m, a, ctx, t)
-        singleton_classes = len(values) >= len(m.relspace1)
-        for rep in _pattern_reps(m, values):
-            a2[x.name] = rep
+    reps = _abstract_reps(t, m, a, ctx)
+    if reps is not None:
+        # a pattern class holds many abstract objects unless every relation
+        # value is reachable, so an abstract satisfier then spoils uniqueness
+        singleton_classes = len(reps) == ctx.n_cols
+        for rep in reps:
+            a2[x] = rep
             if _ev(body, m, a2, w0, ctx):
-                if singleton_classes:
-                    hits.append(rep)
-                    if len(hits) > 1:
-                        return NON_DENOTING
-                else:
+                if not singleton_classes:
+                    return NON_DENOTING
+                hits.append(rep)
+                if len(hits) > 1:
                     return NON_DENOTING
         return Denotes(hits[0]) if len(hits) == 1 else NON_DENOTING
 
@@ -601,18 +586,12 @@ def _vec_implies(f: Implies, x, m, a, w, ctx) -> int:
 
 def _vec_box(f: Box, x, m, a, w, ctx) -> int:
     # accessibility is total, so the column is the same at every world
-    key = (f, x, ctx.pattern_depth, ctx.full_scans,
-           tuple(a.get(n) for n in free_names(f) if n != x))
-    out = ctx.box_columns.get(key)
-    if out is None:
-        body = f.body
-        if _rigid(body):
-            out = _vec(body, x, m, a, 0, ctx)
-        else:
-            out = ctx.full
-            for v in range(m.n_worlds):
-                out &= _vec(body, x, m, a, v, ctx)
-        ctx.box_columns[key] = out
+    body = f.body
+    if _rigid(body):
+        return _vec(body, x, m, a, 0, ctx)
+    out = ctx.full
+    for v in range(m.n_worlds):
+        out &= _vec(body, x, m, a, v, ctx)
     return out
 
 
@@ -625,12 +604,13 @@ def _vec_forall(f: Forall, x, m, a, w, ctx) -> int:
     var = f.var
     depth = ctx.pattern_depth
     if var.sort == INDIVIDUAL:
-        kind, domain = _individual_domain(f, m, a, ctx)
-        if kind == "full":
+        reps = _abstract_reps(f, m, a, ctx)
+        if reps is None:
             raise _budget_error("nested full sweeps over abstract objects", f)
         if depth >= PATTERN_BUDGET:
             raise _budget_error("individual quantifiers nested too deeply", f)
         ctx.pattern_depth = depth + 1
+        domain = chain(ctx.ordinary, reps)
     else:
         domain = _higher_domain(var, m)
     try:
@@ -728,34 +708,29 @@ def _ev_actually(f: Actually, m, a, w, ctx) -> bool:
 
 def _ev_forall(f: Forall, m, a, w, ctx) -> bool:
     var = f.var
+    depth = ctx.pattern_depth
     if var.sort == INDIVIDUAL:
-        kind, reps = _individual_domain(f, m, a, ctx)
-        if kind == "full":
-            for u in range(m.n_ordinary):
-                a2 = dict(a)
-                a2[var.name] = Ordinary(u)
-                if not _ev(f.body, m, a2, w, ctx):
-                    return False
-            cols = _scan_columns(f, m, a, ctx, worlds=(w,))
-            return cols[w] == ctx.full
-        if ctx.pattern_depth >= PATTERN_BUDGET:
-            raise _budget_error("individual quantifiers nested too deeply", f)
-        ctx.pattern_depth += 1
-        try:
-            for rep in reps:
-                a2 = dict(a)
-                a2[var.name] = rep
-                if not _ev(f.body, m, a2, w, ctx):
-                    return False
-            return True
-        finally:
-            ctx.pattern_depth -= 1
-    for val in _higher_domain(var, m):
-        a2 = dict(a)
-        a2[var.name] = val
-        if not _ev(f.body, m, a2, w, ctx):
-            return False
-    return True
+        reps = _abstract_reps(f, m, a, ctx)
+        domain = ctx.ordinary
+        if reps is not None:
+            if depth >= PATTERN_BUDGET:
+                raise _budget_error("individual quantifiers nested too deeply",
+                                    f)
+            ctx.pattern_depth = depth + 1
+            domain = chain(domain, reps)
+    else:
+        reps, domain = (), _higher_domain(var, m)
+    try:
+        for val in domain:
+            a2 = dict(a)
+            a2[var.name] = val
+            if not _ev(f.body, m, a2, w, ctx):
+                return False
+    finally:
+        ctx.pattern_depth = depth
+    # without representatives, the abstract objects take one full sweep
+    return reps is not None or \
+        _scan_columns(f, m, a, ctx, worlds=(w,))[w] == ctx.full
 
 
 _EV = {Exemplify: _ev_exemplify, Encode: _ev_encode,

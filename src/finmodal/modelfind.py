@@ -145,47 +145,29 @@ def _needs_relspace(sig: Signature, premises_n) -> bool:
     return False
 
 
-def _denotation_groups(m: KripkeInterpretation) -> list:
-    """Ordered bit groups of m's constants: (const, key, options). key is
-    None for a scalar denotation and the row of a table otherwise;
-    (const, key) is the _MissingBit token of the group's bit. Under the
-    rigid reading second-order tables carry rows for rigid values only."""
-    groups = []
-    n_worlds, n_individuals = m.n_worlds, m.n_individuals
+def _denotation_groups(consts, n_worlds: int, n_individuals: int, rows,
+                       relspace):
+    """Ordered bit groups of the constants (a name -> sort dict) at one
+    size, one at a time: (const, key, options). key is None for a scalar
+    denotation and the row of a table otherwise; (const, key) is the
+    _MissingBit token of the group's bit. rows are the second-order tables'
+    rows, values of relspace (under the rigid reading its rigid values
+    only)."""
     wmasks = range(1 << n_worlds)
-    rows = m.rigid_relations if m.relvar_domain == "rigid" else m.relspace
-    for name in sorted(m.sig.consts):
-        sort = m.sig.consts[name]
+    for name in sorted(consts):
+        sort = consts[name]
         if sort.kind == "so":
-            for v in _pair_adjacent_in(rows, m.relspace):
-                groups.append((name, v, wmasks))
+            for v in _pair_adjacent_in(rows, relspace):
+                yield name, v, wmasks
         elif sort.kind == "ind":
-            groups.append((name, None, range(n_individuals)))
+            yield name, None, range(n_individuals)
         elif sort.arity == 0:
-            groups.append((name, None, wmasks))
+            yield name, None, wmasks
         elif sort.arity == 1:
-            groups.append((name, None, range(1 << (n_individuals * n_worlds))))
+            yield name, None, range(1 << (n_individuals * n_worlds))
         else:
             for ds in itertools.product(range(n_individuals), repeat=sort.arity):
-                groups.append((name, ds, wmasks))
-    return groups
-
-
-def _choices(sort, n_worlds: int, n_individuals: int, rows: int):
-    """The option counts of the bit groups _denotation_groups gives a
-    constant of this sort, with rows second-order table rows, one group
-    at a time, without building their product."""
-    masks = 1 << n_worlds
-    if sort.kind == "so":
-        return itertools.repeat(masks, rows)
-    if sort.kind == "ind":
-        return (n_individuals,)
-    if sort.arity == 0:
-        return (masks,)
-    if sort.arity == 1:
-        return (1 << (n_individuals * n_worlds),)
-    return (masks for _ in itertools.product(range(n_individuals),
-                                             repeat=sort.arity))
+                yield name, ds, wmasks
 
 
 def _check_relspace(n_worlds: int, n_individuals: int) -> None:
@@ -195,27 +177,28 @@ def _check_relspace(n_worlds: int, n_individuals: int) -> None:
             f"space past the limit of {RELSPACE_LIMIT} bits")
 
 
-def _node_counts(logic: LogicTag, sorts, b: Bounds):
+def _node_counts(logic: LogicTag, consts, b: Bounds):
     """(n_worlds, n_individuals, factors) per size, canonical order, for
-    constants of the given sorts: factors iterates the frame count and the
-    option count of each bit group, and their product is the number of
-    interpretations."""
-    need = any(s.kind == "so" for s in sorts)
+    the constants (a name -> sort dict): factors iterates the frame count
+    and the option count of each bit group, and their product is the
+    number of interpretations."""
+    need = any(s.kind == "so" for s in consts.values())
     for n_w in range(1, b.max_worlds + 1):
         for n_d in range(1, b.max_individuals + 1):
-            rows = 0
+            relspace = ()
             if need:
                 _check_relspace(n_w, n_d)
-                rows = 1 << (n_d * n_w)
+                relspace = full_relspace(n_d, n_w)
+            groups = _denotation_groups(consts, n_w, n_d, relspace, relspace)
             yield n_w, n_d, itertools.chain(
                 (count_frames(logic, n_w),),
-                *(_choices(s, n_w, n_d, rows) for s in sorts))
+                (len(options) for _, _, options in groups))
 
 
 def count_models(sig: Signature, b: Bounds) -> int:
     """Number of interpretations within bounds."""
     return sum(math.prod(factors) for _, _, factors in
-               _node_counts(sig.logic, tuple(sig.consts.values()), b))
+               _node_counts(sig.logic, sig.consts, b))
 
 
 def _check_budget(sig: Signature, b: Bounds) -> None:
@@ -228,9 +211,9 @@ def _check_budget(sig: Signature, b: Bounds) -> None:
     stops at the first factor that takes it past the budget, so absurd
     bounds or arities never build a huge integer.
     """
-    sorts = tuple(s for s in sig.consts.values() if s.kind != "so")
+    consts = {n: s for n, s in sig.consts.items() if s.kind != "so"}
     total = 0
-    for n_w, n_d, factors in _node_counts(sig.logic, sorts, b):
+    for n_w, n_d, factors in _node_counts(sig.logic, consts, b):
         per = 1
         for factor in factors:
             per *= factor
@@ -341,7 +324,10 @@ def _size_parts(m: KripkeInterpretation, premises_n, bodies) -> tuple:
         return None
 
     split = [ga for p in premises_n for ga in _split_instances(p, domains)]
-    return _denotation_groups(m), tuple(
+    rows = m.rigid_relations if m.relvar_domain == "rigid" else m.relspace
+    groups = list(_denotation_groups(m.sig.consts, m.n_worlds, n_d, rows,
+                                     m.relspace))
+    return groups, tuple(
         (_compiled_body(bodies, g), a, i) for i, (g, a) in enumerate(split))
 
 
@@ -622,8 +608,8 @@ def enumerate_models(sig: Signature, b: Bounds):
     """All interpretations within bounds, canonical deterministic order."""
     for node in _size_nodes(sig, b, ()):
         n_w, n_d, R, relspace = node
-        groups = _denotation_groups(
-            KripkeInterpretation(sig, n_w, n_d, R, {}, relspace))
+        groups = list(_denotation_groups(sig.consts, n_w, n_d, relspace,
+                                         relspace))
 
         def build(choice):
             denot = {}

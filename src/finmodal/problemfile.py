@@ -208,15 +208,17 @@ def parse_proof(text: str, sig: Signature):
                 layer_name = rest
             elif head == "ax":
                 name, brace, subst_text = rest.partition("{")
-                if brace:
-                    subst_text, closing, tail = subst_text.rpartition("}")
-                    if not closing:
-                        raise ProblemFileError(
-                            "the substitution has no closing '}'", no)
-                    if tail.strip():
-                        raise ProblemFileError(
-                            f"unexpected {tail.strip()!r} after the "
-                            "substitution", no)
+                if not brace:
+                    raise ProblemFileError(
+                        f"expected 'ax {' '.join(RULES['ax'])}'", no)
+                subst_text, closing, tail = subst_text.rpartition("}")
+                if not closing:
+                    raise ProblemFileError(
+                        "the substitution has no closing '}'", no)
+                if tail.strip():
+                    raise ProblemFileError(
+                        f"unexpected {tail.strip()!r} after the "
+                        "substitution", no)
                 steps.append(Step("ax", (name.strip(),
                                          _parse_subst(subst_text, parse))))
             elif head == "hyp":

@@ -167,6 +167,9 @@ _NOT_REPLACED = "SchemaError: psi is not phi with occurrences of alpha replaced"
      "SchemaError: vacuous generalization needs the variable absent"),
     ("K", (Step("ax", ("pl1", {"p": P})),), (), 0,
      "SchemaError: missing metavariables ['q']"),
+    # a builtin schema checks its metavariables as a template schema does
+    ("K", (Step("ax", ("inst", {"phi": P, "tau": _x})),), (), 0,
+     "SchemaError: missing metavariables ['alpha']"),
     # an individual for a formula metavariable would head an atom
     ("K", (Step("ax", ("pl1", {"p": _x, "q": P})),), (), 0,
      "SchemaError: metavariable p needs a formula value"),
@@ -194,7 +197,8 @@ _NOT_REPLACED = "SchemaError: psi is not phi with occurrences of alpha replaced"
     ("AOT", (_eq_sub(MacroFormula("ess_g", (Const("S", REL1), _x)),
                      MacroFormula("ess_s", (Const("S", REL1), _y))),), (), 0,
      _NOT_REPLACED),
-], ids=["vac-free", "missing-metavariable", "template-term-value",
+], ids=["vac-free", "missing-metavariable",
+        "missing-builtin-metavariable", "template-term-value",
         "gen-free-in-hypothesis",
         "mp-unavailable", "gen-unavailable", "expand-unavailable",
         "qed-outside-block", "qed-unavailable", "unknown-step",

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import pkgutil
 import random
@@ -56,6 +57,27 @@ class TestBuild:
         contingency = parse_formula("<> exists x (E! x & ~ @ E! x)", flat.sig)
         assert not eval_aot(contingency, flat)
         assert eval_aot(parse_formula("<> exists x (E! x & ~ @ E! x)", m.sig), m)
+
+    @pytest.mark.parametrize("config, message", [
+        (AczelConfig(n_ordinary=0), "urelements and worlds must be non-empty"),
+        (AczelConfig(actual=2), "actual world 2 is not in 0..1"),
+        (AczelConfig(consts={"c": ("bogus", 0)}),
+         "unknown constant spec ('bogus', 0)"),
+        (AczelConfig(consts={"c": ("prop", 4)}),
+         "c: proposition value 4 is not in 0..3"),
+    ])
+    def test_bad_config_raises(self, config, message):
+        with pytest.raises(AotEvalError) as err:
+            build_aczel(config)
+        assert str(err.value) == message
+
+    def test_proposition_constant(self):
+        # value 2 holds at world 1 only, and world 0 is actual
+        model = build_aczel(AczelConfig(consts={"c": ("prop", 2)}))
+        assert model.denot["c"] == 2
+        assert not eval_aot(parse_formula("c", model.sig), model)
+        assert not eval_aot(parse_formula("[]c", model.sig), model)
+        assert eval_aot(parse_formula("c", model.sig), model, w=1)
 
     def test_sigma_not_injective_by_pigeonhole(self, m):
         # far more abstract objects than special urelements
@@ -558,6 +580,27 @@ def _denote_on(model, text):
     return lambda m: denote(parse_term(text, (model or m).sig), model or m)
 
 
+# nine relation values for a binder's patterns, one past the quotient's
+# budget, and a body that reads F before them
+_NINE_RELATIONS = build_aczel(AczelConfig(consts={
+    f"r{v}": ("rel", v) for v in range(9)}))
+_NINE_BODY = "F x & " + " & ".join(f"x[r{v}]" for v in range(9))
+_NINE_SHOWN = functools.reduce(lambda s, v: f"~({s} -> ~x[r{v}])", range(9),
+                               "F x")
+
+
+def _on_nine(form, a):
+    text, m9 = form % _NINE_BODY, _NINE_RELATIONS
+    if text.startswith("all"):
+        return lambda m: eval_aot(parse_formula(text, m9.sig), m9, a)
+    return lambda m: denote(parse_term(text, m9.sig), m9, a)
+
+
+def _too_many(form):
+    return (AotBudgetError, "too many reachable relation values to "
+                            f"quotient: {form % _NINE_SHOWN}")
+
+
 # id -> (call on the minimal model, its answer, (error class, message), or
 # a function of the model that works out the answer)
 EVALUATOR_BRANCHES = {
@@ -588,6 +631,22 @@ EVALUATOR_BRANCHES = {
         _denote_on(_FOUR_RELATIONS, "(the x: x[r0] & (x[r1] | ~x[r1]) & "
                                     "(x[r2] | ~x[r2]) & (x[r3] | ~x[r3]))"),
         lambda m: _description(_FOUR_RELATIONS, lambda x: _encodes(x, 0))),
+    # a quantifier works out its pattern values before its ordinary
+    # individuals, a lambda or a description after them
+    "quotient-budget-quantifier": (
+        _on_nine("all x (%s)", {}), _too_many("all x (%s)")),
+    "quotient-budget-lambda-after-ordinary": (
+        _on_nine(r"[\x %s]", {}),
+        (AotEvalError, "unhoused free variable 'F'")),
+    "quotient-budget-description-after-ordinary": (
+        _on_nine("(the x: %s)", {}),
+        (AotEvalError, "unhoused free variable 'F'")),
+    "quotient-budget-quantifier-housed": (
+        _on_nine("all x (%s)", {"F": 0}), _too_many("all x (%s)")),
+    "quotient-budget-lambda": (
+        _on_nine(r"[\x %s]", {"F": 0}), _too_many(r"[\x %s]")),
+    "quotient-budget-description": (
+        _on_nine("(the x: %s)", {"F": 0}), _too_many("(the x: %s)")),
     "unhoused-exemplify-arg": (
         lambda m: eval_aot(_ex(_E, _x), m),
         (AotEvalError, "unhoused free variable 'x'")),

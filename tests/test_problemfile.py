@@ -279,6 +279,8 @@ PROOF_FILES = {
     "unknown-layer": ("layer T\n", "line 1: unknown layer 'T'"),
     "missing-layer": ("hyp p\n", "line 1: missing 'layer' line"),
     "unknown-step": ("layer K\nlemma 1\n", "line 2: unknown step 'lemma'"),
+    "no-substitution": ("layer K\nax pl1 p: p, q: q}\n",
+                        "line 2: expected 'ax <schema> {...}'"),
     "unclosed-substitution": ("layer K\nax pl1 {p: p, q: q\n",
                               "line 2: the substitution has no closing '}'"),
     "after-substitution": ("layer K\nax pl1 {p: p} q\n",
