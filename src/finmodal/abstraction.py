@@ -53,7 +53,7 @@ class Schema:
     name: str
     kind: str  # 'template' | 'inst' | 'dist' | 'vac' | 'eq_refl' | 'eq_sub'
     template: Formula | None = None
-    metavars: tuple = ()  # names a substitution must give
+    metavars: tuple = ()  # names a substitution must give (if (), its kind's)
 
 
 class SchemaError(Exception):
@@ -155,8 +155,11 @@ def _replaces_some(phi: Formula, psi: Formula, a: Term, b: Term) -> bool:
 
 
 def schema_instance(s: Schema, subst: dict, mode: Mode = Mode.CLASSICAL) -> Formula:
-    """Compute the instance of s under the given substitution."""
-    missing = [n for n in s.metavars if n not in subst]
+    """Compute the instance of s under the given substitution. A schema
+    that names no metavariables needs those of its builtin kind."""
+    builtin = _BUILTINS.get(s.kind)
+    metavars = s.metavars or (builtin.metavars if builtin else ())
+    missing = [n for n in metavars if n not in subst]
     if missing:
         raise SchemaError(f"missing metavariables {missing}")
     if s.kind == "template":

@@ -38,7 +38,7 @@ from .formulas import (
     EXPANSION_BUDGET, INDIVIDUAL, PROPOSITION, REL1,
     Actually, And, Box, Const, Description, Encode, Exemplify, Forall,
     Formula, Implies, Lambda, MacroFormula, Not, PrimitiveEq, Term, Var,
-    binder_vars, children, free_names, subnodes,
+    binder_vars, children, free_names,
 )
 from .kripke import lowest_bit
 from .macros import primitive_form
@@ -263,9 +263,11 @@ def _encode_usage(binder):
 
     A relation term is closed when it mentions no variable bound between
     the binder and the encoding atom. prefetch lists the closed lambdas
-    and descriptions of the body, in the order a walk meets them, which a
-    full sweep denotes before it starts; it is empty when no full sweep is
-    needed."""
+    and descriptions of the body, each once, in the order a pre-order walk
+    first meets them, which a full sweep denotes before it starts; it is
+    empty when no full sweep is needed. That walk enters each distinct
+    node once: a subtree the body holds more than once, as the `dn` and
+    `id` expansions hold their term, is not walked again."""
     usage = getattr(binder, "_binder", None)
     if usage is not None:
         return usage
@@ -302,12 +304,19 @@ def _encode_usage(binder):
                     state["full"] = True
 
     walk(f, frozenset())
-    prefetch = ()
+    prefetch = []
     if state["full"]:
-        prefetch = tuple({id(n): n for n in subnodes(f)
-                          if isinstance(n, (Lambda, Description))
-                          and not free_names(n)}.values())
-    usage = (state["full"], tuple(closed), prefetch)
+        seen = set()
+        stack = [f]
+        while stack:
+            n = stack.pop()
+            if id(n) in seen:
+                continue
+            seen.add(id(n))
+            if isinstance(n, (Lambda, Description)) and not free_names(n):
+                prefetch.append(n)
+            stack.extend(reversed(children(n)))
+    usage = (state["full"], tuple(closed), tuple(prefetch))
     object.__setattr__(binder, "_binder", usage)
     return usage
 

@@ -4,10 +4,13 @@ Terms and formulas are immutable; every variable and constant carries a sort.
 Alpha-equivalence is defined by a de Bruijn canonical key and decided by
 `alpha_equivalent`, which tries identity and structural equality first: on
 shared nodes, such as the parser's, most pairs are one of those, and no key
-is built. Substitution is capture-avoiding, and beta reduction is restricted
-to applications whose matrix is safe (in AOT mode a lambda with encoding
-atoms on its bound variable may fail to denote, so such redexes are left in
-place).
+is built. Substitution is capture-avoiding and shares what it leaves
+unchanged: a subtree where no substituted variable is free comes back as it
+is, with what it stores, only the paths down to the occurrences are rebuilt,
+and only a binder the substitution enters is renamed. Beta reduction is
+restricted to applications whose matrix is safe (in AOT mode a lambda with
+encoding atoms on its bound variable may fail to denote, so such redexes
+are left in place).
 """
 
 from __future__ import annotations
@@ -453,39 +456,44 @@ def substitute(x: Node, var: Var, term: Term) -> Node:
         raise SortError(
             f"substituting a {sort_of(term)} term for {var.sort} variable {var.name}"
         )
-    return _subst(x, {var: term})
+    return x if term == var else _subst(x, {var: term})
 
 
 def substitute_many(x: Node, mapping: dict) -> Node:
     for v, t in mapping.items():
         if sort_of(t) != v.sort:
             raise SortError(f"bad sort in substitution for {v.name}")
-    return _subst(x, dict(mapping))
+    return _subst(x, {v: t for v, t in mapping.items() if t != v})
 
 
 def _subst(x: Node, mapping: dict) -> Node:
-    if not mapping:
-        return x
+    """x with the free occurrences of mapping's variables replaced; mapping
+    maps none to itself. At each node the bindings whose variable is not
+    free there are dropped, and a node left with none comes back as it is,
+    with what it stores (see _FACTS), so only the paths down to the
+    occurrences are rebuilt. A binder the substitution enters is renamed
+    when it would capture a free variable of the payload; no other is."""
     if isinstance(x, Var):
         return mapping.get(x, x)
-    if isinstance(x, Const):
-        return x
+    names = free_names(x)
     bvs = binder_vars(x)
+    live = {v: t for v, t in mapping.items()
+            if v.name in names and v not in bvs}
+    if not live:
+        return x
     if bvs:
-        live = {v: t for v, t in mapping.items() if v not in bvs}
-        if not live:
-            return x
         # Rename any binder that would capture a free variable of the payload.
+        # Each live variable is free here, so the fresh name, which avoids
+        # names, is never one the substitution still replaces below.
         payload_names = set()
         for t in live.values():
             payload_names |= free_names(t)
         for bv in bvs:
             if bv.name in payload_names:
-                taken = payload_names | free_names(x) | {v.name for v in bvs}
+                taken = payload_names | names | {v.name for v in bvs}
                 nv = Var(fresh_name(bv.name, taken), bv.sort)
                 x = rename_binder(x, bv, nv)
-        return rebuild(x, tuple(_subst(c, live) for c in children(x)))
-    return rebuild(x, tuple(_subst(c, mapping) for c in children(x)))
+    return rebuild(x, tuple(_subst(c, live) for c in children(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +549,12 @@ def alpha_equivalent(a: Node, b: Node) -> bool:
 
 def _param_touches_encode(x: Node, param: Var, shadowed=_EMPTY) -> bool:
     """True when param occurs free inside some Encode atom of x; the names
-    in shadowed are bound above x."""
-    if isinstance(x, Var):
+    in shadowed are bound above x. A subtree where no variable of param's
+    name is free is not entered."""
+    if isinstance(x, Var) or param.name not in free_names(x):
         return False
-    if isinstance(x, Encode) and param.name not in shadowed \
-            and any(isinstance(sub, Var) and sub == param
-                    for sub in subnodes(x)):
-        return True
+    if isinstance(x, Encode):
+        return param.name not in shadowed and param in free_vars(x)
     bvs = binder_vars(x)
     if bvs:
         shadowed = shadowed | {v.name for v in bvs}

@@ -181,7 +181,8 @@ def _node_counts(logic: LogicTag, consts, b: Bounds):
     """(n_worlds, n_individuals, factors) per size, canonical order, for
     the constants (a name -> sort dict): factors iterates the frame count
     and the option count of each bit group, and their product is the
-    number of interpretations."""
+    number of interpretations. Each group's options are a range from 0,
+    counted by its stop: len fails on a range past sys.maxsize."""
     need = any(s.kind == "so" for s in consts.values())
     for n_w in range(1, b.max_worlds + 1):
         for n_d in range(1, b.max_individuals + 1):
@@ -192,7 +193,7 @@ def _node_counts(logic: LogicTag, consts, b: Bounds):
             groups = _denotation_groups(consts, n_w, n_d, relspace, relspace)
             yield n_w, n_d, itertools.chain(
                 (count_frames(logic, n_w),),
-                (len(options) for _, _, options in groups))
+                (options.stop for _, _, options in groups))
 
 
 def count_models(sig: Signature, b: Bounds) -> int:

@@ -236,6 +236,18 @@ def test_custom_layer_schemas():
         make_layer("T")
 
 
+def test_builtin_schema_without_metavariables():
+    # a builtin-kind schema that names no metavariables needs its kind's,
+    # so a missing one is a schema error, not a KeyError
+    refl = Layer("K+eq_refl", LogicTag.K, Mode.CLASSICAL,
+                 {"eq_refl": Schema("eq_refl", "eq_refl")})
+    assert check_proof(ProofScript((Step("ax", ("eq_refl", {})),)),
+                       refl) == Rejected(0, "SchemaError: missing "
+                                            "metavariables ['tau']")
+    assert check_proof(ProofScript((Step("ax", ("eq_refl", {"tau": _x})),)),
+                       refl) == Accepted(PrimitiveEq(_x, _x))
+
+
 def test_template_with_a_constant():
     # a template's leaves that are no metavariable atom, such as the
     # constant c, are kept as they are

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import operator
 import pkgutil
 import random
 import time
@@ -21,7 +22,8 @@ from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER,
     Actually, And, Box, Const, Diamond, Encode, Exemplify, Exists, Forall,
     Formula, Iff, Implies, Lambda, MacroFormula, Not, PrimitiveEq, Relation,
-    SOAtom, Term, Var, beta_normalize, free_names, subnodes,
+    SOAtom, Term, Var, beta_normalize, binder_vars, free_names, sort_of,
+    subnodes,
 )
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
@@ -333,6 +335,34 @@ class TestCallTables:
         first = _encode_usage(g)
         assert _encode_usage(g) is first
         assert first == _encode_usage(fresh(g))
+
+    def test_prefetch_is_the_walk_order_of_distinct_closed_terms(self, m):
+        # on new binders, with nothing stored yet, of generated terms and
+        # of their identity witnesses, whose expansion holds the term more
+        # than once: the prefetch walk gives what deduplicating every
+        # visit of a pre-order walk by identity gives
+        rng = random.Random(23)
+        prefetched = 0
+        for _ in range(60):
+            t = _random_term(rng, m)
+            sort = sort_of(t)
+            beta = Var("B" if sort.kind == "rel" else "b", sort)
+            for root in (t, Exists(beta, MacroFormula("id", (beta, t)))):
+                for b in subnodes(beta_normalize(expand_derived(root))):
+                    bvs = binder_vars(b)
+                    if len(bvs) != 1 or bvs[0].sort != INDIVIDUAL:
+                        continue
+                    want = tuple({id(n): n for n in subnodes(b.body)
+                                  if isinstance(n, (Lambda, Description))
+                                  and not free_names(n)}.values())
+                    full, _, got = _encode_usage(b)
+                    if not full:
+                        assert got == ()
+                        continue
+                    assert len(got) == len(want)
+                    assert all(map(operator.is_, got, want))
+                    prefetched += len(got)
+        assert prefetched > 0
 
     def test_no_module_global_keeps_nodes(self, m):
         # after AOT calls, a corpus suite, a proof check and a parse, no

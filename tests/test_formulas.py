@@ -13,11 +13,12 @@ import finmodal
 from finmodal.formulas import (
     INDIVIDUAL, PROPOSITION, REL1,
     And, Box, Const, Description, Diamond, Encode, Exemplify, Exists, Forall, Implies,
-    Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, SortError, Var,
-    alpha_equivalent, beta_normalize, binder_vars, canonical_key, children,
-    free_names, free_vars, rebuild, rename_binder, subnodes, substitute,
-    tree_size,
+    Lambda, MacroFormula, MacroTerm, Not, PrimitiveEq, Sort, SortError, Var,
+    _param_touches_encode, alpha_equivalent, beta_normalize, binder_vars,
+    canonical_key, children, fresh_name, free_names, free_vars, rebuild,
+    rename_binder, sort_of, subnodes, substitute, substitute_many, tree_size,
 )
+from finmodal.signature import LogicTag, Mode, Signature
 from finmodal.macros import expand_derived
 from finmodal.parser import parse_formula, parse_term
 from finmodal.printer import print_formula
@@ -57,6 +58,152 @@ class TestSubstitute:
         inst = substitute(template, Yv, empty)
         direct = expand_derived(MacroFormula("ess_g", (empty, x)))
         assert alpha_equivalent(beta_normalize(inst), beta_normalize(direct))
+
+    def test_capture_renames_past_a_taken_name(self):
+        # all y (S y -> S x -> S y1) with x := y: y and y1 are both free
+        # in the result, so the binder becomes y2
+        y1 = Var("y1", INDIVIDUAL)
+        f = Forall(y, Implies(Fx(y), Implies(Fx(x), Fx(y1))))
+        g = substitute(f, x, y)
+        assert g.var == Var("y2", INDIVIDUAL)
+        assert g.body == Implies(Fx(g.var), Implies(Fx(y), Fx(y1)))
+
+    def test_description_binder_renamed_in_a_redex(self):
+        # [\x S (the y: S y & S x)] y: reducing puts y under the
+        # description, whose binder is renamed
+        f = Exemplify(Lambda((x,), Fx(Description(y, And(Fx(y), Fx(x))))),
+                      (y,))
+        y1 = Var("y1", INDIVIDUAL)
+        assert beta_normalize(f) == Fx(Description(y1, And(Fx(y1), Fx(y))))
+
+    def test_binder_without_the_variable_is_not_renamed(self):
+        # x is not free under all y, so the binder keeps its name even
+        # though the payload is y, and the quantifier is not copied
+        inner = Forall(y, Fx(y))
+        g = substitute(And(Fx(x), inner), x, y)
+        assert g == And(Fx(y), inner) and g.right is inner
+
+    def test_no_binder_renamed_to_the_substituted_variable(self):
+        # x1 is not free in all x (S x), so substituting x for it changes
+        # nothing; renaming the binder to x1, the first fresh name past
+        # the payload's x, and then substituting x for x1 would give
+        # all x1 (S x)
+        x1 = Var("x1", INDIVIDUAL)
+        f = Forall(x, Fx(x))
+        assert substitute(f, x1, x) is f
+        assert beta_normalize(Exemplify(Lambda((x1,), f), (x,))) is f
+
+    def test_sort_mismatch_in_many(self):
+        with pytest.raises(SortError, match="bad sort in substitution for x"):
+            substitute_many(Fx(x), {x: F})
+
+    def test_rename_needs_a_binder(self):
+        with pytest.raises(TypeError, match="is not a binder"):
+            rename_binder(Fx(x), x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 4), st.integers(0, 3))
+    def test_shares_what_it_leaves_unchanged(self, seed, depth, pick):
+        # against substitution that rebuilds every node: the results are
+        # alpha-equivalent, every subtree where no variable of var's name
+        # is free (nor, below a renamed binder, of its old name) comes
+        # back as the same object, and var for itself changes nothing.
+        # The payloads' free names are the names the formula binds, so
+        # binders must be renamed.
+        sig = Signature(Mode.AOT, LogicTag.S5TOTAL, {
+            "p": PROPOSITION, "S": REL1, "c": INDIVIDUAL})
+        rng = random.Random(seed)
+        scope = [Var("x0", INDIVIDUAL), Var("Y1", REL1)]
+        f = random_formula(rng, sig, depth, scope, allow_encode=True,
+                           terms=True)
+        x2, x3 = Var("x2", INDIVIDUAL), Var("x3", INDIVIDUAL)
+        Y2, Y3 = Var("Y2", REL1), Var("Y3", REL1)
+        var = (*scope, x2, Y3)[pick]
+        if var.sort == INDIVIDUAL:
+            payload = rng.choice([
+                x2, x3, Const("c", INDIVIDUAL),
+                Description(Var("x4", INDIVIDUAL), Exemplify(Y2, (x2,)))])
+        else:
+            payload = rng.choice([
+                Y2, F, Lambda((Var("x5", INDIVIDUAL),), Exemplify(Y3, (x3,)))])
+        g = substitute(f, var, payload)
+        assert alpha_equivalent(g, _rebuilding_subst(f, {var: payload}))
+
+        def shared(a, b, names):
+            if names.isdisjoint(free_names(a)):
+                assert b is a
+                return
+            names = names | {u.name for u, w in zip(binder_vars(a),
+                                                     binder_vars(b)) if u != w}
+            for c, d in zip(children(a), children(b)):
+                shared(c, d, names)
+
+        shared(f, g, {var.name})
+        assert substitute(f, var, var) is f
+        assert substitute(f, var, Var(var.name, var.sort)) is f
+
+
+def _rebuilding_subst(x, mapping):
+    """Capture-avoiding substitution that rebuilds every node below it and
+    renames a binder whenever the payload holds its name free, to a name
+    none of the substituted variables has."""
+    if not mapping:
+        return x
+    if isinstance(x, Var):
+        return mapping.get(x, x)
+    if isinstance(x, Const):
+        return x
+    bvs = binder_vars(x)
+    if not bvs:
+        return rebuild(x, tuple(_rebuilding_subst(c, mapping)
+                                for c in children(x)))
+    live = {v: t for v, t in mapping.items() if v not in bvs}
+    if not live:
+        return x
+    payload_names = set()
+    for t in live.values():
+        payload_names |= free_names(t)
+    for bv in bvs:
+        if bv.name in payload_names:
+            taken = (payload_names | free_names(x)
+                     | {v.name for v in (*bvs, *live)})
+            nv = Var(fresh_name(bv.name, taken), bv.sort)
+            body = _rebuilding_subst(x.body, {bv: nv})
+            x = (Lambda(tuple(nv if p == bv else p for p in x.params), body)
+                 if isinstance(x, Lambda) else type(x)(nv, body))
+    return rebuild(x, tuple(_rebuilding_subst(c, live) for c in children(x)))
+
+
+class TestConstructors:
+    """Each constructor and generic walk rejects what is not well formed."""
+
+    @pytest.mark.parametrize("kind, arity, message", [
+        ("set", 0, "unknown sort kind 'set'"),
+        ("rel", -1, "negative arity"),
+    ])
+    def test_bad_sort(self, kind, arity, message):
+        with pytest.raises(SortError, match=message):
+            Sort(kind, arity)
+
+    def test_binders_take_distinct_individual_variables(self):
+        with pytest.raises(SortError, match="binds a variable twice"):
+            Lambda((x, x), Fx(x))
+        with pytest.raises(SortError, match="lambda binds a non-individual"):
+            Lambda((Yv,), Exemplify(Yv, (x,)))
+        with pytest.raises(SortError, match="description binds a non-indiv"):
+            Description(Yv, Exemplify(Yv, (x,)))
+
+    def test_sort_of_rejects_what_is_no_term(self):
+        with pytest.raises(SortError, match="unknown term macro 'Q!'"):
+            sort_of(MacroTerm("Q!"))
+        with pytest.raises(SortError, match="not a term"):
+            sort_of(Fx(x))
+
+    def test_walks_reject_what_is_no_node(self):
+        with pytest.raises(TypeError, match="not an AST node: 3"):
+            children(3)
+        with pytest.raises(TypeError, match="cannot rebuild Const"):
+            rebuild(F, ())
 
 
 class TestAlphaEquivalence:
@@ -195,6 +342,55 @@ class TestBeta:
         desc = Description(z, Fx(z))
         f = Exemplify(Lambda((y,), Not(Fx(y))), (desc,))
         assert beta_normalize(Not(f)) == Not(f)
+
+    def test_vacuous_redex_returns_its_body(self):
+        # (\x.B) x reduces to B itself, with what B stores
+        body = Box(Fx(x))
+        beta_normalize(body)
+        assert beta_normalize(Exemplify(Lambda((x,), body), (x,))) is body
+
+    def test_encoding_under_a_rebinding_lambda_is_safe(self):
+        # [\y k[\y S y]] c: the encoding atom holds y only bound by its
+        # own lambda, so the parameter touches no encoding and the redex
+        # is reduced
+        k, c = Const("k", INDIVIDUAL), Const("c", INDIVIDUAL)
+        body = Encode(k, Lambda((y,), Fx(y)))
+        assert beta_normalize(Exemplify(Lambda((y,), body), (c,))) is body
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(0, 4), st.booleans())
+    def test_param_touches_encode_matches_a_full_walk(self, seed, depth,
+                                                      rebind):
+        # on a lambda over x0 whose body has encoding atoms, and, with
+        # rebind, one binder of the body renamed to x0 (of its own sort),
+        # so that x0 is shadowed below it
+        sig = Signature(Mode.AOT, LogicTag.S5TOTAL, {
+            "p": PROPOSITION, "S": REL1, "c": INDIVIDUAL})
+        rng = random.Random(seed)
+        param = Var("x0", INDIVIDUAL)
+        body = random_formula(rng, sig, depth, [param], allow_encode=True,
+                              terms=True)
+        binders = [n for n in subnodes(body) if binder_vars(n)]
+        if rebind and binders:
+            b = rng.choice(binders)
+            old = rng.choice(binder_vars(b))
+            body = _replace(body, b, rename_binder(
+                b, old, Var(param.name, old.sort)))
+        assert _param_touches_encode(body, param) == \
+            _touches_encode_full_walk(body, param)
+
+
+def _touches_encode_full_walk(x, param, shadowed=frozenset()):
+    """Whether param is free in an Encode atom of x, where no binder
+    between x and the atom binds its name, by a walk over every node."""
+    if isinstance(x, Var):
+        return False
+    if isinstance(x, Encode) and param.name not in shadowed \
+            and param in free_vars(x):
+        return True
+    shadowed = shadowed | {v.name for v in binder_vars(x)}
+    return any(_touches_encode_full_walk(c, param, shadowed)
+               for c in children(x))
 
 
 class TestExpandDerived:

@@ -740,6 +740,19 @@ class TestBudget:
         assert not decide_sat(ps.formulas(), ps.sig, Bounds(2, 2)).is_sat
 
 
+    def test_count_past_sys_maxsize(self):
+        # a unary relation's options at 30 worlds and 30 individuals are
+        # 2**900, more than len can take; the budget check still stops at
+        # its first factor past the budget
+        sig = sig_of({"F": REL1})
+        assert count_models(sig, Bounds(30, 30)) == sum(
+            2 ** (w * i) for w in range(1, 31) for i in range(1, 31))
+        with pytest.raises(SearchBoundsError, match=(
+                f"more than the search budget of {MODEL_BUDGET} "
+                "interpretations within worlds<=1 individuals<=19")):
+            next(enumerate_models(sig, Bounds(30, 30)))
+
+
 class TestInputEdges:
     """Inputs the shipped problems never give: each answers or raises."""
 
