@@ -41,8 +41,8 @@ from .kripke import (
     product_words, total_access,
 )
 from .macros import expand_derived
-from .modelfind import MODEL_BUDGET, SearchBoundsError, count_frames
-from .signature import LogicTag, Mode
+from .modelfind import Bounds, _check_budget, count_models
+from .signature import LogicTag, Mode, Signature
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ class Schema:
     name: str
     kind: str  # 'template' | 'inst' | 'dist' | 'vac' | 'eq_refl' | 'eq_sub'
     template: Formula | None = None
-    metavars: tuple = ()  # names a substitution must give (if (), its kind's)
+    metavars: tuple = ()  # names a substitution must give (see _metavars)
 
 
 class SchemaError(Exception):
@@ -154,12 +154,23 @@ def _replaces_some(phi: Formula, psi: Formula, a: Term, b: Term) -> bool:
     return go(phi, psi, frozenset())
 
 
-def schema_instance(s: Schema, subst: dict, mode: Mode = Mode.CLASSICAL) -> Formula:
-    """Compute the instance of s under the given substitution. A schema
-    that names no metavariables needs those of its builtin kind."""
+def _metavars(s: Schema) -> tuple:
+    """The names a substitution for s must give: those s names, else a
+    template's free proposition variables, sorted, else its builtin
+    kind's."""
+    if s.metavars:
+        return s.metavars
+    if s.kind == "template":
+        return tuple(sorted(v.name for v in free_vars(s.template)
+                            if v.sort == PROPOSITION))
     builtin = _BUILTINS.get(s.kind)
-    metavars = s.metavars or (builtin.metavars if builtin else ())
-    missing = [n for n in metavars if n not in subst]
+    return builtin.metavars if builtin else ()
+
+
+def schema_instance(s: Schema, subst: dict, mode: Mode = Mode.CLASSICAL) -> Formula:
+    """Compute the instance of s under the given substitution, which must
+    give every metavariable of s (see _metavars)."""
+    missing = [n for n in _metavars(s) if n not in subst]
     if missing:
         raise SchemaError(f"missing metavariables {missing}")
     if s.kind == "template":
@@ -479,21 +490,6 @@ def _witness(vecs: dict, v: int) -> Formula:
     return op(*(_witness(vecs, u) for u in args))
 
 
-def _count_models(logic: LogicTag, max_worlds: int, n_atoms: int) -> int:
-    """The number of models validate_layer walks: every valuation of the
-    atoms on every frame of the class up to max_worlds. Raises
-    SearchBoundsError past MODEL_BUDGET, at the first world count that
-    passes it, before any frame is enumerated."""
-    total = 0
-    for n in range(1, max_worlds + 1):
-        total += count_frames(logic, n) << (n * n_atoms)
-        if total > MODEL_BUDGET:
-            raise SearchBoundsError(
-                f"more than the model budget of {MODEL_BUDGET} "
-                f"models within worlds<={n}")
-    return total
-
-
 def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
                    generator_depth: int = 3) -> SoundnessReport:
     """Every template schema over every model of the layer's frame class,
@@ -521,7 +517,12 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
         raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
     if len(set(atoms)) != len(atoms):
         raise ValueError(f"atoms must be distinct names, not {tuple(atoms)}")
-    n_models = _count_models(layer.logic, max_worlds, len(atoms))
+    # the models are every valuation of the atoms on every frame
+    sig = Signature(Mode.CLASSICAL, layer.logic,
+                    dict.fromkeys(atoms, PROPOSITION))
+    bounds = Bounds(max_worlds, 1)
+    _check_budget(sig, bounds)
+    n_models = count_models(sig, bounds)
     template_schemas = [s for s in layer.schemas.values() if s.kind == "template"]
     builtin_schemas = [s for s in layer.schemas.values() if s.kind != "template"]
     holds = [compile_mask(s.template) for s in template_schemas]
@@ -550,13 +551,14 @@ def validate_layer(layer: Layer, max_worlds: int = 3, atoms=("p", "q"),
         spaces = {}  # metavariable count -> space
         for i in unfailed:
             s = template_schemas[i]
-            k = len(s.metavars)
+            metavars = _metavars(s)
+            k = len(metavars)
             if k not in spaces:
                 spaces[k] = ColumnSpace.product(n, frames, range(k),
                                                 range(1 << n))
             space = spaces[k]
             fails = space.all_worlds ^ holds[i](
-                space, dict(zip(s.metavars, space.denot.values())))
+                space, dict(zip(metavars, space.denot.values())))
             count, failure = _first_failing_model(space, fails, realized)
             counts[i] += count
             if failure is not None:

@@ -453,17 +453,21 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
     if reps is not None:
         # truth depends on the proxy class and the membership pattern only;
         # the matrix factors iff representatives sharing a urelement agree
-        rows = {}
-        for rep in reps:
-            a2[x] = rep
-            u = m.urelement_of(rep)
-            row = 0
-            for w in range(m.n_worlds):
-                if _ev(body, m, a2, w, ctx):
-                    row |= 1 << (u * m.n_worlds + w)
-            if rows.setdefault(u, row) != row:
-                return NON_DENOTING
-            value |= row
+        depth = _enter_pattern(t, ctx)
+        try:
+            rows = {}
+            for rep in reps:
+                a2[x] = rep
+                u = m.urelement_of(rep)
+                row = 0
+                for w in range(m.n_worlds):
+                    if _ev(body, m, a2, w, ctx):
+                        row |= 1 << (u * m.n_worlds + w)
+                if rows.setdefault(u, row) != row:
+                    return NON_DENOTING
+                value |= row
+        finally:
+            ctx.pattern_depth = depth
         return Denotes(value)
 
     cols = _scan_columns(t, m, a, ctx)
@@ -497,14 +501,18 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
         # a pattern class holds many abstract objects unless every relation
         # value is reachable, so an abstract satisfier then spoils uniqueness
         singleton_classes = len(reps) == ctx.n_cols
-        for rep in reps:
-            a2[x] = rep
-            if _ev(body, m, a2, w0, ctx):
-                if not singleton_classes:
-                    return NON_DENOTING
-                hits.append(rep)
-                if len(hits) > 1:
-                    return NON_DENOTING
+        depth = _enter_pattern(t, ctx)
+        try:
+            for rep in reps:
+                a2[x] = rep
+                if _ev(body, m, a2, w0, ctx):
+                    if not singleton_classes:
+                        return NON_DENOTING
+                    hits.append(rep)
+                    if len(hits) > 1:
+                        return NON_DENOTING
+        finally:
+            ctx.pattern_depth = depth
         return Denotes(hits[0]) if len(hits) == 1 else NON_DENOTING
 
     col = _scan_columns(t, m, a, ctx, worlds=(w0,))[w0]
@@ -514,6 +522,16 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
     if hits:
         return Denotes(hits[0])
     return Denotes(Abstract(lowest_bit(col)))
+
+
+def _enter_pattern(binder, ctx: _EvalContext) -> int:
+    """The pattern depth before binder ranges over representatives, after
+    charging it one level of PATTERN_BUDGET; the caller restores it."""
+    depth = ctx.pattern_depth
+    if depth >= PATTERN_BUDGET:
+        raise _budget_error("individual quantifiers nested too deeply", binder)
+    ctx.pattern_depth = depth + 1
+    return depth
 
 
 def _scan_columns(binder, m: AczelModel, a: dict, ctx: _EvalContext,
@@ -616,9 +634,7 @@ def _vec_forall(f: Forall, x, m, a, w, ctx) -> int:
         reps = _abstract_reps(f, m, a, ctx)
         if reps is None:
             raise _budget_error("nested full sweeps over abstract objects", f)
-        if depth >= PATTERN_BUDGET:
-            raise _budget_error("individual quantifiers nested too deeply", f)
-        ctx.pattern_depth = depth + 1
+        _enter_pattern(f, ctx)
         domain = chain(ctx.ordinary, reps)
     else:
         domain = _higher_domain(var, m)
@@ -722,10 +738,7 @@ def _ev_forall(f: Forall, m, a, w, ctx) -> bool:
         reps = _abstract_reps(f, m, a, ctx)
         domain = ctx.ordinary
         if reps is not None:
-            if depth >= PATTERN_BUDGET:
-                raise _budget_error("individual quantifiers nested too deeply",
-                                    f)
-            ctx.pattern_depth = depth + 1
+            _enter_pattern(f, ctx)
             domain = chain(domain, reps)
     else:
         reps, domain = (), _higher_domain(var, m)

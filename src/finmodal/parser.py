@@ -10,17 +10,21 @@ construct the signature's mode forbids, is checked as its node is built.
 The first such SortError or ModeViolation is raised once the whole text
 has parsed, so a ParseError anywhere in the text takes precedence.
 
+The parser lexes a text as it reads it. A parse that fails lexes the
+rest of the text before it raises, so a character that starts no token
+is the error wherever it stands, as lex, run to the end, finds it.
+
 The texts of one proof file can share a memo (parse_formula's and
-parse_term's memo argument, one dict per file). Each bracketed group is
-then parsed once per distinct text and name bindings, and every later
-occurrence gets the same node, so equal subformulas across a file are one
-object. A group is a parenthesized formula or argument term, a quantifier
-`all v (...)` or `exists v (...)`, or a lambda term `[\\x ...]`; on a
-repeat the parser skips its span without lexing it. Only groups that
-parsed without a sort or mode error are kept, and a group kept with its
-nesting height is parsed again where that height would cross MAX_DEPTH,
-so every error is the one, at the position, the text raises when parsed
-alone.
+parse_term's memo argument, one dict per file). Each whole text, and each
+bracketed group under its name bindings, is then parsed once, and every
+later occurrence gets the same node, so equal subformulas across a file
+are one object. A group is a parenthesized formula or argument term, a
+quantifier `all v (...)` or `exists v (...)`, or a lambda term
+`[\\x ...]`; on a repeat the parser skips its span without lexing it.
+Without a memo no group is looked up or kept. Only texts and groups that
+parsed without error are kept, and a group kept with its nesting height
+is parsed again where that height would cross MAX_DEPTH, so every error
+is the one, at the position, the text raises when parsed alone.
 """
 
 from __future__ import annotations
@@ -73,25 +77,27 @@ _BRACKET_RE = re.compile(r"\#[^\n]*|\[\]|\[\\|[()\[\]]")
 _KEYWORDS = {"all", "exists", "the", "xor"}
 
 
-def lex(text: str) -> list:
-    out = []
-    i = 0
-    while i < len(text):
+def _tokens(text: str, i: int = 0):
+    """The tokens of text from offset i on, the last of kind eof. A
+    character no token starts with is a ParseError at its offset."""
+    while True:
         m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
+        if m is None:
+            if i < len(text):
+                raise ParseError(f"unexpected character {text[i]!r}", i)
+            yield Token("eof", "", len(text))
+            return
         i = m.end()
-        if m.lastgroup == "ws":
+        kind, val = m.lastgroup, m.group()
+        if kind == "ws":
             continue
-        kind = m.lastgroup
-        val = m.group()
-        if kind == "name" and val in _KEYWORDS:
+        if kind == "op" or kind == "name" and val in _KEYWORDS:
             kind = val
-        elif kind == "op":
-            kind = val
-        out.append(Token(kind, val, m.start()))
-    out.append(Token("eof", "", len(text)))
-    return out
+        yield Token(kind, val, m.start())
+
+
+def lex(text: str) -> list:
+    return list(_tokens(text))
 
 
 def _closing_brackets(text: str) -> dict:
@@ -113,10 +119,14 @@ class _Parser:
     BINARY = {"<->": (1, Iff), "xor": (1, Xor), "->": (2, Implies),
               "|": (3, Or), "&": (4, And)}
 
-    def __init__(self, tokens: list, sig: Signature):
-        self.toks = tokens
+    def __init__(self, text: str, sig: Signature, memo: dict | None):
+        self.text = text
+        self.stream = _tokens(text)
+        self.toks: list = []    # the tokens lexed so far
         self.i = 0
         self.sig = sig
+        self.memo = memo
+        self.closing = None if memo is None else _closing_brackets(text)
         self.scopes: list = []
         self.depth = 0
         self.peak = 0
@@ -125,7 +135,11 @@ class _Parser:
     # -- token plumbing
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        j = self.i + k
+        toks = self.toks
+        while j >= len(toks):
+            toks.append(next(self.stream, None) or toks[-1])  # eof repeats
+        return toks[j]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -176,6 +190,60 @@ class _Parser:
                 return scope[name]
         return None
 
+    # -- groups shared through a memo
+
+    def group(self, kind: str, parse, *args):
+        """parse(*args) for the group of the given kind that starts at the
+        next token, or, under a memo, the node the memo holds for it. The
+        group spans the text to the bracket closing its first one. A group
+        that parsed without a sort or mode error is kept with the nesting
+        height it reached, and a kept node is used only where that height
+        stays within MAX_DEPTH."""
+        if self.memo is None:
+            return parse(*args)
+        start = self.peek().pos
+        closing = self.closing.get(
+            self.text.find("(", start) if kind == "quantifier" else start)
+        if closing is None:
+            return parse(*args)
+        span = self.text[start:closing + 1]
+        key = (kind, span, self.bindings(span))
+        depth = self.depth
+        kept = self.memo.get(key)
+        if kept is not None and depth + kept[1] <= MAX_DEPTH:
+            del self.toks[self.i:]
+            self.stream = _tokens(self.text, closing + 1)
+            self.peak = max(self.peak, depth + kept[1])
+            return kept[0]
+        outer, self.peak = self.peak, depth
+        clean = self.error is None
+        node = parse(*args)
+        height = self.peak - depth
+        self.peak = max(self.peak, outer)
+        if clean and self.error is None:
+            self.memo[key] = node, height
+        return node
+
+    def bindings(self, span: str) -> tuple:
+        """The variables that the binders in scope give to names span may
+        mention: all that a group's parse reads besides its text and the
+        signature. A variable is left out where its name, unbound, would
+        resolve to an equal one: a name of its default sort that names no
+        constant or macro."""
+        out, seen = [], set()
+        for scope in reversed(self.scopes):
+            for name, v in scope.items():
+                if name in seen:
+                    continue
+                seen.add(name)
+                if name in span and not (
+                        v.sort == default_sort(name)
+                        and name not in self.sig.consts
+                        and name not in MACRO_TERM_SIGS
+                        and name not in MACRO_FORMULA_SIGS):
+                    out.append(v)
+        return tuple(out)
+
     # -- grammar
 
     def formula(self, floor: int = 0) -> Formula:
@@ -214,7 +282,7 @@ class _Parser:
             return {"~": Not, "[]": Box, "<>": Diamond,
                     "@": Actually}[t.kind](body)
         if t.kind in ("all", "exists"):
-            return self.quantifier()
+            return self.group("quantifier", self.quantifier)
         return self.atom()
 
     def quantifier(self) -> Formula:
@@ -253,7 +321,7 @@ class _Parser:
             if self.peek(1).kind == "the":
                 head = self.primary_term()
                 return self.app_tail(head)
-            return self.parenthesized(self.formula)
+            return self.group("formula", self.parenthesized, self.formula)
         if t.kind in ("name", "[\\"):
             # A formula-macro head takes term arguments directly.
             if t.kind == "name" and self.lookup(t.text) is None \
@@ -336,7 +404,7 @@ class _Parser:
             self.next()
             return self.resolve_name(t)
         if t.kind == "[\\":
-            return self.lambda_term()
+            return self.group("lambda", self.lambda_term)
         if t.kind == "(" and self.peek(1).kind == "the":
             self.next()
             self.next()
@@ -369,7 +437,7 @@ class _Parser:
         """A term in argument position: name, lambda, description, or (macro app)."""
         t = self.peek()
         if t.kind == "(" and self.peek(1).kind != "the":
-            return self.parenthesized(self.term)
+            return self.group("term", self.parenthesized, self.term)
         return self.primary_term()
 
     def parenthesized(self, parse):
@@ -393,127 +461,32 @@ class _Parser:
         return self.primary_term()
 
 
-class _SharedParser(_Parser):
-    """A parser whose bracketed groups go through a memo that the texts of
-    one proof file share. It lexes on demand, so a group found in the memo
-    is skipped without being lexed. Any ParseError is raised only after lex
-    has run on the whole text, so lex's error still comes first."""
-
-    def __init__(self, text: str, sig: Signature, memo: dict):
-        super().__init__([], sig)
-        self.text = text
-        self.at = 0     # where lexing resumes
-        self.memo = memo
-        self.closing = _closing_brackets(text)
-
-    def peek(self, k: int = 0) -> Token:
-        j = self.i + k
-        toks = self.toks
-        while j >= len(toks):
-            if toks and toks[-1].kind == "eof":
-                return toks[-1]
-            m = _TOKEN_RE.match(self.text, self.at)
-            if m is None:
-                if self.at < len(self.text):
-                    lex(self.text)  # raises lex's error
-                toks.append(Token("eof", "", len(self.text)))
-                continue
-            self.at = m.end()
-            kind, val = m.lastgroup, m.group()
-            if kind == "ws":
-                continue
-            if kind == "op" or kind == "name" and val in _KEYWORDS:
-                kind = val  # as lex reads it
-            toks.append(Token(kind, val, m.start()))
-        return toks[j]
-
-    def quantifier(self) -> Formula:
-        start = self.peek().pos
-        return self.group("quantifier", start, self.text.find("(", start),
-                          super().quantifier)
-
-    def lambda_term(self) -> Term:
-        start = self.peek().pos
-        return self.group("lambda", start, start, super().lambda_term)
-
-    def parenthesized(self, parse):
-        start = self.peek().pos
-        return self.group(parse.__name__, start, start,
-                          super().parenthesized, parse)
-
-    def group(self, kind: str, start: int, opening: int, parse, *args):
-        """parse(*args) for the group that spans the text from offset start
-        to the bracket closing the one at offset opening, or the node the
-        memo holds for it. A group that parsed without a sort or mode error
-        is kept with the nesting height it reached, and a kept node is used
-        only where that height stays within MAX_DEPTH."""
-        closing = self.closing.get(opening)
-        if closing is None:
-            return parse(*args)
-        span = self.text[start:closing + 1]
-        key = (kind, span, self.bindings(span))
-        depth = self.depth
-        kept = self.memo.get(key)
-        if kept is not None and depth + kept[1] <= MAX_DEPTH:
-            del self.toks[self.i:]
-            self.at = closing + 1
-            self.peak = max(self.peak, depth + kept[1])
-            return kept[0]
-        outer, self.peak = self.peak, depth
-        clean = self.error is None
-        node = parse(*args)
-        height = self.peak - depth
-        self.peak = max(self.peak, outer)
-        if clean and self.error is None:
-            self.memo[key] = node, height
-        return node
-
-    def bindings(self, span: str) -> tuple:
-        """The variables that the binders in scope give to names span may
-        mention: all that a group's parse reads besides its text and the
-        signature. A variable is left out where its name, unbound, would
-        resolve to an equal one: a name of its default sort that names no
-        constant or macro."""
-        out, seen = [], set()
-        for scope in reversed(self.scopes):
-            for name, v in scope.items():
-                if name in seen:
-                    continue
-                seen.add(name)
-                if name in span and not (
-                        v.sort == default_sort(name)
-                        and name not in self.sig.consts
-                        and name not in MACRO_TERM_SIGS
-                        and name not in MACRO_FORMULA_SIGS):
-                    out.append(v)
-        return tuple(out)
-
-
 def _parse(text: str, sig: Signature, start, memo):
-    if memo is None:
-        p = _Parser(lex(text), sig)
-    else:
-        p = _SharedParser(text, sig, memo)
+    key = start.__name__, text
+    if memo is not None and key in memo:
+        return memo[key]
+    p = _Parser(text, sig, memo)
     try:
         x = start(p)
         tail = p.peek()
         if tail.kind != "eof":
             raise ParseError(f"trailing input {tail.text!r}", tail.pos)
-    except ParseError:
-        if memo is not None:
-            lex(text)   # a lazy parse may stop before lex's error
+    except (ParseError, SortError):
+        lex(text)   # the parse may stop before the text's first bad character
         raise
     if p.error is not None:
         raise p.error
+    if memo is not None:
+        memo[key] = x
     return x
 
 
 def parse_formula(text: str, sig: Signature, memo: dict | None = None
                   ) -> Formula:
     """text parsed as a formula under sig. Calls that share a memo, a dict
-    that starts empty and serves one sig, hand out one node for equal
-    bracketed groups under equal bindings, and each raises what its text
-    raises parsed alone."""
+    that starts empty and serves one sig, hand out one node for equal texts
+    and for equal bracketed groups under equal bindings, and each raises
+    what its text raises parsed alone."""
     return _parse(text, sig, _Parser.formula, memo)
 
 

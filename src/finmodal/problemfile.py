@@ -46,10 +46,13 @@ _LOGICS = {"K": LogicTag.K, "KB": LogicTag.KB, "S5": LogicTag.S5TOTAL}
 _EXPECTATIONS = ("unsat", "sat", "valid", "countermodel")
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[:line.index("#")]
-    return line.strip()
+def _lines(text: str):
+    """(line number, first word, rest) for each line of text that is not
+    blank once its `#` comment is cut off."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        words = raw.partition("#")[0].strip().split(None, 1)
+        if words:
+            yield no, words[0], words[1] if len(words) > 1 else ""
 
 
 def _read_text(path: str) -> str:
@@ -81,12 +84,7 @@ def parse_problem(text: str) -> Problem:
     relvar_domain = "full"
     formula_lines: list = []
 
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+    for no, head, rest in _lines(text):
         if head == "sig":
             if rest not in ("classical", "aot"):
                 raise ProblemFileError(f"unknown signature mode {rest!r}", no)
@@ -172,33 +170,24 @@ def load_proof(path: str, sig: Signature):
 def parse_proof(text: str, sig: Signature):
     """(layer name, ProofScript).
 
-    Each distinct formula or term text is parsed once per call, and the
-    texts share one parser memo, so each distinct bracketed group under
-    the same bindings is parsed once too. Equal texts and groups, on `hyp`
-    and `gen` lines or as substitution values, give one shared node, so
-    the facts a node stores (free names, canonical key, normal-form flags)
-    are worked out once for the whole script. Only successful parses are
-    kept, so a bad text raises on the first line that has it, as it does
-    parsed alone, and nothing outlives the call.
+    The formula and term texts share one parser memo, so each distinct
+    text, and each distinct bracketed group under the same bindings, is
+    parsed once per call. Equal texts and groups, on `hyp` and `gen` lines
+    or as substitution values, give one shared node, so the facts a node
+    stores (free names, canonical key, normal-form flags) are worked out
+    once for the whole script. Only successful parses are kept, so a bad
+    text raises on the first line that has it, as it does parsed alone,
+    and nothing outlives the call.
     """
-    parsed: dict = {}   # ("term" | "formula", text) -> node
-    memo: dict = {}     # the parser's, for bracketed groups
+    memo: dict = {}
 
     def parse(kind: str, text: str):
-        node = parsed.get((kind, text))
-        if node is None:
-            parse_fn = parse_term if kind == "term" else parse_formula
-            node = parsed[kind, text] = parse_fn(text, sig, memo)
-        return node
+        parse_fn = parse_term if kind == "term" else parse_formula
+        return parse_fn(text, sig, memo)
 
     layer_name = None
     steps: list = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+    for no, head, rest in _lines(text):
         try:
             if head == "layer":
                 if layer_name is not None:
@@ -337,11 +326,8 @@ def parse_aot_config(text: str) -> AczelConfig:
     its directive's form is an error showing the form."""
     kw: dict = {"consts": {}}
     concrete_bits: list = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        head, *words = line.split()
+    for no, head, rest in _lines(text):
+        words = rest.split()
         try:
             if head in _MODEL_SIZES:
                 key = _MODEL_SIZES[head]

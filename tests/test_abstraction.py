@@ -248,6 +248,22 @@ def test_builtin_schema_without_metavariables():
                        refl) == Accepted(PrimitiveEq(_x, _x))
 
 
+def test_template_schema_without_metavariables():
+    # a template schema that names no metavariables needs its free
+    # proposition variables, sorted, the order each shipped one declares
+    pl1 = make_layer("K").schemas["pl1"]
+    bare = Layer("K+pl1", LogicTag.K, Mode.CLASSICAL,
+                 {"pl1": Schema("pl1", "template", pl1.template)})
+    assert check_proof(ProofScript((Step("ax", ("pl1", {})),)),
+                       bare) == Rejected(0, "SchemaError: missing "
+                                            "metavariables ['p', 'q']")
+    declared = Layer("K+pl1", LogicTag.K, Mode.CLASSICAL, {"pl1": pl1})
+    assert pl1.metavars == ("p", "q")
+    report = validate_layer(bare, max_worlds=2)
+    assert report == validate_layer(declared, max_worlds=2)
+    assert report.schema_findings[0].instances > 0
+
+
 def test_template_with_a_constant():
     # a template's leaves that are no metavariable atom, such as the
     # constant c, are kept as they are

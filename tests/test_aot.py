@@ -677,6 +677,21 @@ EVALUATOR_BRANCHES = {
         _on_nine(r"[\x %s]", {"F": 0}), _too_many(r"[\x %s]")),
     "quotient-budget-description": (
         _on_nine("(the x: %s)", {"F": 0}), _too_many("(the x: %s)")),
+    # a lambda or a description ranging over representatives charges the
+    # pattern budget as a quantifier does: one quantifier may nest inside
+    "lambda-one-quantifier-deep": (
+        _denote_on(None, r"[\x all y (E! y -> ~E! x)]"),
+        lambda m: _lambda(m, lambda x, w: not _concrete(m, x, w) or not any(
+            m.rel_bit(m.denot["E!"], u, w)
+            for u in range(m.n_ordinary + m.n_special)))),
+    "lambda-nested-too-deeply": (
+        _denote_on(None, r"[\x all y (all z (E! y -> E! z -> ~E! x))]"),
+        (AotBudgetError, "individual quantifiers nested too deeply: "
+                         "all z (E! y -> E! z -> ~E! x)")),
+    "description-nested-too-deeply": (
+        _denote_on(None, "(the x: ~all y (all z (E! y -> E! z -> ~E! x)))"),
+        (AotBudgetError, "individual quantifiers nested too deeply: "
+                         "all z (E! y -> E! z -> ~E! x)")),
     "unhoused-exemplify-arg": (
         lambda m: eval_aot(_ex(_E, _x), m),
         (AotEvalError, "unhoused free variable 'x'")),

@@ -14,8 +14,7 @@ from finmodal.formulas import (
     children, sort_of, subnodes,
 )
 from finmodal.parser import (
-    MAX_DEPTH, ParseError, _Parser, _SharedParser, lex, parse_formula,
-    parse_term,
+    MAX_DEPTH, ParseError, _Parser, lex, parse_formula, parse_term,
 )
 from finmodal.printer import print_formula
 from finmodal.signature import LogicTag, Mode, ModeViolation, Signature
@@ -83,6 +82,21 @@ def test_binder_annotations(sig):
     assert f.var.sort == PROPOSITION
     g = parse_formula(print_formula(f), sig)
     assert alpha_equivalent(f, g)
+
+
+@pytest.mark.parametrize("text, sort", [
+    ("all X:ind (S X)", INDIVIDUAL), ("all x:rel (x c)", REL1),
+    ("all x:rel 2 (x c c)", Relation(2))])
+def test_sort_annotation(text, sort):
+    f = parse_formula(text, CLASSICAL)
+    assert f.var.sort == sort
+    assert print_formula(f) == text
+
+
+def test_unknown_sort_annotation():
+    with pytest.raises(ParseError, match="unknown sort 'set'") as raised:
+        parse_formula("all x:set (S x)", CLASSICAL)
+    assert raised.value.pos == 6
 
 
 @pytest.mark.parametrize("text, params", [
@@ -389,9 +403,29 @@ def test_checks_as_built_match_a_second_walk(seed, depth, first_order):
 # -- one memo shared by several texts
 
 def test_a_text_parsed_alone_makes_no_memo():
-    with patch.object(_SharedParser, "__init__", side_effect=AssertionError):
-        parse_formula("all Y ((P Y) -> [](P Y))", CLASSICAL)
+    # no group key is built, nor the brackets it spans found
+    with patch.object(_Parser, "bindings", side_effect=AssertionError), \
+            patch("finmodal.parser._closing_brackets",
+                  side_effect=AssertionError):
+        parse_formula("all Y ((P Y) -> [](P Y)) & [\\x S x] c", CLASSICAL)
         parse_term("neg (neg S)", CLASSICAL)
+
+
+def test_a_whole_text_parsed_twice_under_one_memo_is_one_node():
+    # neither text holds a bracketed group
+    memo = {}
+    for parse, text in ((parse_formula, "p & S c"), (parse_term, "neg S")):
+        node = parse(text, CLASSICAL, memo)
+        assert parse(text, CLASSICAL, memo) is node
+        assert parse(text, CLASSICAL) is not node
+
+
+@pytest.mark.parametrize("text", ["p & S p", "p & (S c", "p & S c )"])
+def test_a_text_that_raised_is_not_kept(text):
+    memo = {}
+    raised = _outcome(text, CLASSICAL, memo)
+    assert raised[0] is None and ("formula", text) not in memo
+    assert _outcome(text, CLASSICAL, memo) == raised
 
 
 def test_equal_groups_share_one_node_under_one_memo():
@@ -422,6 +456,14 @@ def test_lex_error_comes_first_under_a_memo(text):
         parse_formula(text, CLASSICAL, memo)
     assert (str(parsed.value), parsed.value.pos) == \
         (str(lexed.value), lexed.value.pos)
+
+
+def test_a_binder_bound_twice_waits_for_the_lex_error():
+    # the lambda's own SortError is raised as it is built, before the parse
+    # reaches the bad character; lex, run to the end, finds it first
+    for memo in (None, {}):
+        with pytest.raises(ParseError, match="'\\$'"):
+            parse_formula("[\\x\\x S x] c ) $", CLASSICAL, memo)
 
 
 TEXT_CHARS = "()[]\\~&|-<>@:=,! pqxcSPY#\n"
