@@ -19,13 +19,19 @@ evaluated column-wise on packed integers. Nested full sweeps exceed the
 budget and raise, never truncate.
 
 `_ev` (truth at a world) and `_vec` (a sweep's column) find each node's
-handler by its type in a table, `_EV` and `_VEC`. An atom reads a variable
-or constant straight from the assignment or the model; lambdas and
-descriptions are denoted. A formula is rigid when its truth cannot differ
-between worlds, a fact stored on the node; a Box evaluates a rigid body
-once, at world 0, where the loop over worlds would start. A Box's truth
-is kept per call; its column in a sweep is not, since keeping it was
-measured to save no time.
+handler by its type in a table, `_EV` and `_VEC`. An atom reads its terms
+through `_value`, which gives what a term denotes as a raw value (an
+individual, a relation value or a world mask) or NON_DENOTING: a variable
+or constant straight from the assignment or the model, a lambda or
+description by denoting it. Only the public `denote` wraps a value in
+`Denotes`. `_worlds` gives the mask of the worlds where a formula holds,
+world by world; a 0-place lambda and each row of a unary lambda read it.
+A Box keeps its own loop, which stops at the first world where its body
+fails. A formula is rigid when its truth cannot differ between worlds, a
+fact stored on the node; a Box evaluates a rigid body once, at world 0,
+where the loop over worlds would start. A Box's truth is kept per call;
+its column in a sweep is not, since keeping it was measured to save no
+time.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ NON_DENOTING = NonDenoting()
 MAX_URELEMENT_BITS = 4  # |U| * |W| cap keeps the relation space at <= 16
 FULL_SCAN_BUDGET = 1    # full sweeps over abstract objects that may nest
 PATTERN_BUDGET = 2      # individual quantifiers that may nest on a quotient
+SIGMA_ARGS = {"constant": 0, "membership": 1}   # sigma rule -> its arguments
 
 
 @dataclass(frozen=True)
@@ -115,11 +122,9 @@ class AczelModel:
 
     def sigma_of(self, encoded: int) -> int:
         """Special-urelement index serving as an abstract object's proxy."""
-        if self.sigma[0] == "constant":
-            return 0
         if self.sigma[0] == "membership":
             return (1 if (encoded >> self.sigma[1]) & 1 else 0) % self.n_special
-        raise AotEvalError(f"unknown sigma rule {self.sigma!r}")
+        return 0
 
     def urelement_of(self, ind) -> int:
         if isinstance(ind, Ordinary):
@@ -144,8 +149,14 @@ def build_aczel(config: AczelConfig) -> AczelModel:
         return value
 
     in_range(config.actual, config.n_worlds, "actual world")
-    if config.sigma[0] == "membership":
-        in_range(config.sigma[1], len(relspace1), "sigma membership value")
+    rule, *args = config.sigma or (None,)
+    if rule not in SIGMA_ARGS:
+        raise AotEvalError(f"unknown sigma rule {rule!r}")
+    if len(args) != SIGMA_ARGS[rule]:
+        raise AotEvalError(f"sigma rule {rule!r} takes {SIGMA_ARGS[rule]} "
+                           f"relation value(s), not {len(args)}")
+    if rule == "membership":
+        in_range(args[0], len(relspace1), "sigma membership value")
     e_bang = config.e_bang
     if e_bang is None:
         # concreteness holds of the first ordinary urelement at the first
@@ -224,7 +235,8 @@ def _membership_masks(n_values: int) -> list:
 class _EvalContext:
     """The state of one top-level call (`denote`, `eval_aot`).
 
-    Besides the sweep counters and the closed terms' denotations, it
+    Besides the sweep counters and the closed lambdas' and descriptions'
+    denotations (raw values or NON_DENOTING, as `_value` gives them), it
     holds the ordinary individuals, built once, the truth of each Box per
     budget depth and values of its free names (the same at every world,
     accessibility being total), and the abstract representatives every
@@ -243,7 +255,7 @@ class _EvalContext:
         self.membership = _membership_masks(len(m.relspace1))
         self.sigma_class_masks = self._sigma_classes()
         self.ordinary = [Ordinary(u) for u in range(m.n_ordinary)]
-        self.closed_cache: dict = {}   # closed term -> denotation
+        self.closed_cache: dict = {}   # closed term -> raw value
         self.reps: dict = {}           # pattern values -> representatives
         # (box, pattern_depth, full_scans, free-name values) -> truth
         self.boxes: dict = {}
@@ -275,9 +287,7 @@ def _encode_usage(binder):
     closed: list = []
     state = {"full": False}
 
-    def walk(g, bound: frozenset):
-        if isinstance(g, Var):
-            return
+    def walk(g: Formula, bound: frozenset):
         bvs = frozenset(v.name for v in binder_vars(g))
         if x in bvs or x not in free_names(g):
             return
@@ -291,9 +301,6 @@ def _encode_usage(binder):
                     closed.append(g.rel)
             elif x in free_names(g.rel):
                 state["full"] = True
-            return
-        if isinstance(g, (Lambda, Description)):
-            state["full"] = True
             return
         inner = bound | bvs
         for c in children(g):
@@ -386,14 +393,16 @@ def _expansion_error(x, size: int) -> AotBudgetError:
 
 
 def denote(t: Term, m: AczelModel, a: dict | None = None):
+    """Denotes(value) for what t denotes under a, or NON_DENOTING."""
     ctx = _EvalContext(m)
-    return denote_in(primitive_form(t, _expansion_error), m, dict(a or {}),
-                     ctx)
+    v = _value(primitive_form(t, _expansion_error), m, dict(a or {}), ctx)
+    return NON_DENOTING if v is NON_DENOTING else Denotes(v)
 
 
 def _value(t: Term, m: AczelModel, a: dict, ctx: "_EvalContext"):
-    """What t denotes, unwrapped, or NON_DENOTING. A variable or constant
-    is read from a or m.denot; anything else goes through denote_in."""
+    """What t denotes, as a raw value, or NON_DENOTING. A variable or
+    constant is read from a or m.denot; a closed lambda or description is
+    denoted once per call and kept in ctx.closed_cache."""
     kind = type(t)
     if kind is Var:
         try:
@@ -405,36 +414,34 @@ def _value(t: Term, m: AczelModel, a: dict, ctx: "_EvalContext"):
             return m.denot[t.name]
         except KeyError:
             raise AotEvalError(f"uninterpreted constant {t.name!r}")
-    d = denote_in(t, m, a, ctx)
-    return d.value if isinstance(d, Denotes) else NON_DENOTING
+    if not isinstance(t, (Lambda, Description)):
+        raise AotEvalError(f"cannot interpret {t!r}")
+    closed = not free_names(t)
+    if closed:
+        hit = ctx.closed_cache.get(t)
+        if hit is not None:
+            return hit
+    if isinstance(t, Description):
+        v = _denote_description(t, m, a, ctx)
+    elif len(t.params) == 0:
+        v = _worlds(t.body, m, a, ctx)
+    elif len(t.params) == 1:
+        v = _denote_lambda1(t, m, a, ctx)
+    else:
+        raise AotEvalError("lambda terms of arity >= 2 are not interpreted")
+    if closed:
+        ctx.closed_cache[t] = v
+    return v
 
 
-def denote_in(t: Term, m: AczelModel, a: dict, ctx: _EvalContext):
-    if type(t) in (Var, Const):
-        return Denotes(_value(t, m, a, ctx))
-    if isinstance(t, (Lambda, Description)):
-        closed = not free_names(t)
-        if closed:
-            hit = ctx.closed_cache.get(t)
-            if hit is not None:
-                return hit
-        if isinstance(t, Lambda):
-            if len(t.params) == 0:
-                mask = 0
-                for w in range(m.n_worlds):
-                    if _ev(t.body, m, a, w, ctx):
-                        mask |= 1 << w
-                d = Denotes(mask)
-            elif len(t.params) == 1:
-                d = _denote_lambda1(t, m, a, ctx)
-            else:
-                raise AotEvalError("lambda terms of arity >= 2 are not interpreted")
-        else:
-            d = _denote_description(t, m, a, ctx)
-        if closed:
-            ctx.closed_cache[t] = d
-        return d
-    raise AotEvalError(f"cannot interpret {t!r}")
+def _worlds(f: Formula, m: AczelModel, a: dict, ctx: _EvalContext) -> int:
+    """The mask of the worlds where f holds under a, evaluated world by
+    world from 0 with no early stop."""
+    mask = 0
+    for w in range(m.n_worlds):
+        if _ev(f, m, a, w, ctx):
+            mask |= 1 << w
+    return mask
 
 
 def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
@@ -445,9 +452,7 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
     a2 = dict(a)
     for u, ind in enumerate(ctx.ordinary):
         a2[x] = ind
-        for w in range(m.n_worlds):
-            if _ev(body, m, a2, w, ctx):
-                value |= 1 << (u * m.n_worlds + w)
+        value |= _worlds(body, m, a2, ctx) << (u * m.n_worlds)
 
     reps = _abstract_reps(t, m, a, ctx)
     if reps is not None:
@@ -459,16 +464,13 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
             for rep in reps:
                 a2[x] = rep
                 u = m.urelement_of(rep)
-                row = 0
-                for w in range(m.n_worlds):
-                    if _ev(body, m, a2, w, ctx):
-                        row |= 1 << (u * m.n_worlds + w)
+                row = _worlds(body, m, a2, ctx) << (u * m.n_worlds)
                 if rows.setdefault(u, row) != row:
                     return NON_DENOTING
                 value |= row
         finally:
             ctx.pattern_depth = depth
-        return Denotes(value)
+        return value
 
     cols = _scan_columns(t, m, a, ctx)
     for s, cmask in ctx.sigma_class_masks.items():
@@ -479,7 +481,7 @@ def _denote_lambda1(t: Lambda, m: AczelModel, a: dict, ctx: _EvalContext):
                 return NON_DENOTING
             if (cols[w] >> rep_col) & 1:
                 value |= 1 << ((m.n_ordinary + s) * m.n_worlds + w)
-    return Denotes(value)
+    return value
 
 
 def _denote_description(t: Description, m: AczelModel, a: dict,
@@ -513,15 +515,12 @@ def _denote_description(t: Description, m: AczelModel, a: dict,
                         return NON_DENOTING
         finally:
             ctx.pattern_depth = depth
-        return Denotes(hits[0]) if len(hits) == 1 else NON_DENOTING
+        return hits[0] if len(hits) == 1 else NON_DENOTING
 
     col = _scan_columns(t, m, a, ctx, worlds=(w0,))[w0]
-    count = col.bit_count()
-    if count + len(hits) != 1:
+    if col.bit_count() + len(hits) != 1:
         return NON_DENOTING
-    if hits:
-        return Denotes(hits[0])
-    return Denotes(Abstract(lowest_bit(col)))
+    return hits[0] if hits else Abstract(lowest_bit(col))
 
 
 def _enter_pattern(binder, ctx: _EvalContext) -> int:
@@ -545,7 +544,7 @@ def _scan_columns(binder, m: AczelModel, a: dict, ctx: _EvalContext,
         raise _budget_error("nested full sweeps over abstract objects", binder)
     x, body = binder_vars(binder)[0].name, binder.body
     for t in _encode_usage(binder)[2]:
-        denote_in(t, m, a, ctx)
+        _value(t, m, a, ctx)
     ctx.full_scans += 1
     try:
         out = {}
@@ -556,13 +555,25 @@ def _scan_columns(binder, m: AczelModel, a: dict, ctx: _EvalContext,
         ctx.full_scans -= 1
 
 
-def _higher_domain(var: Var, m: AczelModel):
-    """The values a relation or proposition variable ranges over."""
-    if var.sort == REL1:
-        return m.relspace1
-    if var.sort.kind == "rel" and var.sort.arity == 0:
-        return m.propspace
-    raise AotEvalError(f"no quantification domain at sort {var.sort}")
+def _domain(f: Forall, m: AczelModel, a: dict, ctx: _EvalContext):
+    """(reps, domain) for the variable of quantifier f. An individual
+    variable ranges over the ordinary individuals and the representatives
+    reps, charging one level of PATTERN_BUDGET for them, or, with reps None,
+    over the ordinary ones alone, the abstract objects needing a full sweep.
+    A relation or proposition variable ranges over its values, with reps
+    (). The caller restores ctx.pattern_depth."""
+    var = f.var
+    if var.sort != INDIVIDUAL:
+        if var.sort == REL1:
+            return (), m.relspace1
+        if var.sort.kind == "rel" and var.sort.arity == 0:
+            return (), m.propspace
+        raise AotEvalError(f"no quantification domain at sort {var.sort}")
+    reps = _abstract_reps(f, m, a, ctx)
+    if reps is None:
+        return None, ctx.ordinary
+    _enter_pattern(f, ctx)
+    return reps, chain(ctx.ordinary, reps)
 
 
 def _vec(f: Formula, x: str, m: AczelModel, a: dict, w: int,
@@ -627,22 +638,15 @@ def _vec_actually(f: Actually, x, m, a, w, ctx) -> int:
 
 
 def _vec_forall(f: Forall, x, m, a, w, ctx) -> int:
-    # an individual quantifier charges PATTERN_BUDGET as in _ev_forall
-    var = f.var
     depth = ctx.pattern_depth
-    if var.sort == INDIVIDUAL:
-        reps = _abstract_reps(f, m, a, ctx)
-        if reps is None:
-            raise _budget_error("nested full sweeps over abstract objects", f)
-        _enter_pattern(f, ctx)
-        domain = chain(ctx.ordinary, reps)
-    else:
-        domain = _higher_domain(var, m)
+    reps, domain = _domain(f, m, a, ctx)
+    if reps is None:
+        raise _budget_error("nested full sweeps over abstract objects", f)
     try:
         out = ctx.full
         for val in domain:
             a2 = dict(a)
-            a2[var.name] = val
+            a2[f.var.name] = val
             out &= _vec(f.body, x, m, a2, w, ctx)
         return out
     finally:
@@ -732,20 +736,12 @@ def _ev_actually(f: Actually, m, a, w, ctx) -> bool:
 
 
 def _ev_forall(f: Forall, m, a, w, ctx) -> bool:
-    var = f.var
     depth = ctx.pattern_depth
-    if var.sort == INDIVIDUAL:
-        reps = _abstract_reps(f, m, a, ctx)
-        domain = ctx.ordinary
-        if reps is not None:
-            _enter_pattern(f, ctx)
-            domain = chain(domain, reps)
-    else:
-        reps, domain = (), _higher_domain(var, m)
+    reps, domain = _domain(f, m, a, ctx)
     try:
         for val in domain:
             a2 = dict(a)
-            a2[var.name] = val
+            a2[f.var.name] = val
             if not _ev(f.body, m, a2, w, ctx):
                 return False
     finally:
@@ -831,9 +827,7 @@ def _witness_terms(m: AczelModel) -> list:
             values[d.value] = text
             pool.append((text, t, d.value))
 
-    def apply_term(t, x):
-        return Exemplify(t, (x,))
-
+    x = Var("x", INDIVIDUAL)
     target = len(m.relspace1)
     frontier = list(pool)
     while len(values) < target and frontier:
@@ -842,12 +836,9 @@ def _witness_terms(m: AczelModel) -> list:
             for j in range(i + 1, len(pool)):
                 if len(values) >= target:
                     break
-                n1, t1, _ = pool[i]
-                n2, t2, _ = pool[j]
-                x = Var("x", INDIVIDUAL)
-                conj = Lambda((x,), And(apply_term(t1, x), apply_term(t2, x)))
-                negc = Lambda((x,), Not(And(apply_term(t1, x), apply_term(t2, x))))
-                for t in (conj, negc):
+                both = And(Exemplify(pool[i][1], (x,)),
+                           Exemplify(pool[j][1], (x,)))
+                for t in (Lambda((x,), both), Lambda((x,), Not(both))):
                     d = denote(t, m)
                     if isinstance(d, Denotes) and d.value not in values:
                         name = print_term(t)

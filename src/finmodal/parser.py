@@ -427,11 +427,13 @@ class _Parser:
             params.append(Var(self.next().text, INDIVIDUAL))
         while self.accept("\\"):
             params.append(Var(self.expect("name").text, INDIVIDUAL))
-        self.scopes.append({p.name: p for p in params})
+        scope = {p.name: p for p in params}
+        self.check(len(scope) == len(params), "lambda binds a variable twice")
+        self.scopes.append(scope)
         body = self.nested(self.formula)
         self.scopes.pop()
         self.expect("]")
-        return Lambda(tuple(params), body)
+        return Lambda(tuple(scope.values()), body)
 
     def arg_term(self) -> Term:
         """A term in argument position: name, lambda, description, or (macro app)."""

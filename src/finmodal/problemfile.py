@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abstraction import CITATIONS, LAYER_NAMES, RULES, ProofScript, Step
-from .aot import AczelConfig
+from .aot import SIGMA_ARGS, AczelConfig
 from .formulas import (
     INDIVIDUAL, PROPOSITION, REL1, SECOND_ORDER, Relation, Var, free_names,
 )
@@ -314,7 +314,6 @@ def load_aot_config(path: str) -> AczelConfig:
 
 _MODEL_SIZES = {"ordinary": "n_ordinary", "special": "n_special",
                 "worlds": "n_worlds", "actual": "actual"}
-_SIGMA_ARGS = {"constant": 0, "membership": 1}
 _CONST_FORMS = {"ordinary": "<urelement>", "abstract": "<value> ...",
                 "prop": "<value>", "rel": "<value>"}
 
@@ -337,9 +336,9 @@ def parse_aot_config(text: str) -> AczelConfig:
                     raise ValueError("expected 'sigma constant' or "
                                      "'sigma membership <value>'")
                 rule = words[0]
-                if rule not in _SIGMA_ARGS:
+                if rule not in SIGMA_ARGS:
                     raise ValueError(f"unknown sigma rule {rule!r}")
-                count = _SIGMA_ARGS[rule]
+                count = SIGMA_ARGS[rule]
                 key, value = "sigma", (rule, *_model_numbers(
                     words[1:], f"sigma {rule}" + " <value>" * count, count))
             elif head == "concrete":

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import finmodal
 from finmodal import aot, macros
-from finmodal.abstraction import Accepted, check_proof, make_layer
+from finmodal.abstraction import (
+    Accepted, ProofScript, check_proof, make_layer,
+)
 from finmodal.aot import (
     Abstract, AczelConfig, AotBudgetError, AotEvalError, Denotes,
     NON_DENOTING, NonDenoting, Ordinary, _encode_usage,
@@ -67,6 +69,14 @@ class TestBuild:
          "unknown constant spec ('bogus', 0)"),
         (AczelConfig(consts={"c": ("prop", 4)}),
          "c: proposition value 4 is not in 0..3"),
+        (AczelConfig(sigma=("bogus",)), "unknown sigma rule 'bogus'"),
+        (AczelConfig(sigma=()), "unknown sigma rule None"),
+        (AczelConfig(sigma=("membership",)),
+         "sigma rule 'membership' takes 1 relation value(s), not 0"),
+        (AczelConfig(sigma=("constant", 3)),
+         "sigma rule 'constant' takes 0 relation value(s), not 1"),
+        (AczelConfig(sigma=("membership", 16)),
+         "sigma membership value 16 is not in 0..15"),
     ])
     def test_bad_config_raises(self, config, message):
         with pytest.raises(AotEvalError) as err:
@@ -439,6 +449,16 @@ class TestReports:
         assert len(rep.pair_witnesses) == 120
         assert rep.historical_distinct
 
+    def test_census_text_of_a_rejected_derivation(self, m, monkeypatch):
+        # the two-individuals script without its first step cites a line
+        # it no longer has
+        script = aot.two_individuals_script()
+        monkeypatch.setattr(aot, "two_individuals_script",
+                            lambda: ProofScript(script.steps[1:]))
+        text = minimal_model_report(m).to_text()
+        assert "two-individuals derivation: Rejected(step=0, reason='expand " \
+               "cites an unavailable line')\n" in text
+
     def test_world_theory(self, m):
         rep = world_theory_report(m)
         assert len(rep.syntactic_worlds) == 2
@@ -673,6 +693,15 @@ EVALUATOR_BRANCHES = {
         (AotEvalError, "unhoused free variable 'F'")),
     "quotient-budget-quantifier-housed": (
         _on_nine("all x (%s)", {"F": 0}), _too_many("all x (%s)")),
+    # a quantifier works out its representatives before it charges the
+    # pattern budget, and one that sweeps charges none
+    "quotient-budget-under-two-quantifiers": (
+        _on_nine("all y (all z (all x (%s)))", {"F": 0}),
+        _too_many("all x (%s)")),
+    "sweep-under-two-quantifiers": (
+        lambda m: eval_aot(parse_formula(
+            "all y (all z (all x (all F (x[F] -> F x))))", m.sig), m),
+        False),
     "quotient-budget-lambda": (
         _on_nine(r"[\x %s]", {"F": 0}), _too_many(r"[\x %s]")),
     "quotient-budget-description": (
@@ -692,6 +721,17 @@ EVALUATOR_BRANCHES = {
         _denote_on(None, "(the x: ~all y (all z (E! y -> E! z -> ~E! x)))"),
         (AotBudgetError, "individual quantifiers nested too deeply: "
                          "all z (E! y -> E! z -> ~E! x)")),
+    # an encoding atom whose object term holds the variable needs a full
+    # sweep: the ordinary individuals decide the first, and the sweep
+    # cannot take the second
+    "encoding-a-description-of-x": (
+        lambda m: eval_aot(parse_formula(
+            "all x ((the y: E! y & E! x)[E!])", m.sig), m), False),
+    "sweep-encoding-a-description-of-x": (
+        lambda m: eval_aot(parse_formula(
+            "all x (~(the y: E! y & E! x)[E!])", m.sig), m),
+        (AotBudgetError, "encoding atom too complex for the column sweep: "
+                         "(the y: ~(E! y -> ~E! x))[E!]")),
     "unhoused-exemplify-arg": (
         lambda m: eval_aot(_ex(_E, _x), m),
         (AotEvalError, "unhoused free variable 'x'")),

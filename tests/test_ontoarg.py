@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import finmodal.ontoarg as oa
+from finmodal.abstraction import Rejected
 from finmodal.cli import run
 from finmodal.formulas import (
     And, Iff, Implies, Not, PROPOSITION, REL1, SECOND_ORDER, Xor, subnodes,
@@ -158,6 +159,48 @@ class TestUltrafilters:
         report = ultrafilter_report(m, "P")
         assert not report.proper and not report.is_ultrafilter
 
+    def test_upward_closure_failure_witnessed(self):
+        # {d0} alone: its superset {d0, d1 at w0} is missing
+        report = ultrafilter_report(small_model(p_rows={0b0011: 0b11}), "P")
+        assert report.family == (0b0011,)
+        assert not report.upward_closed and report.meet_closed
+        assert report.witnesses["upward"] == (0b0011, 0b0111)
+
+    def test_meet_closure_failure_witnessed(self):
+        # every property holding of d0 or of d1 at w0: upward closed, but
+        # the meet of {d0 at w0} and {d1 at w0} is empty
+        rows = {v: 0b11 for v in range(16) if v & 0b0101}
+        report = ultrafilter_report(small_model(p_rows=rows), "P")
+        assert report.upward_closed and not report.meet_closed
+        assert report.witnesses["meet"] == (0b0001, 0b0100)
+
+    def test_model_without_positivity_raises(self):
+        sig = Signature(Mode.CLASSICAL, LogicTag.S5TOTAL, {"q": PROPOSITION})
+        m = KripkeInterpretation(sig, 2, 2, total_access(2), {"q": 0},
+                                 full_relspace(2, 2))
+        with pytest.raises(ValueError, match="^the model does not interpret "
+                                             "the positivity constant$"):
+            ultrafilter_report(m, "P")
+
+    def test_unknown_selector_raises(self):
+        with pytest.raises(ValueError, match="^unknown selector 'Q'$"):
+            ultrafilter_report(small_model(), "Q")
+
+
+class TestWorldConstant:
+    def test_constant_model(self):
+        assert oa._all_world_constant(small_model(p_rows={0b0011: 0b11}))
+
+    @pytest.mark.parametrize("m", [
+        small_model(p_rows={0b0011: 0b01}),   # positivity varies by world
+        small_model(q_mask=0b01),             # so does the proposition
+        KripkeInterpretation(                 # and the unary relation
+            Signature(Mode.CLASSICAL, LogicTag.S5TOTAL, {"S": REL1}), 2, 2,
+            total_access(2), {"S": 0b0001}, full_relspace(2, 2)),
+    ], ids=["second-order", "proposition", "unary-relation"])
+    def test_a_constant_that_varies_by_world(self, m):
+        assert not oa._all_world_constant(m)
+
 
 class TestSuites:
     def test_goedel_inconsistent_with_accepted_refutation(self):
@@ -197,6 +240,31 @@ class TestSuites:
         assert rep.ultrafilters["Pprime"].is_ultrafilter
         assert rep.godlike_extension_ok
 
+    def test_refutation_rejected_in_the_report(self):
+        rep = run_variant_suite("goedel")
+        rep.refutation = Rejected(3, "mp-mismatch")
+        assert "refutation script: rejected (Rejected(step=3, " \
+               "reason='mp-mismatch'))\n" in rep.to_text()
+
+    def test_no_vagueness_witness_without_premise_models(self, monkeypatch,
+                                                         tmp_path):
+        _variant_with(monkeypatch, tmp_path, "anderson",
+                      "premise P NE_a", "premise P NE_a\npremise q & ~q")
+        assert find_vagueness_witness() is None
+
+    def test_godlike_extension_that_misses_the_intersection(
+            self, monkeypatch, tmp_path):
+        # G declared as a relation constant that holds of nothing, with its
+        # complement positive: the positive rigid properties all hold of d0
+        _variant_with(monkeypatch, tmp_path, "fitting", "premise P G",
+                      "const G : rel\npremise all x (~G x)\n"
+                      "premise P (neg G)")
+        rep = run_variant_suite("fitting")
+        assert rep.godlike_extension_ok is False
+        assert rep.to_text().endswith(
+            "godlike extension matches the intersection of the positive "
+            "rigid properties: no\n")
+
     def test_vagueness_witness_has_two_godlike_individuals(self):
         m = find_vagueness_witness()
         assert m is not None
@@ -205,6 +273,15 @@ class TestSuites:
         godlike = [d for d in range(m.n_individuals)
                    if evaluate(gx, m, {"x": d}, m.actual)]
         assert len(godlike) >= 2
+
+
+def _variant_with(monkeypatch, tmp_path, name, old, new):
+    """Read the variant name from a copy of its problem file in which the
+    line old is replaced by the lines new."""
+    text = (oa.PROBLEMS_DIR / f"{name}.problem").read_text()
+    assert text.count(old + "\n") == 1
+    (tmp_path / f"{name}.problem").write_text(text.replace(old, new))
+    monkeypatch.setattr(oa, "PROBLEMS_DIR", tmp_path)
 
 
 def _assert_same_model(got, want):

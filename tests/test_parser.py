@@ -459,11 +459,31 @@ def test_lex_error_comes_first_under_a_memo(text):
 
 
 def test_a_binder_bound_twice_waits_for_the_lex_error():
-    # the lambda's own SortError is raised as it is built, before the parse
-    # reaches the bad character; lex, run to the end, finds it first
+    # the lambda's SortError is kept until the text has parsed, and lex,
+    # run to the end, finds the bad character first
     for memo in (None, {}):
         with pytest.raises(ParseError, match="'\\$'"):
             parse_formula("[\\x\\x S x] c ) $", CLASSICAL, memo)
+
+
+BOUND_TWICE = (
+    ("[\\x\\x S x] c )", ParseError, "trailing input ')' (at position 13)"),
+    ("[\\x\\x S x] c", SortError, "lambda binds a variable twice"),
+)
+
+
+def test_a_binder_bound_twice_yields_to_a_later_parse_error():
+    # the lambda, built on its one distinct binder, takes one argument, and
+    # a ParseError anywhere in the text comes before the SortError; each
+    # text raises the same alone, under a fresh memo and under one memo
+    # shared with the other
+    shared = {}
+    for memo in (None, {}, shared, shared):
+        for text, cls, message in BOUND_TWICE:
+            with pytest.raises(cls) as err:
+                parse_formula(text, CLASSICAL, memo)
+            assert type(err.value) is cls
+            assert str(err.value) == message
 
 
 TEXT_CHARS = "()[]\\~&|-<>@:=,! pqxcSPY#\n"
